@@ -7,77 +7,49 @@ gives a polynomial system with real slack variables. Eliminating the point
 variables and expressing the thesis slack linearly in the hypothesis slacks
 proves the statement, with a second elimination certifying that the divisor
 cannot vanish.
+
+The package exports the library surface below; everything else is imported
+from its module (algebra_core, groebner, geometry_model, prover,
+proof_emitter, cli_dsl).
 """
 
-from .algebra_core import (
-    AlgebraError,
-    Add,
-    Const,
-    Div,
-    GrevLex,
-    Lex,
-    Monomial,
-    MonomialOrder,
-    Mul,
-    PointRef,
-    Polynomial,
-    Pow,
-    RationalExpr,
-    Sub,
-    VarKind,
-    VarTable,
-    ZeroDenominatorError,
-    block_elimination_order,
-    expr_normalize,
-)
-from .groebner import (
-    EliminationResult,
-    GroebnerBasis,
-    GroebnerConfig,
-    GroebnerTimeout,
-    eliminate,
-    groebner_basis,
-    ideal_is_trivial,
-    ideal_membership,
-)
+from .algebra_core import AlgebraError
 from .geometry_model import (
-    AngleEqual,
-    Collinear,
-    Concyclic,
-    Construction,
-    Declarative,
-    Equidistant,
     GeometryError,
-    Parallel,
-    Perpendicular,
-    PolynomialSystem,
-    Predicate,
-    RealRelational,
-    SlackOrigin,
     build_system,
-    declarative_expr,
     fix_coordinates,
-    predicate_exprs,
-    predicate_step,
     substitute_declaratives,
 )
-from .prover import (
-    INCONCLUSIVE,
-    PROVED,
-    REASON_MEANINGS,
-    LinearForm,
-    ProofTrace,
-    ProverConfig,
-    ProverVerdict,
-    prove,
+from .prover import INCONCLUSIVE, PROVED, REASON_MEANINGS, ProverConfig, ProverVerdict, prove
+from .proof_emitter import emit_trace
+from .cli_dsl import (
+    CliConfig,
+    DslSyntaxError,
+    PredicateArityError,
+    SourceProgram,
+    UnknownPredicateError,
+    parse,
+    run_cli,
 )
-from .proof_emitter import (
-    ProofDocument,
-    emit_identity,
-    emit_trace,
-    format_expr,
-    format_polynomial,
-)
-from .cli_dsl import CliConfig, SourceProgram, format_construction, parse, run_cli
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "SourceProgram",
+    "parse",
+    "substitute_declaratives",
+    "build_system",
+    "fix_coordinates",
+    "prove",
+    "ProverConfig",
+    "emit_trace",
+    "run_cli",
+    "CliConfig",
+    "ProverVerdict",
+    "PROVED",
+    "INCONCLUSIVE",
+    "REASON_MEANINGS",
+    "AlgebraError",
+    "GeometryError",
+    "DslSyntaxError",
+    "UnknownPredicateError",
+    "PredicateArityError",
+]

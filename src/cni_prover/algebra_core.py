@@ -1,6 +1,6 @@
-"""Exact rational arithmetic: sparse multivariate polynomials over Q,
-monomial orderings, multivariate division, S-polynomials, and the
-normalization of complex point expressions into cleared fractions.
+"""Exact rational arithmetic: multivariate polynomials over Q on exponent
+tuples, monomial orderings, and the normalization of complex point
+expressions into cleared fractions.
 
 Everything here is exact. No floating point is used anywhere in the
 proving path, since ideal membership decisions must be error-free.
@@ -11,7 +11,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Union
+from operator import add
+from typing import Iterable, Mapping
 
 Rational = Fraction
 
@@ -32,14 +33,21 @@ class VarKind(enum.Enum):
 
 class VarTable:
     """Ordered registry of variables: complex point variables, real slack
-    variables, and at most one Rabinowitsch variable."""
+    variables, and at most one Rabinowitsch variable. The table must be
+    complete before the first polynomial is built over it, because every
+    monomial has one exponent per variable."""
 
     def __init__(self) -> None:
         self._names: list[str] = []
         self._kinds: list[VarKind] = []
         self._index: dict[str, int] = {}
+        self._sealed = False
 
     def add(self, name: str, kind: VarKind) -> int:
+        if self._sealed:
+            raise AlgebraError(
+                f"cannot add {name!r}: polynomials are already built over this table"
+            )
         if name in self._index:
             raise AlgebraError(f"duplicate variable name {name!r}")
         if kind is VarKind.RABINOWITSCH and self.rabinowitsch is not None:
@@ -65,9 +73,6 @@ class VarTable:
     def names(self) -> tuple[str, ...]:
         return tuple(self._names)
 
-    def indices(self, kind: VarKind) -> tuple[int, ...]:
-        return tuple(i for i, k in enumerate(self._kinds) if k is kind)
-
     @property
     def rabinowitsch(self) -> int | None:
         for i, k in enumerate(self._kinds):
@@ -85,111 +90,45 @@ class VarTable:
         return f"VarTable({', '.join(self._names)})"
 
 
-class Monomial:
-    """Sparse monomial: a map from variable index to positive exponent,
-    stored as a sorted tuple of pairs so it can be hashed and compared."""
-
-    __slots__ = ("exps",)
-
-    def __init__(self, exps: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()) -> None:
-        items = exps.items() if isinstance(exps, Mapping) else exps
-        cleaned = []
-        for v, e in items:
-            if e < 0:
-                raise AlgebraError("monomial exponents must be nonnegative")
-            if e:
-                cleaned.append((v, e))
-        object.__setattr__(self, "exps", tuple(sorted(cleaned)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
-
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
-
-    def exponent(self, v: int) -> int:
-        for vv, e in self.exps:
-            if vv == v:
-                return e
-        return 0
-
-    def variables(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.exps)
-
-    @property
-    def is_one(self) -> bool:
-        return not self.exps
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        out = dict(self.exps)
-        for v, e in other.exps:
-            out[v] = out.get(v, 0) + e
-        return Monomial(out)
-
-    def divide(self, other: "Monomial") -> "Monomial | None":
-        """self / other, or None when other does not divide self."""
-        out = dict(self.exps)
-        for v, e in other.exps:
-            have = out.get(v, 0)
-            if have < e:
-                return None
-            if have == e:
-                del out[v]
-            else:
-                out[v] = have - e
-        return Monomial(out)
-
-    def divides(self, other: "Monomial") -> bool:
-        return other.divide(self) is not None
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        out = dict(self.exps)
-        for v, e in other.exps:
-            if out.get(v, 0) < e:
-                out[v] = e
-        return Monomial(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self) -> int:
-        return hash(self.exps)
-
-    def __repr__(self) -> str:
-        if not self.exps:
-            return "1"
-        return "*".join(f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in self.exps)
+# ---------------------------------------------------------------------------
+# Monomials are exponent tuples with one entry per variable of the table.
 
 
-MONOMIAL_ONE = Monomial()
+def mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(add, a, b))
+
+
+def mono_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
+    """a / b, or None when b does not divide a."""
+    out = []
+    for x, y in zip(a, b):
+        if x < y:
+            return None
+        out.append(x - y)
+    return tuple(out)
+
+
+def mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(max, a, b))
 
 
 class MonomialOrder:
-    """Base for monomial orders. Orders compare through sort keys; larger
-    key means larger monomial."""
+    """Base for monomial orders. Orders compare exponent tuples through sort
+    keys; larger key means larger monomial."""
 
-    def key(self, m: Monomial):
+    def key(self, m: tuple[int, ...]):
         raise NotImplementedError
 
-    def greater(self, a: Monomial, b: Monomial) -> bool:
+    def greater(self, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
         return self.key(a) > self.key(b)
-
-
-@dataclass(frozen=True)
-class Lex(MonomialOrder):
-    perm: tuple[int, ...]
-
-    def key(self, m: Monomial):
-        return tuple(m.exponent(v) for v in self.perm)
 
 
 @dataclass(frozen=True)
 class GrevLex(MonomialOrder):
     perm: tuple[int, ...]
 
-    def key(self, m: Monomial):
-        exps = [m.exponent(v) for v in self.perm]
+    def key(self, m: tuple[int, ...]):
+        exps = [m[i] for i in self.perm]
         return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
@@ -202,7 +141,7 @@ class Block(MonomialOrder):
     first: MonomialOrder
     second: MonomialOrder
 
-    def key(self, m: Monomial):
+    def key(self, m: tuple[int, ...]):
         return (self.first.key(m), self.second.key(m))
 
 
@@ -213,17 +152,20 @@ def block_elimination_order(elim: Iterable[int], keep: Iterable[int]) -> Block:
 
 
 class Polynomial:
-    """Sparse polynomial over Q attached to a variable table. The zero
-    polynomial is the empty term map; no zero coefficient is ever stored."""
+    """Polynomial over Q attached to a variable table. Terms map exponent
+    tuples of length len(table) to Fraction coefficients; the zero
+    polynomial is the empty map and no zero coefficient is ever stored.
+    Building a polynomial seals its table against new variables."""
 
     __slots__ = ("table", "terms")
 
-    def __init__(self, table: VarTable, terms: Mapping[Monomial, Rational]) -> None:
-        cleaned: dict[Monomial, Fraction] = {}
+    def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...], Rational]) -> None:
+        cleaned: dict[tuple[int, ...], Fraction] = {}
         for m, c in terms.items():
             c = Fraction(c)
             if c:
                 cleaned[m] = c
+        table._sealed = True
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "terms", cleaned)
 
@@ -236,11 +178,14 @@ class Polynomial:
 
     @classmethod
     def constant(cls, table: VarTable, c) -> "Polynomial":
-        return cls(table, {MONOMIAL_ONE: Fraction(c)})
+        return cls(table, {(0,) * len(table): Fraction(c)})
 
     @classmethod
     def variable(cls, table: VarTable, v: int) -> "Polynomial":
-        return cls(table, {Monomial({v: 1}): Fraction(1)})
+        n = len(table)
+        if not 0 <= v < n:
+            raise AlgebraError(f"variable index {v} out of range")
+        return cls(table, {tuple(int(i == v) for i in range(n)): Fraction(1)})
 
     @property
     def is_zero(self) -> bool:
@@ -248,28 +193,22 @@ class Polynomial:
 
     @property
     def is_constant(self) -> bool:
-        return all(m.is_one for m in self.terms)
+        return not any(any(m) for m in self.terms)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise AlgebraError("polynomial is not constant")
-        return self.terms.get(MONOMIAL_ONE, Fraction(0))
+        return self.terms.get((0,) * len(self.table), Fraction(0))
 
     @property
     def total_degree(self) -> int:
-        return max((m.degree for m in self.terms), default=0)
+        return max((sum(m) for m in self.terms), default=0)
 
     def degree_in(self, v: int) -> int:
-        return max((m.exponent(v) for m in self.terms), default=0)
+        return max((m[v] for m in self.terms), default=0)
 
     def contains_var(self, v: int) -> bool:
-        return any(m.exponent(v) for m in self.terms)
-
-    def variables(self) -> set[int]:
-        out: set[int] = set()
-        for m in self.terms:
-            out.update(m.variables())
-        return out
+        return any(m[v] for m in self.terms)
 
     def _same_table(self, other: "Polynomial") -> None:
         if self.table is not other.table:
@@ -294,10 +233,10 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._same_table(other)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[tuple[int, ...], Fraction] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                m = ma * mb
+                m = mono_mul(ma, mb)
                 nc = out.get(m, Fraction(0)) + ca * cb
                 if nc:
                     out[m] = nc
@@ -327,7 +266,7 @@ class Polynomial:
     def __hash__(self):
         return hash((id(self.table), frozenset(self.terms.items())))
 
-    def leading_monomial(self, order: MonomialOrder) -> Monomial:
+    def leading_monomial(self, order: MonomialOrder) -> tuple[int, ...]:
         if self.is_zero:
             raise AlgebraError("the zero polynomial has no leading monomial")
         return max(self.terms, key=order.key)
@@ -342,18 +281,17 @@ class Polynomial:
 
     def substitute(self, assignment: Mapping[int, Rational]) -> "Polynomial":
         """Replace the given variables by rational constants."""
-        out: dict[Monomial, Fraction] = {}
+        out: dict[tuple[int, ...], Fraction] = {}
         for m, c in self.terms.items():
-            coef = Fraction(c)
-            rest = []
-            for v, e in m.exps:
-                if v in assignment:
-                    coef *= Fraction(assignment[v]) ** e
-                else:
-                    rest.append((v, e))
+            coef = c
+            rest = list(m)
+            for v, value in assignment.items():
+                if m[v]:
+                    coef *= Fraction(value) ** m[v]
+                    rest[v] = 0
             if not coef:
                 continue
-            mm = Monomial(rest)
+            mm = tuple(rest)
             nc = out.get(mm, Fraction(0)) + coef
             if nc:
                 out[mm] = nc
@@ -367,7 +305,9 @@ class Polynomial:
         total = None
         for m, c in self.terms.items():
             term = None
-            for v, e in m.exps:
+            for v, e in enumerate(m):
+                if not e:
+                    continue
                 f = assignment[v]
                 p = f
                 for _ in range(e - 1):
@@ -377,7 +317,7 @@ class Polynomial:
             total = val if total is None else total + val
         return Fraction(0) if total is None else total
 
-    def sorted_terms(self, order: MonomialOrder) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self, order: MonomialOrder) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
     def __repr__(self) -> str:
@@ -385,9 +325,9 @@ class Polynomial:
             return "Polynomial(0)"
         names = self.table.names()
         bits = []
-        for m, c in sorted(self.terms.items(), key=lambda t: t[0].exps):
+        for m, c in sorted(self.terms.items()):
             mono = "*".join(
-                names[v] if e == 1 else f"{names[v]}^{e}" for v, e in m.exps
+                names[v] if e == 1 else f"{names[v]}^{e}" for v, e in enumerate(m) if e
             )
             bits.append(f"{c}" if not mono else f"{c}*{mono}")
         return "Polynomial(" + " + ".join(bits) + ")"
@@ -407,70 +347,6 @@ def content_and_primitive(p: Polynomial, order: MonomialOrder) -> tuple[Fraction
     if p.leading_coefficient(order) < 0:
         content = -content
     return content, p.scale(1 / content)
-
-
-def poly_arith(op: str, f: Polynomial, g) -> Polynomial:
-    """Dispatch helper mirroring the documented operation set."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "pow":
-        return f ** g
-    raise AlgebraError(f"unknown polynomial operation {op!r}")
-
-
-def normal_form(f: Polynomial, G: Iterable[Polynomial], order: MonomialOrder) -> Polynomial:
-    """Remainder of f under multivariate division by G: no monomial of the
-    result is divisible by any leading monomial of G, and f minus the result
-    lies in the ideal generated by G."""
-    reducers = []
-    for g in G:
-        if g.is_zero:
-            raise AlgebraError("normal_form requires nonzero divisors")
-        reducers.append((g.leading_monomial(order), g.leading_coefficient(order), g))
-    work = dict(f.terms)
-    rem: dict[Monomial, Fraction] = {}
-    while work:
-        m = max(work, key=order.key)
-        c = work.pop(m)
-        hit = None
-        for lm, lc, g in reducers:
-            q = m.divide(lm)
-            if q is not None:
-                hit = (q, c / lc, g)
-                break
-        if hit is None:
-            rem[m] = c
-            continue
-        q, scale, g = hit
-        for mg, cg in g.terms.items():
-            mm = q * mg
-            if mm == m:
-                continue  # the head term cancels exactly
-            nc = work.get(mm, Fraction(0)) - scale * cg
-            if nc:
-                work[mm] = nc
-            else:
-                work.pop(mm, None)
-    return Polynomial(f.table, rem)
-
-
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    """S(f, g) = (lcm/lt(f)) * f - (lcm/lt(g)) * g; the leading terms cancel."""
-    if f.is_zero or g.is_zero:
-        raise AlgebraError("S-polynomial of a zero polynomial")
-    f._same_table(g)
-    lmf = f.leading_monomial(order)
-    lmg = g.leading_monomial(order)
-    l = lmf.lcm(lmg)
-    qf = l.divide(lmf)
-    qg = l.divide(lmg)
-    tf = Polynomial(f.table, {qf: 1 / f.terms[lmf]})
-    tg = Polynomial(g.table, {qg: 1 / g.terms[lmg]})
-    return tf * f - tg * g
 
 
 # ---------------------------------------------------------------------------

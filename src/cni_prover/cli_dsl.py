@@ -16,13 +16,14 @@ an ASCII letter followed by letters or digits, case-sensitive.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra_core import Const, PointRef, RationalExpr, VarKind, VarTable
+from .algebra_core import AlgebraError, Const, PointRef, RationalExpr, VarKind, VarTable
 from .geometry_model import (
     AngleEqual,
     Collinear,
@@ -428,7 +429,7 @@ class CliConfig:
     show_ideal: bool = False
 
     def __post_init__(self):
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # also rejects NaN, whose deadline never fires
             raise ValueError("timeout must be positive")
         if self.fix_mode not in FIX_MODES:
             raise ValueError(f"unknown fix mode {self.fix_mode!r}")
@@ -451,7 +452,8 @@ def _unsupported_verdict(code: str, note: str) -> ProverVerdict:
 
 def run_cli(cfg: CliConfig, out=None, err=None) -> int:
     """Prove the program in cfg.input and print the proof document. Exit
-    status 0 for Proved, 2 for Inconclusive, 1 for parse or IO errors."""
+    status 0 for Proved, 2 for Inconclusive, 1 for parse, construction or
+    IO errors."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
 
@@ -484,7 +486,7 @@ def run_cli(cfg: CliConfig, out=None, err=None) -> int:
         substituted = substitute_declaratives(construction)
         system = build_system(substituted)
         system = fix_coordinates(system, substituted, cfg.fix_mode)
-    except GeometryError as exc:
+    except (GeometryError, AlgebraError) as exc:
         print(f"error: {source_name}: {exc}", file=err)
         return 1
 
@@ -495,6 +497,8 @@ def run_cli(cfg: CliConfig, out=None, err=None) -> int:
 
 
 def main(argv=None) -> int:
+    """The `cni-prover` command. Exit status as run_cli; also 1, with no
+    message, when standard output is closed before the document is out."""
     parser = argparse.ArgumentParser(
         prog="cni-prover",
         description="Prove planar geometry statements through complex number identities.",
@@ -527,7 +531,22 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return run_cli(cfg)
+    try:
+        status = run_cli(cfg)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early, as `| head` does. Point stdout at devnull:
+        # the unwritten rest stays buffered, and the flush at interpreter
+        # exit would fail again.
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # no descriptor behind sys.stdout
+            return 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 1
+    return status
 
 
 if __name__ == "__main__":

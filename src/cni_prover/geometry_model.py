@@ -5,12 +5,11 @@ the polynomial system whose elimination ideal decides the statement.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .algebra_core import (
-    AlgebraError,
     Add,
     Const,
     Div,

@@ -1,9 +1,11 @@
 """Buchberger engine with Gebauer-Moeller pair pruning, reduced bases,
-elimination ideals, and membership / triviality tests.
+elimination ideals, and the triviality test.
 
-The public API speaks the sparse Polynomial / MonomialOrder types from
-algebra_core. Internally polynomials are dense exponent tuples with integer
-coefficients (fraction-free), which keeps the inner reduction loop cheap.
+The engine works on algebra_core's exponent tuples. Inputs are cleared of
+denominators into integer-primitive working records (fraction-free), which
+keeps the inner reduction loop cheap; results leave as monic Polynomials.
+Each call memoises its order keys, since it compares the same monomials
+many times.
 Elimination runs as a staged sequence of single-variable block eliminations;
 by the elimination theorem each stage intersects the ideal with the ring
 without that variable, so the composition returns exactly the elimination
@@ -15,43 +17,34 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .algebra_core import (
     AlgebraError,
     Block,
     GrevLex,
-    Lex,
-    Monomial,
     MonomialOrder,
     Polynomial,
     VarTable,
-    normal_form,
+    content_and_primitive,
+    mono_div,
+    mono_lcm,
+    mono_mul,
 )
 
 
 class GroebnerTimeout(Exception):
-    """A basis computation exceeded its wall-clock or step budget."""
+    """A basis computation exceeded its wall-clock budget."""
 
 
 @dataclass(frozen=True)
 class GroebnerConfig:
-    """Resource limits and pair-selection strategy.
-
-    timeout: wall-clock seconds for the whole call (stages share it).
-    max_steps: S-pair reductions allowed, None for unlimited.
-    selection: "sugar" picks the pair with lowest sugar degree (phantom
-    homogenized degree); "normal" picks the smallest lcm under the active
-    order. Sugar is the default: under single-variable block orders the
-    normal strategy stalls on the angle-bisector workload while sugar
-    finishes in seconds.
-    """
+    """timeout: wall-clock seconds for the whole call (stages share it), or
+    None for no limit."""
 
     timeout: float | None = 20.0
-    max_steps: int | None = None
-    selection: str = "sugar"
 
 
 DEFAULT_CONFIG = GroebnerConfig()
@@ -59,9 +52,11 @@ DEFAULT_CONFIG = GroebnerConfig()
 
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """The reduced monic basis under `order`, sorted by leading monomial
+    ascending."""
+
     generators: tuple[Polynomial, ...]
     order: MonomialOrder
-    reduced: bool = True
 
 
 @dataclass(frozen=True)
@@ -79,45 +74,20 @@ class EliminationResult:
 
 
 class _Budget:
-    __slots__ = ("deadline", "steps_left")
+    __slots__ = ("deadline",)
 
     def __init__(self, config: GroebnerConfig) -> None:
         self.deadline = (
             None if config.timeout is None else time.monotonic() + config.timeout
         )
-        self.steps_left = config.max_steps
 
     def check(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise GroebnerTimeout("wall-clock budget exhausted")
 
-    def spend(self) -> None:
-        self.check()
-        if self.steps_left is not None:
-            if self.steps_left <= 0:
-                raise GroebnerTimeout("step budget exhausted")
-            self.steps_left -= 1
-
 
 # ---------------------------------------------------------------------------
-# Dense integer engine. Monomials are exponent tuples of fixed length.
-
-
-def _mmul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _mlcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _mdiv(a, b):
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
+# Fraction-free engine on integer-coefficient working records.
 
 
 def _content_strip(terms):
@@ -131,7 +101,10 @@ def _content_strip(terms):
     return terms
 
 
-class _DenseP:
+class _IntPoly:
+    """Integer-coefficient polynomial with its leading monomial and
+    coefficient under the active order key, and its sugar degree."""
+
     __slots__ = ("terms", "lm", "lc", "sugar")
 
     def __init__(self, terms, key, sugar=None):
@@ -151,66 +124,36 @@ def _normalize(terms, key, sugar=None):
     lm = max(terms, key=key)
     if terms[lm] < 0:
         terms = {m: -c for m, c in terms.items()}
-    return _DenseP(terms, key, sugar)
+    return _IntPoly(terms, key, sugar)
 
 
-def _top_reduce(terms, reducers, key, budget=None):
-    """Fraction-free reduction of leading terms only. Scales the whole
-    working polynomial by an integer when a reducer's leading coefficient
-    does not divide the target coefficient."""
-    terms = dict(terms)
-    ticks = 0
-    while terms:
-        ticks += 1
-        if budget is not None and not ticks % 64:
-            budget.check()
-        m = max(terms, key=key)
-        c = terms[m]
-        hit = None
-        for g in reducers:
-            q = _mdiv(m, g.lm)
-            if q is not None:
-                hit = (g, q)
-                break
-        if hit is None:
-            return terms
-        g, q = hit
-        d = gcd(c, g.lc)
-        a = abs(g.lc // d)
-        b = c // d * (1 if g.lc > 0 else -1)
-        if a != 1:
-            for k2 in terms:
-                terms[k2] *= a
-        for mg, cg in g.terms.items():
-            mm = _mmul(q, mg)
-            nv = terms.get(mm, 0) - b * cg
-            if nv:
-                terms[mm] = nv
-            else:
-                terms.pop(mm, None)
-    return terms
-
-
-def _full_reduce(terms, reducers, key, budget=None):
-    """Fraction-free reduction of every monomial. Any integer rescaling has
-    to hit the already-extracted remainder too, or relative coefficients
-    drift."""
+def _reduce(terms, reducers, key, budget: _Budget, full: bool):
+    """Fraction-free reduction by the first reducer whose leading monomial
+    divides the current leading monomial. With full=False it stops at the
+    first irreducible leading term and returns everything left; with
+    full=True it moves that term to the remainder and goes on, so no
+    monomial of the result is reducible. Whenever a reducer's leading
+    coefficient does not divide the target coefficient, the working
+    polynomial and the remainder are both scaled by an integer, or
+    relative coefficients drift."""
     rem = {}
     terms = dict(terms)
     ticks = 0
     while terms:
         ticks += 1
-        if budget is not None and not ticks % 64:
+        if not ticks % 64:
             budget.check()
         m = max(terms, key=key)
         c = terms[m]
         hit = None
         for g in reducers:
-            q = _mdiv(m, g.lm)
+            q = mono_div(m, g.lm)
             if q is not None:
                 hit = (g, q)
                 break
         if hit is None:
+            if not full:
+                return terms
             rem[m] = terms.pop(m)
             continue
         g, q = hit
@@ -223,7 +166,7 @@ def _full_reduce(terms, reducers, key, budget=None):
             for k2 in rem:
                 rem[k2] *= a
         for mg, cg in g.terms.items():
-            mm = _mmul(q, mg)
+            mm = mono_mul(q, mg)
             nv = terms.get(mm, 0) - b * cg
             if nv:
                 terms[mm] = nv
@@ -232,18 +175,18 @@ def _full_reduce(terms, reducers, key, budget=None):
     return rem
 
 
-def _spoly_terms(f, g, key):
-    L = _mlcm(f.lm, g.lm)
-    qf = _mdiv(L, f.lm)
-    qg = _mdiv(L, g.lm)
+def _spoly_terms(f, g):
+    L = mono_lcm(f.lm, g.lm)
+    qf = mono_div(L, f.lm)
+    qg = mono_div(L, g.lm)
     d = gcd(f.lc, g.lc)
     af = g.lc // d
     ag = f.lc // d
     terms = {}
     for m, c in f.terms.items():
-        terms[_mmul(qf, m)] = af * c
+        terms[mono_mul(qf, m)] = af * c
     for m, c in g.terms.items():
-        mm = _mmul(qg, m)
+        mm = mono_mul(qg, m)
         nv = terms.get(mm, 0) - ag * c
         if nv:
             terms[mm] = nv
@@ -258,61 +201,62 @@ def _update(G, pairs, f, key):
     lmf = f.lm
     kept = set()
     for (i, j) in pairs:
-        Lij = _mlcm(G[i].lm, G[j].lm)
+        Lij = mono_lcm(G[i].lm, G[j].lm)
         if (
-            _mdiv(Lij, lmf) is None
-            or _mlcm(G[i].lm, lmf) == Lij
-            or _mlcm(G[j].lm, lmf) == Lij
+            mono_div(Lij, lmf) is None
+            or mono_lcm(G[i].lm, lmf) == Lij
+            or mono_lcm(G[j].lm, lmf) == Lij
         ):
             kept.add((i, j))
     by_lcm = {}
     for i in range(len(G)):
-        by_lcm.setdefault(_mlcm(G[i].lm, lmf), []).append(i)
+        by_lcm.setdefault(mono_lcm(G[i].lm, lmf), []).append(i)
     minimal = []
     for L in sorted(by_lcm, key=key):
-        if all(_mdiv(L, L2) is None for L2 in minimal):
+        if all(mono_div(L, L2) is None for L2 in minimal):
             minimal.append(L)
     for L in minimal:
         # product criterion: coprime leading monomials reduce to zero anyway
-        if not any(_mlcm(G[i].lm, lmf) == _mmul(G[i].lm, lmf) for i in by_lcm[L]):
+        if not any(mono_lcm(G[i].lm, lmf) == mono_mul(G[i].lm, lmf) for i in by_lcm[L]):
             kept.add((min(by_lcm[L]), len(G)))
     G.append(f)
     return G, kept
 
 
-def _buchberger(F, key, budget: _Budget, selection: str):
-    """Returns the reduced basis as integer-primitive _DenseP, sorted by
-    leading monomial ascending under key."""
+def _buchberger(F, key, budget: _Budget):
+    """Returns the reduced basis as integer-primitive _IntPoly, sorted by
+    leading monomial ascending under key. Pairs are taken by lowest sugar
+    degree (phantom homogenized degree), then smallest lcm: under
+    single-variable block orders, taking the smallest lcm alone stalls on
+    the angle-bisector workload while sugar finishes in seconds."""
     G = []
     pairs = set()
     for f in F:
-        if f is not None:
-            G, pairs = _update(G, pairs, f, key)
+        G, pairs = _update(G, pairs, f, key)
     redundant = set()
 
     while pairs:
-        budget.spend()
-        if selection == "sugar":
-            def skey(p):
-                i, j = p
-                L = _mlcm(G[i].lm, G[j].lm)
-                s = max(
-                    G[i].sugar + sum(_mdiv(L, G[i].lm)),
-                    G[j].sugar + sum(_mdiv(L, G[j].lm)),
-                )
-                return (s, key(L), p)
-            sel = min(pairs, key=skey)
-        else:
-            sel = min(pairs, key=lambda p: (key(_mlcm(G[p[0]].lm, G[p[1]].lm)), p))
+        budget.check()
+
+        def skey(p):
+            i, j = p
+            L = mono_lcm(G[i].lm, G[j].lm)
+            s = max(
+                G[i].sugar + sum(mono_div(L, G[i].lm)),
+                G[j].sugar + sum(mono_div(L, G[j].lm)),
+            )
+            return (s, key(L), p)
+
+        sel = min(pairs, key=skey)
         i, j = sel
         pairs.discard(sel)
-        s, sug = _spoly_terms(G[i], G[j], key)
+        s, sug = _spoly_terms(G[i], G[j])
         reducers = [g for idx, g in enumerate(G) if idx not in redundant]
-        red = _top_reduce(s, reducers, key, budget)
+        red = _reduce(s, reducers, key, budget, full=False)
         p = _normalize(red, key, sug)
         if p is not None:
             for idx, g in enumerate(G):
-                if idx not in redundant and _mdiv(g.lm, p.lm) is not None:
+                if idx not in redundant and mono_div(g.lm, p.lm) is not None:
                     redundant.add(idx)
             G, pairs = _update(G, pairs, p, key)
 
@@ -322,85 +266,29 @@ def _buchberger(F, key, budget: _Budget, selection: str):
         (g for idx, g in enumerate(G) if idx not in redundant),
         key=lambda h: key(h.lm),
     ):
-        if all(_mdiv(f.lm, g.lm) is None for g in Gmin):
+        if all(mono_div(f.lm, g.lm) is None for g in Gmin):
             Gmin.append(f)
     out = []
     for i, g in enumerate(Gmin):
         others = Gmin[:i] + Gmin[i + 1:]
-        r = _normalize(_full_reduce(g.terms, others, key, budget), key)
+        r = _normalize(_reduce(g.terms, others, key, budget, full=True), key)
         if r is not None:
             out.append(r)
     return out
 
 
-# ---------------------------------------------------------------------------
-# Bridges between the sparse API types and the dense engine.
+def _enter(polys: list[Polynomial], order: MonomialOrder, key) -> list[_IntPoly]:
+    """Clear denominators: each nonzero input as its integer-primitive form
+    with positive leading coefficient."""
+    out = []
+    for p in polys:
+        _, prim = content_and_primitive(p, order)
+        out.append(_IntPoly({m: c.numerator for m, c in prim.terms.items()}, key))
+    return out
 
 
-def _dense_key_fn(order: MonomialOrder, n: int):
-    """Compile a MonomialOrder into a memoized key function on dense
-    exponent tuples."""
-
-    def build(o):
-        if isinstance(o, Lex):
-            perm = o.perm
-            return lambda m: tuple(m[i] for i in perm)
-        if isinstance(o, GrevLex):
-            perm = o.perm
-
-            def k(m):
-                exps = tuple(m[i] for i in perm)
-                return (sum(exps), tuple(-e for e in reversed(exps)))
-
-            return k
-        if isinstance(o, Block):
-            kf = build(o.first)
-            ks = build(o.second)
-            return lambda m: (kf(m), ks(m))
-        raise AlgebraError(f"unsupported monomial order {o!r}")
-
-    base = build(order)
-    memo: dict = {}
-
-    def key(m):
-        k0 = memo.get(m)
-        if k0 is None:
-            k0 = base(m)
-            memo[m] = k0
-        return k0
-
-    return key
-
-
-def _to_dense(p: Polynomial, n: int, key) -> _DenseP | None:
-    if p.is_zero:
-        return None
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    terms = {}
-    for m, c in p.terms.items():
-        e = [0] * n
-        for v, ex in m.exps:
-            e[v] = ex
-        terms[tuple(e)] = int(c * den)
-    return _normalize(terms, key)
-
-
-def _to_sparse(d: _DenseP, table: VarTable) -> Polynomial:
-    terms = {
-        Monomial({i: e for i, e in enumerate(m) if e}): Fraction(c)
-        for m, c in d.terms.items()
-    }
-    return Polynomial(table, terms)
-
-
-def _is_dense_constant(d: _DenseP) -> bool:
-    return all(not any(m) for m in d.terms)
-
-
-def _finalize(dense_out, table: VarTable, order: MonomialOrder) -> tuple[Polynomial, ...]:
-    gens = [_to_sparse(d, table).monic(order) for d in dense_out]
+def _exit(recs, table: VarTable, order: MonomialOrder) -> tuple[Polynomial, ...]:
+    gens = [Polynomial(table, d.terms).monic(order) for d in recs]
     gens.sort(key=lambda g: order.key(g.leading_monomial(order)))
     return tuple(gens)
 
@@ -419,14 +307,10 @@ def groebner_basis(
     config = config or DEFAULT_CONFIG
     polys = [f for f in F if not f.is_zero]
     if not polys:
-        return GroebnerBasis((), order, True)
-    table = polys[0].table
-    n = len(table)
-    key = _dense_key_fn(order, n)
-    budget = _Budget(config)
-    dense = [_to_dense(p, n, key) for p in polys]
-    out = _buchberger([d for d in dense if d is not None], key, budget, config.selection)
-    return GroebnerBasis(_finalize(out, table, order), order, True)
+        return GroebnerBasis((), order)
+    key = cache(order.key)
+    out = _buchberger(_enter(polys, order, key), key, _Budget(config))
+    return GroebnerBasis(_exit(out, polys[0].table, order), order)
 
 
 def eliminate(
@@ -472,10 +356,9 @@ def eliminate(
     # block stage. Generating sets with substituted point coordinates are
     # hostile starting points for block orders (the thales workload runs
     # minutes from the raw generators, seconds from the grevlex basis).
-    warm_key = _dense_key_fn(GrevLex(tuple(range(n))), n)
-    cur = [d for d in (_to_dense(p, n, warm_key) for p in polys) if d is not None]
-    if cur:
-        cur = _buchberger(cur, warm_key, budget, config.selection)
+    warm_order = GrevLex(tuple(range(n)))
+    warm_key = cache(warm_order.key)
+    cur = _buchberger(_enter(polys, warm_order, warm_key), warm_key, budget)
     # Invariant after each executed stage: cur is the reduced basis of the
     # current elimination ideal under the stage order restricted to the
     # surviving variables. Once every eliminated variable is gone that
@@ -487,49 +370,27 @@ def eliminate(
         if not any(any(m[v] for m in d.terms) for d in cur):
             continue
         rest = tuple(i for i in range(n) if i != v)
-        skey = _dense_key_fn(Block(GrevLex((v,)), GrevLex(rest)), n)
-        cur = [_DenseP(d.terms, skey) for d in cur]
-        out = _buchberger(cur, skey, budget, config.selection)
+        skey = cache(Block(GrevLex((v,)), GrevLex(rest)).key)
+        cur = [_IntPoly(d.terms, skey) for d in cur]
+        out = _buchberger(cur, skey, budget)
         cur = [d for d in out if all(m[v] == 0 for m in d.terms)]
         canonical = True
-        if any(_is_dense_constant(d) for d in cur):
-            cur = [_DenseP({tuple([0] * n): 1}, skey)]
+        # a leading monomial of 1 means a constant: the ideal is <1>
+        if any(not any(d.lm) for d in cur):
+            cur = [_IntPoly({(0,) * n: 1}, skey)]
             break
         if not cur:
             break
 
     if not canonical:
-        fkey = _dense_key_fn(kept_order, n)
-        cur = [_DenseP(d.terms, fkey) for d in cur]
-        cur = _buchberger(cur, fkey, budget, config.selection)
-    gens = _finalize(cur, table, kept_order)
+        fkey = cache(kept_order.key)
+        cur = [_IntPoly(d.terms, fkey) for d in cur]
+        cur = _buchberger(cur, fkey, budget)
+    gens = _exit(cur, table, kept_order)
     for g in gens:
         if any(g.contains_var(v) for v in elim):
             raise AlgebraError("internal: eliminated variable survived")
     return EliminationResult(gens, tuple(elim), kept, kept_order)
-
-
-def ideal_membership(
-    f: Polynomial,
-    G: Union[GroebnerBasis, EliminationResult],
-    config: GroebnerConfig | None = None,
-) -> bool:
-    """True iff f reduces to zero against G. EliminationResult generators
-    are re-based first; they already form a reduced basis under the stored
-    order, so the re-basing pass is cheap insurance against hand-built
-    inputs."""
-    if isinstance(G, GroebnerBasis):
-        gens, order = G.generators, G.order
-        if not G.reduced:
-            gens = groebner_basis(gens, order, config).generators
-    elif isinstance(G, EliminationResult):
-        order = G.order
-        gens = groebner_basis(G.generators, order, config).generators
-    else:
-        raise AlgebraError("expected a GroebnerBasis or EliminationResult")
-    if not gens:
-        return f.is_zero
-    return normal_form(f, gens, order).is_zero
 
 
 def ideal_is_trivial(G: Union[GroebnerBasis, EliminationResult]) -> bool:

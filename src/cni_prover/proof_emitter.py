@@ -19,8 +19,6 @@ from .algebra_core import (
     AlgebraError,
     Const,
     Div,
-    MONOMIAL_ONE,
-    Monomial,
     MonomialOrder,
     Mul,
     PointRef,
@@ -31,7 +29,6 @@ from .algebra_core import (
     content_and_primitive,
 )
 from .prover import (
-    INCONCLUSIVE,
     PROVED,
     REASON_MEANINGS,
     ProofTrace,
@@ -90,11 +87,11 @@ def format_expr(e: RationalExpr, names: Sequence[str]) -> str:
     return _render_expr(e, names)[0]
 
 
-def _term_string(m: Monomial, c: Fraction, p: Polynomial) -> str:
-    if not m.exps:
+def _term_string(m: tuple[int, ...], c: Fraction, p: Polynomial) -> str:
+    if not any(m):
         return str(c)
     mono = "*".join(
-        p.table.name(v) + (f"^{e}" if e > 1 else "") for v, e in m.exps
+        p.table.name(v) + (f"^{e}" if e > 1 else "") for v, e in enumerate(m) if e
     )
     if c == 1:
         return mono
@@ -116,13 +113,6 @@ def format_polynomial(p: Polynomial, order: MonomialOrder) -> str:
     return "".join(out)
 
 
-def _primitive(p: Polynomial, order: MonomialOrder) -> Polynomial:
-    if p.is_zero:
-        return p
-    _, prim = content_and_primitive(p, order)
-    return prim
-
-
 # ---------------------------------------------------------------------------
 # The summarizing identity.
 
@@ -139,17 +129,17 @@ def emit_identity(trace: ProofTrace) -> str | None:
     r = trace.thesis.slack
     mono = coeff = const = None
     for m, c in pivot.terms.items():
-        if m.exponent(r) == 1:
+        if m[r] == 1:
             mono, coeff = m, c
-        elif not m.exps:
+        elif not any(m):
             const = c
     if mono is None or const is None:
         return None
     by_slack = {h.slack: h for h in trace.hypotheses}
     names = trace.point_names
     factors = []
-    for v, e in mono.exps:
-        if v == r:
+    for v, e in enumerate(mono):
+        if v == r or not e:
             continue
         origin = by_slack.get(v)
         if origin is None:
@@ -245,7 +235,7 @@ def _narration(verdict: ProverVerdict, show_ideal: bool) -> list[tuple[str, str]
         if t.generators:
             items.append(("s", "The elimination ideal is generated by:"))
             for g in t.generators:
-                items.append(("f", format_polynomial(_primitive(g, order), order)))
+                items.append(("f", format_polynomial(content_and_primitive(g, order)[1], order)))
         else:
             items.append(("s", "The elimination ideal is <0>."))
 
@@ -273,7 +263,7 @@ def _narration(verdict: ProverVerdict, show_ideal: bool) -> list[tuple[str, str]
             if show_ideal and t.second_generators:
                 items.append(("s", "The second elimination ideal is generated by:"))
                 for g in t.second_generators:
-                    items.append(("f", format_polynomial(_primitive(g, order), order)))
+                    items.append(("f", format_polynomial(content_and_primitive(g, order)[1], order)))
             if t.second_trivial:
                 items.append(("s", "The elimination verifies that that divisor cannot be zero."))
             elif t.second_linear is not None:
@@ -347,9 +337,9 @@ def _json_payload(verdict: ProverVerdict, show_ideal: bool) -> dict:
         "note": t.reason_note,
     }
     if show_ideal and order is not None:
-        obj["ideal"] = [fmt(_primitive(g, order)) for g in t.generators]
+        obj["ideal"] = [fmt(content_and_primitive(g, order)[1]) for g in t.generators]
         obj["second_ideal"] = (
-            [fmt(_primitive(g, order)) for g in t.second_generators]
+            [fmt(content_and_primitive(g, order)[1]) for g in t.second_generators]
             if t.second_generators is not None
             else None
         )

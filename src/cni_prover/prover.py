@@ -14,7 +14,6 @@ from typing import Union
 
 from .algebra_core import (
     AlgebraError,
-    Monomial,
     MonomialOrder,
     Polynomial,
     RationalExpr,
@@ -36,7 +35,6 @@ REASON_MEANINGS = {
     "t/o": "an elimination exceeded the time budget",
     "niu": "the construction uses a step with no implementation",
     "nfiu": "a construction step is only incompletely implemented",
-    "rn0u": "the targeted check was to prove r = 0 (point equality), which is unsupported",
     "nlu": "r cannot be expressed in a linear way",
     "d3u": "a third elimination would be needed to study the situation further, which is not built",
     "e0u": "the elimination ideal gives no polynomial in r, so no conclusion could be found",
@@ -47,7 +45,6 @@ REASON_MEANINGS = {
 @dataclass(frozen=True)
 class ProverConfig:
     timeout: float = 20.0  # seconds per elimination
-    selection: str = "sugar"
 
 
 @dataclass(frozen=True)
@@ -149,13 +146,11 @@ def express_linear(p: Polynomial, r: int) -> LinearForm:
     """Split p = v*r + w. Requires p of degree exactly 1 in r."""
     if p.degree_in(r) != 1:
         raise AlgebraError("pivot is not linear in r")
-    r_mon = Monomial({r: 1})
-    v_terms: dict[Monomial, Fraction] = {}
-    w_terms: dict[Monomial, Fraction] = {}
+    v_terms: dict[tuple[int, ...], Fraction] = {}
+    w_terms: dict[tuple[int, ...], Fraction] = {}
     for m, c in p.terms.items():
-        q = m.divide(r_mon)
-        if q is not None:
-            v_terms[q] = c
+        if m[r]:
+            v_terms[m[:r] + (0,) + m[r + 1:]] = c
         else:
             w_terms[m] = c
     return LinearForm(
@@ -203,7 +198,7 @@ def check_denominator(
             shown = _presentation_pivot(pivot2, r, order)
             return SecondLinearPolynomialForm(express_linear(shown, r), second.generators)
         return DenominatorInconclusive(
-            "nlu",
+            "d3u",
             "in the second elimination ideal the coefficient of r is again "
             "non-constant; a third elimination is not attempted",
             second.generators,
@@ -233,7 +228,7 @@ def _base_trace(sys: PolynomialSystem, **stage) -> ProofTrace:
 def prove(sys: PolynomialSystem, config: ProverConfig | None = None) -> ProverVerdict:
     """Run the full decision procedure on a built polynomial system."""
     cfg = config or ProverConfig()
-    gcfg = GroebnerConfig(timeout=cfg.timeout, selection=cfg.selection)
+    gcfg = GroebnerConfig(timeout=cfg.timeout)
     base = list(sys.hypothesis_polys)
     if sys.rabinowitsch_poly is not None:
         base.append(sys.rabinowitsch_poly)

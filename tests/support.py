@@ -1,12 +1,23 @@
 """Shared test helpers: exact Gaussian rationals for evaluating point
-expressions, random polynomial generators, and sympy conversion."""
+expressions, polynomial builders and random generators, sympy conversion,
+and the reference division and S-polynomial that engine results are checked
+against."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from cni_prover.algebra_core import Monomial, Polynomial, VarKind, VarTable
+from cni_prover.algebra_core import (
+    AlgebraError,
+    MonomialOrder,
+    Polynomial,
+    VarKind,
+    VarTable,
+    mono_div,
+    mono_lcm,
+    mono_mul,
+)
 
 
 class Qi:
@@ -99,6 +110,19 @@ def make_table(*names: str, kind=VarKind.POINT) -> VarTable:
     return table
 
 
+def mono(table: VarTable, exps: dict[int, int]) -> tuple[int, ...]:
+    """Exponent tuple over `table` from a sparse {variable: exponent} map."""
+    out = [0] * len(table)
+    for v, e in exps.items():
+        out[v] = e
+    return tuple(out)
+
+
+def poly(table: VarTable, terms) -> Polynomial:
+    """Polynomial from (sparse exponent map, coefficient) pairs."""
+    return Polynomial(table, {mono(table, m): Fraction(c) for m, c in terms})
+
+
 def random_polynomial(
     rng: random.Random,
     table: VarTable,
@@ -106,7 +130,7 @@ def random_polynomial(
     max_degree: int = 3,
     max_terms: int = 4,
 ) -> Polynomial:
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[tuple[int, ...], Fraction] = {}
     for _ in range(rng.randint(1, max_terms)):
         exps: dict[int, int] = {}
         for _ in range(rng.randint(0, max_degree)):
@@ -115,7 +139,7 @@ def random_polynomial(
         c = Fraction(rng.randint(-5, 5))
         if not c:
             continue
-        m = Monomial(exps)
+        m = mono(table, exps)
         nc = terms.get(m, Fraction(0)) + c
         if nc:
             terms[m] = nc
@@ -131,7 +155,7 @@ def to_sympy(p: Polynomial, symbols):
     total = sympy.Integer(0)
     for m, c in p.terms.items():
         term = sympy.Rational(c.numerator, c.denominator)
-        for v, e in m.exps:
+        for v, e in enumerate(m):
             term *= symbols[v] ** e
         total += term
     return total
@@ -143,10 +167,67 @@ def from_sympy(expr, table: VarTable, symbols) -> Polynomial:
 
     index = {s: i for i, s in enumerate(symbols)}
     poly = sympy.Poly(sympy.expand(expr), *symbols)
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[tuple[int, ...], Fraction] = {}
     for monom, coeff in poly.terms():
         c = sympy.Rational(coeff)
         frac = Fraction(int(c.p), int(c.q))
-        exps = {index[s]: e for s, e in zip(symbols, monom) if e}
-        terms[Monomial(exps)] = frac
+        terms[mono(table, {index[s]: e for s, e in zip(symbols, monom)})] = frac
     return Polynomial(table, terms)
+
+
+# ---------------------------------------------------------------------------
+# Reference division over the rationals, independent of the groebner engine.
+
+
+def normal_form(f: Polynomial, G, order: MonomialOrder) -> Polynomial:
+    """Remainder of f under multivariate division by G: no monomial of the
+    result is divisible by any leading monomial of G, and f minus the result
+    lies in the ideal generated by G."""
+    reducers = []
+    for g in G:
+        if g.is_zero:
+            raise AlgebraError("normal_form requires nonzero divisors")
+        reducers.append((g.leading_monomial(order), g.leading_coefficient(order), g))
+    work = dict(f.terms)
+    rem: dict[tuple[int, ...], Fraction] = {}
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        hit = None
+        for lm, lc, g in reducers:
+            q = mono_div(m, lm)
+            if q is not None:
+                hit = (q, c / lc, g)
+                break
+        if hit is None:
+            rem[m] = c
+            continue
+        q, scale, g = hit
+        for mg, cg in g.terms.items():
+            mm = mono_mul(q, mg)
+            if mm == m:
+                continue  # the head term cancels exactly
+            nc = work.get(mm, Fraction(0)) - scale * cg
+            if nc:
+                work[mm] = nc
+            else:
+                work.pop(mm, None)
+    return Polynomial(f.table, rem)
+
+
+def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+    """S(f, g) = (lcm/lt(f)) * f - (lcm/lt(g)) * g; the leading terms cancel."""
+    if f.is_zero or g.is_zero:
+        raise AlgebraError("S-polynomial of a zero polynomial")
+    lmf = f.leading_monomial(order)
+    lmg = g.leading_monomial(order)
+    l = mono_lcm(lmf, lmg)
+    tf = Polynomial(f.table, {mono_div(l, lmf): 1 / f.terms[lmf]})
+    tg = Polynomial(g.table, {mono_div(l, lmg): 1 / g.terms[lmg]})
+    return tf * f - tg * g
+
+
+def in_ideal(f: Polynomial, basis) -> bool:
+    """Membership of f in the ideal of a GroebnerBasis or EliminationResult,
+    whose generators are a reduced basis under its order."""
+    return normal_form(f, basis.generators, basis.order).is_zero

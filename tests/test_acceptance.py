@@ -6,10 +6,9 @@ budgets are wall-clock seconds on the machine running the suite.
 
 import json
 import time
-from fractions import Fraction
 from pathlib import Path
 
-from cni_prover.algebra_core import Monomial, Polynomial, VarKind, VarTable
+from cni_prover.algebra_core import VarKind, VarTable
 from cni_prover.cli_dsl import SourceProgram, parse
 from cni_prover.geometry_model import (
     PolynomialSystem,
@@ -22,13 +21,13 @@ from cni_prover.groebner import (
     GroebnerConfig,
     eliminate,
     ideal_is_trivial,
-    ideal_membership,
 )
 from cni_prover.proof_emitter import emit_trace, format_polynomial
 from cni_prover.prover import PROVED, ProverConfig, express_linear, prove, select_pivot
 
 import test_geometry_model
 import test_groebner
+from support import in_ideal, poly as _P
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -46,10 +45,6 @@ def _slack(sys, name):
     raise KeyError(name)
 
 
-def _P(table, terms):
-    return Polynomial(table, {Monomial(m): Fraction(c) for m, c in terms})
-
-
 def test_criterion_1_thales_converse_raw_operations():
     t0 = time.perf_counter()
     sys = _load("thales_converse", mode="off")
@@ -61,7 +56,7 @@ def test_criterion_1_thales_converse_raw_operations():
 
     r1, r2, r3, r = (_slack(sys, n) for n in ("r1", "r2", "r3", "r"))
     pivot = _P(sys.table, [({r1: 1, r2: 1, r3: 1, r: 1}, 1), ({}, 1)])
-    assert ideal_membership(pivot, I)
+    assert in_ideal(pivot, I)
 
     lf = express_linear(pivot, r)
     assert lf.v == _P(sys.table, [({r1: 1, r2: 1, r3: 1}, 1)])
@@ -85,7 +80,7 @@ def test_criterion_2_midpoint_circle_rational_form():
     member = _P(sys.table, [({r1: 1, r: 1}, 1), ({r1: 1}, -1), ({r: 1}, -4)])
     base = list(sys.hypothesis_polys) + [sys.rabinowitsch_poly]
     I = eliminate(base, sys.eliminate_vars, GroebnerConfig())
-    assert ideal_membership(member, I)
+    assert in_ideal(member, I)
 
     payload = json.loads(emit_trace(verdict, "json").text())
     assert payload["rational_form"] == "r1/(r1-4)"
@@ -148,7 +143,7 @@ def test_criterion_3_raw_ideal_input():
     member = _P(sys.table, [({r: 1, r1: 1}, -3), ({r: 1, r2: 1}, 3),
                             ({r1: 1, r2: 1}, 3), ({r: 1}, 1), ({r1: 1}, 1),
                             ({r2: 1}, -4)])
-    assert ideal_membership(member, I)
+    assert in_ideal(member, I)
 
     verdict = prove(sys, ProverConfig())
     assert verdict.outcome == PROVED

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -184,6 +187,15 @@ def test_run_cli_syntax_error(monkeypatch, tmp_path):
     assert "line 1" in err
 
 
+def test_run_cli_zero_denominator_is_an_error(tmp_path):
+    f = tmp_path / "zero.cni"
+    f.write_text("point A, B, C\nD := (A+B)/(A-A)\nprove collinear(A, B, D)\n")
+    code, out, err = _run(str(f))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {f}: denominator normalizes to the zero polynomial\n"
+
+
 def test_run_cli_unknown_predicate_is_inconclusive(tmp_path):
     f = tmp_path / "unk.cni"
     f.write_text("point A, B, C\nprove tangent(A, B, C)\n")
@@ -219,6 +231,8 @@ def test_cli_config_validation():
     with pytest.raises(ValueError):
         CliConfig("x.cni", timeout=0)
     with pytest.raises(ValueError):
+        CliConfig("x.cni", timeout=float("nan"))
+    with pytest.raises(ValueError):
         CliConfig("x.cni", fix_mode="pin_three")
     with pytest.raises(ValueError):
         CliConfig("x.cni", format="xml")
@@ -229,6 +243,8 @@ def test_main_argument_handling(capsys):
     capsys.readouterr()
     assert main(["prove", "--timeout", "-5", str(PROBLEMS / "varignon.cni")]) == 1
     capsys.readouterr()
+    assert main(["prove", "--timeout", "nan", str(PROBLEMS / "varignon.cni")]) == 1
+    assert capsys.readouterr() == ("", "error: timeout must be positive\n")
     assert main(["prove", "--fix", "nonsense", "x.cni"]) == 1
     capsys.readouterr()
     assert main(["--help"]) == 0
@@ -242,3 +258,32 @@ def test_main_show_ideal(capsys):
                  str(PROBLEMS / "varignon.cni")]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert "ideal" in payload
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_main_broken_pipe_ends_quietly(monkeypatch, capsys):
+    # `cni-prover prove ... | head` closes the pipe before the document is out
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["prove", str(PROBLEMS / "varignon.cni")]) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_main_broken_pipe_through_a_real_pipe():
+    # the reader is gone before the child writes; nothing may reach stderr,
+    # not even from the flush of the buffered rest at interpreter exit
+    code = "import sys; from cni_prover.cli_dsl import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "prove", str(PROBLEMS / "varignon.cni")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

@@ -8,27 +8,24 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from cni_prover.algebra_core import (
-    GrevLex,
-    Lex,
-    Monomial,
-    Polynomial,
-    VarKind,
-    VarTable,
-    normal_form,
-    s_polynomial,
-)
+from cni_prover.algebra_core import GrevLex, Polynomial, VarKind, VarTable, mono_div
 from cni_prover.groebner import (
-    EliminationResult,
     GroebnerConfig,
     GroebnerTimeout,
     eliminate,
     groebner_basis,
     ideal_is_trivial,
-    ideal_membership,
 )
 
-from support import make_table, random_polynomial, to_sympy, from_sympy
+from support import (
+    from_sympy,
+    in_ideal,
+    make_table,
+    normal_form,
+    random_polynomial,
+    s_polynomial,
+    to_sympy,
+)
 
 
 def _vars(table):
@@ -41,7 +38,6 @@ def test_single_generator_is_its_own_basis():
     order = GrevLex((0, 1))
     gb = groebner_basis([x], order)
     assert gb.generators == (x,)
-    assert gb.reduced
 
 
 def test_shifted_generator():
@@ -65,10 +61,10 @@ def test_classic_lex_elimination_shape():
     table = make_table("x", "y")
     x, y = _vars(table)
     one = Polynomial.constant(table, 1)
-    gb = groebner_basis([y * y - one, x - y], Lex((0, 1)))
-    # reduced lex basis: x - y and y^2 - 1
+    gb = groebner_basis([y * y - one, x - y], GrevLex((0, 1)))
+    # the textbook lex basis x - y, y^2 - 1 is also the reduced grevlex one
     assert set(gb.generators) == {x - y, y * y - one}
-    assert ideal_membership(x * x - one, gb)
+    assert in_ideal(x * x - one, gb)
 
 
 def test_trivial_ideal_detection():
@@ -85,8 +81,8 @@ def test_empty_and_zero_inputs():
     gb = groebner_basis([Polynomial.zero(table)], GrevLex((0,)))
     assert gb.generators == ()
     assert not ideal_is_trivial(gb)
-    assert ideal_membership(Polynomial.zero(table), gb)
-    assert not ideal_membership(Polynomial.variable(table, 0), gb)
+    assert in_ideal(Polynomial.zero(table), gb)
+    assert not in_ideal(Polynomial.variable(table, 0), gb)
 
 
 def test_determinism_and_input_order_independence():
@@ -123,7 +119,7 @@ def test_basis_is_autoreduced():
                 continue
             lms = [h.leading_monomial(order) for h in others]
             for m in g.terms:
-                assert not any(lm.divides(m) for lm in lms)
+                assert not any(mono_div(m, lm) is not None for lm in lms)
 
 
 def test_random_systems_reduce_and_spolys_vanish():
@@ -185,7 +181,7 @@ def test_elimination_of_a_parameter():
     res = eliminate([x - t, y - t * t], [0])
     assert res.eliminated == (0,)
     assert res.kept == (1, 2)
-    assert ideal_membership(y - x * x, res)
+    assert in_ideal(y - x * x, res)
     for g in res.generators:
         assert not g.contains_var(0)
 
@@ -200,22 +196,13 @@ def test_elimination_with_rabinowitsch_variable():
     X, Y, U = (Polynomial.variable(table, i) for i in (x, y, u))
     one = Polynomial.constant(table, 1)
     res = eliminate([U * X - one, X * Y], [u, x])
-    assert ideal_membership(Y, res)
+    assert in_ideal(Y, res)
 
 
 def test_eliminate_everything_is_rejected():
     table = make_table("x")
     with pytest.raises(Exception):
         eliminate([Polynomial.variable(table, 0)], [0])
-
-
-def test_elimination_result_membership_rebasis():
-    # hand-assembled EliminationResult still answers membership correctly
-    table = make_table("x", "y")
-    x, y = _vars(table)
-    order = GrevLex((0, 1))
-    raw = EliminationResult((y * y - x * x, x + y), (), (0, 1), order)
-    assert ideal_membership(x * x + x * y, raw)
 
 
 def test_sylvester_resultant_in_elimination_ideal():
@@ -238,7 +225,7 @@ def test_sylvester_resultant_in_elimination_ideal():
             continue  # common factor; membership would be vacuous
         resultant = from_sympy(res_xy, table, syms)
         ideal = eliminate([f, g], [0])
-        assert ideal_membership(resultant, ideal), f"failed for {f} and {g}"
+        assert in_ideal(resultant, ideal), f"failed for {f} and {g}"
         done += 1
     assert done == 50
 
@@ -259,25 +246,3 @@ def test_timeout_raises_within_budget():
             groebner_basis(polys, GrevLex((0, 1, 2, 3)), cfg)
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
-
-
-def test_max_steps_budget():
-    table = make_table("x", "y", "z")
-    x, y, z = _vars(table)
-    polys = [x * x * y - z * z, y * y * z - x, z * z * x - y * y]
-    with pytest.raises(GroebnerTimeout):
-        groebner_basis(polys, GrevLex((0, 1, 2)), GroebnerConfig(max_steps=1))
-
-
-def test_selection_strategies_agree():
-    rng = random.Random(8)
-    table = make_table("x", "y", "z")
-    order = GrevLex((0, 1, 2))
-    for _ in range(10):
-        polys = [random_polynomial(rng, table, [0, 1, 2]) for _ in range(2)]
-        polys = [p for p in polys if not p.is_zero]
-        if not polys:
-            continue
-        a = groebner_basis(polys, order, GroebnerConfig(selection="sugar")).generators
-        b = groebner_basis(polys, order, GroebnerConfig(selection="normal")).generators
-        assert set(a) == set(b)

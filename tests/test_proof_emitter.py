@@ -12,7 +12,6 @@ from cni_prover.algebra_core import (
     Const,
     Div,
     GrevLex,
-    Monomial,
     Mul,
     PointRef,
     Polynomial,
@@ -43,6 +42,8 @@ from cni_prover.proof_emitter import (
     format_expr,
     format_polynomial,
 )
+
+from support import poly
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -105,7 +106,7 @@ def test_format_polynomial_goldens():
     table, (r1, r2, r), order = _slack_ring()
 
     def P(terms):
-        return Polynomial(table, {Monomial(m): Fraction(c) for m, c in terms})
+        return poly(table, terms)
 
     assert format_polynomial(P([]), order) == "0"
     assert format_polynomial(P([({r: 1}, -1), ({}, -1)]), order) == "-r-1"
