@@ -1,10 +1,13 @@
 """Decision procedure: pivot selection, the rational form of the thesis
 slack, the divisor re-elimination, and the verdicts on the worked examples."""
 
+import json
+
 import pytest
 
-from cni_prover.algebra_core import AlgebraError, GrevLex, VarKind, VarTable
-from cni_prover.groebner import EliminationResult, GroebnerConfig, eliminate
+from cni_prover import prover
+from cni_prover.algebra_core import AlgebraError, Const, GrevLex, VarKind, VarTable
+from cni_prover.groebner import EliminationResult, GroebnerConfig, GroebnerTimeout, eliminate
 from cni_prover.geometry_model import (
     PolynomialSystem,
     SlackOrigin,
@@ -27,7 +30,7 @@ from cni_prover.prover import (
     prove,
     select_pivot,
 )
-from cni_prover.proof_emitter import format_polynomial
+from cni_prover.proof_emitter import emit_trace, format_polynomial
 from cni_prover.cli_dsl import SourceProgram, parse
 
 from pathlib import Path
@@ -182,7 +185,7 @@ def _synthetic(table, polys, eliminate_vars, slacks, rab=None, points=()):
             SlackOrigin(
                 slack=s,
                 name=table.name(s),
-                stated=None,
+                stated=Const(i + 1),
                 source=None,
                 is_thesis=is_thesis,
             )
@@ -379,6 +382,129 @@ def test_prove_division_contradiction_end_to_end():
     assert v.outcome == PROVED
     assert v.trace.second_trivial
     assert _fmt(v.trace, v.trace.denominator) == "r1-4"
+
+
+# ---------------------------------------------------------------------------
+# The route table: every way out of `prove`, as the JSON document reports it.
+
+
+def _zero_thesis_system():
+    table = VarTable()
+    x = table.add("x", VarKind.POINT)
+    r = table.add("r", VarKind.SLACK)
+    polys = [
+        _poly(table, [({x: 1}, 1)]),
+        _poly(table, [({x: 1}, 1), ({r: 1}, -1)]),
+    ]
+    return _synthetic(table, polys, [x], [r], points=(x,))
+
+
+def _squared_thesis_system():
+    table = VarTable()
+    x = table.add("x", VarKind.POINT)
+    r1 = table.add("r1", VarKind.SLACK)
+    r = table.add("r", VarKind.SLACK)
+    polys = [
+        _poly(table, [({x: 4}, 1), ({r1: 1}, -1)]),
+        _poly(table, [({x: 2}, 1), ({r: 2}, -1)]),
+    ]
+    return _synthetic(table, polys, [x], [r1, r], points=(x,))
+
+
+def _unrelated_thesis_system():
+    table = VarTable()
+    x = table.add("x", VarKind.POINT)
+    r1 = table.add("r1", VarKind.SLACK)
+    r = table.add("r", VarKind.SLACK)
+    polys = [
+        _poly(table, [({r1: 1}, 1), ({}, -1)]),
+        _poly(table, [({x: 1}, 1), ({r: 1}, -1)]),
+    ]
+    return _synthetic(table, polys, [x], [r1, r], points=(x,))
+
+
+def _third_elimination_system():
+    """The pivot is 3*r1*r - r1*r2, so dividing needs r1; on r1 = 0 the
+    second ideal keeps 3*r2*r + 3*r - r2, whose coefficient of r is again
+    non-constant."""
+    table = VarTable()
+    x = table.add("x", VarKind.POINT)
+    r1 = table.add("r1", VarKind.SLACK)
+    r2 = table.add("r2", VarKind.SLACK)
+    r = table.add("r", VarKind.SLACK)
+    polys = [
+        _poly(table, [({x: 1}, 1), ({r1: 1}, -1)]),
+        _poly(table, [({r1: 1, r2: 1, r: 1}, -2)]),
+        _poly(table, [({r: 1}, 3), ({r2: 1}, -1), ({r2: 1, r: 1}, 3)]),
+    ]
+    return _synthetic(table, polys, [x], [r1, r2, r], points=(x,))
+
+
+def _raise_timeout(*args):
+    raise GroebnerTimeout("budget exhausted")
+
+
+_SECOND_POLYNOMIAL_NOTE = (
+    "if the divisor is 0, the second elimination still gives a polynomial "
+    "expression for r, so the rational form holds in general, except for a "
+    "couple of counterexamples"
+)
+
+# route: (system, entry point made to time out, verdict, reason,
+#         second_elimination, note)
+_ROUTES = {
+    "polynomial_form": (
+        _zero_thesis_system, None, PROVED, None, None, None,
+    ),
+    "trivial": (
+        lambda: _division_system()[-1], None, PROVED, None, "trivial", None,
+    ),
+    "polynomial": (
+        lambda: _prove_file("medians"), None, PROVED, None, "polynomial",
+        _SECOND_POLYNOMIAL_NOTE,
+    ),
+    "no_r": (
+        lambda: _cylinder_system()[-1], None, INCONCLUSIVE, "e2nru", "no_r", None,
+    ),
+    "inconclusive": (
+        _third_elimination_system, None, INCONCLUSIVE, "d3u", "inconclusive",
+        "in the second elimination ideal the coefficient of r is again "
+        "non-constant; a third elimination is not attempted",
+    ),
+    "timeout": (
+        lambda: _division_system()[-1], "check_denominator", INCONCLUSIVE, "t/o",
+        "timeout", "the second elimination timed out",
+    ),
+    "first_timeout": (
+        _zero_thesis_system, "eliminate", INCONCLUSIVE, "t/o", None,
+        "the first elimination timed out",
+    ),
+    "first_no_r": (
+        _unrelated_thesis_system, None, INCONCLUSIVE, "e0u", None, None,
+    ),
+    "first_nonlinear": (
+        _squared_thesis_system, None, INCONCLUSIVE, "nlu", None,
+        "the minimal degree of r in the ideal is 4",
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_route_table(route, monkeypatch):
+    system, stalled, outcome, reason, second, note = _ROUTES[route]
+    if stalled is not None:
+        monkeypatch.setattr(prover, stalled, _raise_timeout)
+    built = system()
+    v = built if isinstance(built, ProverVerdict) else prove(built)
+    assert (v.outcome, v.reason) == (outcome, reason)
+    doc = json.loads(emit_trace(v, "json", True).text())
+    assert doc["verdict"] == outcome and doc["reason"] == reason
+    assert doc["second_elimination"] == second
+    assert doc["note"] == note
+    # with --show-ideal the key is always there; null unless a second
+    # elimination finished
+    assert "ideal" in doc
+    assert (doc["second_ideal"] is None) == (second in (None, "timeout"))
 
 
 # ---------------------------------------------------------------------------
