@@ -210,9 +210,6 @@ def predicate_exprs(p: Predicate) -> list[RationalExpr]:
     raise GeometryError(f"unknown predicate {p!r}")
 
 
-DECLARATIVE_KINDS = ("midpoint", "parallelogram_fourth", "barycenter")
-
-
 def declarative_expr(kind: str, args: tuple[int, ...]) -> RationalExpr:
     """Built-in declarative point definitions."""
     pts = [PointRef(i) for i in args]
@@ -392,6 +389,14 @@ class PolynomialSystem:
     @property
     def thesis_slack(self) -> int:
         return self.slack_map[-1].slack
+
+    @property
+    def elimination_input(self) -> tuple[Polynomial, ...]:
+        """The generators of the first elimination: the hypothesis
+        polynomials, then the Rabinowitsch polynomial when there is one."""
+        if self.rabinowitsch_poly is None:
+            return self.hypothesis_polys
+        return self.hypothesis_polys + (self.rabinowitsch_poly,)
 
     def order(self) -> MonomialOrder:
         return block_elimination_order(self.eliminate_vars, self.keep_vars)

@@ -170,21 +170,6 @@ def _rational_form(trace: ProofTrace) -> str | None:
     return f"{ns}/({format_polynomial(v, order)})"
 
 
-def _second_status(verdict: ProverVerdict) -> str | None:
-    t = verdict.trace
-    if t.second_trivial:
-        return "trivial"
-    if t.second_linear is not None:
-        return "polynomial"
-    if t.denominator is None:
-        return None
-    if t.second_generators is None:
-        return "timeout"
-    if verdict.reason == "e2nru":
-        return "no_r"
-    return "inconclusive"
-
-
 # ---------------------------------------------------------------------------
 # Narration assembly. Items are (kind, text) with kind "s" for a sentence,
 # "f" for a formula line, and "fr" for a hypothesis relation (LaTeX marks
@@ -239,7 +224,7 @@ def _narration(verdict: ProverVerdict, show_ideal: bool) -> list[tuple[str, str]
         else:
             items.append(("s", "The elimination ideal is <0>."))
 
-    if t.pivot is not None and order is not None:
+    if t.linear is not None and order is not None:
         rname = t.thesis.name if t.thesis is not None else "r"
         items.append(
             (
@@ -249,24 +234,25 @@ def _narration(verdict: ProverVerdict, show_ideal: bool) -> list[tuple[str, str]
                 "polynomial equation:",
             )
         )
-        items.append(("f", f"{format_polynomial(t.pivot, order)}=0"))
+        items.append(("f", f"{format_polynomial(t.linear.pivot, order)}=0"))
 
-        if t.polynomial_form:
+        if t.denominator is None:
             items.append(
                 ("s", "The thesis can be expressed as a polynomial expression of the hypotheses.")
             )
-        elif t.denominator is not None:
+        else:
             items.append(
                 ("s", f"Expressing the thesis requires a division by {format_polynomial(t.denominator, order)}.")
             )
             items.append(("s", "Let us assume that that divisor is 0 and restart the elimination."))
-            if show_ideal and t.second_generators:
+            second = t.second
+            if show_ideal and second.generators:
                 items.append(("s", "The second elimination ideal is generated by:"))
-                for g in t.second_generators:
+                for g in second.generators:
                     items.append(("f", format_polynomial(content_and_primitive(g, order)[1], order)))
-            if t.second_trivial:
+            if second.status == "trivial":
                 items.append(("s", "The elimination verifies that that divisor cannot be zero."))
-            elif t.second_linear is not None:
+            elif second.status == "polynomial":
                 items.append(
                     (
                         "s",
@@ -275,7 +261,7 @@ def _narration(verdict: ProverVerdict, show_ideal: bool) -> list[tuple[str, str]
                         "of counterexamples):",
                     )
                 )
-                items.append(("f", f"{format_polynomial(t.second_linear.pivot, order)}=0"))
+                items.append(("f", f"{format_polynomial(second.linear.pivot, order)}=0"))
 
     if verdict.outcome == PROVED:
         items.append(("s", "Since all hypotheses are real expressions, the thesis must also be real."))
@@ -305,6 +291,7 @@ def _json_payload(verdict: ProverVerdict, show_ideal: bool) -> dict:
     t = verdict.trace
     names = t.point_names
     order = t.display_order
+    second = t.second
 
     def fmt(p: Polynomial | None) -> str | None:
         if p is None or order is None:
@@ -324,10 +311,10 @@ def _json_payload(verdict: ProverVerdict, show_ideal: bool) -> dict:
             if t.thesis is not None
             else None
         ),
-        "pivot": fmt(t.pivot),
+        "pivot": fmt(t.linear.pivot) if t.linear is not None else None,
         "rational_form": _rational_form(t),
         "denominator": fmt(t.denominator),
-        "second_elimination": _second_status(verdict),
+        "second_elimination": second.status if second is not None else None,
         "identity": emit_identity(t),
         "declaratives": [
             {"point": nm, "definition": format_expr(d, names)}
@@ -339,8 +326,8 @@ def _json_payload(verdict: ProverVerdict, show_ideal: bool) -> dict:
     if show_ideal and order is not None:
         obj["ideal"] = [fmt(content_and_primitive(g, order)[1]) for g in t.generators]
         obj["second_ideal"] = (
-            [fmt(content_and_primitive(g, order)[1]) for g in t.second_generators]
-            if t.second_generators is not None
+            [fmt(content_and_primitive(g, order)[1]) for g in second.generators]
+            if second is not None and second.generators is not None
             else None
         )
     return obj

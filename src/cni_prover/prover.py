@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Union
+from math import lcm
 
 from .algebra_core import (
     AlgebraError,
@@ -58,8 +57,27 @@ class LinearForm:
 
 
 @dataclass(frozen=True)
+class SecondElimination:
+    """What the second elimination, run with the divisor appended, says.
+
+    `status` is the JSON `second_elimination` value: "trivial" (the divisor
+    cannot vanish), "polynomial" (even where it vanishes, r is a polynomial
+    in the hypotheses: `linear` holds that pivot), "no_r", "inconclusive"
+    or "timeout". `reason` is the verdict's reason code, None when the
+    route proves the statement; `generators` is None when the elimination
+    did not finish."""
+
+    status: str
+    generators: tuple[Polynomial, ...] | None
+    reason: str | None = None
+    note: str | None = None
+    linear: LinearForm | None = None
+
+
+@dataclass(frozen=True)
 class ProofTrace:
-    """Everything a renderer needs, in the order the proof narrates it."""
+    """Everything a renderer needs, in the order the proof narrates it.
+    `second` is set exactly when `linear` needs a division."""
 
     point_names: tuple[str, ...]
     free_point_names: tuple[str, ...]
@@ -70,14 +88,16 @@ class ProofTrace:
     thesis: SlackOrigin | None = None
     display_order: MonomialOrder | None = None
     generators: tuple[Polynomial, ...] = ()
-    pivot: Polynomial | None = None
     linear: LinearForm | None = None
-    polynomial_form: bool = False
-    denominator: Polynomial | None = None
-    second_generators: tuple[Polynomial, ...] | None = None
-    second_trivial: bool = False
-    second_linear: LinearForm | None = None
+    second: SecondElimination | None = None
     reason_note: str | None = None
+
+    @property
+    def denominator(self) -> Polynomial | None:
+        """The divisor v of the rational form r = -w/v, when not constant."""
+        if self.linear is None or self.linear.v.is_constant:
+            return None
+        return self.linear.v
 
 
 @dataclass(frozen=True)
@@ -91,39 +111,6 @@ class ProverVerdict:
             raise AlgebraError(f"unknown reason code {self.reason!r}")
         if self.outcome == PROVED and self.reason is not None:
             raise AlgebraError("a proved verdict carries no reason code")
-
-
-# Outcomes of the denominator analysis.
-
-
-@dataclass(frozen=True)
-class Contradiction:
-    """The second elimination ideal is <1>: the divisor cannot vanish."""
-
-    generators: tuple[Polynomial, ...]
-
-
-@dataclass(frozen=True)
-class NoR:
-    generators: tuple[Polynomial, ...]
-
-
-@dataclass(frozen=True)
-class SecondLinearPolynomialForm:
-    linear: LinearForm
-    generators: tuple[Polynomial, ...]
-
-
-@dataclass(frozen=True)
-class DenominatorInconclusive:
-    code: str
-    note: str
-    generators: tuple[Polynomial, ...]
-
-
-DenominatorOutcome = Union[
-    Contradiction, NoR, SecondLinearPolynomialForm, DenominatorInconclusive
-]
 
 
 def select_pivot(I: EliminationResult, r: int) -> Polynomial:
@@ -158,61 +145,109 @@ def express_linear(p: Polynomial, r: int) -> LinearForm:
     )
 
 
-def _presentation_pivot(pivot: Polynomial, r: int, order: MonomialOrder) -> Polynomial:
-    """Deterministic display scaling of the monic pivot. With a constant
-    coefficient of r the pivot is rescaled so that coefficient is a negative
-    integer (giving lines in the -r-1=0 style); otherwise the primitive
-    integer form with positive leading coefficient is used."""
+def _presentation_pivot(pivot: Polynomial, r: int, order: MonomialOrder) -> LinearForm:
+    """The linear split of the monic pivot under a deterministic display
+    scaling. With a constant coefficient of r the pivot is rescaled so that
+    coefficient is a negative integer (giving lines in the -r-1=0 style);
+    otherwise the primitive integer form with positive leading coefficient
+    is used."""
     lf = express_linear(pivot, r)
     if lf.v.is_constant:
-        scaled = pivot.scale(Fraction(-1) / lf.v.constant_value())
-        den = 1
-        for c in scaled.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        return scaled.scale(den)
-    _, prim = content_and_primitive(pivot, order)
-    return prim
+        k = Fraction(-1) / lf.v.constant_value()
+        k *= lcm(*((c * k).denominator for c in pivot.terms.values()))
+    else:
+        k = 1 / content_and_primitive(pivot, order)[0]
+    return LinearForm(lf.v.scale(k), lf.w.scale(k), pivot.scale(k))
 
 
 def check_denominator(
     sys: PolynomialSystem, D: Polynomial, config: GroebnerConfig
-) -> DenominatorOutcome:
+) -> SecondElimination:
     """Append the divisor D to the system and eliminate again. A trivial
     ideal proves D cannot vanish under the hypotheses; otherwise classify
     what the second ideal says about r."""
-    base = list(sys.hypothesis_polys)
-    if sys.rabinowitsch_poly is not None:
-        base.append(sys.rabinowitsch_poly)
-    base.append(D)
-    second = eliminate(base, sys.eliminate_vars, config)
+    second = eliminate(sys.elimination_input + (D,), sys.eliminate_vars, config)
+    gens = second.generators
     if ideal_is_trivial(second):
-        return Contradiction(second.generators)
+        return SecondElimination("trivial", gens)
     r = sys.thesis_slack
-    if not any(g.contains_var(r) for g in second.generators):
-        return NoR(second.generators)
+    if not any(g.contains_var(r) for g in gens):
+        return SecondElimination("no_r", gens, "e2nru")
     pivot2 = select_pivot(second, r)
-    order = second.order
-    if pivot2.degree_in(r) == 1:
-        lf0 = express_linear(pivot2, r)
-        if lf0.v.is_constant:
-            shown = _presentation_pivot(pivot2, r, order)
-            return SecondLinearPolynomialForm(express_linear(shown, r), second.generators)
-        return DenominatorInconclusive(
+    if pivot2.degree_in(r) > 1:
+        return SecondElimination(
+            "inconclusive",
+            gens,
+            "nlu",
+            f"r has minimal degree {pivot2.degree_in(r)} in the second "
+            "elimination ideal; a third elimination is not attempted",
+        )
+    lf = _presentation_pivot(pivot2, r, second.order)
+    if not lf.v.is_constant:
+        return SecondElimination(
+            "inconclusive",
+            gens,
             "d3u",
             "in the second elimination ideal the coefficient of r is again "
             "non-constant; a third elimination is not attempted",
-            second.generators,
         )
-    return DenominatorInconclusive(
-        "nlu",
-        f"r has minimal degree {pivot2.degree_in(r)} in the second "
-        "elimination ideal; a third elimination is not attempted",
-        second.generators,
+    return SecondElimination(
+        "polynomial",
+        gens,
+        note=(
+            "if the divisor is 0, the second elimination still gives "
+            "a polynomial expression for r, so the rational form holds "
+            "in general, except for a couple of counterexamples"
+        ),
+        linear=lf,
     )
 
 
-def _base_trace(sys: PolynomialSystem, **stage) -> ProofTrace:
-    return ProofTrace(
+def _decide(
+    sys: PolynomialSystem, config: GroebnerConfig
+) -> tuple[str | None, str | None, dict]:
+    """Run the eliminations. Returns the reason code (None when proved),
+    the note on the verdict, and the trace fields of the stages reached."""
+    try:
+        first = eliminate(sys.elimination_input, sys.eliminate_vars, config)
+    except GroebnerTimeout:
+        return "t/o", "the first elimination timed out", {}
+    stage: dict = {"generators": first.generators}
+    r = sys.thesis_slack
+
+    if not any(g.contains_var(r) for g in first.generators):
+        note = None
+        if ideal_is_trivial(first):
+            note = (
+                "the elimination ideal is the whole ring: the hypotheses "
+                "are contradictory"
+            )
+        return "e0u", note, stage
+
+    pivot = select_pivot(first, r)
+    if pivot.degree_in(r) > 1:
+        return "nlu", f"the minimal degree of r in the ideal is {pivot.degree_in(r)}", stage
+
+    lf = _presentation_pivot(pivot, r, first.order)
+    stage["linear"] = lf
+    if lf.v.is_constant:
+        return None, None, stage
+
+    try:
+        second = check_denominator(sys, lf.v, config)
+    except GroebnerTimeout:
+        second = SecondElimination(
+            "timeout", None, "t/o", "the second elimination timed out"
+        )
+    stage["second"] = second
+    return second.reason, second.note, stage
+
+
+def prove(sys: PolynomialSystem, config: ProverConfig | None = None) -> ProverVerdict:
+    """Run the full decision procedure on a built polynomial system."""
+    cfg = config or ProverConfig()
+    reason, note, stage = _decide(sys, GroebnerConfig(timeout=cfg.timeout))
+    trace = ProofTrace(
         point_names=sys.point_names,
         free_point_names=tuple(sys.table.name(i) for i in sys.free_points),
         declaratives=sys.declaratives,
@@ -221,123 +256,7 @@ def _base_trace(sys: PolynomialSystem, **stage) -> ProofTrace:
         fixed=sys.fixed,
         notes=sys.notes,
         display_order=sys.order(),
+        reason_note=note,
         **stage,
     )
-
-
-def prove(sys: PolynomialSystem, config: ProverConfig | None = None) -> ProverVerdict:
-    """Run the full decision procedure on a built polynomial system."""
-    cfg = config or ProverConfig()
-    gcfg = GroebnerConfig(timeout=cfg.timeout)
-    base = list(sys.hypothesis_polys)
-    if sys.rabinowitsch_poly is not None:
-        base.append(sys.rabinowitsch_poly)
-
-    try:
-        first = eliminate(base, sys.eliminate_vars, gcfg)
-    except GroebnerTimeout:
-        return ProverVerdict(
-            INCONCLUSIVE,
-            "t/o",
-            _base_trace(sys, reason_note="the first elimination timed out"),
-        )
-    gens = first.generators
-    r = sys.thesis_slack
-    order = first.order
-
-    if not any(g.contains_var(r) for g in gens):
-        note = None
-        if ideal_is_trivial(first):
-            note = (
-                "the elimination ideal is the whole ring: the hypotheses "
-                "are contradictory"
-            )
-        return ProverVerdict(
-            INCONCLUSIVE, "e0u", _base_trace(sys, generators=gens, reason_note=note)
-        )
-
-    pivot = select_pivot(first, r)
-    if pivot.degree_in(r) > 1:
-        return ProverVerdict(
-            INCONCLUSIVE,
-            "nlu",
-            _base_trace(
-                sys,
-                generators=gens,
-                reason_note=f"the minimal degree of r in the ideal is {pivot.degree_in(r)}",
-            ),
-        )
-
-    shown = _presentation_pivot(pivot, r, order)
-    lf = express_linear(shown, r)
-
-    if lf.v.is_constant:
-        return ProverVerdict(
-            PROVED,
-            None,
-            _base_trace(
-                sys, generators=gens, pivot=shown, linear=lf, polynomial_form=True
-            ),
-        )
-
-    D = lf.v
-    try:
-        outcome = check_denominator(sys, D, gcfg)
-    except GroebnerTimeout:
-        return ProverVerdict(
-            INCONCLUSIVE,
-            "t/o",
-            _base_trace(
-                sys,
-                generators=gens,
-                pivot=shown,
-                linear=lf,
-                denominator=D,
-                reason_note="the second elimination timed out",
-            ),
-        )
-
-    stage = dict(generators=gens, pivot=shown, linear=lf, denominator=D)
-    if isinstance(outcome, Contradiction):
-        return ProverVerdict(
-            PROVED,
-            None,
-            _base_trace(
-                sys,
-                second_generators=outcome.generators,
-                second_trivial=True,
-                **stage,
-            ),
-        )
-    if isinstance(outcome, NoR):
-        return ProverVerdict(
-            INCONCLUSIVE,
-            "e2nru",
-            _base_trace(sys, second_generators=outcome.generators, **stage),
-        )
-    if isinstance(outcome, SecondLinearPolynomialForm):
-        return ProverVerdict(
-            PROVED,
-            None,
-            _base_trace(
-                sys,
-                second_generators=outcome.generators,
-                second_linear=outcome.linear,
-                reason_note=(
-                    "if the divisor is 0, the second elimination still gives "
-                    "a polynomial expression for r, so the rational form holds "
-                    "in general, except for a couple of counterexamples"
-                ),
-                **stage,
-            ),
-        )
-    return ProverVerdict(
-        INCONCLUSIVE,
-        outcome.code,
-        _base_trace(
-            sys,
-            second_generators=outcome.generators,
-            reason_note=outcome.note,
-            **stage,
-        ),
-    )
+    return ProverVerdict(PROVED if reason is None else INCONCLUSIVE, reason, trace)

@@ -156,8 +156,8 @@ def test_criterion_4_varignon_full_pipeline():
     t0 = time.perf_counter()
     verdict = prove(_load("varignon"), ProverConfig())
     assert verdict.outcome == PROVED
-    assert verdict.trace.polynomial_form
-    assert format_polynomial(verdict.trace.pivot, verdict.trace.display_order) == "-r-1"
+    assert verdict.trace.linear.v.is_constant
+    assert format_polynomial(verdict.trace.linear.pivot, verdict.trace.display_order) == "-r-1"
     elapsed = time.perf_counter() - t0
     assert elapsed <= 2.0, f"{elapsed:.2f}s"
     print(f"criterion 4: PASS ({elapsed:.2f}s)")
@@ -168,9 +168,9 @@ def test_criterion_5_angle_bisectors_divisor_analysis():
     verdict = prove(_load("angle_bisectors"), ProverConfig())
     assert verdict.outcome == PROVED
     fmt = lambda p: format_polynomial(p, verdict.trace.display_order)
-    assert fmt(verdict.trace.pivot) == "r1*r2*r-r1*r2-r1*r-r2*r"
+    assert fmt(verdict.trace.linear.pivot) == "r1*r2*r-r1*r2-r1*r-r2*r"
     assert fmt(verdict.trace.denominator) == "r1*r2-r1-r2"
-    assert verdict.trace.second_trivial
+    assert verdict.trace.second.status == "trivial"
     elapsed = time.perf_counter() - t0
     assert elapsed <= 5.0, f"{elapsed:.2f}s"
     print(f"criterion 5: PASS ({elapsed:.2f}s)")

@@ -19,12 +19,8 @@ from cni_prover.prover import (
     INCONCLUSIVE,
     PROVED,
     REASON_MEANINGS,
-    Contradiction,
-    DenominatorInconclusive,
-    NoR,
     ProverConfig,
     ProverVerdict,
-    SecondLinearPolynomialForm,
     check_denominator,
     express_linear,
     prove,
@@ -58,43 +54,42 @@ def _fmt(trace, p):
 def test_varignon_proved_polynomial_form():
     v = _prove_file("varignon")
     assert v.outcome == PROVED and v.reason is None
-    assert v.trace.polynomial_form
-    assert _fmt(v.trace, v.trace.pivot) == "-r-1"
+    assert v.trace.linear.v.is_constant
+    assert _fmt(v.trace, v.trace.linear.pivot) == "-r-1"
     assert v.trace.denominator is None
 
 
 def test_midpoint_circle_proved_by_contradiction():
     v = _prove_file("midpoint_circle")
     assert v.outcome == PROVED
-    assert _fmt(v.trace, v.trace.pivot) == "r1*r-r1-4*r"
+    assert _fmt(v.trace, v.trace.linear.pivot) == "r1*r-r1-4*r"
     assert _fmt(v.trace, v.trace.denominator) == "r1-4"
-    assert v.trace.second_trivial
+    assert v.trace.second.status == "trivial"
 
 
 def test_medians_proved_by_second_polynomial_form():
     v = _prove_file("medians")
     assert v.outcome == PROVED
     assert _fmt(v.trace, v.trace.denominator) == "r1*r2-r1-r2"
-    assert not v.trace.second_trivial
-    assert v.trace.second_linear is not None
-    assert _fmt(v.trace, v.trace.second_linear.pivot) == "-r+2"
+    assert v.trace.second.status == "polynomial"
+    assert _fmt(v.trace, v.trace.second.linear.pivot) == "-r+2"
     assert "except for a couple of counterexamples" in v.trace.reason_note
 
 
 def test_angle_bisectors_proved():
     v = _prove_file("angle_bisectors")
     assert v.outcome == PROVED
-    assert _fmt(v.trace, v.trace.pivot) == "r1*r2*r-r1*r2-r1*r-r2*r"
+    assert _fmt(v.trace, v.trace.linear.pivot) == "r1*r2*r-r1*r2-r1*r-r2*r"
     assert _fmt(v.trace, v.trace.denominator) == "r1*r2-r1-r2"
-    assert v.trace.second_trivial
+    assert v.trace.second.status == "trivial"
 
 
 def test_thales_converse_proved():
     v = _prove_file("thales_converse")
     assert v.outcome == PROVED
-    assert _fmt(v.trace, v.trace.pivot) == "r1*r2*r3*r+1"
+    assert _fmt(v.trace, v.trace.linear.pivot) == "r1*r2*r3*r+1"
     assert _fmt(v.trace, v.trace.denominator) == "r1*r2*r3"
-    assert v.trace.second_trivial
+    assert v.trace.second.status == "trivial"
 
 
 def test_thales_converse_proved_without_fixing():
@@ -205,30 +200,14 @@ def _synthetic(table, polys, eliminate_vars, slacks, rab=None, points=()):
 
 
 def test_prove_nlu_when_r_only_appears_squared():
-    table = VarTable()
-    x = table.add("x", VarKind.POINT)
-    r1 = table.add("r1", VarKind.SLACK)
-    r = table.add("r", VarKind.SLACK)
-    polys = [
-        _poly(table, [({x: 4}, 1), ({r1: 1}, -1)]),
-        _poly(table, [({x: 2}, 1), ({r: 2}, -1)]),
-    ]
-    v = prove(_synthetic(table, polys, [x], [r1, r], points=(x,)))
+    v = prove(_squared_thesis_system())
     assert v.outcome == INCONCLUSIVE and v.reason == "nlu"
     assert "minimal degree" in v.trace.reason_note
 
 
 def test_prove_e0u_when_ideal_misses_r():
-    table = VarTable()
-    x = table.add("x", VarKind.POINT)
-    r1 = table.add("r1", VarKind.SLACK)
-    r = table.add("r", VarKind.SLACK)
     # r is tied only to the eliminated variable, so nothing about it survives
-    polys = [
-        _poly(table, [({r1: 1}, 1), ({}, -1)]),
-        _poly(table, [({x: 1}, 1), ({r: 1}, -1)]),
-    ]
-    v = prove(_synthetic(table, polys, [x], [r1, r], points=(x,)))
+    v = prove(_unrelated_thesis_system())
     assert v.outcome == INCONCLUSIVE and v.reason == "e0u"
 
 
@@ -249,16 +228,9 @@ def test_prove_contradictory_hypotheses_note():
 def test_prove_zero_thesis_is_still_polynomial_form():
     # r = x with x forced to 0: the pivot is r itself, w == 0, and the
     # verdict is a plain polynomial form r = 0
-    table = VarTable()
-    x = table.add("x", VarKind.POINT)
-    r = table.add("r", VarKind.SLACK)
-    polys = [
-        _poly(table, [({x: 1}, 1)]),
-        _poly(table, [({x: 1}, 1), ({r: 1}, -1)]),
-    ]
-    v = prove(_synthetic(table, polys, [x], [r], points=(x,)))
+    v = prove(_zero_thesis_system())
     assert v.outcome == PROVED
-    assert v.trace.polynomial_form
+    assert v.trace.linear.v.is_constant
     assert v.trace.linear.w.is_zero
 
 
@@ -304,14 +276,14 @@ def test_check_denominator_contradiction():
     table, x, r1, r, sys = _division_system()
     D = _poly(table, [({r1: 1}, 1), ({}, -4)])
     out = check_denominator(sys, D, GroebnerConfig())
-    assert isinstance(out, Contradiction)
+    assert out.status == "trivial" and out.reason is None
 
 
 def test_check_denominator_no_r():
     table, x, r1, r, sys = _cylinder_system()
     D = _poly(table, [({r1: 1}, 1), ({}, -4)])
     out = check_denominator(sys, D, GroebnerConfig())
-    assert isinstance(out, NoR)
+    assert out.status == "no_r" and out.reason == "e2nru"
 
 
 def test_check_denominator_second_polynomial_form():
@@ -329,7 +301,7 @@ def test_check_denominator_second_polynomial_form():
     sys = _synthetic(table, polys, [x], [r1, r], points=(x,))
     D = _poly(table, [({r1: 1}, 1), ({}, -4)])
     out = check_denominator(sys, D, GroebnerConfig())
-    assert isinstance(out, SecondLinearPolynomialForm)
+    assert out.status == "polynomial" and out.reason is None
     assert out.linear.v.is_constant
 
 
@@ -345,8 +317,8 @@ def test_check_denominator_second_nonlinear():
     sys = _synthetic(table, polys, [x], [r1, r], points=(x,))
     D = _poly(table, [({r1: 1}, 1), ({}, -4)])
     out = check_denominator(sys, D, GroebnerConfig())
-    assert isinstance(out, DenominatorInconclusive)
-    assert out.code == "nlu"
+    assert out.status == "inconclusive"
+    assert out.reason == "nlu"
     assert "minimal degree 2" in out.note
 
 
@@ -363,8 +335,8 @@ def test_check_denominator_second_nonconstant_coefficient():
     sys = _synthetic(table, polys, [x], [r1, r2, r], points=(x,))
     D = _poly(table, [({r1: 1}, 1), ({}, -4)])
     out = check_denominator(sys, D, GroebnerConfig())
-    assert isinstance(out, DenominatorInconclusive)
-    assert out.code == "d3u"
+    assert out.status == "inconclusive"
+    assert out.reason == "d3u"
     assert "again non-constant" in out.note
 
 
@@ -372,7 +344,7 @@ def test_prove_e2nru_end_to_end():
     table, x, r1, r, sys = _cylinder_system()
     v = prove(sys)
     assert v.outcome == INCONCLUSIVE and v.reason == "e2nru"
-    assert v.trace.second_generators is not None
+    assert v.trace.second.generators is not None
     assert v.trace.denominator is not None
 
 
@@ -380,7 +352,7 @@ def test_prove_division_contradiction_end_to_end():
     table, x, r1, r, sys = _division_system()
     v = prove(sys)
     assert v.outcome == PROVED
-    assert v.trace.second_trivial
+    assert v.trace.second.status == "trivial"
     assert _fmt(v.trace, v.trace.denominator) == "r1-4"
 
 
