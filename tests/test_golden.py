@@ -1,9 +1,11 @@
-"""Byte gate: the proof documents of the fast benchmark statements must
-match the expected files the benchmark checks against.
+"""Byte gate: every proof document under `perfbench/expected` must match
+what the prover prints now.
 
-Each `classic-light` statement runs pinned (`zero_one`), and each of them
-that is also in `fix-off` runs unpinned (`off`), through `run_cli` with
-`--format json --show-ideal`. Only files under `perfbench/` are read.
+Each expected file `expected/<fix>/<name>.json` is the output of
+`perfbench/corpus/<name>.cni` run with `--fix <fix>`. The statement runs
+through `run_cli` with `--format json --show-ideal`, and the exit status
+must be the one `manifest.json` records for that fix mode. Only files under
+`perfbench/` are read.
 """
 
 import io
@@ -19,15 +21,12 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 def _cases():
     manifest = json.loads((PERFBENCH / "manifest.json").read_text())
+    expect = {entry["name"]: entry["expect"] for entry in manifest["statements"]}
     cases = []
-    for entry in manifest["statements"]:
-        name, workloads = entry["name"], entry["workloads"]
-        if "classic-light" not in workloads:
-            continue
-        fixes = ("zero_one", "off") if "fix-off" in workloads else ("zero_one",)
-        for fix in fixes:
-            status = entry["expect"][fix]["exit"]
-            cases.append(pytest.param(name, fix, status, id=f"{fix}/{name}"))
+    for path in sorted((PERFBENCH / "expected").glob("*/*.json")):
+        fix, name = path.parent.name, path.stem
+        status = expect[name][fix]["exit"]
+        cases.append(pytest.param(name, fix, status, id=f"{fix}/{name}"))
     return cases
 
 
