@@ -98,25 +98,23 @@ def mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(add, a, b))
 
 
-def mono_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
-    """a / b, or None when b does not divide a."""
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
-
-
 def mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(max, a, b))
 
 
 class MonomialOrder:
     """Base for monomial orders. Orders compare exponent tuples through sort
-    keys; larger key means larger monomial."""
+    keys; larger key means larger monomial.
+
+    `weights(n)` gives the same order as rows of 0/1 weights over n
+    variables, most significant first: comparing the row sums of two
+    monomials lexicographically agrees with comparing their keys, for
+    monomials that are zero outside the order's variables."""
 
     def key(self, m: tuple[int, ...]):
+        raise NotImplementedError
+
+    def weights(self, n: int) -> list[tuple[int, ...]]:
         raise NotImplementedError
 
     def greater(self, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -131,6 +129,17 @@ class GrevLex(MonomialOrder):
         exps = [m[i] for i in self.perm]
         return (sum(exps), tuple(-e for e in reversed(exps)))
 
+    def weights(self, n: int) -> list[tuple[int, ...]]:
+        """[deg, S_{k-2}, ..., S_0], where S_j sums the exponents of
+        perm[:j+1]: after the degree, a smaller exponent in a later variable
+        makes the monomial larger."""
+        rows = []
+        row = [0] * n
+        for v in self.perm:
+            row[v] = 1
+            rows.append(tuple(row))
+        return rows[::-1]
+
 
 @dataclass(frozen=True)
 class Block(MonomialOrder):
@@ -143,6 +152,9 @@ class Block(MonomialOrder):
 
     def key(self, m: tuple[int, ...]):
         return (self.first.key(m), self.second.key(m))
+
+    def weights(self, n: int) -> list[tuple[int, ...]]:
+        return self.first.weights(n) + self.second.weights(n)
 
 
 def block_elimination_order(elim: Iterable[int], keep: Iterable[int]) -> Block:

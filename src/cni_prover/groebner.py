@@ -1,11 +1,14 @@
 """Buchberger engine with Gebauer-Moeller pair pruning, reduced bases,
 elimination ideals, and the triviality test.
 
-The engine works on algebra_core's exponent tuples. Inputs are cleared of
-denominators into integer-primitive working records (fraction-free), which
-keeps the inner reduction loop cheap; results leave as monic Polynomials.
-Each call memoises its order keys, since it compares the same monomials
-many times.
+Inputs are cleared of denominators into integer-primitive working records
+(fraction-free), whose monomials are packed ints under the active order
+(_Packing): multiplying or dividing two monomials is one integer addition
+or subtraction, comparing them is one integer comparison, and divisibility
+is one guard-bit test. Division takes the leading term from a heap of the
+working polynomial's monomials, and the critical pairs wait in a heap keyed
+by sugar, then lcm (Monagan and Pearce, CASC 2007; Giovini et al., ISSAC
+1991). Results leave as monic Polynomials on exponent tuples.
 Elimination runs as a staged sequence of single-variable block eliminations;
 by the elimination theorem each stage intersects the ideal with the ring
 without that variable, so the composition returns exactly the elimination
@@ -17,8 +20,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache
-from math import gcd
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Union
 
 from .algebra_core import (
@@ -28,10 +32,7 @@ from .algebra_core import (
     MonomialOrder,
     Polynomial,
     VarTable,
-    content_and_primitive,
-    mono_div,
     mono_lcm,
-    mono_mul,
 )
 
 
@@ -87,6 +88,68 @@ class _Budget:
 
 
 # ---------------------------------------------------------------------------
+# Packed monomials.
+
+# Bits per field of a packed monomial. The top bit of each field is a guard
+# that stays clear, so every field, and the total degree that bounds them
+# all, is below _HALF.
+_WIDTH = 16
+_HALF = 1 << (_WIDTH - 1)
+_FIELD = (1 << _WIDTH) - 1
+
+
+def _too_big() -> AlgebraError:
+    return AlgebraError(
+        f"a monomial of total degree {_HALF} or more does not fit a packed field"
+    )
+
+
+class _Packing:
+    """Exponent tuples over n variables as ints, under one order.
+
+    From the most significant field down: the order's weight rows, then a
+    unit row for each variable the order does not cover (so packing is
+    injective), then the exponents of variables 0 to n-1, then the total
+    degree. Each field is a 0/1 sum of exponents, so it never exceeds the
+    total degree, and a product of monomials is the sum of their ints, a
+    quotient the difference. The weight rows come first, so comparing ints
+    compares monomials under the order."""
+
+    __slots__ = ("units", "shifts", "exp", "guard")
+
+    def __init__(self, order: MonomialOrder, n: int) -> None:
+        rows = order.weights(n)
+        covered = {v for row in rows for v in range(n) if row[v]}
+        rows = rows + [
+            tuple(int(i == v) for i in range(n)) for v in range(n) if v not in covered
+        ]
+        top = n + len(rows)
+        self.shifts = tuple(_WIDTH * (n - v) for v in range(n))
+        self.units = tuple(
+            1
+            + (1 << self.shifts[v])
+            + sum(row[v] << _WIDTH * (top - r) for r, row in enumerate(rows))
+            for v in range(n)
+        )
+        self.exp = sum((_HALF - 1) << s for s in self.shifts)
+        self.guard = sum(_HALF << s for s in self.shifts)
+
+    def pack(self, m: tuple[int, ...]) -> int:
+        if sum(m) >= _HALF:
+            raise _too_big()
+        return sum(e * u for e, u in zip(m, self.units) if e)
+
+    def unpack(self, p: int) -> tuple[int, ...]:
+        return tuple(p >> s & _FIELD for s in self.shifts)
+
+    def divides(self, d: int, m: int) -> bool:
+        """True iff monomial d divides monomial m: with the guard bits of m's
+        exponent fields set, subtracting d's exponents clears none of them."""
+        g = self.guard
+        return (((m & self.exp) | g) - (d & self.exp)) & g == g
+
+
+# ---------------------------------------------------------------------------
 # Fraction-free engine on integer-coefficient working records.
 
 
@@ -102,61 +165,70 @@ def _content_strip(terms):
 
 
 class _IntPoly:
-    """Integer-coefficient polynomial with its leading monomial and
-    coefficient under the active order key, and its sugar degree."""
+    """Integer-coefficient polynomial on packed monomials, with its leading
+    monomial (packed, as a tuple, and its exponent fields alone), leading
+    coefficient, sugar degree and largest total degree of a term."""
 
-    __slots__ = ("terms", "lm", "lc", "sugar")
+    __slots__ = ("terms", "lm", "lmt", "lexp", "lc", "sugar", "top")
 
-    def __init__(self, terms, key, sugar=None):
+    def __init__(self, terms, pk: _Packing, sugar=None):
         self.terms = terms
-        self.lm = max(terms, key=key)
+        self.lm = max(terms)
+        self.lmt = pk.unpack(self.lm)
+        self.lexp = self.lm & pk.exp
         self.lc = terms[self.lm]
-        self.sugar = sugar if sugar is not None else max(sum(m) for m in terms)
+        self.top = max(m & _FIELD for m in terms)
+        self.sugar = self.top if sugar is None else sugar
 
 
-def _normalize(terms, key, sugar=None):
+def _normalize(terms, pk: _Packing, sugar=None):
     """Drop zeros, strip integer content, make the leading coefficient
     positive. Returns None for the zero polynomial."""
     terms = {m: c for m, c in terms.items() if c}
     if not terms:
         return None
     terms = _content_strip(terms)
-    lm = max(terms, key=key)
-    if terms[lm] < 0:
+    if terms[max(terms)] < 0:
         terms = {m: -c for m, c in terms.items()}
-    return _IntPoly(terms, key, sugar)
+    return _IntPoly(terms, pk, sugar)
 
 
-def _reduce(terms, reducers, key, budget: _Budget, full: bool):
+def _reduce(terms, reducers, pk: _Packing, budget: _Budget, full: bool):
     """Fraction-free reduction by the first reducer whose leading monomial
-    divides the current leading monomial. With full=False it stops at the
-    first irreducible leading term and returns everything left; with
-    full=True it moves that term to the remainder and goes on, so no
-    monomial of the result is reducible. Whenever a reducer's leading
-    coefficient does not divide the target coefficient, the working
-    polynomial and the remainder are both scaled by an integer, or
-    relative coefficients drift."""
+    divides the current leading monomial. The leading monomial comes off a
+    max-heap of the working polynomial's monomials; entries whose monomial
+    has since cancelled are skipped. With full=False it stops at the first
+    irreducible leading term and returns everything left; with full=True it
+    moves that term to the remainder and goes on, so no monomial of the
+    result is reducible. Whenever a reducer's leading coefficient does not
+    divide the target coefficient, the working polynomial and the remainder
+    are both scaled by an integer, or relative coefficients drift."""
     rem = {}
     terms = dict(terms)
+    heap = [-m for m in terms]
+    heapify(heap)
+    exp, guard = pk.exp, pk.guard
     ticks = 0
-    while terms:
+    while heap:
+        m = -heappop(heap)
+        c = terms.get(m)
+        if c is None:
+            continue
         ticks += 1
         if not ticks % 64:
             budget.check()
-        m = max(terms, key=key)
-        c = terms[m]
-        hit = None
+        mg = (m & exp) | guard
         for g in reducers:
-            q = mono_div(m, g.lm)
-            if q is not None:
-                hit = (g, q)
+            if (mg - g.lexp) & guard == guard:
                 break
-        if hit is None:
+        else:
             if not full:
                 return terms
             rem[m] = terms.pop(m)
             continue
-        g, q = hit
+        q = m - g.lm
+        if (q & _FIELD) + g.top >= _HALF:
+            raise _too_big()
         d = gcd(c, g.lc)
         a = abs(g.lc // d)
         b = c // d * (1 if g.lc > 0 else -1)
@@ -165,132 +237,143 @@ def _reduce(terms, reducers, key, budget: _Budget, full: bool):
                 terms[k2] *= a
             for k2 in rem:
                 rem[k2] *= a
-        for mg, cg in g.terms.items():
-            mm = mono_mul(q, mg)
-            nv = terms.get(mm, 0) - b * cg
-            if nv:
-                terms[mm] = nv
+        for mt, ct in g.terms.items():
+            mm = q + mt
+            bc = b * ct
+            old = terms.get(mm)
+            if old is None:
+                terms[mm] = -bc
+                heappush(heap, -mm)
+            elif old != bc:
+                terms[mm] = old - bc
             else:
-                terms.pop(mm, None)
+                del terms[mm]
     return rem
 
 
-def _spoly_terms(f, g):
-    L = mono_lcm(f.lm, g.lm)
-    qf = mono_div(L, f.lm)
-    qg = mono_div(L, g.lm)
+def _spoly_terms(f, g, L):
+    """The S-polynomial of f and g, whose leading monomials have the packed
+    lcm L."""
+    qf = L - f.lm
+    qg = L - g.lm
+    if (qf & _FIELD) + f.top >= _HALF or (qg & _FIELD) + g.top >= _HALF:
+        raise _too_big()
     d = gcd(f.lc, g.lc)
     af = g.lc // d
     ag = f.lc // d
     terms = {}
     for m, c in f.terms.items():
-        terms[mono_mul(qf, m)] = af * c
+        terms[qf + m] = af * c
     for m, c in g.terms.items():
-        mm = mono_mul(qg, m)
+        mm = qg + m
         nv = terms.get(mm, 0) - ag * c
         if nv:
             terms[mm] = nv
         else:
             terms.pop(mm, None)
-    sugar = max(f.sugar + sum(qf), g.sugar + sum(qg))
-    return terms, sugar
+    return terms
 
 
-def _update(G, pairs, f, key):
-    """Gebauer-Moeller pair list maintenance on appending f to G."""
-    lmf = f.lm
-    kept = set()
-    for (i, j) in pairs:
-        Lij = mono_lcm(G[i].lm, G[j].lm)
-        if (
-            mono_div(Lij, lmf) is None
-            or mono_lcm(G[i].lm, lmf) == Lij
-            or mono_lcm(G[j].lm, lmf) == Lij
-        ):
-            kept.add((i, j))
+def _update(G, pairs, queue, f, pk: _Packing):
+    """Gebauer-Moeller pair maintenance on appending f to G. `pairs` maps
+    each live pair (i, j) to the packed lcm of its leading monomials; the
+    pairs f makes redundant leave it, and each new pair enters it and the
+    heap `queue` under the key (sugar, packed lcm, pair)."""
+    lcms = [pk.pack(mono_lcm(g.lmt, f.lmt)) for g in G]
+    for (i, j), L in list(pairs.items()):
+        if pk.divides(f.lm, L) and lcms[i] != L and lcms[j] != L:
+            del pairs[(i, j)]
     by_lcm = {}
-    for i in range(len(G)):
-        by_lcm.setdefault(mono_lcm(G[i].lm, lmf), []).append(i)
+    for i, L in enumerate(lcms):
+        by_lcm.setdefault(L, []).append(i)
     minimal = []
-    for L in sorted(by_lcm, key=key):
-        if all(mono_div(L, L2) is None for L2 in minimal):
+    for L in sorted(by_lcm):
+        if not any(pk.divides(L2, L) for L2 in minimal):
             minimal.append(L)
+    j = len(G)
     for L in minimal:
+        idx = by_lcm[L]
         # product criterion: coprime leading monomials reduce to zero anyway
-        if not any(mono_lcm(G[i].lm, lmf) == mono_mul(G[i].lm, lmf) for i in by_lcm[L]):
-            kept.add((min(by_lcm[L]), len(G)))
+        if any(L == G[i].lm + f.lm for i in idx):
+            continue
+        i = idx[0]
+        sugar = max(G[i].sugar + ((L - G[i].lm) & _FIELD), f.sugar + ((L - f.lm) & _FIELD))
+        pairs[(i, j)] = L
+        heappush(queue, (sugar, L, (i, j)))
     G.append(f)
-    return G, kept
 
 
-def _buchberger(F, key, budget: _Budget):
+def _buchberger(F, pk: _Packing, budget: _Budget):
     """Returns the reduced basis as integer-primitive _IntPoly, sorted by
-    leading monomial ascending under key. Pairs are taken by lowest sugar
-    degree (phantom homogenized degree), then smallest lcm: under
-    single-variable block orders, taking the smallest lcm alone stalls on
-    the angle-bisector workload while sugar finishes in seconds."""
+    leading monomial ascending. Pairs are taken by lowest sugar degree
+    (phantom homogenized degree), then smallest lcm: under single-variable
+    block orders, taking the smallest lcm alone stalls on the angle-bisector
+    workload while sugar finishes in seconds. The pair heap keeps entries of
+    pairs the criteria have since dropped; they are skipped when popped."""
     G = []
-    pairs = set()
+    pairs = {}
+    queue = []
     for f in F:
-        G, pairs = _update(G, pairs, f, key)
+        _update(G, pairs, queue, f, pk)
     redundant = set()
 
     while pairs:
+        sugar, L, sel = heappop(queue)
+        if pairs.pop(sel, None) is None:
+            continue
         budget.check()
-
-        def skey(p):
-            i, j = p
-            L = mono_lcm(G[i].lm, G[j].lm)
-            s = max(
-                G[i].sugar + sum(mono_div(L, G[i].lm)),
-                G[j].sugar + sum(mono_div(L, G[j].lm)),
-            )
-            return (s, key(L), p)
-
-        sel = min(pairs, key=skey)
         i, j = sel
-        pairs.discard(sel)
-        s, sug = _spoly_terms(G[i], G[j])
+        s = _spoly_terms(G[i], G[j], L)
         reducers = [g for idx, g in enumerate(G) if idx not in redundant]
-        red = _reduce(s, reducers, key, budget, full=False)
-        p = _normalize(red, key, sug)
+        red = _reduce(s, reducers, pk, budget, full=False)
+        p = _normalize(red, pk, sugar)
         if p is not None:
             for idx, g in enumerate(G):
-                if idx not in redundant and mono_div(g.lm, p.lm) is not None:
+                if idx not in redundant and pk.divides(p.lm, g.lm):
                     redundant.add(idx)
-            G, pairs = _update(G, pairs, p, key)
+            _update(G, pairs, queue, p, pk)
 
     # minimal basis, then interreduce for the unique reduced form
     Gmin = []
     for f in sorted(
         (g for idx, g in enumerate(G) if idx not in redundant),
-        key=lambda h: key(h.lm),
+        key=lambda h: h.lm,
     ):
-        if all(mono_div(f.lm, g.lm) is None for g in Gmin):
+        if not any(pk.divides(g.lm, f.lm) for g in Gmin):
             Gmin.append(f)
     out = []
     for i, g in enumerate(Gmin):
         others = Gmin[:i] + Gmin[i + 1:]
-        r = _normalize(_reduce(g.terms, others, key, budget, full=True), key)
+        r = _normalize(_reduce(g.terms, others, pk, budget, full=True), pk)
         if r is not None:
             out.append(r)
     return out
 
 
-def _enter(polys: list[Polynomial], order: MonomialOrder, key) -> list[_IntPoly]:
+def _enter(polys: list[Polynomial], pk: _Packing) -> list[_IntPoly]:
     """Clear denominators: each nonzero input as its integer-primitive form
     with positive leading coefficient."""
     out = []
     for p in polys:
-        _, prim = content_and_primitive(p, order)
-        out.append(_IntPoly({m: c.numerator for m, c in prim.terms.items()}, key))
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        terms = {pk.pack(m): c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+        out.append(_normalize(terms, pk))
     return out
 
 
-def _exit(recs, table: VarTable, order: MonomialOrder) -> tuple[Polynomial, ...]:
-    gens = [Polynomial(table, d.terms).monic(order) for d in recs]
-    gens.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    return tuple(gens)
+def _repack(recs, old: _Packing, new: _Packing) -> list[_IntPoly]:
+    return [
+        _IntPoly({new.pack(old.unpack(m)): c for m, c in d.terms.items()}, new)
+        for d in recs
+    ]
+
+
+def _exit(recs, table: VarTable, pk: _Packing) -> tuple[Polynomial, ...]:
+    """Monic Polynomials, sorted by leading monomial ascending."""
+    return tuple(
+        Polynomial(table, {pk.unpack(m): Fraction(c, d.lc) for m, c in d.terms.items()})
+        for d in sorted(recs, key=lambda d: d.lm)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +391,9 @@ def groebner_basis(
     polys = [f for f in F if not f.is_zero]
     if not polys:
         return GroebnerBasis((), order)
-    key = cache(order.key)
-    out = _buchberger(_enter(polys, order, key), key, _Budget(config))
-    return GroebnerBasis(_exit(out, polys[0].table, order), order)
+    pk = _Packing(order, len(polys[0].table))
+    out = _buchberger(_enter(polys, pk), pk, _Budget(config))
+    return GroebnerBasis(_exit(out, polys[0].table, pk), order)
 
 
 def eliminate(
@@ -356,37 +439,39 @@ def eliminate(
     # block stage. Generating sets with substituted point coordinates are
     # hostile starting points for block orders (the thales workload runs
     # minutes from the raw generators, seconds from the grevlex basis).
-    warm_order = GrevLex(tuple(range(n)))
-    warm_key = cache(warm_order.key)
-    cur = _buchberger(_enter(polys, warm_order, warm_key), warm_key, budget)
+    pk = _Packing(GrevLex(tuple(range(n))), n)
+    cur = _buchberger(_enter(polys, pk), pk, budget)
     # Invariant after each executed stage: cur is the reduced basis of the
     # current elimination ideal under the stage order restricted to the
     # surviving variables. Once every eliminated variable is gone that
     # restriction coincides with GrevLex(kept), because interleaving zero
     # exponents at fixed positions never changes a grevlex comparison. The
-    # final canonicalization pass is therefore only needed when no stage ran.
+    # final canonicalization pass is therefore only needed when no stage ran,
+    # and the exit may read leading terms off the last stage's packing.
     canonical = False
     for v in stages:
-        if not any(any(m[v] for m in d.terms) for d in cur):
+        # the exponent field of v sits at the same place in every packing
+        vmask = _FIELD << pk.shifts[v]
+        if not any(m & vmask for d in cur for m in d.terms):
             continue
         rest = tuple(i for i in range(n) if i != v)
-        skey = cache(Block(GrevLex((v,)), GrevLex(rest)).key)
-        cur = [_IntPoly(d.terms, skey) for d in cur]
-        out = _buchberger(cur, skey, budget)
-        cur = [d for d in out if all(m[v] == 0 for m in d.terms)]
+        stage = _Packing(Block(GrevLex((v,)), GrevLex(rest)), n)
+        out = _buchberger(_repack(cur, pk, stage), stage, budget)
+        pk = stage
+        cur = [d for d in out if not any(m & vmask for m in d.terms)]
         canonical = True
         # a leading monomial of 1 means a constant: the ideal is <1>
-        if any(not any(d.lm) for d in cur):
-            cur = [_IntPoly({(0,) * n: 1}, skey)]
+        if any(d.lm == 0 for d in cur):
+            cur = [_IntPoly({0: 1}, pk)]
             break
         if not cur:
             break
 
     if not canonical:
-        fkey = cache(kept_order.key)
-        cur = [_IntPoly(d.terms, fkey) for d in cur]
-        cur = _buchberger(cur, fkey, budget)
-    gens = _exit(cur, table, kept_order)
+        final = _Packing(kept_order, n)
+        cur = _buchberger(_repack(cur, pk, final), final, budget)
+        pk = final
+    gens = _exit(cur, table, pk)
     for g in gens:
         if any(g.contains_var(v) for v in elim):
             raise AlgebraError("internal: eliminated variable survived")

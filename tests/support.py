@@ -14,7 +14,6 @@ from cni_prover.algebra_core import (
     Polynomial,
     VarKind,
     VarTable,
-    mono_div,
     mono_lcm,
     mono_mul,
 )
@@ -177,6 +176,16 @@ def from_sympy(expr, table: VarTable, symbols) -> Polynomial:
 
 # ---------------------------------------------------------------------------
 # Reference division over the rationals, independent of the groebner engine.
+
+
+def mono_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
+    """a / b, or None when b does not divide a."""
+    out = []
+    for x, y in zip(a, b):
+        if x < y:
+            return None
+        out.append(x - y)
+    return tuple(out)
 
 
 def normal_form(f: Polynomial, G, order: MonomialOrder) -> Polynomial:

@@ -25,12 +25,19 @@ from cni_prover.algebra_core import (
     expr_evaluate,
     expr_normalize,
     expr_substitute,
-    mono_div,
     mono_lcm,
     mono_mul,
 )
 
-from support import Qi, I, make_table, normal_form, random_polynomial, s_polynomial
+from support import (
+    Qi,
+    I,
+    make_table,
+    mono_div,
+    normal_form,
+    random_polynomial,
+    s_polynomial,
+)
 
 
 @pytest.fixture

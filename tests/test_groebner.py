@@ -1,5 +1,6 @@
-"""Buchberger engine: known bases, determinism, self-consistency on random
-systems, the resultant oracle, and budget behaviour."""
+"""Buchberger engine: the packed monomials, known bases, determinism,
+self-consistency on random systems, the sympy and resultant oracles, and
+budget behaviour."""
 
 import random
 import time
@@ -7,11 +8,21 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
-from cni_prover.algebra_core import GrevLex, Polynomial, VarKind, VarTable, mono_div
+from cni_prover.algebra_core import (
+    AlgebraError,
+    Block,
+    GrevLex,
+    Polynomial,
+    VarKind,
+    VarTable,
+    mono_mul,
+)
 from cni_prover.groebner import (
     GroebnerConfig,
     GroebnerTimeout,
+    _Packing,
     eliminate,
     groebner_basis,
     ideal_is_trivial,
@@ -21,6 +32,7 @@ from support import (
     from_sympy,
     in_ideal,
     make_table,
+    mono_div,
     normal_form,
     random_polynomial,
     s_polynomial,
@@ -30,6 +42,61 @@ from support import (
 
 def _vars(table):
     return [Polynomial.variable(table, i) for i in range(len(table))]
+
+
+@st.composite
+def _order_and_monomials(draw):
+    """An order over n variables, of one of the three shapes the engine
+    packs, and three monomials that are zero outside the order."""
+    n = draw(st.integers(1, 5))
+    perm = tuple(draw(st.permutations(range(n))))
+    shape = draw(st.sampled_from(["grevlex", "partial", "block"]))
+    if shape == "grevlex":
+        order = GrevLex(perm)
+    elif shape == "partial":
+        perm = perm[: draw(st.integers(0, n))]
+        order = GrevLex(perm)
+    else:
+        order = Block(GrevLex(perm[:1]), GrevLex(perm[1:]))
+    inside = set(perm)
+    exps = st.integers(0, 6)
+    monos = [
+        tuple(draw(exps) if v in inside else 0 for v in range(n)) for _ in range(3)
+    ]
+    return order, n, monos
+
+
+@given(_order_and_monomials())
+@settings(max_examples=300, deadline=None)
+def test_packing_is_the_order_and_the_monoid(case):
+    order, n, (a, b, c) = case
+    pk = _Packing(order, n)
+    pa, pb = pk.pack(a), pk.pack(b)
+    assert (pa < pb) == (order.key(a) < order.key(b))
+    assert (pa == pb) == (a == b)
+    assert pa + pb == pk.pack(mono_mul(a, b))
+    assert pk.unpack(pa) == a
+    for x, y in ((a, b), (mono_mul(a, c), a), (a, mono_mul(a, c))):
+        assert pk.divides(pk.pack(y), pk.pack(x)) == (mono_div(x, y) is not None)
+
+
+def test_degree_beyond_the_packed_field_raises():
+    table = make_table("t", "x")
+    big = 1 << 15
+    # an input monomial that does not fit
+    with pytest.raises(AlgebraError):
+        groebner_basis([Polynomial(table, {(0, big): 1, (0, 0): -1})], GrevLex((0, 1)))
+    # inputs that fit, whose S-polynomial lcm t^20000*x^20000 does not
+    f = Polynomial(table, {(20000, 1): 1, (0, 0): -1})
+    g = Polynomial(table, {(1, 20000): 1, (0, 0): -1})
+    with pytest.raises(AlgebraError):
+        groebner_basis([f, g], GrevLex((0, 1)))
+    # under the block order eliminating t, reducing t^2 + 1 by t - x^20000
+    # reaches x^40000
+    h = Polynomial(table, {(1, 0): 1, (0, 20000): -1})
+    k = Polynomial(table, {(2, 0): 1, (0, 0): 1})
+    with pytest.raises(AlgebraError):
+        eliminate([h, k], [0])
 
 
 def test_single_generator_is_its_own_basis():
@@ -174,6 +241,37 @@ def test_reduced_basis_matches_sympy():
     assert done == 25
 
 
+def test_elimination_matches_sympy_lex():
+    # the elimination ideal is what a lex basis with the eliminated
+    # variables first keeps of the kept variables, re-based under grevlex
+    rng = random.Random(2718)
+    table = make_table("x", "y", "z")
+    syms = sympy.symbols("x y z")
+    done = 0
+    while done < 25:
+        polys = [
+            random_polynomial(rng, table, [0, 1, 2], max_degree=2, max_terms=3)
+            for _ in range(rng.randint(1, 3))
+        ]
+        polys = [p for p in polys if not p.is_zero]
+        if not polys:
+            continue
+        elim = sorted(rng.sample(range(3), rng.randint(1, 2)))
+        kept = [v for v in range(3) if v not in elim]
+        res = eliminate(polys, elim)
+        lex_gens = [syms[v] for v in elim + kept]
+        lex = sympy.groebner([to_sympy(p, syms) for p in polys], *lex_gens, order="lex")
+        kept_syms = [syms[v] for v in kept]
+        free = [g for g in lex.exprs if not g.free_symbols & {syms[v] for v in elim}]
+        theirs = set()
+        if free:
+            ref = sympy.groebner(free, *kept_syms, order="grevlex")
+            theirs = {from_sympy(g, table, syms).monic(res.order) for g in ref.exprs}
+        assert set(res.generators) == theirs, f"disagree on {polys}, eliminating {elim}"
+        done += 1
+    assert done == 25
+
+
 def test_elimination_of_a_parameter():
     # x = t, y = t^2 lies on y = x^2
     table = make_table("t", "x", "y")
@@ -230,19 +328,30 @@ def test_sylvester_resultant_in_elimination_ideal():
     assert done == 50
 
 
+def _katsura(n):
+    """The Katsura-n system in u_0..u_n, with u_-i = u_i and u_i = 0 for
+    i > n."""
+    table = make_table(*(f"u{i}" for i in range(n + 1)))
+    u = _vars(table)
+    zero = Polynomial.zero(table)
+    one = Polynomial.constant(table, 1)
+
+    def U(i):
+        return u[abs(i)] if abs(i) <= n else zero
+
+    polys = [sum((U(i) for i in range(-n, n + 1)), zero) - one]
+    for m in range(n):
+        polys.append(sum((U(i) * U(m - i) for i in range(-n, n + 1)), zero) - U(m))
+    return polys
+
+
 def test_timeout_raises_within_budget():
-    # a dense random system at degree 4 in 4 variables will not finish in
-    # a few milliseconds; the deadline must fire inside reductions too
-    rng = random.Random(3)
-    table = make_table("a", "b", "c", "d")
-    polys = [
-        random_polynomial(rng, table, [0, 1, 2, 3], max_degree=4, max_terms=6)
-        for _ in range(4)
-    ]
+    # the grevlex basis of Katsura-7 takes about 10 s untimed (x86_64,
+    # CPython 3.11), so a 20 ms deadline must fire, inside reductions too
+    polys = _katsura(7)
     cfg = GroebnerConfig(timeout=0.02)
     start = time.monotonic()
     with pytest.raises(GroebnerTimeout):
-        for _ in range(50):
-            groebner_basis(polys, GrevLex((0, 1, 2, 3)), cfg)
+        groebner_basis(polys, GrevLex(tuple(range(8))), cfg)
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
