@@ -217,7 +217,7 @@ def _reduce(terms, reducers, pk: _Packing, budget: _Budget, full: bool):
         ticks += 1
         if not ticks % 64:
             budget.check()
-        mg = (m & exp) | guard
+        mg = (m & exp) | guard  # _Packing.divides, inlined
         for g in reducers:
             if (mg - g.lexp) & guard == guard:
                 break
