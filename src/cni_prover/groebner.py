@@ -8,7 +8,10 @@ or subtraction, comparing them is one integer comparison, and divisibility
 is one guard-bit test. Division takes the leading term from a heap of the
 working polynomial's monomials, and the critical pairs wait in a heap keyed
 by sugar, then lcm (Monagan and Pearce, CASC 2007; Giovini et al., ISSAC
-1991). Results leave as monic Polynomials on exponent tuples.
+1991). New basis elements enter fully reduced, tail included; redundant ones
+stay as reducers until the minimal basis is taken at the end, so the basis
+only grows and a cache can keep each monomial's reducer. Results leave as
+monic Polynomials on exponent tuples.
 Elimination runs as a staged sequence of single-variable block eliminations;
 by the elimination theorem each stage intersects the ideal with the ring
 without that variable, so the composition returns exactly the elimination
@@ -187,22 +190,25 @@ def _normalize(terms, pk: _Packing, sugar=None):
     terms = {m: c for m, c in terms.items() if c}
     if not terms:
         return None
-    terms = _content_strip(terms)
-    if terms[max(terms)] < 0:
-        terms = {m: -c for m, c in terms.items()}
-    return _IntPoly(terms, pk, sugar)
+    p = _IntPoly(_content_strip(terms), pk, sugar)
+    if p.lc < 0:
+        p.terms = {m: -c for m, c in p.terms.items()}
+        p.lc = -p.lc
+    return p
 
 
-def _reduce(terms, reducers, pk: _Packing, budget: _Budget, full: bool):
-    """Fraction-free reduction by the first reducer whose leading monomial
-    divides the current leading monomial. The leading monomial comes off a
-    max-heap of the working polynomial's monomials; entries whose monomial
-    has since cancelled are skipped. With full=False it stops at the first
-    irreducible leading term and returns everything left; with full=True it
-    moves that term to the remainder and goes on, so no monomial of the
-    result is reducible. Whenever a reducer's leading coefficient does not
-    divide the target coefficient, the working polynomial and the remainder
-    are both scaled by an integer, or relative coefficients drift."""
+def _reduce(terms, reducers, pk: _Packing, budget: _Budget, cache):
+    """The full normal form of `terms` by `reducers`, fraction-free: each
+    leading monomial, taken off a max-heap of the working polynomial's
+    monomials (skipping those since cancelled), is reduced by the first
+    reducer whose leading monomial divides it, or else moved to the
+    remainder. When a reducer's leading coefficient does not divide the
+    target coefficient, the working polynomial and the remainder are both
+    scaled by an integer, or relative coefficients drift. `cache` maps
+    exponent bits `(m & pk.exp) | pk.guard` to how far the reducer search
+    got: the index of the first divisor, or len(reducers) if none divides.
+    Calls may share it only while `reducers` is append-only: then a hit
+    never goes stale, and a miss rescans only the reducers appended since."""
     rem = {}
     terms = dict(terms)
     heap = [-m for m in terms]
@@ -218,14 +224,15 @@ def _reduce(terms, reducers, pk: _Packing, budget: _Budget, full: bool):
         if not ticks % 64:
             budget.check()
         mg = (m & exp) | guard  # _Packing.divides, inlined
-        for g in reducers:
-            if (mg - g.lexp) & guard == guard:
+        for i in range(cache.get(mg, 0), len(reducers)):
+            if (mg - reducers[i].lexp) & guard == guard:
                 break
         else:
-            if not full:
-                return terms
+            cache[mg] = len(reducers)
             rem[m] = terms.pop(m)
             continue
+        cache[mg] = i
+        g = reducers[i]
         q = m - g.lm
         if (q & _FIELD) + g.top >= _HALF:
             raise _too_big()
@@ -309,13 +316,17 @@ def _buchberger(F, pk: _Packing, budget: _Budget):
     (phantom homogenized degree), then smallest lcm: under single-variable
     block orders, taking the smallest lcm alone stalls on the angle-bisector
     workload while sugar finishes in seconds. The pair heap keeps entries of
-    pairs the criteria have since dropped; they are skipped when popped."""
+    pairs the criteria have since dropped; they are skipped when popped.
+    New elements enter fully reduced by G, tail included. G only grows: an
+    element whose leading monomial a newer one divides stays as a reducer
+    (it is still in the ideal), so one reducer cache serves the pair loop,
+    and the minimal basis is taken from all of G at the end."""
     G = []
     pairs = {}
     queue = []
     for f in F:
         _update(G, pairs, queue, f, pk)
-    redundant = set()
+    cache = {}
 
     while pairs:
         sugar, L, sel = heappop(queue)
@@ -324,30 +335,18 @@ def _buchberger(F, pk: _Packing, budget: _Budget):
         budget.check()
         i, j = sel
         s = _spoly_terms(G[i], G[j], L)
-        reducers = [g for idx, g in enumerate(G) if idx not in redundant]
-        red = _reduce(s, reducers, pk, budget, full=False)
-        p = _normalize(red, pk, sugar)
+        p = _normalize(_reduce(s, G, pk, budget, cache), pk, sugar)
         if p is not None:
-            for idx, g in enumerate(G):
-                if idx not in redundant and pk.divides(p.lm, g.lm):
-                    redundant.add(idx)
             _update(G, pairs, queue, p, pk)
 
-    # minimal basis, then interreduce for the unique reduced form
     Gmin = []
-    for f in sorted(
-        (g for idx, g in enumerate(G) if idx not in redundant),
-        key=lambda h: h.lm,
-    ):
+    for f in sorted(G, key=lambda h: h.lm):
         if not any(pk.divides(g.lm, f.lm) for g in Gmin):
             Gmin.append(f)
-    out = []
-    for i, g in enumerate(Gmin):
-        others = Gmin[:i] + Gmin[i + 1:]
-        r = _normalize(_reduce(g.terms, others, pk, budget, full=True), pk)
-        if r is not None:
-            out.append(r)
-    return out
+    return [
+        _normalize(_reduce(g.terms, Gmin[:i] + Gmin[i + 1:], pk, budget, {}), pk)
+        for i, g in enumerate(Gmin)
+    ]
 
 
 def _enter(polys: list[Polynomial], pk: _Packing) -> list[_IntPoly]:

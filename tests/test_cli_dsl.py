@@ -287,3 +287,14 @@ def test_main_broken_pipe_through_a_real_pipe():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+def test_python_m_cni_prover_runs_from_a_checkout():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cni_prover", "prove", str(PROBLEMS / "varignon.cni")],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert b"The statement is true" in proc.stdout

@@ -1,6 +1,6 @@
-"""Buchberger engine: the packed monomials, known bases, determinism,
-self-consistency on random systems, the sympy and resultant oracles, and
-budget behaviour."""
+"""Buchberger engine: the packed monomials, the reducer cache, known bases,
+determinism, self-consistency on random systems, the sympy and resultant
+oracles, and budget behaviour."""
 
 import random
 import time
@@ -22,7 +22,10 @@ from cni_prover.algebra_core import (
 from cni_prover.groebner import (
     GroebnerConfig,
     GroebnerTimeout,
+    _Budget,
+    _enter,
     _Packing,
+    _reduce,
     eliminate,
     groebner_basis,
     ideal_is_trivial,
@@ -97,6 +100,74 @@ def test_degree_beyond_the_packed_field_raises():
     k = Polynomial(table, {(2, 0): 1, (0, 0): 1})
     with pytest.raises(AlgebraError):
         eliminate([h, k], [0])
+
+
+@given(st.randoms(use_true_random=False), st.integers(0, 5))
+@settings(max_examples=200, deadline=None)
+def test_reducer_cache_survives_appended_reducers(rng, k):
+    # reduce f by the first k reducers, append the rest to the same list,
+    # then reduce g and f again: a shared cache must give the remainders a
+    # fresh one gives, which are the reference normal forms
+    table = make_table("x", "y", "z")
+    order = GrevLex((0, 1, 2))
+    pk = _Packing(order, 3)
+    budget = _Budget(GroebnerConfig(timeout=None))
+
+    def rand():
+        return random_polynomial(rng, table, [0, 1, 2], max_degree=3, max_terms=4)
+
+    gens = [p for p in (rand() for _ in range(5)) if not p.is_zero]
+    f, g = rand(), rand()
+    full = _enter(gens, pk)
+    reducers = full[:k]
+    cache = {}
+
+    def check(h):
+        terms = {pk.pack(m): c.numerator for m, c in h.terms.items()}
+        rem = _reduce(terms, reducers, pk, budget, cache)
+        assert rem == _reduce(terms, list(reducers), pk, budget, {})
+        got = Polynomial(table, {pk.unpack(m): Fraction(c) for m, c in rem.items()})
+        want = normal_form(h, gens[: len(reducers)], order)
+        assert got.monic(order) == want.monic(order)
+        assert not any(pk.divides(r.lm, m) for r in reducers for m in rem)
+
+    check(f)
+    reducers.extend(full[k:])
+    check(g)
+    check(f)
+
+
+def test_repeated_and_scaled_generators_give_the_same_basis():
+    # the minimal basis comes from every element the pair loop kept, so
+    # repeats, scalar multiples and shared leading monomials in the input
+    # must not change the reduced basis
+    rng = random.Random(31)
+    table = make_table("x", "y", "z")
+    order = GrevLex((0, 1, 2))
+    syms = sympy.symbols("x y z")
+    done = 0
+    while done < 20:
+        base = [
+            random_polynomial(rng, table, [0, 1, 2], max_degree=2, max_terms=3)
+            for _ in range(rng.randint(2, 3))
+        ]
+        base = [p for p in base if not p.is_zero]
+        base.sort(key=lambda p: order.key(p.leading_monomial(order)))
+        lms = [p.leading_monomial(order) for p in base]
+        if len(base) < 2 or lms[0] == lms[-1]:
+            continue
+        # in the ideal, with the leading monomial of base[-1]
+        dedup = base + [base[-1] + base[0]]
+        expected = groebner_basis(dedup, order)
+        if ideal_is_trivial(expected):
+            continue
+        noisy = dedup + [base[0], base[-1].scale(Fraction(-3, 2)), dedup[-1].scale(7)]
+        rng.shuffle(noisy)
+        mine = groebner_basis(noisy, order).generators
+        assert mine == expected.generators
+        ref = sympy.groebner([to_sympy(p, syms) for p in dedup], *syms, order="grevlex")
+        assert set(mine) == {from_sympy(e, table, syms).monic(order) for e in ref.exprs}
+        done += 1
 
 
 def test_single_generator_is_its_own_basis():
@@ -346,7 +417,7 @@ def _katsura(n):
 
 
 def test_timeout_raises_within_budget():
-    # the grevlex basis of Katsura-7 takes about 10 s untimed (x86_64,
+    # the grevlex basis of Katsura-7 takes about 3.5 s untimed (x86_64,
     # CPython 3.11), so a 20 ms deadline must fire, inside reductions too
     polys = _katsura(7)
     cfg = GroebnerConfig(timeout=0.02)
