@@ -452,8 +452,8 @@ def _unsupported_verdict(code: str, note: str) -> ProverVerdict:
 
 def run_cli(cfg: CliConfig, out=None, err=None) -> int:
     """Prove the program in cfg.input and print the proof document. Exit
-    status 0 for Proved, 2 for Inconclusive, 1 for parse, construction or
-    IO errors."""
+    status 0 for Proved, 2 for Inconclusive, 1 for parse, construction,
+    engine or IO errors."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
 
@@ -486,11 +486,11 @@ def run_cli(cfg: CliConfig, out=None, err=None) -> int:
         substituted = substitute_declaratives(construction)
         system = build_system(substituted)
         system = fix_coordinates(system, substituted, cfg.fix_mode)
+        verdict = prove(system, ProverConfig(timeout=cfg.timeout))
     except (GeometryError, AlgebraError) as exc:
         print(f"error: {source_name}: {exc}", file=err)
         return 1
 
-    verdict = prove(system, ProverConfig(timeout=cfg.timeout))
     doc = emit_trace(verdict, cfg.format, cfg.show_ideal)
     print(doc.text(), file=out)
     return 0 if verdict.outcome == PROVED else 2

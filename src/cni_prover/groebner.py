@@ -12,12 +12,12 @@ by sugar, then lcm (Monagan and Pearce, CASC 2007; Giovini et al., ISSAC
 stay as reducers until the minimal basis is taken at the end, so the basis
 only grows and a cache can keep each monomial's reducer. Results leave as
 monic Polynomials on exponent tuples.
-Elimination runs as a staged sequence of single-variable block eliminations;
-by the elimination theorem each stage intersects the ideal with the ring
-without that variable, so the composition returns exactly the elimination
-ideal that one big block order would. The Rabinowitsch variable goes first:
-its generator links every denominator factor, and removing it early keeps
-intermediate bases small.
+Elimination starts from the cleared generators and makes at most two block
+order runs: the Rabinowitsch variable alone, when a generator contains it,
+then every other eliminated variable in one block. By the elimination
+theorem each run intersects the ideal with the ring without its block, so
+the two return exactly the elimination ideal that one block order would.
+The Rabinowitsch variable keeps its own run; eliminate says why.
 """
 from __future__ import annotations
 
@@ -45,8 +45,8 @@ class GroebnerTimeout(Exception):
 
 @dataclass(frozen=True)
 class GroebnerConfig:
-    """timeout: wall-clock seconds for the whole call (stages share it), or
-    None for no limit."""
+    """timeout: wall-clock seconds for the whole call (both runs of an
+    elimination share it), or None for no limit."""
 
     timeout: float | None = 20.0
 
@@ -360,19 +360,24 @@ def _enter(polys: list[Polynomial], pk: _Packing) -> list[_IntPoly]:
     return out
 
 
-def _repack(recs, old: _Packing, new: _Packing) -> list[_IntPoly]:
-    return [
-        _IntPoly({new.pack(old.unpack(m)): c for m, c in d.terms.items()}, new)
-        for d in recs
-    ]
-
-
 def _exit(recs, table: VarTable, pk: _Packing) -> tuple[Polynomial, ...]:
     """Monic Polynomials, sorted by leading monomial ascending."""
     return tuple(
         Polynomial(table, {pk.unpack(m): Fraction(c, d.lc) for m, c in d.terms.items()})
         for d in sorted(recs, key=lambda d: d.lm)
     )
+
+
+def _eliminate_block(polys, block, table: VarTable, budget: _Budget):
+    """The reduced basis of ideal(polys) under Block(GrevLex(block),
+    GrevLex(rest)), kept to the elements free of `block`. Those are the
+    reduced basis of the ideal without `block` under GrevLex(rest)."""
+    n = len(table)
+    rest = tuple(i for i in range(n) if i not in block)
+    pk = _Packing(Block(GrevLex(block), GrevLex(rest)), n)
+    mask = sum(_FIELD << pk.shifts[v] for v in block)
+    out = _buchberger(_enter(polys, pk), pk, budget)
+    return _exit([d for d in out if not any(m & mask for m in d.terms)], table, pk)
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +408,16 @@ def eliminate(
     """Generators of ideal(F) intersected with the ring in the kept
     variables.
 
-    Implemented as a full graded warm-up basis followed by one
-    single-variable block elimination per eliminated variable (Rabinowitsch
-    variable first, then table order). Each stage is a Groebner basis under
-    Block(GrevLex([v]), GrevLex(rest)) followed by discarding generators
-    containing v, which by the elimination theorem yields the ideal without
-    v. A final pass under GrevLex on the kept variables canonicalizes the
-    output to the unique reduced monic basis, so staging cannot leak into
-    the result.
+    At most two Buchberger runs under block orders, each followed by
+    discarding the generators that contain its block, which by the
+    elimination theorem leaves the reduced basis of the ideal intersected
+    with the ring without that block. When
+    some generator contains the Rabinowitsch variable u, the first run
+    eliminates u alone under Block(GrevLex([u]), GrevLex(rest)). The second
+    eliminates the other variables under Block(GrevLex(others),
+    GrevLex(rest)); it is skipped when there are none and the first run
+    took place. The result is the unique reduced monic basis under GrevLex
+    on the kept variables.
     """
     config = config or DEFAULT_CONFIG
     polys = [f for f in F if not f.is_zero]
@@ -425,56 +432,21 @@ def eliminate(
     kept = tuple(i for i in range(n) if i not in set(elim))
     if not kept:
         raise AlgebraError("elimination must keep at least one variable")
-    kept_order = GrevLex(kept)
     budget = _Budget(config)
 
-    stages = []
     rab = table.rabinowitsch
-    if rab is not None and rab in elim:
-        stages.append(rab)
-    stages.extend(v for v in elim if v != rab)
-
-    # Warm-up: regenerate the input from its full graded basis before any
-    # block stage. Generating sets with substituted point coordinates are
-    # hostile starting points for block orders (the thales workload runs
-    # minutes from the raw generators, seconds from the grevlex basis).
-    pk = _Packing(GrevLex(tuple(range(n))), n)
-    cur = _buchberger(_enter(polys, pk), pk, budget)
-    # Invariant after each executed stage: cur is the reduced basis of the
-    # current elimination ideal under the stage order restricted to the
-    # surviving variables. Once every eliminated variable is gone that
-    # restriction coincides with GrevLex(kept), because interleaving zero
-    # exponents at fixed positions never changes a grevlex comparison. The
-    # final canonicalization pass is therefore only needed when no stage ran,
-    # and the exit may read leading terms off the last stage's packing.
-    canonical = False
-    for v in stages:
-        # the exponent field of v sits at the same place in every packing
-        vmask = _FIELD << pk.shifts[v]
-        if not any(m & vmask for d in cur for m in d.terms):
-            continue
-        rest = tuple(i for i in range(n) if i != v)
-        stage = _Packing(Block(GrevLex((v,)), GrevLex(rest)), n)
-        out = _buchberger(_repack(cur, pk, stage), stage, budget)
-        pk = stage
-        cur = [d for d in out if not any(m & vmask for m in d.terms)]
-        canonical = True
-        # a leading monomial of 1 means a constant: the ideal is <1>
-        if any(d.lm == 0 for d in cur):
-            cur = [_IntPoly({0: 1}, pk)]
-            break
-        if not cur:
-            break
-
-    if not canonical:
-        final = _Packing(kept_order, n)
-        cur = _buchberger(_repack(cur, pk, final), final, budget)
-        pk = final
-    gens = _exit(cur, table, pk)
+    others = tuple(v for v in elim if v != rab)
+    # u's generator links every denominator factor: one block holding u and
+    # the point variables did not finish unpinned thales_converse in 60 s,
+    # while u's block and then the others' take well under a second
+    first = rab in elim and any(f.contains_var(rab) for f in polys)
+    gens = _eliminate_block(polys, (rab,), table, budget) if first else polys
+    if others or not first:
+        gens = _eliminate_block(gens, others, table, budget)
     for g in gens:
         if any(g.contains_var(v) for v in elim):
             raise AlgebraError("internal: eliminated variable survived")
-    return EliminationResult(gens, tuple(elim), kept, kept_order)
+    return EliminationResult(gens, tuple(elim), kept, GrevLex(kept))
 
 
 def ideal_is_trivial(G: Union[GroebnerBasis, EliminationResult]) -> bool:

@@ -196,6 +196,20 @@ def test_run_cli_zero_denominator_is_an_error(tmp_path):
     assert err == f"error: {f}: denominator normalizes to the zero polynomial\n"
 
 
+def test_run_cli_engine_error_is_an_error(tmp_path):
+    # P15 = C^32768: the engine cannot pack a monomial of that degree
+    lines = ["point A, B, C", "P0 := C"]
+    lines += [f"P{i} := P{i - 1}*P{i - 1}" for i in range(1, 16)]
+    f = tmp_path / "deep.cni"
+    f.write_text("\n".join(lines + ["prove collinear(A, B, P15)", ""]))
+    code, out, err = _run(str(f))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"error: {f}: a monomial of total degree 32768 or more does not fit a packed field\n"
+    )
+
+
 def test_run_cli_unknown_predicate_is_inconclusive(tmp_path):
     f = tmp_path / "unk.cni"
     f.write_text("point A, B, C\nprove tangent(A, B, C)\n")

@@ -314,21 +314,34 @@ def test_reduced_basis_matches_sympy():
 
 def test_elimination_matches_sympy_lex():
     # the elimination ideal is what a lex basis with the eliminated
-    # variables first keeps of the kept variables, re-based under grevlex
+    # variables first keeps of the kept variables, re-based under grevlex.
+    # Most draws add a Rabinowitsch variable u, often with a d*u - 1
+    # generator, so that eliminate runs u's block alone, u's and then the
+    # others', only the others', or an empty block when u is eliminated but
+    # no generator contains it.
     rng = random.Random(2718)
-    table = make_table("x", "y", "z")
-    syms = sympy.symbols("x y z")
+    paths = set()
     done = 0
-    while done < 25:
+    while done < 40:
+        table = make_table("x", "y", "z")
+        if rng.random() < 0.75:
+            table.add("u", VarKind.RABINOWITSCH)
+        n = len(table)
+        syms = sympy.symbols("x y z u")[:n]
         polys = [
             random_polynomial(rng, table, [0, 1, 2], max_degree=2, max_terms=3)
             for _ in range(rng.randint(1, 3))
         ]
+        if n == 4 and rng.random() < 0.6:
+            d = random_polynomial(rng, table, [0, 1, 2], max_degree=2, max_terms=3)
+            polys.append(d * Polynomial.variable(table, 3) - Polynomial.constant(table, 1))
         polys = [p for p in polys if not p.is_zero]
         if not polys:
             continue
-        elim = sorted(rng.sample(range(3), rng.randint(1, 2)))
-        kept = [v for v in range(3) if v not in elim]
+        elim = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
+        if n == 4 and rng.random() < 0.25:
+            elim = [3]
+        kept = [v for v in range(n) if v not in elim]
         res = eliminate(polys, elim)
         lex_gens = [syms[v] for v in elim + kept]
         lex = sympy.groebner([to_sympy(p, syms) for p in polys], *lex_gens, order="lex")
@@ -339,8 +352,16 @@ def test_elimination_matches_sympy_lex():
             ref = sympy.groebner(free, *kept_syms, order="grevlex")
             theirs = {from_sympy(g, table, syms).monic(res.order) for g in ref.exprs}
         assert set(res.generators) == theirs, f"disagree on {polys}, eliminating {elim}"
+        u_in_input = n == 4 and any(p.contains_var(3) for p in polys)
+        paths.add((u_in_input, 3 in elim, elim != [3]))
         done += 1
-    assert done == 25
+    assert {
+        (True, True, False),  # u's block alone
+        (True, True, True),  # u's block, then the others'
+        (False, True, False),  # u eliminated but absent: an empty block
+        (False, True, True),
+        (False, False, True),
+    } <= paths, paths
 
 
 def test_elimination_of_a_parameter():
