@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import add
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Rational = Fraction
 
@@ -157,10 +157,10 @@ class Block(MonomialOrder):
         return self.first.weights(n) + self.second.weights(n)
 
 
-def block_elimination_order(elim: Iterable[int], keep: Iterable[int]) -> Block:
-    """Standard order for computing elimination ideals: graded reverse
-    lexicographic inside each block, eliminated block first."""
-    return Block(GrevLex(tuple(elim)), GrevLex(tuple(keep)))
+def print_order(table: VarTable) -> GrevLex:
+    """The one order outside the engine: grevlex over the table's variables
+    in table order. Polynomials are printed and sign-normalized under it."""
+    return GrevLex(tuple(range(len(table))))
 
 
 class Polynomial:
@@ -329,7 +329,9 @@ class Polynomial:
             total = val if total is None else total + val
         return Fraction(0) if total is None else total
 
-    def sorted_terms(self, order: MonomialOrder) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        """Terms descending under the print order."""
+        order = print_order(self.table)
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
     def __repr__(self) -> str:
@@ -345,9 +347,9 @@ class Polynomial:
         return "Polynomial(" + " + ".join(bits) + ")"
 
 
-def content_and_primitive(p: Polynomial, order: MonomialOrder) -> tuple[Fraction, Polynomial]:
+def content_and_primitive(p: Polynomial) -> tuple[Fraction, Polynomial]:
     """Write p = content * primitive with primitive having coprime integer
-    coefficients and a positive leading coefficient under `order`."""
+    coefficients and a positive leading coefficient under the print order."""
     if p.is_zero:
         return Fraction(0), p
     num_gcd = 0
@@ -356,7 +358,7 @@ def content_and_primitive(p: Polynomial, order: MonomialOrder) -> tuple[Fraction
         num_gcd = gcd(num_gcd, c.numerator)
         den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
     content = Fraction(num_gcd, den_lcm)
-    if p.leading_coefficient(order) < 0:
+    if p.leading_coefficient(print_order(p.table)) < 0:
         content = -content
     return content, p.scale(1 / content)
 
@@ -521,16 +523,14 @@ def expr_points(e: Expr) -> set[int]:
     return set()
 
 
-def expr_normalize(
-    e: Expr, table: VarTable, order: MonomialOrder
-) -> tuple[Polynomial, Polynomial, list[Polynomial]]:
+def expr_normalize(e: Expr, table: VarTable) -> tuple[Polynomial, Polynomial, list[Polynomial]]:
     """Clear denominators: e = num/den as formal rational functions.
 
     Every Div node contributes its (normalized) denominator polynomial to
     the factor list exactly once, to the first power. Constant denominators
     are folded into the numerator coefficients, so `den` is literally a
     product of powers of the listed factors. The factors are primitive with
-    positive leading coefficient under `order`, which is what the
+    positive leading coefficient under the print order, which is what the
     Rabinowitsch product wants downstream.
     """
     one = Polynomial.constant(table, 1)
@@ -568,7 +568,7 @@ def expr_normalize(
             nr, dr = walk(node.right)
             if nr.is_zero:
                 raise ZeroDenominatorError("denominator normalizes to the zero polynomial")
-            content, prim = content_and_primitive(nr, order)
+            content, prim = content_and_primitive(nr)
             num = nl * dr
             if prim.is_constant:
                 # purely numeric denominator: fold into coefficients

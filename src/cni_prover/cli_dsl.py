@@ -19,7 +19,7 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +35,7 @@ from .geometry_model import (
     Parallel,
     Perpendicular,
     Predicate,
+    RealRelational,
     FIX_MODES,
     build_system,
     declarative_expr,
@@ -42,6 +43,7 @@ from .geometry_model import (
     predicate_step,
     substitute_declaratives,
 )
+from .groebner import DEFAULT_TIMEOUT
 from .proof_emitter import FORMATS, emit_trace, format_expr
 from .prover import INCONCLUSIVE, PROVED, ProofTrace, ProverConfig, ProverVerdict, prove
 
@@ -74,16 +76,17 @@ class PredicateArityError(Exception):
         self.line = line
 
 
-PREDICATES: dict[str, tuple[type, int]] = {
-    "collinear": (Collinear, 3),
-    "perpendicular": (Perpendicular, 4),
-    "parallel": (Parallel, 4),
-    "equidist": (Equidistant, 3),
-    "angle_eq": (AngleEqual, 6),
-    "concyclic": (Concyclic, 4),
+# Each predicate takes one point per dataclass field.
+PREDICATES: dict[str, type[Predicate]] = {
+    "collinear": Collinear,
+    "perpendicular": Perpendicular,
+    "parallel": Parallel,
+    "equidist": Equidistant,
+    "angle_eq": AngleEqual,
+    "concyclic": Concyclic,
 }
 
-_PREDICATE_NAMES = {cls: name for name, (cls, _) in PREDICATES.items()}
+_PREDICATE_NAMES = {cls: name for name, cls in PREDICATES.items()}
 
 SUGAR = {
     "midpoint": ("midpoint", 2),
@@ -233,7 +236,12 @@ class _ExprParser:
             return Const(Fraction(0)) - inner
         kind, value, col = self.ts.next("an expression")
         if kind == "int":
-            return Const(Fraction(int(value)))
+            try:
+                return Const(Fraction(int(value)))
+            except ValueError:  # more digits than int() converts
+                raise DslSyntaxError(
+                    f"integer literal of {len(value)} digits is too long", self.ts.line, col
+                ) from None
         if kind == "name":
             idx = self.points.get(value)
             if idx is None:
@@ -259,10 +267,10 @@ def _parse_call(ts: _Tokens, points: dict[str, int], line: int) -> tuple[str, li
 
 
 def _build_predicate(name: str, args: list[int], line: int, col: int) -> Predicate:
-    entry = PREDICATES.get(name)
-    if entry is None:
+    cls = PREDICATES.get(name)
+    if cls is None:
         raise UnknownPredicateError(name, line)
-    cls, arity = entry
+    arity = len(fields(cls))
     if len(args) != arity:
         raise PredicateArityError(name, line, arity, len(args))
     try:
@@ -277,7 +285,7 @@ def parse(src: SourceProgram) -> Construction:
     points: dict[str, int] = {}
     free: list[int] = []
     steps = []
-    thesis: Predicate | None = None
+    thesis: RealRelational | None = None
     last_line = 1
 
     for line, text in src.statements():
@@ -308,13 +316,13 @@ def parse(src: SourceProgram) -> Construction:
 
         if first in ("assume", "prove"):
             pname, pargs, pcol = _parse_call(ts, points, line)
-            pred = _build_predicate(pname, pargs, line, pcol)
+            step = predicate_step(_build_predicate(pname, pargs, line, pcol))
             if first == "assume":
-                steps.append(predicate_step(pred))
+                steps.append(step)
             else:
                 if thesis is not None:
                     raise DslSyntaxError("multiple prove statements", line, col)
-                thesis = pred
+                thesis = step
             continue
 
         # definition: NAME := expr
@@ -406,13 +414,9 @@ def format_construction(c: Construction) -> str:
     for step in c.steps:
         if isinstance(step, Declarative):
             lines.append(f"{names[step.point]} := {format_expr(step.definition, names)}")
-        elif step.source is not None:
-            lines.append(f"assume {_predicate_source(step.source, names)}")
         else:
-            raise GeometryError("only predicate relations have a source form")
-    if c.thesis is None:
-        raise GeometryError("only predicate theses have a source form")
-    lines.append(f"prove {_predicate_source(c.thesis, names)}")
+            lines.append(f"assume {_predicate_source(step.source, names)}")
+    lines.append(f"prove {_predicate_source(c.thesis.source, names)}")
     return "\n".join(lines) + "\n"
 
 
@@ -424,7 +428,7 @@ def format_construction(c: Construction) -> str:
 class CliConfig:
     input: str
     fix_mode: str = "zero_one"
-    timeout: float = 20.0
+    timeout: float = DEFAULT_TIMEOUT
     format: str = "text"
     show_ideal: bool = False
 
@@ -450,50 +454,54 @@ def _unsupported_verdict(code: str, note: str) -> ProverVerdict:
     return ProverVerdict(INCONCLUSIVE, code, trace)
 
 
+def _prove_text(text: str, source_name: str, cfg: CliConfig) -> tuple[str, int]:
+    """The document for a program text and the exit status it earns."""
+    try:
+        construction = parse(SourceProgram(text, source_name))
+    except UnknownPredicateError as exc:
+        return emit_trace(_unsupported_verdict("niu", str(exc)), cfg.format).text(), 2
+    except PredicateArityError as exc:
+        return emit_trace(_unsupported_verdict("nfiu", str(exc)), cfg.format).text(), 2
+    substituted = substitute_declaratives(construction)
+    system = build_system(substituted)
+    system = fix_coordinates(system, substituted, cfg.fix_mode)
+    verdict = prove(system, ProverConfig(timeout=cfg.timeout))
+    doc = emit_trace(verdict, cfg.format, cfg.show_ideal)
+    return doc.text(), 0 if verdict.outcome == PROVED else 2
+
+
 def run_cli(cfg: CliConfig, out=None, err=None) -> int:
     """Prove the program in cfg.input and print the proof document. Exit
     status 0 for Proved, 2 for Inconclusive, 1 for parse, construction,
-    engine or IO errors."""
+    engine or IO errors, input that is not UTF-8, and input nested too
+    deeply to walk without exhausting the interpreter stack."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-
-    if cfg.input == "-":
-        text = sys.stdin.read()
-        source_name = "<stdin>"
-    else:
-        try:
+    source_name = "<stdin>" if cfg.input == "-" else cfg.input
+    try:
+        if cfg.input == "-":
+            # UTF-8 whatever the locale, as for files; a stream with no bytes
+            # underneath (io.StringIO) is read as text
+            buffer = getattr(sys.stdin, "buffer", None)
+            text = sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
+        else:
             text = Path(cfg.input).read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"error: {exc}", file=err)
-            return 1
-        source_name = cfg.input
-
+    except OSError as exc:
+        print(f"error: {exc}", file=err)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: {source_name}: not valid UTF-8 ({exc.reason} at byte {exc.start})", file=err)
+        return 1
     try:
-        construction = parse(SourceProgram(text, source_name))
-    except DslSyntaxError as exc:
+        document, status = _prove_text(text, source_name, cfg)
+    except (DslSyntaxError, GeometryError, AlgebraError) as exc:
         print(f"error: {source_name}: {exc}", file=err)
         return 1
-    except UnknownPredicateError as exc:
-        doc = emit_trace(_unsupported_verdict("niu", str(exc)), cfg.format)
-        print(doc.text(), file=out)
-        return 2
-    except PredicateArityError as exc:
-        doc = emit_trace(_unsupported_verdict("nfiu", str(exc)), cfg.format)
-        print(doc.text(), file=out)
-        return 2
-
-    try:
-        substituted = substitute_declaratives(construction)
-        system = build_system(substituted)
-        system = fix_coordinates(system, substituted, cfg.fix_mode)
-        verdict = prove(system, ProverConfig(timeout=cfg.timeout))
-    except (GeometryError, AlgebraError) as exc:
-        print(f"error: {source_name}: {exc}", file=err)
+    except RecursionError:
+        print(f"error: {source_name}: input nested too deeply", file=err)
         return 1
-
-    doc = emit_trace(verdict, cfg.format, cfg.show_ideal)
-    print(doc.text(), file=out)
-    return 0 if verdict.outcome == PROVED else 2
+    print(document, file=out)
+    return status
 
 
 def main(argv=None) -> int:
@@ -508,8 +516,8 @@ def main(argv=None) -> int:
     p.add_argument("file", help="program file, or - for standard input")
     p.add_argument("--fix", choices=FIX_MODES, default="zero_one",
                    help="coordinate fixing mode (default zero_one)")
-    p.add_argument("--timeout", type=float, default=20.0,
-                   help="elimination budget in seconds (default 20)")
+    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
+                   help=f"elimination budget in seconds (default {DEFAULT_TIMEOUT:g})")
     p.add_argument("--format", choices=FORMATS, default="text",
                    help="proof document format (default text)")
     p.add_argument("--show-ideal", action="store_true",

@@ -5,7 +5,7 @@ the polynomial system whose elimination ideal decides the statement.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Union
 
@@ -14,7 +14,6 @@ from .algebra_core import (
     Const,
     Div,
     Mul,
-    MonomialOrder,
     PointRef,
     Polynomial,
     Pow,
@@ -22,7 +21,6 @@ from .algebra_core import (
     Sub,
     VarKind,
     VarTable,
-    block_elimination_order,
     expr_normalize,
     expr_points,
     expr_substitute,
@@ -38,21 +36,16 @@ class PredicateArgumentError(GeometryError):
 
 
 # ---------------------------------------------------------------------------
-# Predicates. Arguments are point variable indices. Each predicate knows the
-# point pairs that appear as directed segments in its expression; those must
-# be symbolically distinct or a denominator is identically zero.
+# Predicates. Arguments are point variable indices, one per dataclass field.
+# Each predicate knows the point pairs that appear as directed segments in its
+# expression; those must be symbolically distinct or a denominator is
+# identically zero.
 
 
 class Predicate:
     __slots__ = ()
 
-    def points(self) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    def _segments(self) -> tuple[tuple[int, int], ...]:
-        raise NotImplementedError
-
-    def _check(self) -> None:
+    def __post_init__(self):
         for a, b in self._segments():
             if a == b:
                 raise PredicateArgumentError(
@@ -60,18 +53,18 @@ class Predicate:
                     f"directed segment (argument {a} repeated)"
                 )
 
+    def points(self) -> tuple[int, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def _segments(self) -> tuple[tuple[int, int], ...]:
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class Collinear(Predicate):
     a: int
     o: int
     b: int
-
-    def __post_init__(self):
-        self._check()
-
-    def points(self):
-        return (self.a, self.o, self.b)
 
     def _segments(self):
         return ((self.a, self.o), (self.o, self.b))
@@ -84,12 +77,6 @@ class Parallel(Predicate):
     g: int
     h: int
 
-    def __post_init__(self):
-        self._check()
-
-    def points(self):
-        return (self.e, self.f, self.g, self.h)
-
     def _segments(self):
         return ((self.e, self.f), (self.g, self.h))
 
@@ -100,12 +87,6 @@ class Perpendicular(Predicate):
     q: int
     r: int
     s: int
-
-    def __post_init__(self):
-        self._check()
-
-    def points(self):
-        return (self.p, self.q, self.r, self.s)
 
     def _segments(self):
         return ((self.p, self.q), (self.r, self.s))
@@ -119,12 +100,6 @@ class Equidistant(Predicate):
     o: int
     a: int
     c: int
-
-    def __post_init__(self):
-        self._check()
-
-    def points(self):
-        return (self.o, self.a, self.c)
 
     def _segments(self):
         return ((self.a, self.c), (self.a, self.o), (self.c, self.o))
@@ -140,12 +115,6 @@ class AngleEqual(Predicate):
     p2: int
     q2: int
     r2: int
-
-    def __post_init__(self):
-        self._check()
-
-    def points(self):
-        return (self.p1, self.q1, self.r1, self.p2, self.q2, self.r2)
 
     def _segments(self):
         return (
@@ -163,50 +132,38 @@ class Concyclic(Predicate):
     c: int
     d: int
 
-    def __post_init__(self):
-        self._check()
-
-    def points(self):
-        return (self.a, self.b, self.c, self.d)
-
     def _segments(self):
         return ((self.a, self.c), (self.b, self.d), (self.a, self.d), (self.b, self.c))
 
 
-def predicate_exprs(p: Predicate) -> list[RationalExpr]:
-    """Rational expressions that are all real iff the predicate holds."""
+def predicate_expr(p: Predicate) -> RationalExpr:
+    """The rational expression that is real iff the predicate holds."""
 
     def pt(i: int) -> PointRef:
         return PointRef(i)
 
     if isinstance(p, Collinear):
-        return [Div(Sub(pt(p.a), pt(p.o)), Sub(pt(p.o), pt(p.b)))]
+        return Div(Sub(pt(p.a), pt(p.o)), Sub(pt(p.o), pt(p.b)))
     if isinstance(p, Parallel):
-        return [Div(Sub(pt(p.e), pt(p.f)), Sub(pt(p.g), pt(p.h)))]
+        return Div(Sub(pt(p.e), pt(p.f)), Sub(pt(p.g), pt(p.h)))
     if isinstance(p, Perpendicular):
-        return [Pow(Div(Sub(pt(p.p), pt(p.q)), Sub(pt(p.r), pt(p.s))), 2)]
+        return Pow(Div(Sub(pt(p.p), pt(p.q)), Sub(pt(p.r), pt(p.s))), 2)
     if isinstance(p, Equidistant):
-        return [
-            Div(
-                Div(Sub(pt(p.a), pt(p.c)), Sub(pt(p.a), pt(p.o))),
-                Div(Sub(pt(p.c), pt(p.o)), Sub(pt(p.c), pt(p.a))),
-            )
-        ]
+        return Div(
+            Div(Sub(pt(p.a), pt(p.c)), Sub(pt(p.a), pt(p.o))),
+            Div(Sub(pt(p.c), pt(p.o)), Sub(pt(p.c), pt(p.a))),
+        )
     if isinstance(p, AngleEqual):
-        return [
-            Div(
-                Div(Sub(pt(p.q1), pt(p.p1)), Sub(pt(p.q1), pt(p.r1))),
-                Div(Sub(pt(p.q2), pt(p.p2)), Sub(pt(p.q2), pt(p.r2))),
-            )
-        ]
+        return Div(
+            Div(Sub(pt(p.q1), pt(p.p1)), Sub(pt(p.q1), pt(p.r1))),
+            Div(Sub(pt(p.q2), pt(p.p2)), Sub(pt(p.q2), pt(p.r2))),
+        )
     if isinstance(p, Concyclic):
         # real cross-ratio; also real for collinear quadruples, see note
-        return [
-            Div(
-                Mul(Sub(pt(p.a), pt(p.c)), Sub(pt(p.b), pt(p.d))),
-                Mul(Sub(pt(p.a), pt(p.d)), Sub(pt(p.b), pt(p.c))),
-            )
-        ]
+        return Div(
+            Mul(Sub(pt(p.a), pt(p.c)), Sub(pt(p.b), pt(p.d))),
+            Mul(Sub(pt(p.a), pt(p.d)), Sub(pt(p.b), pt(p.c))),
+        )
     raise GeometryError(f"unknown predicate {p!r}")
 
 
@@ -241,27 +198,17 @@ class Declarative:
 
 @dataclass(frozen=True)
 class RealRelational:
-    """One or more rational expressions required to be real.
+    """The rational expression of a predicate, required to be real. `expr`
+    is what the algebra consumes (declaratives substituted); the expression
+    as written is `predicate_expr(source)`."""
 
-    `relations` is what the algebra consumes (declaratives substituted);
-    `stated` keeps the expressions as originally written for trace display.
-    """
-
-    relations: tuple[RationalExpr, ...]
-    stated: tuple[RationalExpr, ...] = ()
-    source: Predicate | None = None
-
-    def __post_init__(self):
-        if not self.relations:
-            raise GeometryError("a real-relational step needs at least one expression")
-        if not self.stated:
-            object.__setattr__(self, "stated", self.relations)
+    expr: RationalExpr
+    source: Predicate
 
 
 def predicate_step(p: Predicate) -> RealRelational:
-    """Hypothesis step asserting a predicate through its expressions."""
-    exprs = tuple(predicate_exprs(p))
-    return RealRelational(relations=exprs, stated=exprs, source=p)
+    """The relation asserting a predicate, as a hypothesis or the thesis."""
+    return RealRelational(predicate_expr(p), p)
 
 
 ConstructionStep = Union[Declarative, RealRelational]
@@ -269,26 +216,23 @@ ConstructionStep = Union[Declarative, RealRelational]
 
 @dataclass(frozen=True)
 class Construction:
-    """A construction: free points, steps, and exactly one thesis, given
-    either as a predicate or as an explicit rational expression."""
+    """A construction: free points, steps, and exactly one thesis, the
+    relation that comes last."""
 
     table: VarTable
     free_points: tuple[int, ...]
     steps: tuple[ConstructionStep, ...]
-    thesis: Predicate | None = None
-    thesis_expr: RationalExpr | None = None
-    thesis_stated: RationalExpr | None = None
+    thesis: RealRelational | None = None
     inlined: tuple[Declarative, ...] = ()
 
     def __post_init__(self):
-        if self.thesis is None and self.thesis_expr is None:
+        if self.thesis is None:
             raise GeometryError("a construction needs a thesis")
         n = len(self.table)
         for i in self.free_points:
             if not 0 <= i < n:
                 raise GeometryError(f"free point index {i} out of range")
-        declared = set(self.free_points)
-        for step in self.steps:
+        for step in self.steps + (self.thesis,):
             if isinstance(step, Declarative):
                 for ref in expr_points(step.definition):
                     if ref >= step.point:
@@ -296,16 +240,10 @@ class Construction:
                             f"declarative point {self.table.name(step.point)} may "
                             f"only reference earlier points"
                         )
-                declared.add(step.point)
             else:
-                for e in step.relations:
-                    for ref in expr_points(e):
-                        if not 0 <= ref < n:
-                            raise GeometryError(f"point index {ref} out of range")
-        if self.thesis is not None:
-            for ref in self.thesis.points():
-                if not 0 <= ref < n:
-                    raise GeometryError(f"thesis point index {ref} out of range")
+                for ref in expr_points(step.expr):
+                    if not 0 <= ref < n:
+                        raise GeometryError(f"point index {ref} out of range")
 
     def point_name(self, i: int) -> str:
         return self.table.name(i)
@@ -317,38 +255,18 @@ def substitute_declaratives(c: Construction) -> Construction:
     definitions are archived for trace narration."""
     env: dict[int, RationalExpr] = {}
     inlined: list[Declarative] = []
-    new_steps: list[RealRelational] = []
-    for step in c.steps:
+    relations: list[RealRelational] = []
+    for step in c.steps + (c.thesis,):
         if isinstance(step, Declarative):
-            expanded = expr_substitute(step.definition, env)
-            env[step.point] = expanded
-            inlined.append(Declarative(step.point, step.definition))
+            env[step.point] = expr_substitute(step.definition, env)
+            inlined.append(step)
         else:
-            new_steps.append(
-                RealRelational(
-                    relations=tuple(expr_substitute(e, env) for e in step.relations),
-                    stated=step.stated,
-                    source=step.source,
-                )
-            )
-    thesis_expr = c.thesis_expr
-    thesis_stated = c.thesis_stated
-    if c.thesis is not None:
-        exprs = predicate_exprs(c.thesis)
-        if len(exprs) != 1:
-            raise GeometryError("the thesis must reduce to a single expression")
-        thesis_stated = exprs[0]
-        thesis_expr = expr_substitute(exprs[0], env)
-    elif thesis_expr is not None:
-        thesis_stated = thesis_stated if thesis_stated is not None else thesis_expr
-        thesis_expr = expr_substitute(thesis_expr, env)
+            relations.append(RealRelational(expr_substitute(step.expr, env), step.source))
     return Construction(
         table=c.table,
         free_points=c.free_points,
-        steps=tuple(new_steps),
-        thesis=c.thesis,
-        thesis_expr=thesis_expr,
-        thesis_stated=thesis_stated,
+        steps=tuple(relations[:-1]),
+        thesis=relations[-1],
         inlined=c.inlined + tuple(inlined),
     )
 
@@ -359,25 +277,22 @@ def substitute_declaratives(c: Construction) -> Construction:
 
 @dataclass(frozen=True)
 class SlackOrigin:
-    """Ties a slack variable to the relation it measures."""
+    """Ties a slack variable to the relation it measures, as written."""
 
     slack: int
     name: str
     stated: RationalExpr
-    source: Predicate | None
-    is_thesis: bool
 
 
 @dataclass(frozen=True)
 class PolynomialSystem:
     """Cleared polynomials p1..ps (thesis last) plus the denominator
-    product polynomial, with the variable partition for elimination."""
+    product polynomial, with the variables to eliminate."""
 
     table: VarTable
     hypothesis_polys: tuple[Polynomial, ...]
     rabinowitsch_poly: Polynomial | None
     eliminate_vars: tuple[int, ...]
-    keep_vars: tuple[int, ...]
     slack_map: tuple[SlackOrigin, ...]
     denominator_factors: tuple[Polynomial, ...]
     free_points: tuple[int, ...]
@@ -398,9 +313,6 @@ class PolynomialSystem:
             return self.hypothesis_polys
         return self.hypothesis_polys + (self.rabinowitsch_poly,)
 
-    def order(self) -> MonomialOrder:
-        return block_elimination_order(self.eliminate_vars, self.keep_vars)
-
 
 def _fresh_name(base: str, table: VarTable) -> str:
     if base not in table:
@@ -417,21 +329,21 @@ def _segment_text(c: Construction, a: int, b: int) -> str:
 
 def _collect_notes(c: Construction) -> tuple[str, ...]:
     notes: list[str] = []
-    preds = [s.source for s in c.steps if isinstance(s, RealRelational) and s.source]
-    if isinstance(c.thesis, Perpendicular):
-        t = c.thesis
+    preds = [s.source for s in c.steps + (c.thesis,)]
+    t = c.thesis.source
+    if isinstance(t, Perpendicular):
         notes.append(
             "The squared-ratio encoding of perpendicularity proves a weaker "
             f"conclusion: either {_segment_text(c, t.p, t.q)} is perpendicular "
             f"to {_segment_text(c, t.r, t.s)} or the two lines are parallel."
         )
-    if any(isinstance(p, Equidistant) for p in preds) or isinstance(c.thesis, Equidistant):
+    if any(isinstance(p, Equidistant) for p in preds):
         notes.append(
             "Distance equality is encoded through the isosceles angle "
             "equality; the encoding also admits some degenerate collinear "
             "configurations."
         )
-    if any(isinstance(p, Concyclic) for p in preds) or isinstance(c.thesis, Concyclic):
+    if any(isinstance(p, Concyclic) for p in preds):
         notes.append(
             "Concyclicity is encoded through the real cross-ratio, which is "
             "also real when the four points are collinear."
@@ -441,21 +353,12 @@ def _collect_notes(c: Construction) -> tuple[str, ...]:
 
 def build_system(c: Construction) -> PolynomialSystem:
     """Translate a construction (declaratives already substituted) into the
-    cleared polynomial system: one polynomial e_i - r_i per relation, one
-    for the thesis, and the product polynomial (b1...bm)u - 1 over the
-    deduplicated denominator factors."""
-    for step in c.steps:
-        if isinstance(step, Declarative):
-            raise GeometryError("substitute declaratives before building the system")
-    if c.thesis_expr is None:
+    cleared polynomial system: one polynomial e_i - r_i per relation, the
+    thesis last with slack r, and the product polynomial (b1...bm)u - 1 over
+    the deduplicated denominator factors."""
+    relations = c.steps + (c.thesis,)
+    if any(isinstance(step, Declarative) for step in relations):
         raise GeometryError("substitute declaratives before building the system")
-
-    relations: list[tuple[RationalExpr, RationalExpr, Predicate | None]] = []
-    for step in c.steps:
-        if len(step.relations) != len(step.stated):
-            raise GeometryError("stated expressions out of step with relations")
-        for e, stated in zip(step.relations, step.stated):
-            relations.append((e, stated, step.source))
 
     n_points = len(c.table)
     table = VarTable()
@@ -463,33 +366,22 @@ def build_system(c: Construction) -> PolynomialSystem:
         table.add(c.table.name(i), VarKind.POINT)
     u = table.add(_fresh_name("u", table), VarKind.RABINOWITSCH)
     slack_entries: list[SlackOrigin] = []
-    for k, (_, stated, source) in enumerate(relations, start=1):
-        idx = table.add(_fresh_name(f"r{k}", table), VarKind.SLACK)
-        slack_entries.append(SlackOrigin(idx, table.name(idx), stated, source, False))
-    r_idx = table.add(_fresh_name("r", table), VarKind.SLACK)
-    thesis_stated = c.thesis_stated if c.thesis_stated is not None else c.thesis_expr
-    slack_entries.append(SlackOrigin(r_idx, table.name(r_idx), thesis_stated, c.thesis, True))
-
-    eliminate_vars = tuple(range(n_points)) + (u,)
-    keep_vars = tuple(o.slack for o in slack_entries)
-    order = block_elimination_order(eliminate_vars, keep_vars)
+    for k, step in enumerate(relations, start=1):
+        base = "r" if k == len(relations) else f"r{k}"
+        idx = table.add(_fresh_name(base, table), VarKind.SLACK)
+        slack_entries.append(SlackOrigin(idx, table.name(idx), predicate_expr(step.source)))
 
     polys: list[Polynomial] = []
     factors: list[Polynomial] = []
     seen: set[frozenset] = set()
-
-    def clear(expr: RationalExpr, slack: int) -> None:
-        num, _den, fs = expr_normalize(Sub(expr, PointRef(slack)), table, order)
+    for step, origin in zip(relations, slack_entries):
+        num, _den, fs = expr_normalize(Sub(step.expr, PointRef(origin.slack)), table)
         polys.append(num)
         for f in fs:
             key = frozenset(f.terms.items())
             if key not in seen:
                 seen.add(key)
                 factors.append(f)
-
-    for (e, _, _), origin in zip(relations, slack_entries):
-        clear(e, origin.slack)
-    clear(c.thesis_expr, r_idx)
 
     rab = None
     if factors:
@@ -502,8 +394,7 @@ def build_system(c: Construction) -> PolynomialSystem:
         table=table,
         hypothesis_polys=tuple(polys),
         rabinowitsch_poly=rab,
-        eliminate_vars=eliminate_vars,
-        keep_vars=keep_vars,
+        eliminate_vars=tuple(range(n_points)) + (u,),
         slack_map=tuple(slack_entries),
         denominator_factors=tuple(factors),
         free_points=c.free_points,
@@ -536,7 +427,6 @@ def fix_coordinates(sys: PolynomialSystem, c: Construction, mode: str) -> Polyno
         hypothesis_polys=polys,
         rabinowitsch_poly=rab,
         eliminate_vars=tuple(v for v in sys.eliminate_vars if v not in fixed_set),
-        keep_vars=sys.keep_vars,
         slack_map=sys.slack_map,
         denominator_factors=tuple(f.substitute(assignment) for f in sys.denominator_factors),
         free_points=sys.free_points,

@@ -43,12 +43,15 @@ class GroebnerTimeout(Exception):
     """A basis computation exceeded its wall-clock budget."""
 
 
+DEFAULT_TIMEOUT = 20.0  # seconds; also the prover's and the command line's
+
+
 @dataclass(frozen=True)
 class GroebnerConfig:
     """timeout: wall-clock seconds for the whole call (both runs of an
     elimination share it), or None for no limit."""
 
-    timeout: float | None = 20.0
+    timeout: float | None = DEFAULT_TIMEOUT
 
 
 DEFAULT_CONFIG = GroebnerConfig()

@@ -19,7 +19,6 @@ from .algebra_core import (
     AlgebraError,
     Const,
     Div,
-    MonomialOrder,
     Mul,
     PointRef,
     Polynomial,
@@ -100,12 +99,12 @@ def _term_string(m: tuple[int, ...], c: Fraction, p: Polynomial) -> str:
     return f"{c}*{mono}"
 
 
-def format_polynomial(p: Polynomial, order: MonomialOrder) -> str:
-    """Print terms descending under `order` with explicit * and ^."""
+def format_polynomial(p: Polynomial) -> str:
+    """Print terms descending under the print order with explicit * and ^."""
     if p.is_zero:
         return "0"
     out = []
-    for m, c in p.sorted_terms(order):
+    for m, c in p.sorted_terms():
         s = _term_string(m, c, p)
         if out and not s.startswith("-"):
             out.append("+")
@@ -157,17 +156,16 @@ def emit_identity(trace: ProofTrace) -> str | None:
 def _rational_form(trace: ProofTrace) -> str | None:
     """r = -w/v as a display string, collapsed to a polynomial when v is
     constant."""
-    if trace.linear is None or trace.display_order is None:
+    if trace.linear is None or trace.thesis is None:
         return None
     v, w = trace.linear.v, trace.linear.w
-    order = trace.display_order
     if v.is_constant:
-        return format_polynomial(w.scale(Fraction(-1) / v.constant_value()), order)
+        return format_polynomial(w.scale(Fraction(-1) / v.constant_value()))
     num = w.scale(Fraction(-1))
-    ns = format_polynomial(num, order)
+    ns = format_polynomial(num)
     if len(num.terms) > 1:
         ns = f"({ns})"
-    return f"{ns}/({format_polynomial(v, order)})"
+    return f"{ns}/({format_polynomial(v)})"
 
 
 # ---------------------------------------------------------------------------
@@ -211,21 +209,18 @@ def _narration(verdict: ProverVerdict, show_ideal: bool) -> list[tuple[str, str]
     if t.thesis is not None:
         items.append(("s", "The thesis:"))
         items.append(("f", f"{format_expr(t.thesis.stated, names)}={t.thesis.name}"))
-
-    if t.display_order is not None:
         items.append(("s", "We eliminate all variables that correspond to complex points."))
 
-    order = t.display_order
-    if show_ideal and order is not None and (t.generators or verdict.reason != "t/o"):
+    if show_ideal and t.thesis is not None and (t.generators or verdict.reason != "t/o"):
         if t.generators:
             items.append(("s", "The elimination ideal is generated by:"))
             for g in t.generators:
-                items.append(("f", format_polynomial(content_and_primitive(g, order)[1], order)))
+                items.append(("f", format_polynomial(content_and_primitive(g)[1])))
         else:
             items.append(("s", "The elimination ideal is <0>."))
 
-    if t.linear is not None and order is not None:
-        rname = t.thesis.name if t.thesis is not None else "r"
+    if t.linear is not None and t.thesis is not None:
+        rname = t.thesis.name
         items.append(
             (
                 "s",
@@ -234,7 +229,7 @@ def _narration(verdict: ProverVerdict, show_ideal: bool) -> list[tuple[str, str]
                 "polynomial equation:",
             )
         )
-        items.append(("f", f"{format_polynomial(t.linear.pivot, order)}=0"))
+        items.append(("f", f"{format_polynomial(t.linear.pivot)}=0"))
 
         if t.denominator is None:
             items.append(
@@ -242,14 +237,14 @@ def _narration(verdict: ProverVerdict, show_ideal: bool) -> list[tuple[str, str]
             )
         else:
             items.append(
-                ("s", f"Expressing the thesis requires a division by {format_polynomial(t.denominator, order)}.")
+                ("s", f"Expressing the thesis requires a division by {format_polynomial(t.denominator)}.")
             )
             items.append(("s", "Let us assume that that divisor is 0 and restart the elimination."))
             second = t.second
             if show_ideal and second.generators:
                 items.append(("s", "The second elimination ideal is generated by:"))
                 for g in second.generators:
-                    items.append(("f", format_polynomial(content_and_primitive(g, order)[1], order)))
+                    items.append(("f", format_polynomial(content_and_primitive(g)[1])))
             if second.status == "trivial":
                 items.append(("s", "The elimination verifies that that divisor cannot be zero."))
             elif second.status == "polynomial":
@@ -261,7 +256,7 @@ def _narration(verdict: ProverVerdict, show_ideal: bool) -> list[tuple[str, str]
                         "of counterexamples):",
                     )
                 )
-                items.append(("f", f"{format_polynomial(second.linear.pivot, order)}=0"))
+                items.append(("f", f"{format_polynomial(second.linear.pivot)}=0"))
 
     if verdict.outcome == PROVED:
         items.append(("s", "Since all hypotheses are real expressions, the thesis must also be real."))
@@ -290,13 +285,12 @@ def _banner(verdict: ProverVerdict) -> str:
 def _json_payload(verdict: ProverVerdict, show_ideal: bool) -> dict:
     t = verdict.trace
     names = t.point_names
-    order = t.display_order
     second = t.second
 
     def fmt(p: Polynomial | None) -> str | None:
-        if p is None or order is None:
+        if p is None or t.thesis is None:
             return None
-        return format_polynomial(p, order)
+        return format_polynomial(p)
 
     obj = {
         "verdict": verdict.outcome,
@@ -323,10 +317,10 @@ def _json_payload(verdict: ProverVerdict, show_ideal: bool) -> dict:
         "notes": list(t.notes),
         "note": t.reason_note,
     }
-    if show_ideal and order is not None:
-        obj["ideal"] = [fmt(content_and_primitive(g, order)[1]) for g in t.generators]
+    if show_ideal and t.thesis is not None:
+        obj["ideal"] = [fmt(content_and_primitive(g)[1]) for g in t.generators]
         obj["second_ideal"] = (
-            [fmt(content_and_primitive(g, order)[1]) for g in second.generators]
+            [fmt(content_and_primitive(g)[1]) for g in second.generators]
             if second is not None and second.generators is not None
             else None
         )

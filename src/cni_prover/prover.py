@@ -11,15 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .algebra_core import (
-    AlgebraError,
-    MonomialOrder,
-    Polynomial,
-    RationalExpr,
-    content_and_primitive,
-)
+from .algebra_core import AlgebraError, Polynomial, RationalExpr, content_and_primitive
 from .geometry_model import PolynomialSystem, SlackOrigin
 from .groebner import (
+    DEFAULT_TIMEOUT,
     EliminationResult,
     GroebnerConfig,
     GroebnerTimeout,
@@ -43,7 +38,7 @@ REASON_MEANINGS = {
 
 @dataclass(frozen=True)
 class ProverConfig:
-    timeout: float = 20.0  # seconds per elimination
+    timeout: float = DEFAULT_TIMEOUT  # seconds per elimination
 
 
 @dataclass(frozen=True)
@@ -77,7 +72,8 @@ class SecondElimination:
 @dataclass(frozen=True)
 class ProofTrace:
     """Everything a renderer needs, in the order the proof narrates it.
-    `second` is set exactly when `linear` needs a division."""
+    `thesis` is set exactly when the statement reached elimination;
+    `second` exactly when `linear` needs a division."""
 
     point_names: tuple[str, ...]
     free_point_names: tuple[str, ...]
@@ -86,7 +82,6 @@ class ProofTrace:
     fixed: tuple[tuple[str, Fraction], ...]
     notes: tuple[str, ...]
     thesis: SlackOrigin | None = None
-    display_order: MonomialOrder | None = None
     generators: tuple[Polynomial, ...] = ()
     linear: LinearForm | None = None
     second: SecondElimination | None = None
@@ -145,18 +140,18 @@ def express_linear(p: Polynomial, r: int) -> LinearForm:
     )
 
 
-def _presentation_pivot(pivot: Polynomial, r: int, order: MonomialOrder) -> LinearForm:
+def _presentation_pivot(pivot: Polynomial, r: int) -> LinearForm:
     """The linear split of the monic pivot under a deterministic display
     scaling. With a constant coefficient of r the pivot is rescaled so that
     coefficient is a negative integer (giving lines in the -r-1=0 style);
     otherwise the primitive integer form with positive leading coefficient
-    is used."""
+    under the print order is used."""
     lf = express_linear(pivot, r)
     if lf.v.is_constant:
         k = Fraction(-1) / lf.v.constant_value()
         k *= lcm(*((c * k).denominator for c in pivot.terms.values()))
     else:
-        k = 1 / content_and_primitive(pivot, order)[0]
+        k = 1 / content_and_primitive(pivot)[0]
     return LinearForm(lf.v.scale(k), lf.w.scale(k), pivot.scale(k))
 
 
@@ -182,7 +177,7 @@ def check_denominator(
             f"r has minimal degree {pivot2.degree_in(r)} in the second "
             "elimination ideal; a third elimination is not attempted",
         )
-    lf = _presentation_pivot(pivot2, r, second.order)
+    lf = _presentation_pivot(pivot2, r)
     if not lf.v.is_constant:
         return SecondElimination(
             "inconclusive",
@@ -228,7 +223,7 @@ def _decide(
     if pivot.degree_in(r) > 1:
         return "nlu", f"the minimal degree of r in the ideal is {pivot.degree_in(r)}", stage
 
-    lf = _presentation_pivot(pivot, r, first.order)
+    lf = _presentation_pivot(pivot, r)
     stage["linear"] = lf
     if lf.v.is_constant:
         return None, None, stage
@@ -255,7 +250,6 @@ def prove(sys: PolynomialSystem, config: ProverConfig | None = None) -> ProverVe
         thesis=sys.slack_map[-1],
         fixed=sys.fixed,
         notes=sys.notes,
-        display_order=sys.order(),
         reason_note=note,
         **stage,
     )

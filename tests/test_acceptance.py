@@ -117,17 +117,15 @@ def _medians_raw_system():
     d3 = _P(table, [({C: 1}, 2), ({A: 1}, -1), ({B: 1}, -1)])
     rab = (d1 * d2 * d3 * _P(table, [({u: 1}, 1)])) - _P(table, [({}, 8)])
 
-    def origin(s, is_thesis):
-        return SlackOrigin(slack=s, name=table.name(s), stated=None,
-                           source=None, is_thesis=is_thesis)
+    def origin(s):
+        return SlackOrigin(slack=s, name=table.name(s), stated=None)
 
     return PolynomialSystem(
         table=table,
         hypothesis_polys=(p1, p2, p3),
         rabinowitsch_poly=rab,
         eliminate_vars=(A, B, C, G, u),
-        keep_vars=(r1, r2, r),
-        slack_map=(origin(r1, False), origin(r2, False), origin(r, True)),
+        slack_map=(origin(r1), origin(r2), origin(r)),
         denominator_factors=(d1, d2, d3),
         free_points=(A, B, C, G),
         point_names=("A", "B", "C", "G"),
@@ -157,7 +155,7 @@ def test_criterion_4_varignon_full_pipeline():
     verdict = prove(_load("varignon"), ProverConfig())
     assert verdict.outcome == PROVED
     assert verdict.trace.linear.v.is_constant
-    assert format_polynomial(verdict.trace.linear.pivot, verdict.trace.display_order) == "-r-1"
+    assert format_polynomial(verdict.trace.linear.pivot) == "-r-1"
     elapsed = time.perf_counter() - t0
     assert elapsed <= 2.0, f"{elapsed:.2f}s"
     print(f"criterion 4: PASS ({elapsed:.2f}s)")
@@ -167,9 +165,8 @@ def test_criterion_5_angle_bisectors_divisor_analysis():
     t0 = time.perf_counter()
     verdict = prove(_load("angle_bisectors"), ProverConfig())
     assert verdict.outcome == PROVED
-    fmt = lambda p: format_polynomial(p, verdict.trace.display_order)
-    assert fmt(verdict.trace.linear.pivot) == "r1*r2*r-r1*r2-r1*r-r2*r"
-    assert fmt(verdict.trace.denominator) == "r1*r2-r1-r2"
+    assert format_polynomial(verdict.trace.linear.pivot) == "r1*r2*r-r1*r2-r1*r-r2*r"
+    assert format_polynomial(verdict.trace.denominator) == "r1*r2-r1-r2"
     assert verdict.trace.second.status == "trivial"
     elapsed = time.perf_counter() - t0
     assert elapsed <= 5.0, f"{elapsed:.2f}s"

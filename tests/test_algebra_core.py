@@ -20,7 +20,6 @@ from cni_prover.algebra_core import (
     VarKind,
     VarTable,
     ZeroDenominatorError,
-    block_elimination_order,
     content_and_primitive,
     expr_evaluate,
     expr_normalize,
@@ -114,7 +113,7 @@ def test_lex_and_grevlex_classic_comparisons():
 
 
 def test_block_order_separates_eliminated_variables():
-    order = block_elimination_order([0], [1, 2])
+    order = Block(GrevLex((0,)), GrevLex((1, 2)))
     assert isinstance(order, Block)
     # anything containing the eliminated variable beats anything without it
     assert order.greater((1, 0, 0), (0, 5, 5))
@@ -186,14 +185,13 @@ def test_leading_data_and_monic(xyz):
 
 def test_content_and_primitive(xyz):
     table, x, y, _ = xyz
-    order = GrevLex((0, 1, 2))
     p = x.scale(Fraction(4, 3)) + y.scale(Fraction(2, 3))
-    content, prim = content_and_primitive(p, order)
+    content, prim = content_and_primitive(p)
     assert content * prim.terms[(1, 0, 0)] == Fraction(4, 3)
     coeffs = sorted(prim.terms.values())
     assert coeffs == [1, 2]
     # negative leading coefficient flips the content sign
-    content2, prim2 = content_and_primitive(-p, order)
+    content2, prim2 = content_and_primitive(-p)
     assert prim2 == prim and content2 == -content
 
 
@@ -293,10 +291,9 @@ def test_expr_substitute_replaces_points():
 
 def test_expr_normalize_clears_nested_quotients():
     table = make_table("A", "B", "C")
-    order = GrevLex((0, 1, 2))
     A, B, C = PointRef(0), PointRef(1), PointRef(2)
     e = Div(Sub(A, B), Sub(B, C))
-    num, den, factors = expr_normalize(e, table, order)
+    num, den, factors = expr_normalize(e, table)
     a = Polynomial.variable(table, 0)
     b = Polynomial.variable(table, 1)
     c = Polynomial.variable(table, 2)
@@ -307,11 +304,10 @@ def test_expr_normalize_clears_nested_quotients():
 
 def test_expr_normalize_registers_each_factor_once():
     table = make_table("A", "B", "C")
-    order = GrevLex((0, 1, 2))
     A, B, C = PointRef(0), PointRef(1), PointRef(2)
     inner = Div(Sub(A, B), Sub(B, C))
     e = Div(inner, Div(Sub(B, C), Sub(A, C)))
-    num, den, factors = expr_normalize(e, table, order)
+    num, den, factors = expr_normalize(e, table)
     keys = {frozenset(f.terms.items()) for f in factors}
     assert len(keys) == len(factors)
     b_minus_c = Polynomial.variable(table, 1) - Polynomial.variable(table, 2)
@@ -320,9 +316,8 @@ def test_expr_normalize_registers_each_factor_once():
 
 def test_expr_normalize_folds_constant_denominators():
     table = make_table("A", "B")
-    order = GrevLex((0, 1))
     e = Div(Add(PointRef(0), PointRef(1)), Const(Fraction(2)))
-    num, den, factors = expr_normalize(e, table, order)
+    num, den, factors = expr_normalize(e, table)
     assert factors == []
     assert den == Polynomial.constant(table, 1)
     assert num == (Polynomial.variable(table, 0) + Polynomial.variable(table, 1)).scale(Fraction(1, 2))
@@ -333,10 +328,9 @@ def test_expr_normalize_folds_constant_denominators():
 def test_normalize_agrees_with_direct_evaluation(ar, ai, br, bi):
     # num/den must equal the expression wherever the denominator is nonzero
     table = make_table("A", "B")
-    order = GrevLex((0, 1))
     A, B = PointRef(0), PointRef(1)
     e = Div(Add(A, Const(Fraction(1))), Sub(A, B))
-    num, den, _ = expr_normalize(e, table, order)
+    num, den, _ = expr_normalize(e, table)
     a, b = Qi(ar, ai), Qi(br, bi)
     assign = {0: a, 1: b}
     d = den.evaluate(assign)

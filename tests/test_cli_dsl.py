@@ -49,7 +49,8 @@ def test_parse_example_program_structure():
     assert d.definition == Div(Add(PointRef(0), PointRef(1)), Const(Fraction(2)))
     assert isinstance(h, RealRelational)
     assert h.source == Equidistant(3, 0, 2)
-    assert c.thesis == Perpendicular(0, 2, 2, 1)
+    assert isinstance(c.thesis, RealRelational)
+    assert c.thesis.source == Perpendicular(0, 2, 2, 1)
 
 
 def test_parse_explicit_expression_definition():
@@ -196,6 +197,15 @@ def test_run_cli_zero_denominator_is_an_error(tmp_path):
     assert err == f"error: {f}: denominator normalizes to the zero polynomial\n"
 
 
+def test_run_cli_division_by_literal_zero_is_an_error(tmp_path):
+    f = tmp_path / "zero.cni"
+    f.write_text("point A, B\nX := A/0\nprove collinear(A, B, X)\n")
+    code, out, err = _run(str(f))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {f}: division by the constant zero\n"
+
+
 def test_run_cli_engine_error_is_an_error(tmp_path):
     # P15 = C^32768: the engine cannot pack a monomial of that degree
     lines = ["point A, B, C", "P0 := C"]
@@ -208,6 +218,56 @@ def test_run_cli_engine_error_is_an_error(tmp_path):
     assert err == (
         f"error: {f}: a monomial of total degree 32768 or more does not fit a packed field\n"
     )
+
+
+def test_run_cli_non_utf8_file_is_an_error(tmp_path):
+    f = tmp_path / "latin1.cni"
+    f.write_bytes(b"point A, B\xff\nprove collinear(A, B, A)\n")
+    code, out, err = _run(str(f))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {f}: not valid UTF-8 (invalid start byte at byte 10)\n"
+
+
+def test_run_cli_non_utf8_stdin_is_an_error(monkeypatch):
+    # the bytes under a text stream are read as UTF-8 whatever the locale
+    raw = io.BytesIO(b"# caf\xe9\npoint A, B, C\nprove collinear(A, B, C)\n")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(raw, encoding="latin-1"))
+    code, out, err = _run("-")
+    assert code == 1
+    assert out == ""
+    assert err == "error: <stdin>: not valid UTF-8 (invalid continuation byte at byte 5)\n"
+
+
+def test_overlong_integer_literal_is_a_syntax_error(tmp_path):
+    src = "point A, B\nX := A + " + "7" * 5000 + "\nprove collinear(A, B, X)\n"
+    with pytest.raises(DslSyntaxError) as info:
+        parse(SourceProgram(src))
+    assert (info.value.line, info.value.column) == (2, 10)
+    f = tmp_path / "long.cni"
+    f.write_text(src)
+    code, out, err = _run(str(f))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {f}: line 2, column 10: integer literal of 5000 digits is too long\n"
+
+
+@pytest.mark.parametrize(
+    "definition",
+    [
+        pytest.param("(" * 3000 + "A" + ")" * 3000, id="parentheses"),
+        pytest.param("-" * 3000 + "A", id="unary-minus"),
+        pytest.param("+".join(["A"] * 5000), id="long-sum"),
+    ],
+)
+def test_run_cli_too_deep_input_is_an_error(tmp_path, definition):
+    # the first two overflow the parser, the long sum a later expression walk
+    f = tmp_path / "deep.cni"
+    f.write_text(f"point A, B\nX := {definition}\nprove collinear(A, B, X)\n")
+    code, out, err = _run(str(f))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {f}: input nested too deeply\n"
 
 
 def test_run_cli_unknown_predicate_is_inconclusive(tmp_path):

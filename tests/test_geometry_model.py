@@ -35,7 +35,7 @@ from cni_prover.geometry_model import (
     build_system,
     declarative_expr,
     fix_coordinates,
-    predicate_exprs,
+    predicate_expr,
     predicate_step,
     substitute_declaratives,
 )
@@ -59,7 +59,7 @@ def _midpoint_circle():
         table=table,
         free_points=(A, B, C),
         steps=steps,
-        thesis=Perpendicular(A, C, C, B),
+        thesis=predicate_step(Perpendicular(A, C, C, B)),
     )
 
 
@@ -68,12 +68,12 @@ def _midpoint_circle():
 
 
 def test_collinear_expression_structure():
-    [e] = predicate_exprs(Collinear(0, 1, 2))
+    e = predicate_expr(Collinear(0, 1, 2))
     assert e == Div(Sub(PointRef(0), PointRef(1)), Sub(PointRef(1), PointRef(2)))
 
 
 def test_perpendicular_is_a_squared_ratio():
-    [e] = predicate_exprs(Perpendicular(0, 1, 2, 3))
+    e = predicate_expr(Perpendicular(0, 1, 2, 3))
     assert isinstance(e, Pow) and e.exponent == 2
 
 
@@ -89,14 +89,13 @@ def test_predicates_reject_degenerate_segments():
 
 
 def _assert_real(pred, assignment):
-    for e in predicate_exprs(pred):
-        v = expr_evaluate(e, assignment)
-        assert v.is_real, f"{pred} gave {v}"
+    v = expr_evaluate(predicate_expr(pred), assignment)
+    assert v.is_real, f"{pred} gave {v}"
 
 
 def _assert_not_real(pred, assignment):
-    vals = [expr_evaluate(e, assignment) for e in predicate_exprs(pred)]
-    assert any(not v.is_real for v in vals), f"{pred} gave {vals}"
+    v = expr_evaluate(predicate_expr(pred), assignment)
+    assert not v.is_real, f"{pred} gave {v}"
 
 
 def test_predicate_evaluation_satisfying_and_violating():
@@ -169,7 +168,7 @@ def test_substitute_declaratives_chains_definitions():
         Declarative(F, declarative_expr("midpoint", (E, B))),
         predicate_step(Collinear(A, E, F)),
     )
-    c = Construction(table=table, free_points=(A, B), steps=steps, thesis=Collinear(A, F, B))
+    c = Construction(table=table, free_points=(A, B), steps=steps, thesis=predicate_step(Collinear(A, F, B)))
     out = substitute_declaratives(c)
     assert len(out.inlined) == 2
     assert all(isinstance(s, RealRelational) for s in out.steps)
@@ -177,14 +176,15 @@ def test_substitute_declaratives_chains_definitions():
     assignment = {A: Qi(0), B: Qi(4)}
     e_val = Qi(2)
     f_val = Qi(3)
-    [rel] = out.steps[0].relations
+    rel = out.steps[0].expr
     v = expr_evaluate(rel, assignment)
     ref = expr_evaluate(
-        predicate_exprs(Collinear(A, E, F))[0], {**assignment, E: e_val, F: f_val}
+        predicate_expr(Collinear(A, E, F)), {**assignment, E: e_val, F: f_val}
     )
     assert v == ref
     # stated expressions keep the original point names
-    assert out.steps[0].stated == (predicate_exprs(Collinear(A, E, F))[0],)
+    assert out.steps[0].source == Collinear(A, E, F)
+    assert build_system(out).slack_map[0].stated == predicate_expr(Collinear(A, E, F))
 
 
 def test_build_system_requires_substitution():
@@ -203,7 +203,7 @@ def test_build_system_shape():
     table = sys.table
     # one hypothesis slack, the thesis slack last
     assert len(sys.slack_map) == 2
-    assert sys.slack_map[-1].is_thesis
+    assert sys.slack_map[-1].stated == predicate_expr(Perpendicular(0, 2, 2, 1))
     assert sys.slack_map[-1].name == "r"
     assert sys.slack_map[0].name == "r1"
     assert sys.thesis_slack == sys.slack_map[-1].slack
@@ -213,7 +213,7 @@ def test_build_system_shape():
     u = table.rabinowitsch
     assert sys.rabinowitsch_poly.degree_in(u) == 1
     assert u in sys.eliminate_vars
-    assert all(s in sys.keep_vars for s in (o.slack for o in sys.slack_map))
+    assert not any(o.slack in sys.eliminate_vars for o in sys.slack_map)
     assert sys.declaratives and sys.declaratives[0][0] == "O"
     assert sys.point_names == ("A", "B", "C", "O")
 
@@ -236,11 +236,7 @@ def _consistent_assignment(sys, c, point_values):
     values = {}
     for idx, v in assignment.items():
         values[idx] = v
-    relations = []
-    for step in c.steps:
-        if isinstance(step, RealRelational):
-            relations.extend(step.relations)
-    relations.append(c.thesis_expr)
+    relations = [step.expr for step in c.steps + (c.thesis,)]
     for origin, rel in zip(sys.slack_map, relations):
         values[origin.slack] = expr_evaluate(rel, values)
     prod = Qi(1)
@@ -281,7 +277,7 @@ def test_notes_flag_encoding_weaknesses():
         table=table,
         free_points=(A, B, C, D),
         steps=(predicate_step(Concyclic(A, B, C, D)),),
-        thesis=Parallel(A, B, C, D),
+        thesis=predicate_step(Parallel(A, B, C, D)),
     )
     sys2 = build_system(substitute_declaratives(c2))
     assert any("cross-ratio" in n for n in sys2.notes)
@@ -333,7 +329,7 @@ def test_fix_coordinates_single_free_point():
         Declarative(C, Add(PointRef(A), Const(Fraction(2)))),
     )
     c = substitute_declaratives(
-        Construction(table=table, free_points=(A,), steps=steps, thesis=Collinear(A, B, C))
+        Construction(table=table, free_points=(A,), steps=steps, thesis=predicate_step(Collinear(A, B, C)))
     )
     sys = build_system(c)
     fixed = fix_coordinates(sys, c, "zero_one")

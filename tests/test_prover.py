@@ -43,10 +43,6 @@ def _prove_file(name: str, mode: str = "zero_one", timeout: float = 20.0):
     return prove(sys, ProverConfig(timeout=timeout))
 
 
-def _fmt(trace, p):
-    return format_polynomial(p, trace.display_order)
-
-
 # ---------------------------------------------------------------------------
 # Worked examples, end to end.
 
@@ -55,40 +51,40 @@ def test_varignon_proved_polynomial_form():
     v = _prove_file("varignon")
     assert v.outcome == PROVED and v.reason is None
     assert v.trace.linear.v.is_constant
-    assert _fmt(v.trace, v.trace.linear.pivot) == "-r-1"
+    assert format_polynomial(v.trace.linear.pivot) == "-r-1"
     assert v.trace.denominator is None
 
 
 def test_midpoint_circle_proved_by_contradiction():
     v = _prove_file("midpoint_circle")
     assert v.outcome == PROVED
-    assert _fmt(v.trace, v.trace.linear.pivot) == "r1*r-r1-4*r"
-    assert _fmt(v.trace, v.trace.denominator) == "r1-4"
+    assert format_polynomial(v.trace.linear.pivot) == "r1*r-r1-4*r"
+    assert format_polynomial(v.trace.denominator) == "r1-4"
     assert v.trace.second.status == "trivial"
 
 
 def test_medians_proved_by_second_polynomial_form():
     v = _prove_file("medians")
     assert v.outcome == PROVED
-    assert _fmt(v.trace, v.trace.denominator) == "r1*r2-r1-r2"
+    assert format_polynomial(v.trace.denominator) == "r1*r2-r1-r2"
     assert v.trace.second.status == "polynomial"
-    assert _fmt(v.trace, v.trace.second.linear.pivot) == "-r+2"
+    assert format_polynomial(v.trace.second.linear.pivot) == "-r+2"
     assert "except for a couple of counterexamples" in v.trace.reason_note
 
 
 def test_angle_bisectors_proved():
     v = _prove_file("angle_bisectors")
     assert v.outcome == PROVED
-    assert _fmt(v.trace, v.trace.linear.pivot) == "r1*r2*r-r1*r2-r1*r-r2*r"
-    assert _fmt(v.trace, v.trace.denominator) == "r1*r2-r1-r2"
+    assert format_polynomial(v.trace.linear.pivot) == "r1*r2*r-r1*r2-r1*r-r2*r"
+    assert format_polynomial(v.trace.denominator) == "r1*r2-r1-r2"
     assert v.trace.second.status == "trivial"
 
 
 def test_thales_converse_proved():
     v = _prove_file("thales_converse")
     assert v.outcome == PROVED
-    assert _fmt(v.trace, v.trace.linear.pivot) == "r1*r2*r3*r+1"
-    assert _fmt(v.trace, v.trace.denominator) == "r1*r2*r3"
+    assert format_polynomial(v.trace.linear.pivot) == "r1*r2*r3*r+1"
+    assert format_polynomial(v.trace.denominator) == "r1*r2*r3"
     assert v.trace.second.status == "trivial"
 
 
@@ -173,24 +169,15 @@ def test_express_linear_rejects_higher_degree():
 
 
 def _synthetic(table, polys, eliminate_vars, slacks, rab=None, points=()):
-    origins = []
-    for i, s in enumerate(slacks):
-        is_thesis = i == len(slacks) - 1
-        origins.append(
-            SlackOrigin(
-                slack=s,
-                name=table.name(s),
-                stated=Const(i + 1),
-                source=None,
-                is_thesis=is_thesis,
-            )
-        )
+    origins = [
+        SlackOrigin(slack=s, name=table.name(s), stated=Const(i + 1))
+        for i, s in enumerate(slacks)
+    ]
     return PolynomialSystem(
         table=table,
         hypothesis_polys=tuple(polys),
         rabinowitsch_poly=rab,
         eliminate_vars=tuple(eliminate_vars),
-        keep_vars=tuple(slacks),
         slack_map=tuple(origins),
         denominator_factors=(),
         free_points=tuple(points),
@@ -353,7 +340,7 @@ def test_prove_division_contradiction_end_to_end():
     v = prove(sys)
     assert v.outcome == PROVED
     assert v.trace.second.status == "trivial"
-    assert _fmt(v.trace, v.trace.denominator) == "r1-4"
+    assert format_polynomial(v.trace.denominator) == "r1-4"
 
 
 # ---------------------------------------------------------------------------
