@@ -163,23 +163,60 @@ def print_order(table: VarTable) -> GrevLex:
     return GrevLex(tuple(range(len(table))))
 
 
+def _integer_form(
+    terms: Mapping[tuple[int, ...], Fraction]
+) -> tuple[dict[tuple[int, ...], int], int]:
+    """(nums, den) with terms[m] == nums[m] / den: the coefficients as
+    integer numerators over one common denominator, the lcm of theirs."""
+    den = 1
+    for c in terms.values():
+        d = c.denominator
+        if den % d:
+            den = den // gcd(den, d) * d
+    if den == 1:
+        return {m: c.numerator for m, c in terms.items()}, 1
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
 class Polynomial:
     """Polynomial over Q attached to a variable table. Terms map exponent
     tuples of length len(table) to Fraction coefficients; the zero
     polynomial is the empty map and no zero coefficient is ever stored.
-    Building a polynomial seals its table against new variables."""
+    Building a polynomial seals its table against new variables.
+
+    Arithmetic runs on integer numerators over one common denominator
+    (`_integer_form`) and makes one Fraction per result term."""
 
     __slots__ = ("table", "terms")
 
     def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...], Rational]) -> None:
         cleaned: dict[tuple[int, ...], Fraction] = {}
         for m, c in terms.items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
                 cleaned[m] = c
         table._sealed = True
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "terms", cleaned)
+
+    @classmethod
+    def _trusted(cls, table: VarTable, terms: dict[tuple[int, ...], Fraction]) -> "Polynomial":
+        """Wrap terms that are already nonzero Fractions, without copying."""
+        p = object.__new__(cls)
+        table._sealed = True
+        object.__setattr__(p, "table", table)
+        object.__setattr__(p, "terms", terms)
+        return p
+
+    @classmethod
+    def _from_integers(
+        cls, table: VarTable, nums: Mapping[tuple[int, ...], int], den: int = 1
+    ) -> "Polynomial":
+        """The polynomial with coefficients nums[m] / den; zeros are dropped."""
+        if den == 1:
+            return cls._trusted(table, {m: Fraction(c) for m, c in nums.items() if c})
+        return cls._trusted(table, {m: Fraction(c, den) for m, c in nums.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -190,14 +227,16 @@ class Polynomial:
 
     @classmethod
     def constant(cls, table: VarTable, c) -> "Polynomial":
-        return cls(table, {(0,) * len(table): Fraction(c)})
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        return cls._trusted(table, {(0,) * len(table): c} if c else {})
 
     @classmethod
     def variable(cls, table: VarTable, v: int) -> "Polynomial":
         n = len(table)
         if not 0 <= v < n:
             raise AlgebraError(f"variable index {v} out of range")
-        return cls(table, {tuple(int(i == v) for i in range(n)): Fraction(1)})
+        return cls._trusted(table, {(0,) * v + (1,) + (0,) * (n - v - 1): Fraction(1)})
 
     @property
     def is_zero(self) -> bool:
@@ -206,6 +245,12 @@ class Polynomial:
     @property
     def is_constant(self) -> bool:
         return not any(any(m) for m in self.terms)
+
+    def _is_one(self) -> bool:
+        if len(self.terms) != 1:
+            return False
+        ((m, c),) = self.terms.items()
+        return c == 1 and not any(m)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
@@ -226,35 +271,45 @@ class Polynomial:
         if self.table is not other.table:
             raise AlgebraError("polynomials belong to different variable tables")
 
+    def _plus(self, terms) -> "Polynomial":
+        """self plus the (monomial, coefficient) pairs of terms."""
+        out = dict(self.terms)
+        for m, c in terms:
+            old = out.get(m)
+            if old is not None:
+                c += old
+                if not c:
+                    del out[m]
+                    continue
+            out[m] = c
+        return Polynomial._trusted(self.table, out)
+
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._same_table(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, Fraction(0)) + c
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-        return Polynomial(self.table, out)
+        return self._plus(other.terms.items())
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.table, {m: -c for m, c in self.terms.items()})
+        return Polynomial._trusted(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        self._same_table(other)
+        return self._plus((m, -c) for m, c in other.terms.items())
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._same_table(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = mono_mul(ma, mb)
-                nc = out.get(m, Fraction(0)) + ca * cb
-                if nc:
-                    out[m] = nc
-                else:
-                    del out[m]
-        return Polynomial(self.table, out)
+        if other._is_one():
+            return self
+        if self._is_one():
+            return other
+        na, da = _integer_form(self.terms)
+        nb, db = _integer_form(other.terms)
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        for ma, ca in na.items():
+            for mb, cb in nb.items():
+                m = tuple(map(add, ma, mb))
+                out[m] = get(m, 0) + ca * cb
+        return Polynomial._from_integers(self.table, out, da * db)
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -265,8 +320,15 @@ class Polynomial:
         return acc
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial(self.table, {m: cc * c for m, cc in self.terms.items()})
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        if c == 1:
+            return self
+        nums, den = _integer_form(self.terms)
+        p = c.numerator
+        return Polynomial._from_integers(
+            self.table, {m: n * p for m, n in nums.items()}, den * c.denominator
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -292,24 +354,32 @@ class Polynomial:
         return self.scale(1 / self.leading_coefficient(order))
 
     def substitute(self, assignment: Mapping[int, Rational]) -> "Polynomial":
-        """Replace the given variables by rational constants."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        for m, c in self.terms.items():
-            coef = c
-            rest = list(m)
-            for v, value in assignment.items():
-                if m[v]:
-                    coef *= Fraction(value) ** m[v]
-                    rest[v] = 0
-            if not coef:
-                continue
-            mm = tuple(rest)
-            nc = out.get(mm, Fraction(0)) + coef
-            if nc:
-                out[mm] = nc
+        """Replace the given variables by rational constants. A value p/q
+        for a variable of degree k multiplies the common denominator by
+        q^k once; each term gets p^e q^(k-e) for its exponent e."""
+        nums, den = _integer_form(self.terms)
+        pins = []
+        for v, value in assignment.items():
+            k = self.degree_in(v)
+            if k:
+                value = Fraction(value)
+                pins.append((v, value.numerator, value.denominator, k))
+                den *= value.denominator ** k
+        out: dict[tuple[int, ...], int] = {}
+        for m, c in nums.items():
+            for v, p, q, k in pins:
+                e = m[v]
+                if q != 1:
+                    c *= q ** (k - e)
+                if e:
+                    if p == 0:
+                        break
+                    if p != 1:
+                        c *= p ** e
+                    m = m[:v] + (0,) + m[v + 1:]
             else:
-                out.pop(mm, None)
-        return Polynomial(self.table, out)
+                out[m] = out.get(m, 0) + c
+        return Polynomial._from_integers(self.table, out, den)
 
     def evaluate(self, assignment: Mapping[int, object]):
         """Evaluate at a full assignment. Values only need ring operations,
@@ -352,15 +422,12 @@ def content_and_primitive(p: Polynomial) -> tuple[Fraction, Polynomial]:
     coefficients and a positive leading coefficient under the print order."""
     if p.is_zero:
         return Fraction(0), p
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.terms.values():
-        num_gcd = gcd(num_gcd, c.numerator)
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    content = Fraction(num_gcd, den_lcm)
+    nums, den = _integer_form(p.terms)
+    g = gcd(*nums.values())
     if p.leading_coefficient(print_order(p.table)) < 0:
-        content = -content
-    return content, p.scale(1 / content)
+        g = -g
+    prim = Polynomial._from_integers(p.table, {m: n // g for m, n in nums.items()})
+    return Fraction(g, den), prim
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +635,11 @@ def expr_normalize(e: Expr, table: VarTable) -> tuple[Polynomial, Polynomial, li
             nr, dr = walk(node.right)
             if nr.is_zero:
                 raise ZeroDenominatorError("denominator normalizes to the zero polynomial")
-            content, prim = content_and_primitive(nr)
             num = nl * dr
-            if prim.is_constant:
+            if nr.is_constant:
                 # purely numeric denominator: fold into coefficients
-                return num.scale(1 / (content * prim.constant_value())), dl
+                return num.scale(1 / nr.constant_value()), dl
+            content, prim = content_and_primitive(nr)
             note(prim)
             return num.scale(1 / content), dl * prim
         raise AlgebraError(f"unknown expression node {node!r}")

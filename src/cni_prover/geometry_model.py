@@ -5,7 +5,7 @@ the polynomial system whose elimination ideal decides the statement.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Union
 
@@ -408,30 +408,61 @@ def build_system(c: Construction) -> PolynomialSystem:
 FIX_MODES = ("zero_one", "minus_one_one", "off")
 
 
+def _unpinnable_point(c: Construction, table: VarTable, pinned: int) -> str | None:
+    """The first defined point whose definition does not commute with the
+    maps that pinning relies on, or None. Pinning two points needs every
+    map z -> az + b (a nonzero), so each definition must clear to an affine
+    combination of points: a constant denominator, a numerator of degree-1
+    point terms only, and coefficients summing to the denominator. Pinning
+    one point needs only the translations z -> z + b, which also allow a
+    constant term."""
+    degrees = (1,) if pinned == 2 else (0, 1)
+    for d in c.inlined:
+        num, den, _ = expr_normalize(d.definition, table)
+        if not (
+            den.is_constant
+            and all(sum(m) in degrees for m in num.terms)
+            and sum(a for m, a in num.terms.items() if any(m)) == den.constant_value()
+        ):
+            return c.point_name(d.point)
+    return None
+
+
 def fix_coordinates(sys: PolynomialSystem, c: Construction, mode: str) -> PolynomialSystem:
     """Pin the first two free points to constants (0 and 1, or -1 and 1).
-    The statement is affine-invariant, so this only shrinks the elimination
-    problem. With fewer than two free points, fixes as many as available."""
+    Predicates are invariant under every map z -> az + b with a nonzero, so
+    when the definitions commute with those maps too, pinning only shrinks
+    the elimination problem. When one does not, nothing is pinned and a
+    note says why. With fewer than two free points, fixes as many as
+    available."""
     if mode not in FIX_MODES:
         raise GeometryError(f"unknown coordinate fixing mode {mode!r}")
     if mode == "off" or not c.free_points:
         return sys
+    pinned = min(2, len(c.free_points))
+    culprit = _unpinnable_point(c, sys.table, pinned)
+    if culprit is not None:
+        maps = (
+            "the similarities of the plane (rotations, scalings and translations)"
+            if pinned == 2
+            else "translations"
+        )
+        note = (
+            f"No coordinates were pinned: the definition of {culprit} does not "
+            f"commute with {maps}, so pinning could change the statement."
+        )
+        return replace(sys, notes=sys.notes + (note,))
     values = (Fraction(0), Fraction(1)) if mode == "zero_one" else (Fraction(-1), Fraction(1))
     targets = list(zip(c.free_points[:2], values))
     assignment = {p: v for p, v in targets}
     polys = tuple(p.substitute(assignment) for p in sys.hypothesis_polys)
     rab = None if sys.rabinowitsch_poly is None else sys.rabinowitsch_poly.substitute(assignment)
     fixed_set = set(assignment)
-    return PolynomialSystem(
-        table=sys.table,
+    return replace(
+        sys,
         hypothesis_polys=polys,
         rabinowitsch_poly=rab,
         eliminate_vars=tuple(v for v in sys.eliminate_vars if v not in fixed_set),
-        slack_map=sys.slack_map,
         denominator_factors=tuple(f.substitute(assignment) for f in sys.denominator_factors),
-        free_points=sys.free_points,
-        point_names=sys.point_names,
-        declaratives=sys.declaratives,
         fixed=sys.fixed + tuple((sys.table.name(p), v) for p, v in targets),
-        notes=sys.notes,
     )

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Union
 
 from .algebra_core import (
@@ -35,6 +34,7 @@ from .algebra_core import (
     MonomialOrder,
     Polynomial,
     VarTable,
+    _integer_form,
     mono_lcm,
 )
 
@@ -357,16 +357,15 @@ def _enter(polys: list[Polynomial], pk: _Packing) -> list[_IntPoly]:
     with positive leading coefficient."""
     out = []
     for p in polys:
-        den = lcm(*(c.denominator for c in p.terms.values()))
-        terms = {pk.pack(m): c.numerator * (den // c.denominator) for m, c in p.terms.items()}
-        out.append(_normalize(terms, pk))
+        nums, _ = _integer_form(p.terms)
+        out.append(_normalize({pk.pack(m): c for m, c in nums.items()}, pk))
     return out
 
 
 def _exit(recs, table: VarTable, pk: _Packing) -> tuple[Polynomial, ...]:
     """Monic Polynomials, sorted by leading monomial ascending."""
     return tuple(
-        Polynomial(table, {pk.unpack(m): Fraction(c, d.lc) for m, c in d.terms.items()})
+        Polynomial._from_integers(table, {pk.unpack(m): c for m, c in d.terms.items()}, d.lc)
         for d in sorted(recs, key=lambda d: d.lm)
     )
 

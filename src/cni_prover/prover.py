@@ -9,9 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .algebra_core import AlgebraError, Polynomial, RationalExpr, content_and_primitive
+from .algebra_core import (
+    AlgebraError,
+    Polynomial,
+    RationalExpr,
+    _integer_form,
+    content_and_primitive,
+)
 from .geometry_model import PolynomialSystem, SlackOrigin
 from .groebner import (
     DEFAULT_TIMEOUT,
@@ -149,7 +154,7 @@ def _presentation_pivot(pivot: Polynomial, r: int) -> LinearForm:
     lf = express_linear(pivot, r)
     if lf.v.is_constant:
         k = Fraction(-1) / lf.v.constant_value()
-        k *= lcm(*((c * k).denominator for c in pivot.terms.values()))
+        k *= _integer_form(pivot.scale(k).terms)[1]
     else:
         k = 1 / content_and_primitive(pivot)[0]
     return LinearForm(lf.v.scale(k), lf.w.scale(k), pivot.scale(k))

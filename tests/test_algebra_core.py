@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from cni_prover.algebra_core import (
     Const,
     Div,
     GrevLex,
+    Mul,
     PointRef,
     Polynomial,
     Pow,
@@ -196,6 +198,7 @@ def test_content_and_primitive(xyz):
 
 
 _small = st.integers(min_value=-4, max_value=4)
+_rational = st.builds(Fraction, _small, st.integers(min_value=1, max_value=6))
 
 
 @st.composite
@@ -203,10 +206,18 @@ def polys(draw, table):
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
         exps = tuple(draw(st.integers(0, 2)) for _ in range(3))
-        c = draw(_small)
+        c = draw(_rational)
         if c:
-            terms[exps] = Fraction(c)
+            terms[exps] = c
     return Polynomial(table, terms)
+
+
+def _clean(p: Polynomial) -> Polynomial:
+    """p, after checking that every stored coefficient is a nonzero
+    Fraction, not an int."""
+    for c in p.terms.values():
+        assert type(c) is Fraction and c != 0
+    return p
 
 
 _TBL = make_table("x", "y", "z")
@@ -228,6 +239,50 @@ def test_evaluation_is_a_homomorphism(p, q, vals):
     a = {i: Fraction(v) for i, v in enumerate(vals)}
     assert (p + q).evaluate(a) == p.evaluate(a) + q.evaluate(a)
     assert (p * q).evaluate(a) == p.evaluate(a) * q.evaluate(a)
+
+
+# pinned coordinates are 0, 1 and -1; the substitution shortcuts them
+_value = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]), _rational)
+
+
+@given(
+    polys(_TBL),
+    polys(_TBL),
+    st.lists(_value, min_size=3, max_size=3),
+    st.integers(0, 3),
+    _rational,
+)
+@settings(max_examples=100, deadline=None)
+def test_kernels_agree_with_evaluation(p, q, vals, k, c):
+    a = dict(enumerate(vals))
+    P, Q = p.evaluate(a), q.evaluate(a)
+    assert _clean(p + q).evaluate(a) == P + Q
+    assert _clean(p - q).evaluate(a) == P - Q
+    assert _clean(-p).evaluate(a) == -P
+    assert _clean(p * q).evaluate(a) == P * Q
+    assert _clean(p ** k).evaluate(a) == P ** k
+    assert _clean(p.scale(c)).evaluate(a) == P * c
+    assert _clean(p.scale(1)) == p
+
+
+@given(polys(_TBL), st.lists(_value, min_size=3, max_size=3), st.sets(st.integers(0, 2)))
+@settings(max_examples=100, deadline=None)
+def test_substitute_agrees_with_evaluation(p, vals, pinned):
+    a = dict(enumerate(vals))
+    q = _clean(p.substitute({v: a[v] for v in pinned}))
+    assert not any(q.contains_var(v) for v in pinned)
+    assert q.evaluate(a) == p.evaluate(a)
+
+
+@given(polys(_TBL))
+@settings(max_examples=60, deadline=None)
+def test_content_and_primitive_property(p):
+    content, prim = content_and_primitive(p)
+    _clean(prim)
+    assert prim.scale(content) == p
+    if not p.is_zero:
+        assert all(c.denominator == 1 for c in prim.terms.values())
+        assert gcd(*(c.numerator for c in prim.terms.values())) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +378,45 @@ def test_expr_normalize_folds_constant_denominators():
     assert num == (Polynomial.variable(table, 0) + Polynomial.variable(table, 1)).scale(Fraction(1, 2))
 
 
-@given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
-@settings(max_examples=60, deadline=None)
-def test_normalize_agrees_with_direct_evaluation(ar, ai, br, bi):
-    # num/den must equal the expression wherever the denominator is nonzero
+_leaf = st.one_of(st.builds(PointRef, st.integers(0, 1)), st.builds(Const, _rational))
+
+
+def _nonzero_const(e) -> bool:
+    return not (isinstance(e, Const) and e.value == 0)
+
+
+exprs = st.recursive(
+    _leaf,
+    lambda sub: st.one_of(
+        st.builds(Add, sub, sub),
+        st.builds(Sub, sub, sub),
+        st.builds(Mul, sub, sub),
+        st.builds(Div, sub, sub.filter(_nonzero_const)),
+        st.builds(Pow, sub, st.integers(0, 3)),
+    ),
+    max_leaves=8,
+)
+_gaussian = st.builds(Qi, _rational, _rational)
+
+
+@given(exprs, _gaussian, _gaussian)
+@settings(max_examples=150, deadline=None)
+def test_normalize_agrees_with_direct_evaluation(e, a, b):
+    # num/den must equal the expression wherever no denominator factor
+    # vanishes; a divisor that clears to zero divides by zero everywhere
     table = make_table("A", "B")
-    A, B = PointRef(0), PointRef(1)
-    e = Div(Add(A, Const(Fraction(1))), Sub(A, B))
-    num, den, _ = expr_normalize(e, table)
-    a, b = Qi(ar, ai), Qi(br, bi)
     assign = {0: a, 1: b}
-    d = den.evaluate(assign)
-    if d == Qi(0):
+    try:
+        num, den, factors = expr_normalize(e, table)
+    except ZeroDenominatorError:
+        with pytest.raises(ZeroDivisionError):
+            expr_evaluate(e, assign)
         return
-    assert num.evaluate(assign) / d == expr_evaluate(e, assign)
+    for p in (num, den, *factors):
+        _clean(p)
+    if any(f.evaluate(assign) == 0 for f in factors):
+        return
+    assert num.evaluate(assign) / den.evaluate(assign) == expr_evaluate(e, assign)
 
 
 def test_random_polynomial_helper_stays_in_bounds():

@@ -301,6 +301,34 @@ def test_run_cli_json_format():
     assert payload["rational_form"] == "r1/(r1-4)"
 
 
+# Pinning assumes every definition commutes with z -> az + b. Each of these
+# does not, and pinning once turned its e0u under --fix off into Proved.
+NOT_PINNABLE = [
+    ("point A, B, C\nD := A*B\nprove collinear(A, D, C)\n", "zero_one"),
+    ("point A, B\nD := A + 1\nprove parallel(A, D, A, B)\n", "zero_one"),
+    ("point A, B\nD := A + B\nprove collinear(A, D, B)\n", "minus_one_one"),
+]
+
+
+@pytest.mark.parametrize("text,fix", NOT_PINNABLE, ids=["product", "shift", "sum"])
+def test_pinning_is_refused_for_a_definition_that_is_not_affine(text, fix, monkeypatch):
+    docs = {}
+    for mode in (fix, "off"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = _run("-", fix_mode=mode, format="json")
+        assert err == ""
+        docs[mode] = (code, json.loads(out))
+    (code, pinned), (code_off, off) = docs[fix], docs["off"]
+    assert (code, pinned["verdict"], pinned["reason"]) == (code_off, off["verdict"], off["reason"])
+    assert pinned["verdict"] != "Proved"
+    assert pinned["fixed"] == []
+    assert pinned["notes"] == off["notes"] + [
+        "No coordinates were pinned: the definition of D does not commute with "
+        "the similarities of the plane (rotations, scalings and translations), "
+        "so pinning could change the statement."
+    ]
+
+
 def test_cli_config_validation():
     with pytest.raises(ValueError):
         CliConfig("x.cni", timeout=0)

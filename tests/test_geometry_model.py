@@ -336,6 +336,29 @@ def test_fix_coordinates_single_free_point():
     assert fixed.fixed == (("A", Fraction(0)),)
 
 
+def test_fix_coordinates_single_free_point_refuses_a_definition_that_is_not_a_translate():
+    # pinning one point needs only translations, which A + 1 commutes with
+    # and A*A does not
+    table = VarTable()
+    (A,) = _pts(table, "A")
+    B = table.add("B", VarKind.POINT)
+    C = table.add("C", VarKind.POINT)
+    steps = (
+        Declarative(B, Add(PointRef(A), Const(Fraction(1)))),
+        Declarative(C, Mul(PointRef(A), PointRef(A))),
+    )
+    c = substitute_declaratives(
+        Construction(table=table, free_points=(A,), steps=steps, thesis=predicate_step(Collinear(A, B, C)))
+    )
+    sys = build_system(c)
+    fixed = fix_coordinates(sys, c, "zero_one")
+    assert fixed.fixed == () and fixed.hypothesis_polys == sys.hypothesis_polys
+    assert fixed.notes == sys.notes + (
+        "No coordinates were pinned: the definition of C does not commute with "
+        "translations, so pinning could change the statement.",
+    )
+
+
 def test_construction_requires_a_thesis():
     table = make_table("A", "B", "C")
     with pytest.raises(GeometryError):
