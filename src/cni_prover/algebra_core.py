@@ -94,10 +94,6 @@ class VarTable:
 # Monomials are exponent tuples with one entry per variable of the table.
 
 
-def mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(add, a, b))
-
-
 def mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(max, a, b))
 
@@ -116,9 +112,6 @@ class MonomialOrder:
 
     def weights(self, n: int) -> list[tuple[int, ...]]:
         raise NotImplementedError
-
-    def greater(self, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-        return self.key(a) > self.key(b)
 
 
 @dataclass(frozen=True)
@@ -601,14 +594,7 @@ def expr_normalize(e: Expr, table: VarTable) -> tuple[Polynomial, Polynomial, li
     Rabinowitsch product wants downstream.
     """
     one = Polynomial.constant(table, 1)
-    factors: list[Polynomial] = []
-    seen: set[frozenset] = set()
-
-    def note(p: Polynomial) -> None:
-        k = frozenset(p.terms.items())
-        if k not in seen:
-            seen.add(k)
-            factors.append(p)
+    factors: dict[Polynomial, None] = {}  # first-seen order
 
     def walk(node: Expr) -> tuple[Polynomial, Polynomial]:
         if isinstance(node, Const):
@@ -640,9 +626,9 @@ def expr_normalize(e: Expr, table: VarTable) -> tuple[Polynomial, Polynomial, li
                 # purely numeric denominator: fold into coefficients
                 return num.scale(1 / nr.constant_value()), dl
             content, prim = content_and_primitive(nr)
-            note(prim)
+            factors[prim] = None
             return num.scale(1 / content), dl * prim
         raise AlgebraError(f"unknown expression node {node!r}")
 
     num, den = walk(e)
-    return num, den, factors
+    return num, den, list(factors)

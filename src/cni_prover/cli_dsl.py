@@ -25,20 +25,15 @@ from pathlib import Path
 
 from .algebra_core import AlgebraError, Const, PointRef, RationalExpr, VarKind, VarTable
 from .geometry_model import (
-    AngleEqual,
-    Collinear,
-    Concyclic,
+    DEFINITIONS,
+    FIX_MODES,
+    PREDICATES,
     Construction,
     Declarative,
-    Equidistant,
     GeometryError,
-    Parallel,
-    Perpendicular,
     Predicate,
     RealRelational,
-    FIX_MODES,
     build_system,
-    declarative_expr,
     fix_coordinates,
     predicate_step,
     substitute_declaratives,
@@ -76,23 +71,7 @@ class PredicateArityError(Exception):
         self.line = line
 
 
-# Each predicate takes one point per dataclass field.
-PREDICATES: dict[str, type[Predicate]] = {
-    "collinear": Collinear,
-    "perpendicular": Perpendicular,
-    "parallel": Parallel,
-    "equidist": Equidistant,
-    "angle_eq": AngleEqual,
-    "concyclic": Concyclic,
-}
-
-_PREDICATE_NAMES = {cls: name for name, cls in PREDICATES.items()}
-
-SUGAR = {
-    "midpoint": ("midpoint", 2),
-    "barycenter": ("barycenter", 3),
-    "parallelogram4": ("parallelogram_fourth", 3),
-}
+_PREDICATE_BY_NAME = {cls.name: cls for cls in PREDICATES}
 
 KEYWORDS = ("point", "assume", "prove")
 
@@ -164,10 +143,11 @@ class _Tokens:
     def next(self, expected: str | None = None):
         tok = self.peek()
         if tok is None:
+            _, last, col = self.tokens[-1]
             raise DslSyntaxError(
                 f"unexpected end of line (expected {expected or 'more input'})",
                 self.line,
-                len_hint(self.tokens),
+                col + len(last),
             )
         self.pos += 1
         return tok
@@ -191,20 +171,12 @@ class _Tokens:
             )
 
 
-def len_hint(tokens) -> int:
-    return tokens[-1][2] + len(tokens[-1][1]) if tokens else 1
-
-
 class _ExprParser:
     """Recursive descent over +, -, *, /, integers, parentheses, points."""
 
     def __init__(self, ts: _Tokens, points: dict[str, int]):
         self.ts = ts
         self.points = points
-
-    def parse(self) -> RationalExpr:
-        e = self._sum()
-        return e
 
     def _sum(self) -> RationalExpr:
         e = self._product()
@@ -259,15 +231,31 @@ class _ExprParser:
 
 
 def _parse_call(ts: _Tokens, points: dict[str, int], line: int) -> tuple[str, list[int], int]:
-    """Parse NAME(P1, ..., Pk) where the Pi are declared points. Returns the
-    call name, the point indices, and the name's column."""
+    """Parse NAME(P1, ..., Pk), the rest of the statement, where the Pi are
+    declared points. Returns the call name, the point indices, and the
+    name's column."""
     name, col = ts.expect_name("a predicate name")
-    args = _parse_call_args_only(ts, points, line)
+    ts.expect_sym("(")
+    args: list[int] = []
+    while True:
+        pname, pcol = ts.expect_name("a point name")
+        idx = points.get(pname)
+        if idx is None:
+            raise DslSyntaxError(
+                f"unknown point {pname!r} (points must be declared first)", line, pcol
+            )
+        args.append(idx)
+        kind, value, vcol = ts.next("',' or ')'")
+        if value == ")":
+            break
+        if value != ",":
+            raise DslSyntaxError(f"expected ',' or ')', got {value!r}", line, vcol)
+    ts.expect_end()
     return name, args, col
 
 
 def _build_predicate(name: str, args: list[int], line: int, col: int) -> Predicate:
-    cls = PREDICATES.get(name)
+    cls = _PREDICATE_BY_NAME.get(name)
     if cls is None:
         raise UnknownPredicateError(name, line)
     arity = len(fields(cls))
@@ -344,22 +332,20 @@ def parse(src: SourceProgram) -> Construction:
         if (
             nxt is not None
             and nxt[0] == "name"
-            and nxt[1] in SUGAR
+            and nxt[1] in DEFINITIONS
             and following is not None
             and following[1] == "("
         ):
-            sugar_name, sugar_col = ts.expect_name("a definition")
-            cargs = _parse_call_args_only(ts, points, line)
-            dsl_kind, arity = SUGAR[sugar_name]
-            if len(cargs) != arity:
+            sname, sargs, scol = _parse_call(ts, points, line)
+            shorthand = DEFINITIONS[sname]
+            arity = shorthand.__code__.co_argcount
+            if len(sargs) != arity:
                 raise DslSyntaxError(
-                    f"{sugar_name} takes {arity} points, got {len(cargs)}",
-                    line,
-                    sugar_col,
+                    f"{sname} takes {arity} points, got {len(sargs)}", line, scol
                 )
-            definition = declarative_expr(dsl_kind, tuple(cargs))
+            definition = shorthand(*(PointRef(i) for i in sargs))
         else:
-            definition = _ExprParser(ts, points).parse()
+            definition = _ExprParser(ts, points)._sum()
             ts.expect_end()
         idx = table.add(name, VarKind.POINT)
         points[name] = idx
@@ -372,41 +358,17 @@ def parse(src: SourceProgram) -> Construction:
     )
 
 
-def _parse_call_args_only(ts: _Tokens, points: dict[str, int], line: int) -> list[int]:
-    """Parse the (P1, ..., Pk) tail of a sugar call."""
-    ts.expect_sym("(")
-    args: list[int] = []
-    while True:
-        pname, pcol = ts.expect_name("a point name")
-        idx = points.get(pname)
-        if idx is None:
-            raise DslSyntaxError(
-                f"unknown point {pname!r} (points must be declared first)", line, pcol
-            )
-        args.append(idx)
-        kind, value, vcol = ts.next("',' or ')'")
-        if value == ")":
-            break
-        if value != ",":
-            raise DslSyntaxError(f"expected ',' or ')', got {value!r}", line, vcol)
-    ts.expect_end()
-    return args
-
-
 # ---------------------------------------------------------------------------
 # Printing a construction back to source form.
 
 
 def _predicate_source(p: Predicate, names) -> str:
-    name = _PREDICATE_NAMES.get(type(p))
-    if name is None:
-        raise GeometryError(f"cannot print predicate {p!r}")
-    return f"{name}({', '.join(names[i] for i in p.points())})"
+    return f"{type(p).name}({', '.join(names[i] for i in p.points())})"
 
 
 def format_construction(c: Construction) -> str:
     """Print a construction as DSL source. Parsing the result gives back a
-    structurally equal construction (sugar definitions print expanded)."""
+    structurally equal construction (shorthand definitions print expanded)."""
     names = tuple(c.table.name(i) for i in range(len(c.table)))
     lines = []
     if c.free_points:

@@ -7,11 +7,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Union
+from typing import Callable, ClassVar, Union
 
 from .algebra_core import (
     Add,
-    Const,
     Div,
     Mul,
     PointRef,
@@ -36,17 +35,35 @@ class PredicateArgumentError(GeometryError):
 
 
 # ---------------------------------------------------------------------------
-# Predicates. Arguments are point variable indices, one per dataclass field.
-# Each predicate knows the point pairs that appear as directed segments in its
-# expression; those must be symbolically distinct or a denominator is
-# identically zero.
+# The catalog. Each predicate class is one entry: its DSL name, the caveat of
+# its encoding if any, and the rational expression that is real exactly when
+# it holds. Arguments are point variable indices, one per dataclass field.
+
+
+def _differences(e: RationalExpr):
+    """(a, b) for each difference of two points a - b in e, left to right."""
+    if isinstance(e, Sub) and isinstance(e.left, PointRef) and isinstance(e.right, PointRef):
+        yield e.left.index, e.right.index
+    elif isinstance(e, Pow):
+        yield from _differences(e.base)
+    elif isinstance(e, (Add, Sub, Mul, Div)):
+        yield from _differences(e.left)
+        yield from _differences(e.right)
 
 
 class Predicate:
+    """A catalog entry. `name` is the DSL name; `caveat`, when set, is the
+    note a proof document carries whenever the predicate is used; `expr()`
+    is the expression that is real iff the predicate holds. Every directed
+    segment in it must join symbolically distinct points, or a denominator
+    is identically zero."""
+
     __slots__ = ()
+    name: ClassVar[str]
+    caveat: ClassVar[str | None] = None
 
     def __post_init__(self):
-        for a, b in self._segments():
+        for a, b in _differences(self.expr()):
             if a == b:
                 raise PredicateArgumentError(
                     f"{type(self).__name__} needs distinct points in each "
@@ -56,7 +73,10 @@ class Predicate:
     def points(self) -> tuple[int, ...]:
         return tuple(getattr(self, f.name) for f in fields(self))
 
-    def _segments(self) -> tuple[tuple[int, int], ...]:
+    def _refs(self) -> tuple[PointRef, ...]:
+        return tuple(PointRef(i) for i in self.points())
+
+    def expr(self) -> RationalExpr:
         raise NotImplementedError
 
 
@@ -66,8 +86,11 @@ class Collinear(Predicate):
     o: int
     b: int
 
-    def _segments(self):
-        return ((self.a, self.o), (self.o, self.b))
+    name = "collinear"
+
+    def expr(self):
+        a, o, b = self._refs()
+        return (a - o) / (o - b)
 
 
 @dataclass(frozen=True)
@@ -77,8 +100,11 @@ class Parallel(Predicate):
     g: int
     h: int
 
-    def _segments(self):
-        return ((self.e, self.f), (self.g, self.h))
+    name = "parallel"
+
+    def expr(self):
+        e, f, g, h = self._refs()
+        return (e - f) / (g - h)
 
 
 @dataclass(frozen=True)
@@ -88,8 +114,11 @@ class Perpendicular(Predicate):
     r: int
     s: int
 
-    def _segments(self):
-        return ((self.p, self.q), (self.r, self.s))
+    name = "perpendicular"
+
+    def expr(self):
+        p, q, r, s = self._refs()
+        return ((p - q) / (r - s)) ** 2
 
 
 @dataclass(frozen=True)
@@ -101,8 +130,16 @@ class Equidistant(Predicate):
     a: int
     c: int
 
-    def _segments(self):
-        return ((self.a, self.c), (self.a, self.o), (self.c, self.o))
+    name = "equidist"
+    caveat = (
+        "Distance equality is encoded through the isosceles angle "
+        "equality; the encoding also admits some degenerate collinear "
+        "configurations."
+    )
+
+    def expr(self):
+        o, a, c = self._refs()
+        return ((a - c) / (a - o)) / ((c - o) / (c - a))
 
 
 @dataclass(frozen=True)
@@ -116,13 +153,11 @@ class AngleEqual(Predicate):
     q2: int
     r2: int
 
-    def _segments(self):
-        return (
-            (self.q1, self.p1),
-            (self.q1, self.r1),
-            (self.q2, self.p2),
-            (self.q2, self.r2),
-        )
+    name = "angle_eq"
+
+    def expr(self):
+        p1, q1, r1, p2, q2, r2 = self._refs()
+        return ((q1 - p1) / (q1 - r1)) / ((q2 - p2) / (q2 - r2))
 
 
 @dataclass(frozen=True)
@@ -132,58 +167,35 @@ class Concyclic(Predicate):
     c: int
     d: int
 
-    def _segments(self):
-        return ((self.a, self.c), (self.b, self.d), (self.a, self.d), (self.b, self.c))
+    name = "concyclic"
+    caveat = (
+        "Concyclicity is encoded through the real cross-ratio, which is "
+        "also real when the four points are collinear."
+    )
+
+    def expr(self):
+        a, b, c, d = self._refs()
+        return (a - c) * (b - d) / ((a - d) * (b - c))
 
 
-def predicate_expr(p: Predicate) -> RationalExpr:
-    """The rational expression that is real iff the predicate holds."""
+# In this order the caveats appear in a proof document.
+PREDICATES: tuple[type[Predicate], ...] = (
+    Collinear,
+    Parallel,
+    Perpendicular,
+    Equidistant,
+    AngleEqual,
+    Concyclic,
+)
 
-    def pt(i: int) -> PointRef:
-        return PointRef(i)
-
-    if isinstance(p, Collinear):
-        return Div(Sub(pt(p.a), pt(p.o)), Sub(pt(p.o), pt(p.b)))
-    if isinstance(p, Parallel):
-        return Div(Sub(pt(p.e), pt(p.f)), Sub(pt(p.g), pt(p.h)))
-    if isinstance(p, Perpendicular):
-        return Pow(Div(Sub(pt(p.p), pt(p.q)), Sub(pt(p.r), pt(p.s))), 2)
-    if isinstance(p, Equidistant):
-        return Div(
-            Div(Sub(pt(p.a), pt(p.c)), Sub(pt(p.a), pt(p.o))),
-            Div(Sub(pt(p.c), pt(p.o)), Sub(pt(p.c), pt(p.a))),
-        )
-    if isinstance(p, AngleEqual):
-        return Div(
-            Div(Sub(pt(p.q1), pt(p.p1)), Sub(pt(p.q1), pt(p.r1))),
-            Div(Sub(pt(p.q2), pt(p.p2)), Sub(pt(p.q2), pt(p.r2))),
-        )
-    if isinstance(p, Concyclic):
-        # real cross-ratio; also real for collinear quadruples, see note
-        return Div(
-            Mul(Sub(pt(p.a), pt(p.c)), Sub(pt(p.b), pt(p.d))),
-            Mul(Sub(pt(p.a), pt(p.d)), Sub(pt(p.b), pt(p.c))),
-        )
-    raise GeometryError(f"unknown predicate {p!r}")
-
-
-def declarative_expr(kind: str, args: tuple[int, ...]) -> RationalExpr:
-    """Built-in declarative point definitions."""
-    pts = [PointRef(i) for i in args]
-    if kind == "midpoint":
-        if len(args) != 2:
-            raise GeometryError("midpoint takes 2 points")
-        return Div(Add(pts[0], pts[1]), Const(Fraction(2)))
-    if kind == "parallelogram_fourth":
-        # completes P, Q, R to the parallelogram P Q R X
-        if len(args) != 3:
-            raise GeometryError("parallelogram_fourth takes 3 points")
-        return Sub(Add(pts[0], pts[2]), pts[1])
-    if kind == "barycenter":
-        if len(args) != 3:
-            raise GeometryError("barycenter takes 3 points")
-        return Div(Add(Add(pts[0], pts[1]), pts[2]), Const(Fraction(3)))
-    raise GeometryError(f"unknown declarative kind {kind!r}")
+# Point shorthands, `X := name(P1, ..., Pk)`: each maps the arguments, as
+# point expressions, to the definition; its arity is its parameter count.
+DEFINITIONS: dict[str, Callable[..., RationalExpr]] = {
+    "midpoint": lambda a, b: (a + b) / 2,
+    "barycenter": lambda a, b, c: (a + b + c) / 3,
+    # completes P, Q, R to the parallelogram P Q R X
+    "parallelogram4": lambda p, q, r: p + r - q,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +212,7 @@ class Declarative:
 class RealRelational:
     """The rational expression of a predicate, required to be real. `expr`
     is what the algebra consumes (declaratives substituted); the expression
-    as written is `predicate_expr(source)`."""
+    as written is `source.expr()`."""
 
     expr: RationalExpr
     source: Predicate
@@ -208,7 +220,7 @@ class RealRelational:
 
 def predicate_step(p: Predicate) -> RealRelational:
     """The relation asserting a predicate, as a hypothesis or the thesis."""
-    return RealRelational(predicate_expr(p), p)
+    return RealRelational(p.expr(), p)
 
 
 ConstructionStep = Union[Declarative, RealRelational]
@@ -329,7 +341,6 @@ def _segment_text(c: Construction, a: int, b: int) -> str:
 
 def _collect_notes(c: Construction) -> tuple[str, ...]:
     notes: list[str] = []
-    preds = [s.source for s in c.steps + (c.thesis,)]
     t = c.thesis.source
     if isinstance(t, Perpendicular):
         notes.append(
@@ -337,17 +348,8 @@ def _collect_notes(c: Construction) -> tuple[str, ...]:
             f"conclusion: either {_segment_text(c, t.p, t.q)} is perpendicular "
             f"to {_segment_text(c, t.r, t.s)} or the two lines are parallel."
         )
-    if any(isinstance(p, Equidistant) for p in preds):
-        notes.append(
-            "Distance equality is encoded through the isosceles angle "
-            "equality; the encoding also admits some degenerate collinear "
-            "configurations."
-        )
-    if any(isinstance(p, Concyclic) for p in preds):
-        notes.append(
-            "Concyclicity is encoded through the real cross-ratio, which is "
-            "also real when the four points are collinear."
-        )
+    used = {type(s.source) for s in c.steps + (c.thesis,)}
+    notes.extend(cls.caveat for cls in PREDICATES if cls.caveat and cls in used)
     return tuple(notes)
 
 
@@ -369,19 +371,14 @@ def build_system(c: Construction) -> PolynomialSystem:
     for k, step in enumerate(relations, start=1):
         base = "r" if k == len(relations) else f"r{k}"
         idx = table.add(_fresh_name(base, table), VarKind.SLACK)
-        slack_entries.append(SlackOrigin(idx, table.name(idx), predicate_expr(step.source)))
+        slack_entries.append(SlackOrigin(idx, table.name(idx), step.source.expr()))
 
     polys: list[Polynomial] = []
-    factors: list[Polynomial] = []
-    seen: set[frozenset] = set()
+    factors: dict[Polynomial, None] = {}  # first-seen order
     for step, origin in zip(relations, slack_entries):
         num, _den, fs = expr_normalize(Sub(step.expr, PointRef(origin.slack)), table)
         polys.append(num)
-        for f in fs:
-            key = frozenset(f.terms.items())
-            if key not in seen:
-                seen.add(key)
-                factors.append(f)
+        factors.update(dict.fromkeys(fs))
 
     rab = None
     if factors:

@@ -120,7 +120,7 @@ def emit_identity(trace: ProofTrace) -> str | None:
     """When the pivot has exactly two terms c*M*r + k with k constant, the
     proof amounts to one identity: the product of the slack expressions in M
     and the thesis expression equals -k/c. Returns None otherwise."""
-    if trace.linear is None or trace.thesis is None:
+    if trace.linear is None:
         return None
     pivot = trace.linear.pivot
     if len(pivot.terms) != 2:
@@ -156,7 +156,7 @@ def emit_identity(trace: ProofTrace) -> str | None:
 def _rational_form(trace: ProofTrace) -> str | None:
     """r = -w/v as a display string, collapsed to a polynomial when v is
     constant."""
-    if trace.linear is None or trace.thesis is None:
+    if trace.linear is None:
         return None
     v, w = trace.linear.v, trace.linear.w
     if v.is_constant:
@@ -219,7 +219,7 @@ def _narration(verdict: ProverVerdict, show_ideal: bool) -> list[tuple[str, str]
         else:
             items.append(("s", "The elimination ideal is <0>."))
 
-    if t.linear is not None and t.thesis is not None:
+    if t.linear is not None:
         rname = t.thesis.name
         items.append(
             (
@@ -288,7 +288,7 @@ def _json_payload(verdict: ProverVerdict, show_ideal: bool) -> dict:
     second = t.second
 
     def fmt(p: Polynomial | None) -> str | None:
-        if p is None or t.thesis is None:
+        if p is None:
             return None
         return format_polynomial(p)
 

@@ -77,8 +77,9 @@ class SecondElimination:
 @dataclass(frozen=True)
 class ProofTrace:
     """Everything a renderer needs, in the order the proof narrates it.
-    `thesis` is set exactly when the statement reached elimination;
-    `second` exactly when `linear` needs a division."""
+    `thesis` is set exactly when the statement reached elimination, so a
+    set `linear` implies a set `thesis`; `second` is set exactly when
+    `linear` needs a division."""
 
     point_names: tuple[str, ...]
     free_point_names: tuple[str, ...]

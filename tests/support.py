@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import add
 
 from cni_prover.algebra_core import (
     AlgebraError,
@@ -15,7 +16,6 @@ from cni_prover.algebra_core import (
     VarKind,
     VarTable,
     mono_lcm,
-    mono_mul,
 )
 
 
@@ -176,6 +176,10 @@ def from_sympy(expr, table: VarTable, symbols) -> Polynomial:
 
 # ---------------------------------------------------------------------------
 # Reference division over the rationals, independent of the groebner engine.
+
+
+def mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(add, a, b))
 
 
 def mono_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:

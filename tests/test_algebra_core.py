@@ -27,7 +27,6 @@ from cni_prover.algebra_core import (
     expr_normalize,
     expr_substitute,
     mono_lcm,
-    mono_mul,
 )
 
 from support import (
@@ -35,6 +34,7 @@ from support import (
     I,
     make_table,
     mono_div,
+    mono_mul,
     normal_form,
     random_polynomial,
     s_polynomial,
@@ -104,23 +104,23 @@ def test_lex_and_grevlex_classic_comparisons():
     xy = (1, 1, 0)
     yz2 = (0, 1, 2)
     # lex: x^2 > y*z^2 regardless of degree
-    assert lex.greater(x2, yz2)
-    assert lex.greater(x2, xy)
+    assert lex.key(x2) > lex.key(yz2)
+    assert lex.key(x2) > lex.key(xy)
     # grevlex: degree first, then the smaller trailing exponent wins
-    assert grv.greater(yz2, x2)
+    assert grv.key(yz2) > grv.key(x2)
     x2y = (2, 1, 0)
     xz2 = (1, 0, 2)
-    assert grv.greater(x2y, xz2)
-    assert not grv.greater(xy, xy)
+    assert grv.key(x2y) > grv.key(xz2)
+    assert not grv.key(xy) > grv.key(xy)
 
 
 def test_block_order_separates_eliminated_variables():
     order = Block(GrevLex((0,)), GrevLex((1, 2)))
     assert isinstance(order, Block)
     # anything containing the eliminated variable beats anything without it
-    assert order.greater((1, 0, 0), (0, 5, 5))
-    assert order.greater((1, 1, 0), (0, 0, 9))
-    assert not order.greater((0, 1, 0), (1, 0, 0))
+    assert order.key((1, 0, 0)) > order.key((0, 5, 5))
+    assert order.key((1, 1, 0)) > order.key((0, 0, 9))
+    assert not order.key((0, 1, 0)) > order.key((1, 0, 0))
 
 
 # ---------------------------------------------------------------------------

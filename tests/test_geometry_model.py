@@ -2,6 +2,7 @@
 assembly, and coordinate fixing."""
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,10 @@ from cni_prover.algebra_core import (
     VarTable,
     expr_evaluate,
 )
+from cni_prover.cli_dsl import SourceProgram, format_construction, parse
 from cni_prover.geometry_model import (
+    DEFINITIONS,
+    PREDICATES,
     AngleEqual,
     Collinear,
     Concyclic,
@@ -33,14 +37,16 @@ from cni_prover.geometry_model import (
     PredicateArgumentError,
     RealRelational,
     build_system,
-    declarative_expr,
     fix_coordinates,
-    predicate_expr,
     predicate_step,
     substitute_declaratives,
 )
 
 from support import Qi, I, make_table
+
+
+def _define(kind, *points):
+    return DEFINITIONS[kind](*(PointRef(i) for i in points))
 
 
 def _pts(table, *names):
@@ -52,7 +58,7 @@ def _midpoint_circle():
     A, B, C = _pts(table, "A", "B", "C")
     O = table.add("O", VarKind.POINT)
     steps = (
-        Declarative(O, declarative_expr("midpoint", (A, B))),
+        Declarative(O, _define("midpoint", A, B)),
         predicate_step(Equidistant(O, A, C)),
     )
     return Construction(
@@ -68,12 +74,12 @@ def _midpoint_circle():
 
 
 def test_collinear_expression_structure():
-    e = predicate_expr(Collinear(0, 1, 2))
+    e = Collinear(0, 1, 2).expr()
     assert e == Div(Sub(PointRef(0), PointRef(1)), Sub(PointRef(1), PointRef(2)))
 
 
 def test_perpendicular_is_a_squared_ratio():
-    e = predicate_expr(Perpendicular(0, 1, 2, 3))
+    e = Perpendicular(0, 1, 2, 3).expr()
     assert isinstance(e, Pow) and e.exponent == 2
 
 
@@ -88,13 +94,56 @@ def test_predicates_reject_degenerate_segments():
     Perpendicular(0, 1, 1, 2)
 
 
+# The directed segments of each encoding, as pairs of argument positions.
+SEGMENTS = {
+    Collinear: ((0, 1), (1, 2)),
+    Parallel: ((0, 1), (2, 3)),
+    Perpendicular: ((0, 1), (2, 3)),
+    Equidistant: ((1, 2), (1, 0), (2, 0)),
+    AngleEqual: ((1, 0), (1, 2), (4, 3), (4, 5)),
+    Concyclic: ((0, 2), (1, 3), (0, 3), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("cls", PREDICATES, ids=lambda cls: cls.__name__)
+def test_repeated_argument_is_rejected_exactly_inside_a_segment(cls):
+    segments = {frozenset(pair) for pair in SEGMENTS[cls]}
+    n = len(fields(cls))
+    for i in range(n):
+        for j in range(i + 1, n):
+            args = list(range(n))
+            args[j] = i
+            if frozenset((i, j)) in segments:
+                with pytest.raises(PredicateArgumentError) as exc:
+                    cls(*args)
+                assert str(exc.value) == (
+                    f"{cls.__name__} needs distinct points in each directed "
+                    f"segment (argument {i} repeated)"
+                )
+            else:
+                cls(*args)
+
+
+@pytest.mark.parametrize("cls", PREDICATES, ids=lambda cls: cls.__name__)
+def test_every_predicate_round_trips_through_source_form(cls):
+    table = make_table(*"ABCDEF")
+    n = len(fields(cls))
+    hypothesis = predicate_step(cls(*range(n)))
+    thesis = predicate_step(cls(*reversed(range(n))))
+    c = Construction(table=table, free_points=tuple(range(6)), steps=(hypothesis,), thesis=thesis)
+    text = format_construction(c)
+    back = parse(SourceProgram(text))
+    assert back.steps == c.steps and back.thesis == c.thesis
+    assert format_construction(back) == text
+
+
 def _assert_real(pred, assignment):
-    v = expr_evaluate(predicate_expr(pred), assignment)
+    v = expr_evaluate(pred.expr(), assignment)
     assert v.is_real, f"{pred} gave {v}"
 
 
 def _assert_not_real(pred, assignment):
-    v = expr_evaluate(predicate_expr(pred), assignment)
+    v = expr_evaluate(pred.expr(), assignment)
     assert not v.is_real, f"{pred} gave {v}"
 
 
@@ -143,19 +192,33 @@ def test_collinear_real_on_a_rational_line(coords):
 
 
 def test_declarative_expr_catalog():
-    assert declarative_expr("midpoint", (0, 1)) == Div(
+    assert _define("midpoint", 0, 1) == Div(
         Add(PointRef(0), PointRef(1)), Const(Fraction(2))
     )
-    assert declarative_expr("barycenter", (0, 1, 2)) == Div(
+    assert _define("barycenter", 0, 1, 2) == Div(
         Add(Add(PointRef(0), PointRef(1)), PointRef(2)), Const(Fraction(3))
     )
-    assert declarative_expr("parallelogram_fourth", (0, 1, 2)) == Sub(
+    assert _define("parallelogram4", 0, 1, 2) == Sub(
         Add(PointRef(0), PointRef(2)), PointRef(1)
     )
-    with pytest.raises(GeometryError):
-        declarative_expr("midpoint", (0, 1, 2))
-    with pytest.raises(GeometryError):
-        declarative_expr("circumcenter", (0, 1, 2))
+
+
+# Each shorthand as called, and the same definition written out.
+WRITTEN_OUT = {
+    "midpoint": ("midpoint(A, B)", "(A+B)/2"),
+    "barycenter": ("barycenter(A, B, C)", "(A+B+C)/3"),
+    "parallelogram4": ("parallelogram4(A, B, C)", "A+C-B"),
+}
+
+
+@pytest.mark.parametrize("shorthand", sorted(DEFINITIONS))
+def test_shorthand_parses_to_its_written_out_form(shorthand):
+    def definition(rhs):
+        program = f"point A, B, C\nM := {rhs}\nprove collinear(A, B, M)\n"
+        return parse(SourceProgram(program)).steps[0].definition
+
+    call, written_out = WRITTEN_OUT[shorthand]
+    assert definition(call) == definition(written_out)
 
 
 def test_substitute_declaratives_chains_definitions():
@@ -164,8 +227,8 @@ def test_substitute_declaratives_chains_definitions():
     E = table.add("E", VarKind.POINT)
     F = table.add("F", VarKind.POINT)
     steps = (
-        Declarative(E, declarative_expr("midpoint", (A, B))),
-        Declarative(F, declarative_expr("midpoint", (E, B))),
+        Declarative(E, _define("midpoint", A, B)),
+        Declarative(F, _define("midpoint", E, B)),
         predicate_step(Collinear(A, E, F)),
     )
     c = Construction(table=table, free_points=(A, B), steps=steps, thesis=predicate_step(Collinear(A, F, B)))
@@ -179,12 +242,12 @@ def test_substitute_declaratives_chains_definitions():
     rel = out.steps[0].expr
     v = expr_evaluate(rel, assignment)
     ref = expr_evaluate(
-        predicate_expr(Collinear(A, E, F)), {**assignment, E: e_val, F: f_val}
+        Collinear(A, E, F).expr(), {**assignment, E: e_val, F: f_val}
     )
     assert v == ref
     # stated expressions keep the original point names
     assert out.steps[0].source == Collinear(A, E, F)
-    assert build_system(out).slack_map[0].stated == predicate_expr(Collinear(A, E, F))
+    assert build_system(out).slack_map[0].stated == Collinear(A, E, F).expr()
 
 
 def test_build_system_requires_substitution():
@@ -203,7 +266,7 @@ def test_build_system_shape():
     table = sys.table
     # one hypothesis slack, the thesis slack last
     assert len(sys.slack_map) == 2
-    assert sys.slack_map[-1].stated == predicate_expr(Perpendicular(0, 2, 2, 1))
+    assert sys.slack_map[-1].stated == Perpendicular(0, 2, 2, 1).expr()
     assert sys.slack_map[-1].name == "r"
     assert sys.slack_map[0].name == "r1"
     assert sys.thesis_slack == sys.slack_map[-1].slack

@@ -17,7 +17,6 @@ from cni_prover.algebra_core import (
     Polynomial,
     VarKind,
     VarTable,
-    mono_mul,
 )
 from cni_prover.groebner import (
     GroebnerConfig,
@@ -36,6 +35,7 @@ from support import (
     in_ideal,
     make_table,
     mono_div,
+    mono_mul,
     normal_form,
     random_polynomial,
     s_polynomial,
