@@ -94,10 +94,6 @@ class VarTable:
 # Monomials are exponent tuples with one entry per variable of the table.
 
 
-def mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(max, a, b))
-
-
 class MonomialOrder:
     """Base for monomial orders. Orders compare exponent tuples through sort
     keys; larger key means larger monomial.

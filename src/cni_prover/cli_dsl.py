@@ -76,6 +76,9 @@ _PREDICATE_BY_NAME = {cls.name: cls for cls in PREDICATES}
 KEYWORDS = ("point", "assume", "prove")
 
 
+_LINE_END = re.compile(r"\r\n?|\n")
+
+
 @dataclass(frozen=True)
 class SourceProgram:
     """Raw program text plus a name used in diagnostics."""
@@ -85,9 +88,10 @@ class SourceProgram:
 
     def statements(self) -> list[tuple[int, str]]:
         """Non-empty statements with their 1-based line numbers, comments
-        stripped."""
+        stripped. Lines end at \\n, \\r\\n or \\r only: str.splitlines would
+        also end them at a form feed or another separator inside a comment."""
         out = []
-        for i, raw in enumerate(self.text.splitlines(), start=1):
+        for i, raw in enumerate(_LINE_END.split(self.text), start=1):
             stripped = raw.split("#", 1)[0].strip()
             if stripped:
                 out.append((i, stripped))

@@ -8,16 +8,19 @@ or subtraction, comparing them is one integer comparison, and divisibility
 is one guard-bit test. Division takes the leading term from a heap of the
 working polynomial's monomials, and the critical pairs wait in a heap keyed
 by sugar, then lcm (Monagan and Pearce, CASC 2007; Giovini et al., ISSAC
-1991). New basis elements enter fully reduced, tail included; redundant ones
-stay as reducers until the minimal basis is taken at the end, so the basis
-only grows and a cache can keep each monomial's reducer. Results leave as
-monic Polynomials on exponent tuples.
+1991). The Gebauer-Moeller criteria compare lcms on the exponent fields
+alone, and only the pairs they keep get a packed lcm. New basis elements
+enter fully reduced, tail included; redundant ones stay as reducers until
+the minimal basis is taken at the end, so the basis only grows and a cache
+can keep each monomial's reducer. Results leave as monic Polynomials on
+exponent tuples.
 Elimination starts from the cleared generators and makes at most two block
 order runs: the Rabinowitsch variable alone, when a generator contains it,
 then every other eliminated variable in one block. By the elimination
 theorem each run intersects the ideal with the ring without its block, so
 the two return exactly the elimination ideal that one block order would.
-The Rabinowitsch variable keeps its own run; eliminate says why.
+Each run interreduces only the basis elements free of its block, the ones
+it keeps. The Rabinowitsch variable keeps its own run; eliminate says why.
 """
 from __future__ import annotations
 
@@ -35,7 +38,6 @@ from .algebra_core import (
     Polynomial,
     VarTable,
     _integer_form,
-    mono_lcm,
 )
 
 
@@ -148,6 +150,23 @@ class _Packing:
     def unpack(self, p: int) -> tuple[int, ...]:
         return tuple(p >> s & _FIELD for s in self.shifts)
 
+    def lift(self, e: int) -> int:
+        """The packed monomial whose exponent fields are e."""
+        return self.pack(self.unpack(e))
+
+    def lcms(self, a: int, bs) -> list[int]:
+        """The exponent fields of lcm(a, b) for each b in bs, all given as
+        exponent fields. In each field, a's exponent minus b's, with the
+        field's guard bit set, keeps that bit iff a's is at least b's; ge
+        holds those bits and sel the value bits of their fields."""
+        exp, guard = self.exp, self.guard
+        out = []
+        for b in bs:
+            ge = ((a | guard) - b) & guard
+            sel = ge - (ge >> (_WIDTH - 1))
+            out.append((a & sel) | (b & (exp ^ sel)))
+        return out
+
     def divides(self, d: int, m: int) -> bool:
         """True iff monomial d divides monomial m: with the guard bits of m's
         exponent fields set, subtracting d's exponents clears none of them."""
@@ -172,15 +191,14 @@ def _content_strip(terms):
 
 class _IntPoly:
     """Integer-coefficient polynomial on packed monomials, with its leading
-    monomial (packed, as a tuple, and its exponent fields alone), leading
-    coefficient, sugar degree and largest total degree of a term."""
+    monomial (packed, and its exponent fields alone), leading coefficient,
+    sugar degree and largest total degree of a term."""
 
-    __slots__ = ("terms", "lm", "lmt", "lexp", "lc", "sugar", "top")
+    __slots__ = ("terms", "lm", "lexp", "lc", "sugar", "top")
 
     def __init__(self, terms, pk: _Packing, sugar=None):
         self.terms = terms
         self.lm = max(terms)
-        self.lmt = pk.unpack(self.lm)
         self.lexp = self.lm & pk.exp
         self.lc = terms[self.lm]
         self.top = max(m & _FIELD for m in terms)
@@ -286,44 +304,58 @@ def _spoly_terms(f, g, L):
 
 def _update(G, pairs, queue, f, pk: _Packing):
     """Gebauer-Moeller pair maintenance on appending f to G. `pairs` maps
-    each live pair (i, j) to the packed lcm of its leading monomials; the
-    pairs f makes redundant leave it, and each new pair enters it and the
-    heap `queue` under the key (sugar, packed lcm, pair)."""
-    lcms = [pk.pack(mono_lcm(g.lmt, f.lmt)) for g in G]
+    each live pair (i, j) to the exponent fields of the lcm of its leading
+    monomials; the pairs f makes redundant leave it, and each new pair
+    enters it and the heap `queue` under the key (sugar, packed lcm, pair).
+    The criteria run on exponent fields alone: they are injective, and a
+    divisor is never a larger int, so sorting them puts divisors first as
+    the order would. Only the surviving lcms are packed."""
+    a = f.lexp
+    guard = pk.guard
+    lcms = pk.lcms(a, [g.lexp for g in G])
+    # _Packing.divides, inlined: exponent fields need no mask
     for (i, j), L in list(pairs.items()):
-        if pk.divides(f.lm, L) and lcms[i] != L and lcms[j] != L:
+        if ((L | guard) - a) & guard == guard and lcms[i] != L and lcms[j] != L:
             del pairs[(i, j)]
     by_lcm = {}
     for i, L in enumerate(lcms):
         by_lcm.setdefault(L, []).append(i)
     minimal = []
     for L in sorted(by_lcm):
-        if not any(pk.divides(L2, L) for L2 in minimal):
+        if not any(((L | guard) - L2) & guard == guard for L2 in minimal):
             minimal.append(L)
     j = len(G)
     for L in minimal:
         idx = by_lcm[L]
         # product criterion: coprime leading monomials reduce to zero anyway
-        if any(L == G[i].lm + f.lm for i in idx):
+        if any(L == G[i].lexp + a for i in idx):
             continue
         i = idx[0]
-        sugar = max(G[i].sugar + ((L - G[i].lm) & _FIELD), f.sugar + ((L - f.lm) & _FIELD))
+        P = pk.lift(L)
+        sugar = max(G[i].sugar + ((P - G[i].lm) & _FIELD), f.sugar + ((P - f.lm) & _FIELD))
         pairs[(i, j)] = L
-        heappush(queue, (sugar, L, (i, j)))
+        heappush(queue, (sugar, P, (i, j)))
     G.append(f)
 
 
-def _buchberger(F, pk: _Packing, budget: _Budget):
+def _buchberger(F, pk: _Packing, budget: _Budget, drop=0):
     """Returns the reduced basis as integer-primitive _IntPoly, sorted by
-    leading monomial ascending. Pairs are taken by lowest sugar degree
-    (phantom homogenized degree), then smallest lcm: under single-variable
-    block orders, taking the smallest lcm alone stalls on the angle-bisector
-    workload while sugar finishes in seconds. The pair heap keeps entries of
-    pairs the criteria have since dropped; they are skipped when popped.
-    New elements enter fully reduced by G, tail included. G only grows: an
+    leading monomial ascending, less the elements whose leading monomial
+    shares a field with the exponent-field mask `drop`. Pairs are taken by
+    lowest sugar degree (phantom homogenized degree), then smallest lcm:
+    under single-variable block orders, taking the smallest lcm alone stalls
+    on the angle-bisector workload while sugar finishes in seconds. The
+    pair heap keeps entries of pairs the criteria have since dropped; they
+    are skipped when popped. New elements enter fully reduced by G, tail
+    included. G only grows: an
     element whose leading monomial a newer one divides stays as a reducer
     (it is still in the ideal), so one reducer cache serves the pair loop,
-    and the minimal basis is taken from all of G at the end."""
+    and the minimal basis is taken from all of G at the end. The dropped
+    elements leave before the final interreduction: under an order whose
+    first rows are the degree in the dropped variables, a leading monomial
+    free of them makes the whole polynomial free of them, and no monomial
+    with them divides one without, so the kept elements reduce as they
+    would by the whole minimal basis."""
     G = []
     pairs = {}
     queue = []
@@ -346,6 +378,7 @@ def _buchberger(F, pk: _Packing, budget: _Budget):
     for f in sorted(G, key=lambda h: h.lm):
         if not any(pk.divides(g.lm, f.lm) for g in Gmin):
             Gmin.append(f)
+    Gmin = [g for g in Gmin if not g.lexp & drop]
     return [
         _normalize(_reduce(g.terms, Gmin[:i] + Gmin[i + 1:], pk, budget, {}), pk)
         for i, g in enumerate(Gmin)
@@ -377,9 +410,8 @@ def _eliminate_block(polys, block, table: VarTable, budget: _Budget):
     n = len(table)
     rest = tuple(i for i in range(n) if i not in block)
     pk = _Packing(Block(GrevLex(block), GrevLex(rest)), n)
-    mask = sum(_FIELD << pk.shifts[v] for v in block)
-    out = _buchberger(_enter(polys, pk), pk, budget)
-    return _exit([d for d in out if not any(m & mask for m in d.terms)], table, pk)
+    drop = sum(_FIELD << pk.shifts[v] for v in block)
+    return _exit(_buchberger(_enter(polys, pk), pk, budget, drop), table, pk)
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +442,11 @@ def eliminate(
     """Generators of ideal(F) intersected with the ring in the kept
     variables.
 
-    At most two Buchberger runs under block orders, each followed by
-    discarding the generators that contain its block, which by the
-    elimination theorem leaves the reduced basis of the ideal intersected
-    with the ring without that block. When
-    some generator contains the Rabinowitsch variable u, the first run
+    At most two Buchberger runs under block orders, each keeping only the
+    generators free of its block, which by the elimination theorem are the
+    reduced basis of the ideal intersected with the ring without that
+    block. When some generator contains the Rabinowitsch variable u, the
+    first run
     eliminates u alone under Block(GrevLex([u]), GrevLex(rest)). The second
     eliminates the other variables under Block(GrevLex(others),
     GrevLex(rest)); it is skipped when there are none and the first run

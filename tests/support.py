@@ -15,7 +15,6 @@ from cni_prover.algebra_core import (
     Polynomial,
     VarKind,
     VarTable,
-    mono_lcm,
 )
 
 
@@ -180,6 +179,10 @@ def from_sympy(expr, table: VarTable, symbols) -> Polynomial:
 
 def mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(add, a, b))
+
+
+def mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(max, a, b))
 
 
 def mono_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:

@@ -26,7 +26,6 @@ from cni_prover.algebra_core import (
     expr_evaluate,
     expr_normalize,
     expr_substitute,
-    mono_lcm,
 )
 
 from support import (
@@ -34,6 +33,7 @@ from support import (
     I,
     make_table,
     mono_div,
+    mono_lcm,
     mono_mul,
     normal_form,
     random_polynomial,

@@ -137,6 +137,45 @@ def test_parse_malformed_tokens():
         parse(SourceProgram("M :=\nprove collinear(M, M, M)"))
 
 
+# str.splitlines ends a line at each of these as well as at \n, \r\n and \r
+NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("ch", NOT_LINE_ENDS)
+def test_separator_inside_a_comment_still_proves(ch, tmp_path):
+    f = tmp_path / "page.cni"
+    f.write_bytes(
+        f"point A, B\n# page{ch}break\nM := midpoint(A, B)\nprove collinear(A, M, B)\n"
+        .encode("utf-8")
+    )
+    code, out, err = _run(str(f))
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("ch", NOT_LINE_ENDS)
+def test_error_after_a_separator_in_a_comment_names_its_line(ch):
+    with pytest.raises(DslSyntaxError) as info:
+        parse(SourceProgram(f"point A, B\n# page break{ch}\nprove collinear(A B)\n"))
+    assert info.value.line == 3
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_crlf_and_lone_cr_keep_line_numbers(end, tmp_path, monkeypatch):
+    lines = ["# header", "point A, B", "", "prove collinear(A B)", ""]
+    text = end.join(lines)
+    assert SourceProgram(text).statements() == [
+        (2, "point A, B"), (4, "prove collinear(A B)")
+    ]
+    with pytest.raises(DslSyntaxError) as info:
+        parse(SourceProgram(text))
+    assert info.value.line == 4
+    f = tmp_path / "ends.cni"
+    f.write_bytes(text.encode("utf-8"))
+    assert "line 4, column" in _run(str(f))[2]
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode("utf-8"))))
+    assert "line 4, column" in _run("-")[2]
+
+
 @pytest.mark.parametrize("stem", [p.stem for p in sorted(PROBLEMS.glob("*.cni"))])
 def test_round_trip_through_source_form(stem):
     src = (PROBLEMS / f"{stem}.cni").read_text()

@@ -19,9 +19,11 @@ from cni_prover.algebra_core import (
     VarTable,
 )
 from cni_prover.groebner import (
+    _HALF,
     GroebnerConfig,
     GroebnerTimeout,
     _Budget,
+    _eliminate_block,
     _enter,
     _Packing,
     _reduce,
@@ -35,6 +37,7 @@ from support import (
     in_ideal,
     make_table,
     mono_div,
+    mono_lcm,
     mono_mul,
     normal_form,
     random_polynomial,
@@ -81,6 +84,45 @@ def test_packing_is_the_order_and_the_monoid(case):
     assert pk.unpack(pa) == a
     for x, y in ((a, b), (mono_mul(a, c), a), (a, mono_mul(a, c))):
         assert pk.divides(pk.pack(y), pk.pack(x)) == (mono_div(x, y) is not None)
+
+
+@st.composite
+def _order_and_wide_monomials(draw):
+    """An order over n variables and two monomials whose exponents are zero,
+    the largest a field holds, or anything between."""
+    n = draw(st.integers(1, 5))
+    perm = tuple(draw(st.permutations(range(n))))
+    k = draw(st.integers(0, n))
+    order = draw(st.sampled_from(
+        [GrevLex(perm), GrevLex(perm[:k]), Block(GrevLex(perm[:k]), GrevLex(perm[k:]))]
+    ))
+    exps = st.one_of(
+        st.just(0), st.just(_HALF - 1), st.integers(0, 3), st.integers(0, _HALF - 1)
+    )
+    a, b = (tuple(draw(exps) for _ in range(n)) for _ in range(2))
+    return order, n, a, b
+
+
+@given(_order_and_wide_monomials())
+@settings(max_examples=500, deadline=None)
+def test_lcm_on_exponent_fields_is_the_packed_lcm(case):
+    order, n, a, b = case
+    pk = _Packing(order, n)
+
+    def fields(m):
+        return sum(e << s for e, s in zip(m, pk.shifts))
+
+    lcm = mono_lcm(a, b)
+    (got,) = pk.lcms(fields(a), [fields(b)])
+    assert got == fields(lcm)
+    assert pk.lcms(fields(b), [fields(a), fields(b)]) == [got, fields(b)]
+    if sum(lcm) < _HALF:
+        assert pk.lift(got) == pk.pack(lcm)
+        assert pk.lift(got) & pk.exp == got
+    else:
+        # the total degree would carry out of its field
+        with pytest.raises(AlgebraError):
+            pk.lift(got)
 
 
 def test_degree_beyond_the_packed_field_raises():
@@ -374,6 +416,36 @@ def test_elimination_of_a_parameter():
     assert in_ideal(y - x * x, res)
     for g in res.generators:
         assert not g.contains_var(0)
+
+
+def test_block_run_keeps_the_block_free_part_of_the_reduced_basis():
+    # _eliminate_block interreduces only the elements it keeps; they must be
+    # exactly the block-free elements of the whole reduced basis under the
+    # same block order, and reduced among themselves. Generators free of the
+    # block make a block-free part of several elements likely.
+    rng = random.Random(4242)
+    for _ in range(200):
+        n = rng.randint(3, 4)
+        table = make_table(*"wxyz"[:n])
+        block = tuple(sorted(rng.sample(range(n), rng.randint(1, 2))))
+        rest = tuple(v for v in range(n) if v not in block)
+        polys = [
+            random_polynomial(rng, table, variables, max_degree=2, max_terms=4)
+            for variables in [range(n)] * rng.randint(1, 2) + [rest] * rng.randint(1, 3)
+        ]
+        polys = [p for p in polys if not p.is_zero]
+        if not polys:
+            continue
+        order = Block(GrevLex(block), GrevLex(rest))
+        full = groebner_basis(polys, order).generators
+        kept = _eliminate_block(polys, block, table, _Budget(GroebnerConfig(timeout=None)))
+        assert kept == tuple(g for g in full if not any(g.contains_var(v) for v in block))
+        lms = [g.leading_monomial(order) for g in kept]
+        for i, g in enumerate(kept):
+            for m in g.terms:
+                assert not any(
+                    mono_div(m, lm) is not None for j, lm in enumerate(lms) if j != i
+                )
 
 
 def test_elimination_with_rabinowitsch_variable():
