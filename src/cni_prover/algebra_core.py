@@ -33,9 +33,9 @@ class VarKind(enum.Enum):
 
 class VarTable:
     """Ordered registry of variables: complex point variables, real slack
-    variables, and at most one Rabinowitsch variable. The table must be
-    complete before the first polynomial is built over it, because every
-    monomial has one exponent per variable."""
+    variables, and Rabinowitsch variables. The table must be complete
+    before the first polynomial is built over it, because every monomial
+    has one exponent per variable."""
 
     def __init__(self) -> None:
         self._names: list[str] = []
@@ -50,8 +50,6 @@ class VarTable:
             )
         if name in self._index:
             raise AlgebraError(f"duplicate variable name {name!r}")
-        if kind is VarKind.RABINOWITSCH and self.rabinowitsch is not None:
-            raise AlgebraError("a variable table holds at most one Rabinowitsch variable")
         idx = len(self._names)
         self._names.append(name)
         self._kinds.append(kind)
@@ -72,13 +70,6 @@ class VarTable:
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._names)
-
-    @property
-    def rabinowitsch(self) -> int | None:
-        for i, k in enumerate(self._kinds):
-            if k is VarKind.RABINOWITSCH:
-                return i
-        return None
 
     def __len__(self) -> int:
         return len(self._names)
@@ -586,8 +577,8 @@ def expr_normalize(e: Expr, table: VarTable) -> tuple[Polynomial, Polynomial, li
     the factor list exactly once, to the first power. Constant denominators
     are folded into the numerator coefficients, so `den` is literally a
     product of powers of the listed factors. The factors are primitive with
-    positive leading coefficient under the print order, which is what the
-    Rabinowitsch product wants downstream.
+    positive leading coefficient under the print order, so equal factors
+    of different relations are found equal downstream.
     """
     one = Polynomial.constant(table, 1)
     factors: dict[Polynomial, None] = {}  # first-seen order

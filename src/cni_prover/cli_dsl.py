@@ -106,6 +106,8 @@ class SourceProgram:
 _TOKEN_RE = re.compile(
     r"[ \t]*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<assign>:=)|(?P<sym>[+\-*/(),]))"
 )
+# What _TOKEN_RE skips before a token, and no other whitespace.
+_BLANKS_RE = re.compile(r"[ \t]*")
 
 def _check_point_name(name: str, line: int, col: int) -> None:
     if "_" in name:
@@ -120,11 +122,11 @@ def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
+            pos = _BLANKS_RE.match(text, pos).end()
+            if pos == len(text):
                 break
             raise DslSyntaxError(
-                f"unexpected character {rest[0]!r}", line, pos + 1
+                f"unexpected character {text[pos]!r}", line, pos + 1
             )
         for kind in ("name", "int", "assign", "sym"):
             value = m.group(kind)

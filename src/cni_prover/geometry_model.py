@@ -6,6 +6,7 @@ the polynomial system whose elimination ideal decides the statement.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, ClassVar, Union
 
@@ -53,17 +54,17 @@ def _differences(e: RationalExpr):
 
 class Predicate:
     """A catalog entry. `name` is the DSL name; `caveat`, when set, is the
-    note a proof document carries whenever the predicate is used; `expr()`
-    is the expression that is real iff the predicate holds. Every directed
-    segment in it must join symbolically distinct points, or a denominator
-    is identically zero."""
+    note a proof document carries whenever the predicate is used; `expr`
+    is the expression that is real iff the predicate holds, built once per
+    predicate. Every directed segment in it must join symbolically distinct
+    points, or a denominator is identically zero."""
 
     __slots__ = ()
     name: ClassVar[str]
     caveat: ClassVar[str | None] = None
 
     def __post_init__(self):
-        for a, b in _differences(self.expr()):
+        for a, b in _differences(self.expr):
             if a == b:
                 raise PredicateArgumentError(
                     f"{type(self).__name__} needs distinct points in each "
@@ -76,6 +77,7 @@ class Predicate:
     def _refs(self) -> tuple[PointRef, ...]:
         return tuple(PointRef(i) for i in self.points())
 
+    @cached_property
     def expr(self) -> RationalExpr:
         raise NotImplementedError
 
@@ -88,6 +90,7 @@ class Collinear(Predicate):
 
     name = "collinear"
 
+    @cached_property
     def expr(self):
         a, o, b = self._refs()
         return (a - o) / (o - b)
@@ -102,6 +105,7 @@ class Parallel(Predicate):
 
     name = "parallel"
 
+    @cached_property
     def expr(self):
         e, f, g, h = self._refs()
         return (e - f) / (g - h)
@@ -116,6 +120,7 @@ class Perpendicular(Predicate):
 
     name = "perpendicular"
 
+    @cached_property
     def expr(self):
         p, q, r, s = self._refs()
         return ((p - q) / (r - s)) ** 2
@@ -137,6 +142,7 @@ class Equidistant(Predicate):
         "configurations."
     )
 
+    @cached_property
     def expr(self):
         o, a, c = self._refs()
         return ((a - c) / (a - o)) / ((c - o) / (c - a))
@@ -155,6 +161,7 @@ class AngleEqual(Predicate):
 
     name = "angle_eq"
 
+    @cached_property
     def expr(self):
         p1, q1, r1, p2, q2, r2 = self._refs()
         return ((q1 - p1) / (q1 - r1)) / ((q2 - p2) / (q2 - r2))
@@ -173,6 +180,7 @@ class Concyclic(Predicate):
         "also real when the four points are collinear."
     )
 
+    @cached_property
     def expr(self):
         a, b, c, d = self._refs()
         return (a - c) * (b - d) / ((a - d) * (b - c))
@@ -212,7 +220,7 @@ class Declarative:
 class RealRelational:
     """The rational expression of a predicate, required to be real. `expr`
     is what the algebra consumes (declaratives substituted); the expression
-    as written is `source.expr()`."""
+    as written is `source.expr`."""
 
     expr: RationalExpr
     source: Predicate
@@ -220,7 +228,7 @@ class RealRelational:
 
 def predicate_step(p: Predicate) -> RealRelational:
     """The relation asserting a predicate, as a hypothesis or the thesis."""
-    return RealRelational(p.expr(), p)
+    return RealRelational(p.expr, p)
 
 
 ConstructionStep = Union[Declarative, RealRelational]
@@ -298,15 +306,16 @@ class SlackOrigin:
 
 @dataclass(frozen=True)
 class PolynomialSystem:
-    """Cleared polynomials p1..ps (thesis last) plus the denominator
-    product polynomial, with the variables to eliminate."""
+    """Cleared polynomials p1..ps (thesis last), the distinct denominator
+    factors d_1..d_m with their Rabinowitsch variables u_1..u_m, one each,
+    and the variables to eliminate."""
 
     table: VarTable
     hypothesis_polys: tuple[Polynomial, ...]
-    rabinowitsch_poly: Polynomial | None
     eliminate_vars: tuple[int, ...]
     slack_map: tuple[SlackOrigin, ...]
     denominator_factors: tuple[Polynomial, ...]
+    rabinowitsch_vars: tuple[int, ...]
     free_points: tuple[int, ...]
     point_names: tuple[str, ...]
     declaratives: tuple[tuple[str, RationalExpr], ...]
@@ -318,12 +327,29 @@ class PolynomialSystem:
         return self.slack_map[-1].slack
 
     @property
+    def rabinowitsch_polys(self) -> tuple[Polynomial, ...]:
+        """d_k*u_k - 1 for each denominator factor d_k, which saturates the
+        ideal by d_k. A factor that pinning turned into a nonzero constant
+        cannot vanish and has none."""
+        one = Polynomial.constant(self.table, 1)
+        return tuple(
+            d * Polynomial.variable(self.table, u) - one
+            for d, u in zip(self.denominator_factors, self.rabinowitsch_vars)
+            if not d.is_constant or d.is_zero
+        )
+
+    @property
+    def rabinowitsch_poly(self) -> None:
+        """Always None; the generators are `rabinowitsch_polys`. Only the
+        benchmark's traced path (perfbench/run.py --trace 1) reads this
+        name, and ROADMAP item 9 removes it."""
+        return None
+
+    @property
     def elimination_input(self) -> tuple[Polynomial, ...]:
         """The generators of the first elimination: the hypothesis
-        polynomials, then the Rabinowitsch polynomial when there is one."""
-        if self.rabinowitsch_poly is None:
-            return self.hypothesis_polys
-        return self.hypothesis_polys + (self.rabinowitsch_poly,)
+        polynomials, then the Rabinowitsch polynomials."""
+        return self.hypothesis_polys + self.rabinowitsch_polys
 
 
 def _fresh_name(base: str, table: VarTable) -> str:
@@ -356,44 +382,59 @@ def _collect_notes(c: Construction) -> tuple[str, ...]:
 def build_system(c: Construction) -> PolynomialSystem:
     """Translate a construction (declaratives already substituted) into the
     cleared polynomial system: one polynomial e_i - r_i per relation, the
-    thesis last with slack r, and the product polynomial (b1...bm)u - 1 over
-    the deduplicated denominator factors."""
+    thesis last with slack r, and one Rabinowitsch variable u_k for each
+    distinct denominator factor d_k. The table holds the points, then
+    u_1..u_m, then the slacks."""
     relations = c.steps + (c.thesis,)
     if any(isinstance(step, Declarative) for step in relations):
         raise GeometryError("substitute declaratives before building the system")
 
+    # The factors are known only once the relations are cleared, but the
+    # table must be complete before any polynomial is built over it. So each
+    # relation is cleared once over the points and slacks, and its exponent
+    # tuples then get a zero for each u_k.
     n_points = len(c.table)
     table = VarTable()
     for i in range(n_points):
         table.add(c.table.name(i), VarKind.POINT)
-    u = table.add(_fresh_name("u", table), VarKind.RABINOWITSCH)
-    slack_entries: list[SlackOrigin] = []
-    for k, step in enumerate(relations, start=1):
-        base = "r" if k == len(relations) else f"r{k}"
-        idx = table.add(_fresh_name(base, table), VarKind.SLACK)
-        slack_entries.append(SlackOrigin(idx, table.name(idx), step.source.expr()))
-
+    slack_names = [
+        _fresh_name("r" if k == len(relations) else f"r{k}", table)
+        for k in range(1, len(relations) + 1)
+    ]
+    cleared = VarTable()
+    for name in table.names():
+        cleared.add(name, VarKind.POINT)
+    for name in slack_names:
+        cleared.add(name, VarKind.SLACK)
     polys: list[Polynomial] = []
     factors: dict[Polynomial, None] = {}  # first-seen order
-    for step, origin in zip(relations, slack_entries):
-        num, _den, fs = expr_normalize(Sub(step.expr, PointRef(origin.slack)), table)
+    for k, step in enumerate(relations):
+        num, _den, fs = expr_normalize(Sub(step.expr, PointRef(n_points + k)), cleared)
         polys.append(num)
         factors.update(dict.fromkeys(fs))
 
-    rab = None
-    if factors:
-        prod = Polynomial.constant(table, 1)
-        for f in factors:
-            prod = prod * f
-        rab = prod * Polynomial.variable(table, u) - Polynomial.constant(table, 1)
+    us = tuple(
+        table.add(_fresh_name(f"u{k}", table), VarKind.RABINOWITSCH)
+        for k in range(1, len(factors) + 1)
+    )
+    slack_entries = tuple(
+        SlackOrigin(table.add(name, VarKind.SLACK), name, step.source.expr)
+        for name, step in zip(slack_names, relations)
+    )
+    gap = (0,) * len(us)
+
+    def lift(p: Polynomial) -> Polynomial:
+        return Polynomial._trusted(
+            table, {m[:n_points] + gap + m[n_points:]: a for m, a in p.terms.items()}
+        )
 
     return PolynomialSystem(
         table=table,
-        hypothesis_polys=tuple(polys),
-        rabinowitsch_poly=rab,
-        eliminate_vars=tuple(range(n_points)) + (u,),
-        slack_map=tuple(slack_entries),
-        denominator_factors=tuple(factors),
+        hypothesis_polys=tuple(map(lift, polys)),
+        eliminate_vars=tuple(range(n_points)) + us,
+        slack_map=slack_entries,
+        denominator_factors=tuple(map(lift, factors)),
+        rabinowitsch_vars=us,
         free_points=c.free_points,
         point_names=tuple(c.table.name(i) for i in range(n_points)),
         declaratives=tuple((c.table.name(d.point), d.definition) for d in c.inlined),
@@ -431,7 +472,9 @@ def fix_coordinates(sys: PolynomialSystem, c: Construction, mode: str) -> Polyno
     when the definitions commute with those maps too, pinning only shrinks
     the elimination problem. When one does not, nothing is pinned and a
     note says why. With fewer than two free points, fixes as many as
-    available."""
+    available. A denominator factor in the pinned points alone is a nonzero
+    multiple of A - B, so pinning makes it a nonzero constant, which has no
+    Rabinowitsch generator (see `PolynomialSystem.rabinowitsch_polys`)."""
     if mode not in FIX_MODES:
         raise GeometryError(f"unknown coordinate fixing mode {mode!r}")
     if mode == "off" or not c.free_points:
@@ -453,12 +496,10 @@ def fix_coordinates(sys: PolynomialSystem, c: Construction, mode: str) -> Polyno
     targets = list(zip(c.free_points[:2], values))
     assignment = {p: v for p, v in targets}
     polys = tuple(p.substitute(assignment) for p in sys.hypothesis_polys)
-    rab = None if sys.rabinowitsch_poly is None else sys.rabinowitsch_poly.substitute(assignment)
     fixed_set = set(assignment)
     return replace(
         sys,
         hypothesis_polys=polys,
-        rabinowitsch_poly=rab,
         eliminate_vars=tuple(v for v in sys.eliminate_vars if v not in fixed_set),
         denominator_factors=tuple(f.substitute(assignment) for f in sys.denominator_factors),
         fixed=sys.fixed + tuple((sys.table.name(p), v) for p, v in targets),

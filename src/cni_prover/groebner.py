@@ -14,18 +14,18 @@ enter fully reduced, tail included; redundant ones stay as reducers until
 the minimal basis is taken at the end, so the basis only grows and a cache
 can keep each monomial's reducer. Results leave as monic Polynomials on
 exponent tuples.
-Elimination starts from the cleared generators and makes at most two block
-order runs: the Rabinowitsch variable alone, when a generator contains it,
-then every other eliminated variable in one block. By the elimination
-theorem each run intersects the ideal with the ring without its block, so
-the two return exactly the elimination ideal that one block order would.
-Each run interreduces only the basis elements free of its block, the ones
-it keeps. The Rabinowitsch variable keeps its own run; eliminate says why.
+An elimination is one Buchberger run under a block order whose first block
+holds every eliminated variable: the points and the Rabinowitsch variables
+u_k, one per denominator factor. By the elimination theorem the elements
+free of the block are a basis of the elimination ideal, and the run
+interreduces only those. A second elimination of the same ideal with more
+generators continues from the first run's minimal basis and packing: it
+enters only the pairs with the new generators and their successors.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Union
@@ -50,8 +50,8 @@ DEFAULT_TIMEOUT = 20.0  # seconds; also the prover's and the command line's
 
 @dataclass(frozen=True)
 class GroebnerConfig:
-    """timeout: wall-clock seconds for the whole call (both runs of an
-    elimination share it), or None for no limit."""
+    """timeout: wall-clock seconds for the whole call, or None for no
+    limit."""
 
     timeout: float | None = DEFAULT_TIMEOUT
 
@@ -73,13 +73,18 @@ class EliminationResult:
     """Generators of the elimination ideal, free of eliminated variables.
 
     The generators form the reduced monic basis under `order`, a graded
-    reverse lexicographic order on the kept variables.
+    reverse lexicographic order on the kept variables. `block_basis` is the
+    run's minimal basis of the whole ideal under the block order, as engine
+    records packed by `packing`; eliminate(..., after=this) continues from
+    them.
     """
 
     generators: tuple[Polynomial, ...]
     eliminated: tuple[int, ...]
     kept: tuple[int, ...]
     order: MonomialOrder
+    block_basis: tuple[_IntPoly, ...] = field(default=(), repr=False, compare=False)
+    packing: _Packing | None = field(default=None, repr=False, compare=False)
 
 
 class _Budget:
@@ -338,16 +343,20 @@ def _update(G, pairs, queue, f, pk: _Packing):
     G.append(f)
 
 
-def _buchberger(F, pk: _Packing, budget: _Budget, drop=0):
+def _buchberger(F, pk: _Packing, budget: _Budget, drop=0, seed=()):
     """Returns the reduced basis as integer-primitive _IntPoly, sorted by
     leading monomial ascending, less the elements whose leading monomial
-    shares a field with the exponent-field mask `drop`. Pairs are taken by
-    lowest sugar degree (phantom homogenized degree), then smallest lcm:
-    under single-variable block orders, taking the smallest lcm alone stalls
-    on the angle-bisector workload while sugar finishes in seconds. The
-    pair heap keeps entries of pairs the criteria have since dropped; they
-    are skipped when popped. New elements enter fully reduced by G, tail
-    included. G only grows: an
+    shares a field with the exponent-field mask `drop`; and the whole
+    minimal basis, sorted the same way. `seed` is a Groebner basis under the
+    same packing, such as the minimal basis of an earlier run: its elements
+    start G with no pairs among themselves, since those already reduce to
+    zero by G, and only the pairs with F's elements and their successors
+    are entered. Pairs are taken by lowest sugar degree (phantom
+    homogenized degree), then smallest lcm: under single-variable block
+    orders, taking the smallest lcm alone stalls on the angle-bisector
+    workload while sugar finishes in seconds. The pair heap keeps entries
+    of pairs the criteria have since dropped; they are skipped when popped.
+    New elements enter fully reduced by G, tail included. G only grows: an
     element whose leading monomial a newer one divides stays as a reducer
     (it is still in the ideal), so one reducer cache serves the pair loop,
     and the minimal basis is taken from all of G at the end. The dropped
@@ -356,7 +365,7 @@ def _buchberger(F, pk: _Packing, budget: _Budget, drop=0):
     free of them makes the whole polynomial free of them, and no monomial
     with them divides one without, so the kept elements reduce as they
     would by the whole minimal basis."""
-    G = []
+    G = list(seed)
     pairs = {}
     queue = []
     for f in F:
@@ -378,11 +387,12 @@ def _buchberger(F, pk: _Packing, budget: _Budget, drop=0):
     for f in sorted(G, key=lambda h: h.lm):
         if not any(pk.divides(g.lm, f.lm) for g in Gmin):
             Gmin.append(f)
-    Gmin = [g for g in Gmin if not g.lexp & drop]
-    return [
-        _normalize(_reduce(g.terms, Gmin[:i] + Gmin[i + 1:], pk, budget, {}), pk)
-        for i, g in enumerate(Gmin)
+    kept = [g for g in Gmin if not g.lexp & drop]
+    reduced = [
+        _normalize(_reduce(g.terms, kept[:i] + kept[i + 1:], pk, budget, {}), pk)
+        for i, g in enumerate(kept)
     ]
+    return reduced, Gmin
 
 
 def _enter(polys: list[Polynomial], pk: _Packing) -> list[_IntPoly]:
@@ -403,17 +413,6 @@ def _exit(recs, table: VarTable, pk: _Packing) -> tuple[Polynomial, ...]:
     )
 
 
-def _eliminate_block(polys, block, table: VarTable, budget: _Budget):
-    """The reduced basis of ideal(polys) under Block(GrevLex(block),
-    GrevLex(rest)), kept to the elements free of `block`. Those are the
-    reduced basis of the ideal without `block` under GrevLex(rest)."""
-    n = len(table)
-    rest = tuple(i for i in range(n) if i not in block)
-    pk = _Packing(Block(GrevLex(block), GrevLex(rest)), n)
-    drop = sum(_FIELD << pk.shifts[v] for v in block)
-    return _exit(_buchberger(_enter(polys, pk), pk, budget, drop), table, pk)
-
-
 # ---------------------------------------------------------------------------
 # Public operations.
 
@@ -430,7 +429,7 @@ def groebner_basis(
     if not polys:
         return GroebnerBasis((), order)
     pk = _Packing(order, len(polys[0].table))
-    out = _buchberger(_enter(polys, pk), pk, _Budget(config))
+    out, _ = _buchberger(_enter(polys, pk), pk, _Budget(config))
     return GroebnerBasis(_exit(out, polys[0].table, pk), order)
 
 
@@ -438,26 +437,28 @@ def eliminate(
     F: Iterable[Polynomial],
     elim_vars: Iterable[int],
     config: GroebnerConfig | None = None,
+    after: EliminationResult | None = None,
 ) -> EliminationResult:
     """Generators of ideal(F) intersected with the ring in the kept
-    variables.
+    variables. With `after`, the result of an elimination of the same
+    variables, the ideal is ideal(F) plus the ideal `after` was computed
+    for.
 
-    At most two Buchberger runs under block orders, each keeping only the
-    generators free of its block, which by the elimination theorem are the
-    reduced basis of the ideal intersected with the ring without that
-    block. When some generator contains the Rabinowitsch variable u, the
-    first run
-    eliminates u alone under Block(GrevLex([u]), GrevLex(rest)). The second
-    eliminates the other variables under Block(GrevLex(others),
-    GrevLex(rest)); it is skipped when there are none and the first run
-    took place. The result is the unique reduced monic basis under GrevLex
+    One Buchberger run under Block(GrevLex(eliminated), GrevLex(kept)): by
+    the elimination theorem the elements of its basis free of the block
+    are a basis of the elimination ideal, and the run reduces only those.
+    With `after`, the run starts from after's minimal block basis and its
+    packing, and enters only the pairs with F's elements and their
+    successors. The result is the unique reduced monic basis under GrevLex
     on the kept variables.
     """
     config = config or DEFAULT_CONFIG
     polys = [f for f in F if not f.is_zero]
-    elim = sorted(set(elim_vars))
+    elim = tuple(sorted(set(elim_vars)))
+    if after is not None and elim != after.eliminated:
+        raise AlgebraError("a continued elimination must eliminate the same variables")
     if not polys:
-        return EliminationResult((), tuple(elim), (), GrevLex(()))
+        return after or EliminationResult((), elim, (), GrevLex(()))
     table = polys[0].table
     n = len(table)
     for v in elim:
@@ -466,21 +467,17 @@ def eliminate(
     kept = tuple(i for i in range(n) if i not in set(elim))
     if not kept:
         raise AlgebraError("elimination must keep at least one variable")
-    budget = _Budget(config)
-
-    rab = table.rabinowitsch
-    others = tuple(v for v in elim if v != rab)
-    # u's generator links every denominator factor: one block holding u and
-    # the point variables did not finish unpinned thales_converse in 60 s,
-    # while u's block and then the others' take well under a second
-    first = rab in elim and any(f.contains_var(rab) for f in polys)
-    gens = _eliminate_block(polys, (rab,), table, budget) if first else polys
-    if others or not first:
-        gens = _eliminate_block(gens, others, table, budget)
+    if after is None:
+        pk, seed = _Packing(Block(GrevLex(elim), GrevLex(kept)), n), ()
+    else:
+        pk, seed = after.packing, after.block_basis
+    drop = sum(_FIELD << pk.shifts[v] for v in elim)
+    reduced, basis = _buchberger(_enter(polys, pk), pk, _Budget(config), drop, seed)
+    gens = _exit(reduced, table, pk)
     for g in gens:
         if any(g.contains_var(v) for v in elim):
             raise AlgebraError("internal: eliminated variable survived")
-    return EliminationResult(gens, tuple(elim), kept, GrevLex(kept))
+    return EliminationResult(gens, elim, kept, GrevLex(kept), tuple(basis), pk)
 
 
 def ideal_is_trivial(G: Union[GroebnerBasis, EliminationResult]) -> bool:

@@ -162,12 +162,16 @@ def _presentation_pivot(pivot: Polynomial, r: int) -> LinearForm:
 
 
 def check_denominator(
-    sys: PolynomialSystem, D: Polynomial, config: GroebnerConfig
+    sys: PolynomialSystem,
+    first: EliminationResult,
+    D: Polynomial,
+    config: GroebnerConfig,
 ) -> SecondElimination:
-    """Append the divisor D to the system and eliminate again. A trivial
-    ideal proves D cannot vanish under the hypotheses; otherwise classify
-    what the second ideal says about r."""
-    second = eliminate(sys.elimination_input + (D,), sys.eliminate_vars, config)
+    """Append the divisor D to the system and eliminate again, continuing
+    from the first elimination's basis. A trivial ideal proves D cannot
+    vanish under the hypotheses; otherwise classify what the second ideal
+    says about r."""
+    second = eliminate((D,), sys.eliminate_vars, config, after=first)
     gens = second.generators
     if ideal_is_trivial(second):
         return SecondElimination("trivial", gens)
@@ -235,7 +239,7 @@ def _decide(
         return None, None, stage
 
     try:
-        second = check_denominator(sys, lf.v, config)
+        second = check_denominator(sys, first, lf.v, config)
     except GroebnerTimeout:
         second = SecondElimination(
             "timeout", None, "t/o", "the second elimination timed out"

@@ -1,7 +1,8 @@
 """Shared test helpers: exact Gaussian rationals for evaluating point
 expressions, polynomial builders and random generators, sympy conversion,
 and the reference division and S-polynomial that engine results are checked
-against."""
+against, and a reference first elimination through one product
+Rabinowitsch generator."""
 
 from __future__ import annotations
 
@@ -11,11 +12,14 @@ from operator import add
 
 from cni_prover.algebra_core import (
     AlgebraError,
+    Block,
+    GrevLex,
     MonomialOrder,
     Polynomial,
     VarKind,
     VarTable,
 )
+from cni_prover.groebner import groebner_basis
 
 
 class Qi:
@@ -247,3 +251,35 @@ def in_ideal(f: Polynomial, basis) -> bool:
     """Membership of f in the ideal of a GroebnerBasis or EliminationResult,
     whose generators are a reduced basis under its order."""
     return normal_form(f, basis.generators, basis.order).is_zero
+
+
+def eliminate_by_product(hyps, factors, points) -> tuple[Polynomial, ...]:
+    """Reference for the first elimination: ideal(hyps) saturated by the
+    product of `factors` through one generator d_1*...*d_m*u - 1, u a
+    variable appended to a copy of the table, then intersected with the ring
+    without `points` and u. Each step keeps the elements free of its block
+    from groebner_basis under Block(GrevLex(block), GrevLex(rest)): u's
+    block, then the points'. The result is the reduced monic basis under
+    grevlex on the remaining variables, sorted by leading monomial."""
+    table = hyps[0].table
+    ext = VarTable()
+    for i in range(len(table)):
+        ext.add(table.name(i), table.kind(i))
+    u = ext.add("u_product", VarKind.RABINOWITSCH)
+
+    def lift(p):
+        return Polynomial(ext, {m + (0,): c for m, c in p.terms.items()})
+
+    prod = Polynomial.constant(ext, 1)
+    for d in factors:
+        prod = prod * lift(d)
+    gens = [lift(h) for h in hyps]
+    gens.append(prod * Polynomial.variable(ext, u) - Polynomial.constant(ext, 1))
+
+    def block_free(gens, block):
+        rest = tuple(v for v in range(len(ext)) if v not in block)
+        basis = groebner_basis(gens, Block(GrevLex(block), GrevLex(rest)))
+        return [g for g in basis.generators if not any(g.contains_var(v) for v in block)]
+
+    kept = block_free(block_free(gens, (u,)), tuple(points))
+    return tuple(Polynomial(table, {m[:-1]: c for m, c in g.terms.items()}) for g in kept)

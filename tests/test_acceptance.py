@@ -50,9 +50,8 @@ def test_criterion_1_thales_converse_raw_operations():
     sys = _load("thales_converse", mode="off")
     assert len(sys.hypothesis_polys) == 4  # three hypotheses plus the thesis
     assert sys.fixed == ()
-    base = list(sys.hypothesis_polys) + [sys.rabinowitsch_poly]
     cfg = GroebnerConfig(timeout=20.0)
-    I = eliminate(base, sys.eliminate_vars, cfg)
+    I = eliminate(sys.elimination_input, sys.eliminate_vars, cfg)
 
     r1, r2, r3, r = (_slack(sys, n) for n in ("r1", "r2", "r3", "r"))
     pivot = _P(sys.table, [({r1: 1, r2: 1, r3: 1, r: 1}, 1), ({}, 1)])
@@ -63,7 +62,7 @@ def test_criterion_1_thales_converse_raw_operations():
     assert lf.w == _P(sys.table, [({}, 1)])
     # r = -w/v = -1/(r1*r2*r3)
 
-    second = eliminate(base + [lf.v], sys.eliminate_vars, cfg)
+    second = eliminate([lf.v], sys.eliminate_vars, cfg, after=I)
     assert ideal_is_trivial(second)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"{elapsed:.2f}s"
@@ -78,8 +77,7 @@ def test_criterion_2_midpoint_circle_rational_form():
 
     r1, r = _slack(sys, "r1"), _slack(sys, "r")
     member = _P(sys.table, [({r1: 1, r: 1}, 1), ({r1: 1}, -1), ({r: 1}, -4)])
-    base = list(sys.hypothesis_polys) + [sys.rabinowitsch_poly]
-    I = eliminate(base, sys.eliminate_vars, GroebnerConfig())
+    I = eliminate(sys.elimination_input, sys.eliminate_vars, GroebnerConfig())
     assert in_ideal(member, I)
 
     payload = json.loads(emit_trace(verdict, "json").text())
@@ -99,7 +97,7 @@ def _medians_raw_system():
     B = table.add("B", VarKind.POINT)
     C = table.add("C", VarKind.POINT)
     G = table.add("G", VarKind.POINT)
-    u = table.add("u", VarKind.RABINOWITSCH)
+    us = tuple(table.add(f"u{k}", VarKind.RABINOWITSCH) for k in (1, 2, 3))
     r1 = table.add("r1", VarKind.SLACK)
     r2 = table.add("r2", VarKind.SLACK)
     r = table.add("r", VarKind.SLACK)
@@ -115,7 +113,6 @@ def _medians_raw_system():
     d1 = _P(table, [({B: 1}, 2), ({A: 1}, -1), ({C: 1}, -1)])
     d2 = _P(table, [({B: 1}, 1), ({C: 1}, 1), ({A: 1}, -2)])
     d3 = _P(table, [({C: 1}, 2), ({A: 1}, -1), ({B: 1}, -1)])
-    rab = (d1 * d2 * d3 * _P(table, [({u: 1}, 1)])) - _P(table, [({}, 8)])
 
     def origin(s):
         return SlackOrigin(slack=s, name=table.name(s), stated=None)
@@ -123,10 +120,10 @@ def _medians_raw_system():
     return PolynomialSystem(
         table=table,
         hypothesis_polys=(p1, p2, p3),
-        rabinowitsch_poly=rab,
-        eliminate_vars=(A, B, C, G, u),
+        eliminate_vars=(A, B, C, G) + us,
         slack_map=(origin(r1), origin(r2), origin(r)),
         denominator_factors=(d1, d2, d3),
+        rabinowitsch_vars=us,
         free_points=(A, B, C, G),
         point_names=("A", "B", "C", "G"),
         declaratives=(),
@@ -136,8 +133,7 @@ def _medians_raw_system():
 def test_criterion_3_raw_ideal_input():
     t0 = time.perf_counter()
     sys, (r1, r2, r) = _medians_raw_system()
-    base = list(sys.hypothesis_polys) + [sys.rabinowitsch_poly]
-    I = eliminate(base, sys.eliminate_vars, GroebnerConfig())
+    I = eliminate(sys.elimination_input, sys.eliminate_vars, GroebnerConfig())
     member = _P(sys.table, [({r: 1, r1: 1}, -3), ({r: 1, r2: 1}, 3),
                             ({r1: 1, r2: 1}, 3), ({r: 1}, 1), ({r1: 1}, 1),
                             ({r2: 1}, -4)])

@@ -137,6 +137,20 @@ def test_parse_malformed_tokens():
         parse(SourceProgram("M :=\nprove collinear(M, M, M)"))
 
 
+@pytest.mark.parametrize(
+    "statement, column, char",
+    [("point A,   ;B", 12, ";"), ("point A,\fB", 9, "\f"), ("point A,\t\f B", 10, "\f")],
+)
+def test_unexpected_character_names_itself_and_its_column(statement, column, char):
+    """The error skips the blanks a token may follow, spaces and tabs, and
+    nothing more: a form feed is the unexpected character, not the point
+    name after it."""
+    with pytest.raises(DslSyntaxError) as info:
+        parse(SourceProgram(statement + "\nprove collinear(A, B, A)"))
+    assert (info.value.line, info.value.column) == (1, column)
+    assert f"unexpected character {char!r}" in str(info.value)
+
+
 # str.splitlines ends a line at each of these as well as at \n, \r\n and \r
 NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 

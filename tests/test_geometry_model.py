@@ -42,7 +42,9 @@ from cni_prover.geometry_model import (
     substitute_declaratives,
 )
 
-from support import Qi, I, make_table
+from cni_prover.groebner import GroebnerConfig, eliminate
+
+from support import Qi, I, eliminate_by_product, make_table
 
 
 def _define(kind, *points):
@@ -74,12 +76,12 @@ def _midpoint_circle():
 
 
 def test_collinear_expression_structure():
-    e = Collinear(0, 1, 2).expr()
+    e = Collinear(0, 1, 2).expr
     assert e == Div(Sub(PointRef(0), PointRef(1)), Sub(PointRef(1), PointRef(2)))
 
 
 def test_perpendicular_is_a_squared_ratio():
-    e = Perpendicular(0, 1, 2, 3).expr()
+    e = Perpendicular(0, 1, 2, 3).expr
     assert isinstance(e, Pow) and e.exponent == 2
 
 
@@ -138,12 +140,12 @@ def test_every_predicate_round_trips_through_source_form(cls):
 
 
 def _assert_real(pred, assignment):
-    v = expr_evaluate(pred.expr(), assignment)
+    v = expr_evaluate(pred.expr, assignment)
     assert v.is_real, f"{pred} gave {v}"
 
 
 def _assert_not_real(pred, assignment):
-    v = expr_evaluate(pred.expr(), assignment)
+    v = expr_evaluate(pred.expr, assignment)
     assert not v.is_real, f"{pred} gave {v}"
 
 
@@ -242,12 +244,12 @@ def test_substitute_declaratives_chains_definitions():
     rel = out.steps[0].expr
     v = expr_evaluate(rel, assignment)
     ref = expr_evaluate(
-        Collinear(A, E, F).expr(), {**assignment, E: e_val, F: f_val}
+        Collinear(A, E, F).expr, {**assignment, E: e_val, F: f_val}
     )
     assert v == ref
     # stated expressions keep the original point names
     assert out.steps[0].source == Collinear(A, E, F)
-    assert build_system(out).slack_map[0].stated == Collinear(A, E, F).expr()
+    assert build_system(out).slack_map[0].stated == Collinear(A, E, F).expr
 
 
 def test_build_system_requires_substitution():
@@ -266,16 +268,26 @@ def test_build_system_shape():
     table = sys.table
     # one hypothesis slack, the thesis slack last
     assert len(sys.slack_map) == 2
-    assert sys.slack_map[-1].stated == Perpendicular(0, 2, 2, 1).expr()
+    assert sys.slack_map[-1].stated == Perpendicular(0, 2, 2, 1).expr
     assert sys.slack_map[-1].name == "r"
     assert sys.slack_map[0].name == "r1"
     assert sys.thesis_slack == sys.slack_map[-1].slack
     # polynomials: one per relation plus the thesis, Rabinowitsch separate
     assert len(sys.hypothesis_polys) == 2
-    assert sys.rabinowitsch_poly is not None
-    u = table.rabinowitsch
-    assert sys.rabinowitsch_poly.degree_in(u) == 1
-    assert u in sys.eliminate_vars
+    assert sys.rabinowitsch_poly is None
+    # one u_k per denominator factor, after the points and before the slacks
+    us = sys.rabinowitsch_vars
+    assert len(us) == len(sys.denominator_factors) == len(sys.rabinowitsch_polys) >= 2
+    assert us == tuple(range(4, 4 + len(us)))
+    assert all(table.kind(u) is VarKind.RABINOWITSCH for u in us)
+    assert min(o.slack for o in sys.slack_map) == us[-1] + 1
+    one = Polynomial.constant(table, 1)
+    for d, u, g in zip(sys.denominator_factors, us, sys.rabinowitsch_polys):
+        assert g == d * Polynomial.variable(table, u) - one
+        assert g.degree_in(u) == 1
+        assert not any(g.contains_var(w) for w in us if w != u)
+        assert u in sys.eliminate_vars
+    assert sys.elimination_input == sys.hypothesis_polys + sys.rabinowitsch_polys
     assert not any(o.slack in sys.eliminate_vars for o in sys.slack_map)
     assert sys.declaratives and sys.declaratives[0][0] == "O"
     assert sys.point_names == ("A", "B", "C", "O")
@@ -290,8 +302,7 @@ def test_denominator_factors_are_distinct():
 
 def _consistent_assignment(sys, c, point_values):
     """Assign every variable consistently: points as given, slacks to the
-    value of their expression, u to the inverse denominator product."""
-    table = sys.table
+    value of their expression, each u_k to the inverse of its factor d_k."""
     assignment = dict(point_values)
     for step in c.steps:
         if isinstance(step, Declarative):
@@ -302,11 +313,8 @@ def _consistent_assignment(sys, c, point_values):
     relations = [step.expr for step in c.steps + (c.thesis,)]
     for origin, rel in zip(sys.slack_map, relations):
         values[origin.slack] = expr_evaluate(rel, values)
-    prod = Qi(1)
-    for f in sys.denominator_factors:
-        prod = prod * f.evaluate(values)
-    u = table.rabinowitsch
-    values[u] = Qi(1) / prod
+    for f, u in zip(sys.denominator_factors, sys.rabinowitsch_vars):
+        values[u] = Qi(1) / f.evaluate(values)
     return values
 
 
@@ -324,8 +332,56 @@ def test_cleared_polynomials_vanish_on_consistent_values():
             continue
         for p in sys.hypothesis_polys:
             assert p.evaluate(values) == Qi(0)
-        assert sys.rabinowitsch_poly.evaluate(values) == Qi(0)
+        for g in sys.rabinowitsch_polys:
+            assert g.evaluate(values) == Qi(0)
         checked += 1
+
+
+def _random_construction(rng):
+    """Three or four free points, sometimes the midpoint of two of them,
+    one or two hypotheses and a thesis, each a predicate on random points."""
+    while True:
+        table = VarTable()
+        points = list(_pts(table, *"ABCD"[: rng.randint(3, 4)]))
+        free = tuple(points)
+        steps = []
+        if rng.random() < 0.5:
+            m = table.add("M", VarKind.POINT)
+            steps.append(Declarative(m, _define("midpoint", *rng.sample(free, 2))))
+            points.append(m)
+        try:
+            relations = [
+                predicate_step(cls(*(rng.choice(points) for _ in fields(cls))))
+                for cls in rng.choices(PREDICATES, k=rng.randint(2, 3))
+            ]
+        except PredicateArgumentError:
+            continue
+        steps.extend(relations[:-1])
+        return Construction(table=table, free_points=free, steps=tuple(steps), thesis=relations[-1])
+
+
+def test_a_generator_per_factor_saturates_as_the_product_does():
+    """Saturating by each denominator factor d_k through its own d_k*u_k - 1,
+    all eliminated in one block with the points, gives the ideal that one
+    generator d_1*...*d_m*u - 1 gives. Pinned and unpinned, so pinned
+    factors lose their generator. In most systems saturation changes the
+    ideal, so a lost generator would show."""
+    rng = random.Random(1729)
+    cfg = GroebnerConfig(timeout=None)
+    checked = saturation_matters = 0
+    for _ in range(30):
+        written = _random_construction(rng)
+        c = substitute_declaratives(written)
+        for mode in ("zero_one", "off"):
+            sys = fix_coordinates(build_system(c), c, mode)
+            points = [v for v in sys.eliminate_vars if sys.table.kind(v) is VarKind.POINT]
+            ref = eliminate_by_product(sys.hypothesis_polys, sys.denominator_factors, points)
+            got = eliminate(sys.elimination_input, sys.eliminate_vars, cfg)
+            assert got.generators == ref, format_construction(written)
+            plain = eliminate(sys.hypothesis_polys, sys.eliminate_vars, cfg)
+            saturation_matters += plain.generators != ref
+            checked += 1
+    assert checked == 60 and saturation_matters >= 30
 
 
 def test_notes_flag_encoding_weaknesses():
@@ -356,8 +412,16 @@ def test_fix_coordinates_zero_one():
     fixed = fix_coordinates(sys, c, "zero_one")
     assert fixed.fixed == (("A", Fraction(0)), ("B", Fraction(1)))
     assert 0 not in fixed.eliminate_vars and 1 not in fixed.eliminate_vars
-    for p in fixed.hypothesis_polys + (fixed.rabinowitsch_poly,):
+    for p in fixed.elimination_input:
         assert not p.contains_var(0) and not p.contains_var(1)
+    # the factor A - B (from the segment OA, O the midpoint of AB) is now a
+    # nonzero constant, and its generator is gone
+    pinned = [
+        k for k, d in enumerate(fixed.denominator_factors) if d.is_constant and not d.is_zero
+    ]
+    assert len(pinned) == 1
+    assert len(fixed.rabinowitsch_polys) == len(sys.rabinowitsch_polys) - 1
+    assert not any(g.contains_var(fixed.rabinowitsch_vars[pinned[0]]) for g in fixed.elimination_input)
     # unfixed variables survive
     assert 2 in fixed.eliminate_vars
 

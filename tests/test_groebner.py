@@ -23,7 +23,6 @@ from cni_prover.groebner import (
     GroebnerConfig,
     GroebnerTimeout,
     _Budget,
-    _eliminate_block,
     _enter,
     _Packing,
     _reduce,
@@ -358,9 +357,8 @@ def test_elimination_matches_sympy_lex():
     # the elimination ideal is what a lex basis with the eliminated
     # variables first keeps of the kept variables, re-based under grevlex.
     # Most draws add a Rabinowitsch variable u, often with a d*u - 1
-    # generator, so that eliminate runs u's block alone, u's and then the
-    # others', only the others', or an empty block when u is eliminated but
-    # no generator contains it.
+    # generator, so that the one block holds u alone, u and others, only
+    # others, or u when no generator contains it.
     rng = random.Random(2718)
     paths = set()
     done = 0
@@ -398,9 +396,9 @@ def test_elimination_matches_sympy_lex():
         paths.add((u_in_input, 3 in elim, elim != [3]))
         done += 1
     assert {
-        (True, True, False),  # u's block alone
-        (True, True, True),  # u's block, then the others'
-        (False, True, False),  # u eliminated but absent: an empty block
+        (True, True, False),  # u alone
+        (True, True, True),  # u and others
+        (False, True, False),  # u eliminated but absent
         (False, True, True),
         (False, False, True),
     } <= paths, paths
@@ -419,10 +417,12 @@ def test_elimination_of_a_parameter():
 
 
 def test_block_run_keeps_the_block_free_part_of_the_reduced_basis():
-    # _eliminate_block interreduces only the elements it keeps; they must be
+    # the block run interreduces only the elements it keeps; they must be
     # exactly the block-free elements of the whole reduced basis under the
-    # same block order, and reduced among themselves. Generators free of the
-    # block make a block-free part of several elements likely.
+    # same block order, and reduced among themselves. Its minimal basis,
+    # kept for a continued run, has the reduced basis' leading monomials.
+    # Generators free of the block make a block-free part of several
+    # elements likely.
     rng = random.Random(4242)
     for _ in range(200):
         n = rng.randint(3, 4)
@@ -438,8 +438,13 @@ def test_block_run_keeps_the_block_free_part_of_the_reduced_basis():
             continue
         order = Block(GrevLex(block), GrevLex(rest))
         full = groebner_basis(polys, order).generators
-        kept = _eliminate_block(polys, block, table, _Budget(GroebnerConfig(timeout=None)))
+        res = eliminate(polys, block, GroebnerConfig(timeout=None))
+        kept = res.generators
         assert kept == tuple(g for g in full if not any(g.contains_var(v) for v in block))
+        pk = res.packing
+        assert [pk.unpack(g.lm) for g in res.block_basis] == [
+            g.leading_monomial(order) for g in full
+        ]
         lms = [g.leading_monomial(order) for g in kept]
         for i, g in enumerate(kept):
             for m in g.terms:
@@ -459,6 +464,19 @@ def test_elimination_with_rabinowitsch_variable():
     one = Polynomial.constant(table, 1)
     res = eliminate([U * X - one, X * Y], [u, x])
     assert in_ideal(Y, res)
+
+
+def test_continued_elimination():
+    # y*z = 1 and z = 2 leave y = 1/2
+    table = make_table("x", "y", "z")
+    x, y, z = _vars(table)
+    one = Polynomial.constant(table, 1)
+    first = eliminate([x - y, y * z - one], [0])
+    second = eliminate([z - one.scale(2)], [0], after=first)
+    assert second.generators == eliminate([x - y, y * z - one, z - one.scale(2)], [0]).generators
+    assert set(second.generators) == {y - one.scale(Fraction(1, 2)), z - one.scale(2)}
+    with pytest.raises(AlgebraError, match="same variables"):
+        eliminate([z - one.scale(2)], [1], after=first)
 
 
 def test_eliminate_everything_is_rejected():

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from cni_prover import prover
+from cni_prover import groebner, prover
 from cni_prover.algebra_core import AlgebraError, Const, GrevLex, VarKind, VarTable
 from cni_prover.groebner import EliminationResult, GroebnerConfig, GroebnerTimeout, eliminate
 from cni_prover.geometry_model import (
@@ -34,6 +34,7 @@ from pathlib import Path
 from support import poly as _poly
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _prove_file(name: str, mode: str = "zero_one", timeout: float = 20.0):
@@ -168,7 +169,7 @@ def test_express_linear_rejects_higher_degree():
 # Synthetic systems exercising each branch of the procedure.
 
 
-def _synthetic(table, polys, eliminate_vars, slacks, rab=None, points=()):
+def _synthetic(table, polys, eliminate_vars, slacks, points=()):
     origins = [
         SlackOrigin(slack=s, name=table.name(s), stated=Const(i + 1))
         for i, s in enumerate(slacks)
@@ -176,10 +177,10 @@ def _synthetic(table, polys, eliminate_vars, slacks, rab=None, points=()):
     return PolynomialSystem(
         table=table,
         hypothesis_polys=tuple(polys),
-        rabinowitsch_poly=rab,
         eliminate_vars=tuple(eliminate_vars),
         slack_map=tuple(origins),
         denominator_factors=(),
+        rabinowitsch_vars=(),
         free_points=tuple(points),
         point_names=tuple(table.name(p) for p in points),
         declaratives=(),
@@ -258,18 +259,25 @@ def _cylinder_system():
     return table, x, r1, r, _synthetic(table, polys, [x], [r1, r], points=(x,))
 
 
+def _check(sys, D):
+    """check_denominator after the first elimination it continues from."""
+    cfg = GroebnerConfig()
+    first = eliminate(sys.elimination_input, sys.eliminate_vars, cfg)
+    return check_denominator(sys, first, D, cfg)
+
+
 def test_check_denominator_contradiction():
     # on the slice r1 = 4 the relation reads 0*r = 4, impossible
     table, x, r1, r, sys = _division_system()
     D = _poly(table, [({r1: 1}, 1), ({}, -4)])
-    out = check_denominator(sys, D, GroebnerConfig())
+    out = _check(sys, D)
     assert out.status == "trivial" and out.reason is None
 
 
 def test_check_denominator_no_r():
     table, x, r1, r, sys = _cylinder_system()
     D = _poly(table, [({r1: 1}, 1), ({}, -4)])
-    out = check_denominator(sys, D, GroebnerConfig())
+    out = _check(sys, D)
     assert out.status == "no_r" and out.reason == "e2nru"
 
 
@@ -287,7 +295,7 @@ def test_check_denominator_second_polynomial_form():
     ]
     sys = _synthetic(table, polys, [x], [r1, r], points=(x,))
     D = _poly(table, [({r1: 1}, 1), ({}, -4)])
-    out = check_denominator(sys, D, GroebnerConfig())
+    out = _check(sys, D)
     assert out.status == "polynomial" and out.reason is None
     assert out.linear.v.is_constant
 
@@ -303,7 +311,7 @@ def test_check_denominator_second_nonlinear():
     ]
     sys = _synthetic(table, polys, [x], [r1, r], points=(x,))
     D = _poly(table, [({r1: 1}, 1), ({}, -4)])
-    out = check_denominator(sys, D, GroebnerConfig())
+    out = _check(sys, D)
     assert out.status == "inconclusive"
     assert out.reason == "nlu"
     assert "minimal degree 2" in out.note
@@ -321,10 +329,45 @@ def test_check_denominator_second_nonconstant_coefficient():
     ]
     sys = _synthetic(table, polys, [x], [r1, r2, r], points=(x,))
     D = _poly(table, [({r1: 1}, 1), ({}, -4)])
-    out = check_denominator(sys, D, GroebnerConfig())
+    out = _check(sys, D)
     assert out.status == "inconclusive"
     assert out.reason == "d3u"
     assert "again non-constant" in out.note
+
+
+def _divided_corpus_runs():
+    """(name, fix) of each corpus run whose expected document records a
+    non-constant divisor, i.e. a second elimination."""
+    runs = []
+    for path in sorted((PERFBENCH / "expected").glob("*/*.json")):
+        if json.loads(path.read_text()).get("denominator") is not None:
+            runs.append((path.stem, path.parent.name))
+    return runs
+
+
+@pytest.mark.parametrize("name,fix", _divided_corpus_runs())
+def test_second_elimination_continues_from_the_first(name, fix, monkeypatch):
+    """The second ideal, computed from the first run's basis plus the divisor
+    v, is the one a fresh elimination of the input plus v gives; and the
+    continued run forms no S-polynomial of two elements of that basis."""
+    src = (PERFBENCH / "corpus" / f"{name}.cni").read_text()
+    c = substitute_declaratives(parse(SourceProgram(src, name)))
+    sys = fix_coordinates(build_system(c), c, fix)
+    cfg = GroebnerConfig(timeout=60.0)
+    verdict = prove(sys, ProverConfig(timeout=60.0))
+    v = verdict.trace.denominator
+    fresh = eliminate(sys.elimination_input + (v,), sys.eliminate_vars, cfg)
+    assert verdict.trace.second.generators == fresh.generators
+
+    first = eliminate(sys.elimination_input, sys.eliminate_vars, cfg)
+    pairs = []
+    spoly = groebner._spoly_terms
+    monkeypatch.setattr(
+        groebner, "_spoly_terms", lambda f, g, L: pairs.append((f, g)) or spoly(f, g, L)
+    )
+    assert check_denominator(sys, first, v, cfg).generators == fresh.generators
+    seed = {id(f) for f in first.block_basis}
+    assert not [p for p in pairs if id(p[0]) in seed and id(p[1]) in seed]
 
 
 def test_prove_e2nru_end_to_end():
