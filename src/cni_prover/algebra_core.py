@@ -7,7 +7,6 @@ proving path, since ideal membership decisions must be error-free.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -25,25 +24,18 @@ class ZeroDenominatorError(AlgebraError):
     """A division node whose denominator normalizes to the zero polynomial."""
 
 
-class VarKind(enum.Enum):
-    POINT = "point"
-    SLACK = "slack"
-    RABINOWITSCH = "rabinowitsch"
-
-
 class VarTable:
-    """Ordered registry of variables: complex point variables, real slack
-    variables, and Rabinowitsch variables. The table must be complete
-    before the first polynomial is built over it, because every monomial
-    has one exponent per variable."""
+    """Ordered registry of variables: complex point variables, then real
+    slack variables. The table must be complete before the first polynomial
+    is built over it, because every monomial has one exponent per
+    variable."""
 
     def __init__(self) -> None:
         self._names: list[str] = []
-        self._kinds: list[VarKind] = []
         self._index: dict[str, int] = {}
         self._sealed = False
 
-    def add(self, name: str, kind: VarKind) -> int:
+    def add(self, name: str) -> int:
         if self._sealed:
             raise AlgebraError(
                 f"cannot add {name!r}: polynomials are already built over this table"
@@ -52,7 +44,6 @@ class VarTable:
             raise AlgebraError(f"duplicate variable name {name!r}")
         idx = len(self._names)
         self._names.append(name)
-        self._kinds.append(kind)
         self._index[name] = idx
         return idx
 
@@ -64,9 +55,6 @@ class VarTable:
 
     def name(self, idx: int) -> str:
         return self._names[idx]
-
-    def kind(self, idx: int) -> VarKind:
-        return self._kinds[idx]
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._names)
@@ -328,11 +316,6 @@ class Polynomial:
     def leading_coefficient(self, order: MonomialOrder) -> Fraction:
         return self.terms[self.leading_monomial(order)]
 
-    def monic(self, order: MonomialOrder) -> "Polynomial":
-        if self.is_zero:
-            return self
-        return self.scale(1 / self.leading_coefficient(order))
-
     def substitute(self, assignment: Mapping[int, Rational]) -> "Polynomial":
         """Replace the given variables by rational constants. A value p/q
         for a variable of degree k multiplies the common denominator by
@@ -360,24 +343,6 @@ class Polynomial:
             else:
                 out[m] = out.get(m, 0) + c
         return Polynomial._from_integers(self.table, out, den)
-
-    def evaluate(self, assignment: Mapping[int, object]):
-        """Evaluate at a full assignment. Values only need ring operations,
-        so exact complex rationals from the test suite work as well."""
-        total = None
-        for m, c in self.terms.items():
-            term = None
-            for v, e in enumerate(m):
-                if not e:
-                    continue
-                f = assignment[v]
-                p = f
-                for _ in range(e - 1):
-                    p = p * f
-                term = p if term is None else term * p
-            val = c if term is None else term * c
-            total = val if total is None else total + val
-        return Fraction(0) if total is None else total
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms descending under the print order."""
@@ -510,34 +475,6 @@ def as_expr(x) -> Expr:
     if isinstance(x, (int, Fraction)):
         return Const(Fraction(x))
     raise AlgebraError(f"cannot treat {x!r} as an expression")
-
-
-def expr_evaluate(e: Expr, assignment: Mapping[int, object]):
-    """Evaluate an expression at concrete values. Works for any value type
-    with field operations (Fraction, or the exact complex rationals used in
-    tests)."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, PointRef):
-        return assignment[e.index]
-    if isinstance(e, Add):
-        return expr_evaluate(e.left, assignment) + expr_evaluate(e.right, assignment)
-    if isinstance(e, Sub):
-        return expr_evaluate(e.left, assignment) - expr_evaluate(e.right, assignment)
-    if isinstance(e, Mul):
-        return expr_evaluate(e.left, assignment) * expr_evaluate(e.right, assignment)
-    if isinstance(e, Div):
-        return expr_evaluate(e.left, assignment) / expr_evaluate(e.right, assignment)
-    if isinstance(e, Pow):
-        base = expr_evaluate(e.base, assignment)
-        out = base ** 0 if hasattr(base, "__pow__") else 1
-        try:
-            return base ** e.exponent
-        except TypeError:
-            for _ in range(e.exponent):
-                out = out * base
-            return out
-    raise AlgebraError(f"unknown expression node {e!r}")
 
 
 def expr_substitute(e: Expr, mapping: Mapping[int, Expr]) -> Expr:

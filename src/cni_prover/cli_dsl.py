@@ -8,9 +8,11 @@ Grammar (one statement per line, `#` starts a comment):
     assume collinear(A, O, B)
     prove perpendicular(A, C, C, B)
 
-Expressions use +, -, *, /, integer literals, parentheses, and previously
-declared points. Exactly one `prove` statement is required. Identifiers are
-an ASCII letter followed by letters or digits, case-sensitive.
+Expressions use +, -, *, /, integer literals, parentheses, previously
+declared points, and the point shorthands (midpoint, barycenter,
+parallelogram4) called on declared points. Exactly one `prove` statement
+is required. Identifiers are an ASCII letter followed by letters or
+digits, case-sensitive.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra_core import AlgebraError, Const, PointRef, RationalExpr, VarKind, VarTable
+from .algebra_core import AlgebraError, Const, PointRef, RationalExpr, VarTable
 from .geometry_model import (
     DEFINITIONS,
     FIX_MODES,
@@ -178,7 +180,8 @@ class _Tokens:
 
 
 class _ExprParser:
-    """Recursive descent over +, -, *, /, integers, parentheses, points."""
+    """Recursive descent over +, -, *, /, integers, parentheses, points and
+    shorthand calls."""
 
     def __init__(self, ts: _Tokens, points: dict[str, int]):
         self.ts = ts
@@ -221,6 +224,16 @@ class _ExprParser:
                     f"integer literal of {len(value)} digits is too long", self.ts.line, col
                 ) from None
         if kind == "name":
+            nxt = self.ts.peek()
+            if value in DEFINITIONS and nxt is not None and nxt[1] == "(":
+                args = _call_args(self.ts, self.points)
+                shorthand = DEFINITIONS[value]
+                arity = shorthand.__code__.co_argcount
+                if len(args) != arity:
+                    raise DslSyntaxError(
+                        f"{value} takes {arity} points, got {len(args)}", self.ts.line, col
+                    )
+                return shorthand(*(PointRef(i) for i in args))
             idx = self.points.get(value)
             if idx is None:
                 raise DslSyntaxError(
@@ -236,11 +249,9 @@ class _ExprParser:
         raise DslSyntaxError(f"unexpected token {value!r}", self.ts.line, col)
 
 
-def _parse_call(ts: _Tokens, points: dict[str, int], line: int) -> tuple[str, list[int], int]:
-    """Parse NAME(P1, ..., Pk), the rest of the statement, where the Pi are
-    declared points. Returns the call name, the point indices, and the
-    name's column."""
-    name, col = ts.expect_name("a predicate name")
+def _call_args(ts: _Tokens, points: dict[str, int]) -> list[int]:
+    """Parse (P1, ..., Pk), where the Pi are declared points. Returns the
+    point indices."""
     ts.expect_sym("(")
     args: list[int] = []
     while True:
@@ -248,14 +259,21 @@ def _parse_call(ts: _Tokens, points: dict[str, int], line: int) -> tuple[str, li
         idx = points.get(pname)
         if idx is None:
             raise DslSyntaxError(
-                f"unknown point {pname!r} (points must be declared first)", line, pcol
+                f"unknown point {pname!r} (points must be declared first)", ts.line, pcol
             )
         args.append(idx)
         kind, value, vcol = ts.next("',' or ')'")
         if value == ")":
-            break
+            return args
         if value != ",":
-            raise DslSyntaxError(f"expected ',' or ')', got {value!r}", line, vcol)
+            raise DslSyntaxError(f"expected ',' or ')', got {value!r}", ts.line, vcol)
+
+
+def _parse_call(ts: _Tokens, points: dict[str, int]) -> tuple[str, list[int], int]:
+    """Parse NAME(P1, ..., Pk), the rest of the statement. Returns the call
+    name, the point indices, and the name's column."""
+    name, col = ts.expect_name("a predicate name")
+    args = _call_args(ts, points)
     ts.expect_end()
     return name, args, col
 
@@ -299,7 +317,7 @@ def parse(src: SourceProgram) -> Construction:
                 _check_point_name(name, line, ncol)
                 if name in points:
                     raise DslSyntaxError(f"duplicate point {name!r}", line, ncol)
-                idx = table.add(name, VarKind.POINT)
+                idx = table.add(name)
                 points[name] = idx
                 free.append(idx)
                 tok = ts.peek()
@@ -309,7 +327,7 @@ def parse(src: SourceProgram) -> Construction:
             continue
 
         if first in ("assume", "prove"):
-            pname, pargs, pcol = _parse_call(ts, points, line)
+            pname, pargs, pcol = _parse_call(ts, points)
             step = predicate_step(_build_predicate(pname, pargs, line, pcol))
             if first == "assume":
                 steps.append(step)
@@ -332,28 +350,9 @@ def parse(src: SourceProgram) -> Construction:
                 col,
             )
         ts.next()
-
-        nxt = ts.peek()
-        following = ts.tokens[ts.pos + 1] if ts.pos + 1 < len(ts.tokens) else None
-        if (
-            nxt is not None
-            and nxt[0] == "name"
-            and nxt[1] in DEFINITIONS
-            and following is not None
-            and following[1] == "("
-        ):
-            sname, sargs, scol = _parse_call(ts, points, line)
-            shorthand = DEFINITIONS[sname]
-            arity = shorthand.__code__.co_argcount
-            if len(sargs) != arity:
-                raise DslSyntaxError(
-                    f"{sname} takes {arity} points, got {len(sargs)}", line, scol
-                )
-            definition = shorthand(*(PointRef(i) for i in sargs))
-        else:
-            definition = _ExprParser(ts, points)._sum()
-            ts.expect_end()
-        idx = table.add(name, VarKind.POINT)
+        definition = _ExprParser(ts, points)._sum()
+        ts.expect_end()
+        idx = table.add(name)
         points[name] = idx
         steps.append(Declarative(idx, definition))
 

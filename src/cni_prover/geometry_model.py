@@ -19,7 +19,6 @@ from .algebra_core import (
     Pow,
     RationalExpr,
     Sub,
-    VarKind,
     VarTable,
     expr_normalize,
     expr_points,
@@ -307,15 +306,14 @@ class SlackOrigin:
 @dataclass(frozen=True)
 class PolynomialSystem:
     """Cleared polynomials p1..ps (thesis last), the distinct denominator
-    factors d_1..d_m with their Rabinowitsch variables u_1..u_m, one each,
-    and the variables to eliminate."""
+    factors d_1..d_m, which must not vanish, and the variables to
+    eliminate. The elimination saturates the ideal by the factors."""
 
     table: VarTable
     hypothesis_polys: tuple[Polynomial, ...]
     eliminate_vars: tuple[int, ...]
     slack_map: tuple[SlackOrigin, ...]
     denominator_factors: tuple[Polynomial, ...]
-    rabinowitsch_vars: tuple[int, ...]
     free_points: tuple[int, ...]
     point_names: tuple[str, ...]
     declaratives: tuple[tuple[str, RationalExpr], ...]
@@ -327,29 +325,11 @@ class PolynomialSystem:
         return self.slack_map[-1].slack
 
     @property
-    def rabinowitsch_polys(self) -> tuple[Polynomial, ...]:
-        """d_k*u_k - 1 for each denominator factor d_k, which saturates the
-        ideal by d_k. A factor that pinning turned into a nonzero constant
-        cannot vanish and has none."""
-        one = Polynomial.constant(self.table, 1)
-        return tuple(
-            d * Polynomial.variable(self.table, u) - one
-            for d, u in zip(self.denominator_factors, self.rabinowitsch_vars)
-            if not d.is_constant or d.is_zero
-        )
-
-    @property
     def rabinowitsch_poly(self) -> None:
-        """Always None; the generators are `rabinowitsch_polys`. Only the
-        benchmark's traced path (perfbench/run.py --trace 1) reads this
-        name, and ROADMAP item 9 removes it."""
+        """Always None: the elimination builds the Rabinowitsch generators
+        from `denominator_factors`. Only the benchmark's traced path
+        (perfbench/run.py --trace 1) reads this name."""
         return None
-
-    @property
-    def elimination_input(self) -> tuple[Polynomial, ...]:
-        """The generators of the first elimination: the hypothesis
-        polynomials, then the Rabinowitsch polynomials."""
-        return self.hypothesis_polys + self.rabinowitsch_polys
 
 
 def _fresh_name(base: str, table: VarTable) -> str:
@@ -382,59 +362,37 @@ def _collect_notes(c: Construction) -> tuple[str, ...]:
 def build_system(c: Construction) -> PolynomialSystem:
     """Translate a construction (declaratives already substituted) into the
     cleared polynomial system: one polynomial e_i - r_i per relation, the
-    thesis last with slack r, and one Rabinowitsch variable u_k for each
-    distinct denominator factor d_k. The table holds the points, then
-    u_1..u_m, then the slacks."""
+    thesis last with slack r, and the distinct denominator factors in
+    first-seen order. The table holds the points, then the slacks."""
     relations = c.steps + (c.thesis,)
     if any(isinstance(step, Declarative) for step in relations):
         raise GeometryError("substitute declaratives before building the system")
 
-    # The factors are known only once the relations are cleared, but the
-    # table must be complete before any polynomial is built over it. So each
-    # relation is cleared once over the points and slacks, and its exponent
-    # tuples then get a zero for each u_k.
     n_points = len(c.table)
     table = VarTable()
     for i in range(n_points):
-        table.add(c.table.name(i), VarKind.POINT)
+        table.add(c.table.name(i))
     slack_names = [
         _fresh_name("r" if k == len(relations) else f"r{k}", table)
         for k in range(1, len(relations) + 1)
     ]
-    cleared = VarTable()
-    for name in table.names():
-        cleared.add(name, VarKind.POINT)
-    for name in slack_names:
-        cleared.add(name, VarKind.SLACK)
+    slack_entries = tuple(
+        SlackOrigin(table.add(name), name, step.source.expr)
+        for name, step in zip(slack_names, relations)
+    )
     polys: list[Polynomial] = []
     factors: dict[Polynomial, None] = {}  # first-seen order
     for k, step in enumerate(relations):
-        num, _den, fs = expr_normalize(Sub(step.expr, PointRef(n_points + k)), cleared)
+        num, _den, fs = expr_normalize(Sub(step.expr, PointRef(n_points + k)), table)
         polys.append(num)
         factors.update(dict.fromkeys(fs))
 
-    us = tuple(
-        table.add(_fresh_name(f"u{k}", table), VarKind.RABINOWITSCH)
-        for k in range(1, len(factors) + 1)
-    )
-    slack_entries = tuple(
-        SlackOrigin(table.add(name, VarKind.SLACK), name, step.source.expr)
-        for name, step in zip(slack_names, relations)
-    )
-    gap = (0,) * len(us)
-
-    def lift(p: Polynomial) -> Polynomial:
-        return Polynomial._trusted(
-            table, {m[:n_points] + gap + m[n_points:]: a for m, a in p.terms.items()}
-        )
-
     return PolynomialSystem(
         table=table,
-        hypothesis_polys=tuple(map(lift, polys)),
-        eliminate_vars=tuple(range(n_points)) + us,
+        hypothesis_polys=tuple(polys),
+        eliminate_vars=tuple(range(n_points)),
         slack_map=slack_entries,
-        denominator_factors=tuple(map(lift, factors)),
-        rabinowitsch_vars=us,
+        denominator_factors=tuple(factors),
         free_points=c.free_points,
         point_names=tuple(c.table.name(i) for i in range(n_points)),
         declaratives=tuple((c.table.name(d.point), d.definition) for d in c.inlined),
@@ -473,8 +431,8 @@ def fix_coordinates(sys: PolynomialSystem, c: Construction, mode: str) -> Polyno
     the elimination problem. When one does not, nothing is pinned and a
     note says why. With fewer than two free points, fixes as many as
     available. A denominator factor in the pinned points alone is a nonzero
-    multiple of A - B, so pinning makes it a nonzero constant, which has no
-    Rabinowitsch generator (see `PolynomialSystem.rabinowitsch_polys`)."""
+    multiple of A - B, so pinning makes it a nonzero constant, which the
+    elimination does not saturate by."""
     if mode not in FIX_MODES:
         raise GeometryError(f"unknown coordinate fixing mode {mode!r}")
     if mode == "off" or not c.free_points:

@@ -15,12 +15,13 @@ the minimal basis is taken at the end, so the basis only grows and a cache
 can keep each monomial's reducer. Results leave as monic Polynomials on
 exponent tuples.
 An elimination is one Buchberger run under a block order whose first block
-holds every eliminated variable: the points and the Rabinowitsch variables
-u_k, one per denominator factor. By the elimination theorem the elements
-free of the block are a basis of the elimination ideal, and the run
-interreduces only those. A second elimination of the same ideal with more
-generators continues from the first run's minimal basis and packing: it
-enters only the pairs with the new generators and their successors.
+holds every eliminated variable: the given ones, then one Rabinowitsch
+variable u_k per factor d_k to saturate by, packed past the table's last
+variable and entered as d_k*u_k - 1. By the elimination theorem the
+elements free of the block are a basis of the elimination ideal, and the
+run interreduces only those. A second elimination of the same ideal with
+more generators continues from the first run's minimal basis and packing:
+it enters only the pairs with the new generators and their successors.
 """
 from __future__ import annotations
 
@@ -72,17 +73,16 @@ class GroebnerBasis:
 class EliminationResult:
     """Generators of the elimination ideal, free of eliminated variables.
 
-    The generators form the reduced monic basis under `order`, a graded
-    reverse lexicographic order on the kept variables. `block_basis` is the
-    run's minimal basis of the whole ideal under the block order, as engine
-    records packed by `packing`; eliminate(..., after=this) continues from
-    them.
+    The generators form the reduced monic basis under a graded reverse
+    lexicographic order on the kept variables, the table's variables not in
+    `eliminated`. `block_basis` is the run's minimal basis of the whole
+    ideal under the block order, as engine records packed by `packing`, the
+    Rabinowitsch variables included; eliminate(..., after=this) continues
+    from them.
     """
 
     generators: tuple[Polynomial, ...]
     eliminated: tuple[int, ...]
-    kept: tuple[int, ...]
-    order: MonomialOrder
     block_basis: tuple[_IntPoly, ...] = field(default=(), repr=False, compare=False)
     packing: _Packing | None = field(default=None, repr=False, compare=False)
 
@@ -148,6 +148,7 @@ class _Packing:
         self.guard = sum(_HALF << s for s in self.shifts)
 
     def pack(self, m: tuple[int, ...]) -> int:
+        """A tuple shorter than n leaves the fields past it zero."""
         if sum(m) >= _HALF:
             raise _too_big()
         return sum(e * u for e, u in zip(m, self.units) if e)
@@ -405,10 +406,21 @@ def _enter(polys: list[Polynomial], pk: _Packing) -> list[_IntPoly]:
     return out
 
 
+def _saturator(d: Polynomial, u: int, pk: _Packing) -> _IntPoly:
+    """d*u - 1 cleared to integers, which saturates the ideal by d; u is a
+    packed variable past d's table. A zero d gives the constant -1."""
+    nums, den = _integer_form(d.terms)
+    terms = {pk.pack(m + (0,) * (u - len(m)) + (1,)): c for m, c in nums.items()}
+    terms[0] = -den
+    return _normalize(terms, pk)
+
+
 def _exit(recs, table: VarTable, pk: _Packing) -> tuple[Polynomial, ...]:
-    """Monic Polynomials, sorted by leading monomial ascending."""
+    """Monic Polynomials over the table's variables, sorted by leading
+    monomial ascending. Fields packed past them must be zero."""
+    n = len(table)
     return tuple(
-        Polynomial._from_integers(table, {pk.unpack(m): c for m, c in d.terms.items()}, d.lc)
+        Polynomial._from_integers(table, {pk.unpack(m)[:n]: c for m, c in d.terms.items()}, d.lc)
         for d in sorted(recs, key=lambda d: d.lm)
     )
 
@@ -438,28 +450,37 @@ def eliminate(
     elim_vars: Iterable[int],
     config: GroebnerConfig | None = None,
     after: EliminationResult | None = None,
+    saturate: Iterable[Polynomial] = (),
 ) -> EliminationResult:
-    """Generators of ideal(F) intersected with the ring in the kept
-    variables. With `after`, the result of an elimination of the same
-    variables, the ideal is ideal(F) plus the ideal `after` was computed
-    for.
+    """Generators of the saturation of ideal(F) by each polynomial in
+    `saturate`, intersected with the ring in the kept variables. With
+    `after`, the result of an elimination of the same variables, the ideal
+    is ideal(F) plus the ideal `after` was computed for, whose saturation
+    it inherits.
 
-    One Buchberger run under Block(GrevLex(eliminated), GrevLex(kept)): by
-    the elimination theorem the elements of its basis free of the block
-    are a basis of the elimination ideal, and the run reduces only those.
-    With `after`, the run starts from after's minimal block basis and its
-    packing, and enters only the pairs with F's elements and their
-    successors. The result is the unique reduced monic basis under GrevLex
-    on the kept variables.
+    One Buchberger run under Block(GrevLex(eliminated + us), GrevLex(kept)),
+    with one Rabinowitsch variable u_k past the table's last for each
+    factor d_k to saturate by and d_k*u_k - 1 among the generators. A
+    nonzero constant factor cannot vanish and gets none; a zero factor
+    makes the ideal the whole ring. By the elimination theorem the elements
+    of the run's basis free of the block are a basis of the elimination
+    ideal, and the run reduces only those. With `after`, the run starts from
+    after's minimal block basis and its packing, and enters only the pairs
+    with F's elements and their successors. The result is the unique
+    reduced monic basis under GrevLex on the kept variables.
     """
     config = config or DEFAULT_CONFIG
     polys = [f for f in F if not f.is_zero]
+    factors = [d for d in saturate if not d.is_constant or d.is_zero]
     elim = tuple(sorted(set(elim_vars)))
-    if after is not None and elim != after.eliminated:
-        raise AlgebraError("a continued elimination must eliminate the same variables")
-    if not polys:
-        return after or EliminationResult((), elim, (), GrevLex(()))
-    table = polys[0].table
+    if after is not None:
+        if elim != after.eliminated:
+            raise AlgebraError("a continued elimination must eliminate the same variables")
+        if factors:
+            raise AlgebraError("a continued elimination inherits the saturation it continues")
+    if not polys and not factors:
+        return after or EliminationResult((), elim)
+    table = (polys or factors)[0].table
     n = len(table)
     for v in elim:
         if not 0 <= v < n:
@@ -468,16 +489,17 @@ def eliminate(
     if not kept:
         raise AlgebraError("elimination must keep at least one variable")
     if after is None:
-        pk, seed = _Packing(Block(GrevLex(elim), GrevLex(kept)), n), ()
+        us = tuple(range(n, n + len(factors)))
+        pk, seed = _Packing(Block(GrevLex(elim + us), GrevLex(kept)), n + len(us)), ()
+        gens = _enter(polys, pk) + [_saturator(d, u, pk) for d, u in zip(factors, us)]
     else:
         pk, seed = after.packing, after.block_basis
-    drop = sum(_FIELD << pk.shifts[v] for v in elim)
-    reduced, basis = _buchberger(_enter(polys, pk), pk, _Budget(config), drop, seed)
-    gens = _exit(reduced, table, pk)
-    for g in gens:
-        if any(g.contains_var(v) for v in elim):
-            raise AlgebraError("internal: eliminated variable survived")
-    return EliminationResult(gens, elim, kept, GrevLex(kept), tuple(basis), pk)
+        gens = _enter(polys, pk)
+    drop = sum(_FIELD << s for v, s in enumerate(pk.shifts) if v not in kept)
+    reduced, basis = _buchberger(gens, pk, _Budget(config), drop, seed)
+    if any(m & drop for d in reduced for m in d.terms):
+        raise AlgebraError("internal: eliminated variable survived")
+    return EliminationResult(_exit(reduced, table, pk), elim, tuple(basis), pk)
 
 
 def ideal_is_trivial(G: Union[GroebnerBasis, EliminationResult]) -> bool:

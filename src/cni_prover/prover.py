@@ -214,7 +214,9 @@ def _decide(
     """Run the eliminations. Returns the reason code (None when proved),
     the note on the verdict, and the trace fields of the stages reached."""
     try:
-        first = eliminate(sys.elimination_input, sys.eliminate_vars, config)
+        first = eliminate(
+            sys.hypothesis_polys, sys.eliminate_vars, config, saturate=sys.denominator_factors
+        )
     except GroebnerTimeout:
         return "t/o", "the first elimination timed out", {}
     stage: dict = {"generators": first.generators}

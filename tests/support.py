@@ -1,8 +1,8 @@
-"""Shared test helpers: exact Gaussian rationals for evaluating point
-expressions, polynomial builders and random generators, sympy conversion,
-and the reference division and S-polynomial that engine results are checked
-against, and a reference first elimination through one product
-Rabinowitsch generator."""
+"""Shared test helpers: exact Gaussian rationals and the evaluation of
+polynomials and point expressions over them, polynomial builders and random
+generators, sympy conversion, and the reference division and S-polynomial
+that engine results are checked against, and a reference first elimination
+through one product Rabinowitsch generator."""
 
 from __future__ import annotations
 
@@ -11,12 +11,19 @@ from fractions import Fraction
 from operator import add
 
 from cni_prover.algebra_core import (
+    Add,
     AlgebraError,
     Block,
+    Const,
+    Div,
+    Expr,
     GrevLex,
     MonomialOrder,
+    Mul,
+    PointRef,
     Polynomial,
-    VarKind,
+    Pow,
+    Sub,
     VarTable,
 )
 from cni_prover.groebner import groebner_basis
@@ -105,11 +112,53 @@ def _qi(x) -> Qi:
 I = Qi(0, 1)
 
 
-def make_table(*names: str, kind=VarKind.POINT) -> VarTable:
+def make_table(*names: str) -> VarTable:
     table = VarTable()
     for n in names:
-        table.add(n, kind)
+        table.add(n)
     return table
+
+
+def evaluate(p: Polynomial, assignment):
+    """p at a full assignment {variable: value}. Values only need ring
+    operations, so Fractions and Gaussian rationals both work."""
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        term = c
+        for v, e in enumerate(m):
+            if e:
+                term = assignment[v] ** e * term
+        total = term + total
+    return total
+
+
+def expr_evaluate(e: Expr, assignment):
+    """A point expression at concrete values {point: value}, in any field
+    (Fractions, or Gaussian rationals)."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, PointRef):
+        return assignment[e.index]
+    if isinstance(e, Pow):
+        return expr_evaluate(e.base, assignment) ** e.exponent
+    left = expr_evaluate(e.left, assignment)
+    right = expr_evaluate(e.right, assignment)
+    if isinstance(e, Add):
+        return left + right
+    if isinstance(e, Sub):
+        return left - right
+    if isinstance(e, Mul):
+        return left * right
+    if isinstance(e, Div):
+        return left / right
+    raise AlgebraError(f"unknown expression node {e!r}")
+
+
+def monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
+    """p scaled to leading coefficient 1 under `order`; zero stays zero."""
+    if p.is_zero:
+        return p
+    return p.scale(1 / p.leading_coefficient(order))
 
 
 def mono(table: VarTable, exps: dict[int, int]) -> tuple[int, ...]:
@@ -247,10 +296,11 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     return tf * f - tg * g
 
 
-def in_ideal(f: Polynomial, basis) -> bool:
-    """Membership of f in the ideal of a GroebnerBasis or EliminationResult,
-    whose generators are a reduced basis under its order."""
-    return normal_form(f, basis.generators, basis.order).is_zero
+def in_ideal(f: Polynomial, basis, order: MonomialOrder | None = None) -> bool:
+    """Membership of f in the ideal of a GroebnerBasis, whose generators are
+    a reduced basis under its order, or of an EliminationResult, whose
+    generators are one under `order`, grevlex on its kept variables."""
+    return normal_form(f, basis.generators, order or basis.order).is_zero
 
 
 def eliminate_by_product(hyps, factors, points) -> tuple[Polynomial, ...]:
@@ -262,10 +312,8 @@ def eliminate_by_product(hyps, factors, points) -> tuple[Polynomial, ...]:
     block, then the points'. The result is the reduced monic basis under
     grevlex on the remaining variables, sorted by leading monomial."""
     table = hyps[0].table
-    ext = VarTable()
-    for i in range(len(table)):
-        ext.add(table.name(i), table.kind(i))
-    u = ext.add("u_product", VarKind.RABINOWITSCH)
+    ext = make_table(*table.names())
+    u = ext.add("u_product")
 
     def lift(p):
         return Polynomial(ext, {m + (0,): c for m, c in p.terms.items()})

@@ -8,7 +8,7 @@ import json
 import time
 from pathlib import Path
 
-from cni_prover.algebra_core import VarKind, VarTable
+from cni_prover.algebra_core import GrevLex, VarTable
 from cni_prover.cli_dsl import SourceProgram, parse
 from cni_prover.geometry_model import (
     PolynomialSystem,
@@ -23,7 +23,7 @@ from cni_prover.groebner import (
     ideal_is_trivial,
 )
 from cni_prover.proof_emitter import emit_trace, format_polynomial
-from cni_prover.prover import PROVED, ProverConfig, express_linear, prove, select_pivot
+from cni_prover.prover import PROVED, ProverConfig, express_linear, prove
 
 import test_geometry_model
 import test_groebner
@@ -36,6 +36,14 @@ def _load(name, mode="zero_one"):
     src = (PROBLEMS / f"{name}.cni").read_text()
     c = substitute_declaratives(parse(SourceProgram(src, name)))
     return fix_coordinates(build_system(c), c, mode)
+
+
+def _first_elimination(sys, cfg):
+    """The first elimination, and the order its generators are reduced
+    under: grevlex on the variables it keeps."""
+    I = eliminate(sys.hypothesis_polys, sys.eliminate_vars, cfg, saturate=sys.denominator_factors)
+    kept = tuple(v for v in range(len(sys.table)) if v not in sys.eliminate_vars)
+    return I, GrevLex(kept)
 
 
 def _slack(sys, name):
@@ -51,11 +59,11 @@ def test_criterion_1_thales_converse_raw_operations():
     assert len(sys.hypothesis_polys) == 4  # three hypotheses plus the thesis
     assert sys.fixed == ()
     cfg = GroebnerConfig(timeout=20.0)
-    I = eliminate(sys.elimination_input, sys.eliminate_vars, cfg)
+    I, order = _first_elimination(sys, cfg)
 
     r1, r2, r3, r = (_slack(sys, n) for n in ("r1", "r2", "r3", "r"))
     pivot = _P(sys.table, [({r1: 1, r2: 1, r3: 1, r: 1}, 1), ({}, 1)])
-    assert in_ideal(pivot, I)
+    assert in_ideal(pivot, I, order)
 
     lf = express_linear(pivot, r)
     assert lf.v == _P(sys.table, [({r1: 1, r2: 1, r3: 1}, 1)])
@@ -77,8 +85,8 @@ def test_criterion_2_midpoint_circle_rational_form():
 
     r1, r = _slack(sys, "r1"), _slack(sys, "r")
     member = _P(sys.table, [({r1: 1, r: 1}, 1), ({r1: 1}, -1), ({r: 1}, -4)])
-    I = eliminate(sys.elimination_input, sys.eliminate_vars, GroebnerConfig())
-    assert in_ideal(member, I)
+    I, order = _first_elimination(sys, GroebnerConfig())
+    assert in_ideal(member, I, order)
 
     payload = json.loads(emit_trace(verdict, "json").text())
     assert payload["rational_form"] == "r1/(r1-4)"
@@ -93,14 +101,7 @@ def _medians_raw_system():
     """The median concurrency hypotheses entered directly as cleared
     polynomials over the midpoints, bypassing the construction layer."""
     table = VarTable()
-    A = table.add("A", VarKind.POINT)
-    B = table.add("B", VarKind.POINT)
-    C = table.add("C", VarKind.POINT)
-    G = table.add("G", VarKind.POINT)
-    us = tuple(table.add(f"u{k}", VarKind.RABINOWITSCH) for k in (1, 2, 3))
-    r1 = table.add("r1", VarKind.SLACK)
-    r2 = table.add("r2", VarKind.SLACK)
-    r = table.add("r", VarKind.SLACK)
+    A, B, C, G, r1, r2, r = (table.add(n) for n in ("A", "B", "C", "G", "r1", "r2", "r"))
 
     # (B - G)/(G - E) = r1 with E = (A+C)/2, cleared by 2(G - E):
     # (2B - A - C)*r1 + 2G - 2B = 0, and similarly for the other two medians
@@ -120,10 +121,9 @@ def _medians_raw_system():
     return PolynomialSystem(
         table=table,
         hypothesis_polys=(p1, p2, p3),
-        eliminate_vars=(A, B, C, G) + us,
+        eliminate_vars=(A, B, C, G),
         slack_map=(origin(r1), origin(r2), origin(r)),
         denominator_factors=(d1, d2, d3),
-        rabinowitsch_vars=us,
         free_points=(A, B, C, G),
         point_names=("A", "B", "C", "G"),
         declaratives=(),
@@ -133,11 +133,11 @@ def _medians_raw_system():
 def test_criterion_3_raw_ideal_input():
     t0 = time.perf_counter()
     sys, (r1, r2, r) = _medians_raw_system()
-    I = eliminate(sys.elimination_input, sys.eliminate_vars, GroebnerConfig())
+    I, order = _first_elimination(sys, GroebnerConfig())
     member = _P(sys.table, [({r: 1, r1: 1}, -3), ({r: 1, r2: 1}, 3),
                             ({r1: 1, r2: 1}, 3), ({r: 1}, 1), ({r1: 1}, 1),
                             ({r2: 1}, -4)])
-    assert in_ideal(member, I)
+    assert in_ideal(member, I, order)
 
     verdict = prove(sys, ProverConfig())
     assert verdict.outcome == PROVED

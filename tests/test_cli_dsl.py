@@ -106,6 +106,28 @@ def test_parse_sugar_arity():
         parse(SourceProgram("point A, B, C\nM := midpoint(A, B, C)\nprove collinear(A, M, B)"))
 
 
+_A, _B, _C = (PointRef(i) for i in range(3))
+
+
+@pytest.mark.parametrize(
+    "definition, expected",
+    [
+        ("(midpoint(A, B))", (_A + _B) / 2),
+        ("midpoint(A, B) - C + C", (_A + _B) / 2 - _C + _C),
+        ("2*barycenter(A, B, C)", 2 * ((_A + _B + _C) / 3)),
+    ],
+)
+def test_parse_shorthand_inside_an_expression(definition, expected):
+    c = parse(SourceProgram(f"point A, B, C\nD := {definition}\nprove collinear(A, D, B)"))
+    assert c.steps[0].definition == expected
+
+
+def test_parse_shorthand_arity_inside_an_expression():
+    with pytest.raises(DslSyntaxError, match="barycenter takes 3 points, got 2") as err:
+        parse(SourceProgram("point A, B, C\nD := C - barycenter(A, B)\nprove collinear(A, D, B)"))
+    assert (err.value.line, err.value.column) == (2, 10)
+
+
 def test_parse_unknown_function_reads_as_expression():
     # 'foo' is not sugar, so it parses as an expression and fails on the
     # undeclared name

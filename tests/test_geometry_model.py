@@ -17,9 +17,7 @@ from cni_prover.algebra_core import (
     Polynomial,
     Pow,
     Sub,
-    VarKind,
     VarTable,
-    expr_evaluate,
 )
 from cni_prover.cli_dsl import SourceProgram, format_construction, parse
 from cni_prover.geometry_model import (
@@ -44,7 +42,7 @@ from cni_prover.geometry_model import (
 
 from cni_prover.groebner import GroebnerConfig, eliminate
 
-from support import Qi, I, eliminate_by_product, make_table
+from support import Qi, I, eliminate_by_product, evaluate, expr_evaluate, make_table
 
 
 def _define(kind, *points):
@@ -52,13 +50,13 @@ def _define(kind, *points):
 
 
 def _pts(table, *names):
-    return tuple(table.add(n, VarKind.POINT) for n in names)
+    return tuple(table.add(n) for n in names)
 
 
 def _midpoint_circle():
     table = VarTable()
     A, B, C = _pts(table, "A", "B", "C")
-    O = table.add("O", VarKind.POINT)
+    O = table.add("O")
     steps = (
         Declarative(O, _define("midpoint", A, B)),
         predicate_step(Equidistant(O, A, C)),
@@ -226,8 +224,8 @@ def test_shorthand_parses_to_its_written_out_form(shorthand):
 def test_substitute_declaratives_chains_definitions():
     table = VarTable()
     A, B = _pts(table, "A", "B")
-    E = table.add("E", VarKind.POINT)
-    F = table.add("F", VarKind.POINT)
+    E = table.add("E")
+    F = table.add("F")
     steps = (
         Declarative(E, _define("midpoint", A, B)),
         Declarative(F, _define("midpoint", E, B)),
@@ -272,23 +270,18 @@ def test_build_system_shape():
     assert sys.slack_map[-1].name == "r"
     assert sys.slack_map[0].name == "r1"
     assert sys.thesis_slack == sys.slack_map[-1].slack
-    # polynomials: one per relation plus the thesis, Rabinowitsch separate
+    # polynomials: one per relation plus the thesis; the elimination builds
+    # the Rabinowitsch generators from the factors
     assert len(sys.hypothesis_polys) == 2
     assert sys.rabinowitsch_poly is None
-    # one u_k per denominator factor, after the points and before the slacks
-    us = sys.rabinowitsch_vars
-    assert len(us) == len(sys.denominator_factors) == len(sys.rabinowitsch_polys) >= 2
-    assert us == tuple(range(4, 4 + len(us)))
-    assert all(table.kind(u) is VarKind.RABINOWITSCH for u in us)
-    assert min(o.slack for o in sys.slack_map) == us[-1] + 1
-    one = Polynomial.constant(table, 1)
-    for d, u, g in zip(sys.denominator_factors, us, sys.rabinowitsch_polys):
-        assert g == d * Polynomial.variable(table, u) - one
-        assert g.degree_in(u) == 1
-        assert not any(g.contains_var(w) for w in us if w != u)
-        assert u in sys.eliminate_vars
-    assert sys.elimination_input == sys.hypothesis_polys + sys.rabinowitsch_polys
-    assert not any(o.slack in sys.eliminate_vars for o in sys.slack_map)
+    # the table is exactly the points, then the slacks; only points go
+    assert table.names() == ("A", "B", "C", "O", "r1", "r")
+    assert tuple(o.slack for o in sys.slack_map) == (4, 5)
+    assert sys.eliminate_vars == (0, 1, 2, 3)
+    # the distinct factors in first-seen order, in the points alone: the
+    # hypothesis' (O substituted), then the one the thesis adds
+    A, B, C = (Polynomial.variable(table, i) for i in range(3))
+    assert sys.denominator_factors == (A - B, A - C, A + B - C - C, B - C)
     assert sys.declaratives and sys.declaratives[0][0] == "O"
     assert sys.point_names == ("A", "B", "C", "O")
 
@@ -302,7 +295,7 @@ def test_denominator_factors_are_distinct():
 
 def _consistent_assignment(sys, c, point_values):
     """Assign every variable consistently: points as given, slacks to the
-    value of their expression, each u_k to the inverse of its factor d_k."""
+    value of their expression."""
     assignment = dict(point_values)
     for step in c.steps:
         if isinstance(step, Declarative):
@@ -313,8 +306,6 @@ def _consistent_assignment(sys, c, point_values):
     relations = [step.expr for step in c.steps + (c.thesis,)]
     for origin, rel in zip(sys.slack_map, relations):
         values[origin.slack] = expr_evaluate(rel, values)
-    for f, u in zip(sys.denominator_factors, sys.rabinowitsch_vars):
-        values[u] = Qi(1) / f.evaluate(values)
     return values
 
 
@@ -330,10 +321,11 @@ def test_cleared_polynomials_vanish_on_consistent_values():
             values = _consistent_assignment(sys, c, pts)
         except ZeroDivisionError:
             continue
+        # the relations' values exist, so no factor vanishes there
+        for d in sys.denominator_factors:
+            assert evaluate(d, values) != Qi(0)
         for p in sys.hypothesis_polys:
-            assert p.evaluate(values) == Qi(0)
-        for g in sys.rabinowitsch_polys:
-            assert g.evaluate(values) == Qi(0)
+            assert evaluate(p, values) == Qi(0)
         checked += 1
 
 
@@ -346,7 +338,7 @@ def _random_construction(rng):
         free = tuple(points)
         steps = []
         if rng.random() < 0.5:
-            m = table.add("M", VarKind.POINT)
+            m = table.add("M")
             steps.append(Declarative(m, _define("midpoint", *rng.sample(free, 2))))
             points.append(m)
         try:
@@ -374,9 +366,12 @@ def test_a_generator_per_factor_saturates_as_the_product_does():
         c = substitute_declaratives(written)
         for mode in ("zero_one", "off"):
             sys = fix_coordinates(build_system(c), c, mode)
-            points = [v for v in sys.eliminate_vars if sys.table.kind(v) is VarKind.POINT]
-            ref = eliminate_by_product(sys.hypothesis_polys, sys.denominator_factors, points)
-            got = eliminate(sys.elimination_input, sys.eliminate_vars, cfg)
+            ref = eliminate_by_product(
+                sys.hypothesis_polys, sys.denominator_factors, sys.eliminate_vars
+            )
+            got = eliminate(
+                sys.hypothesis_polys, sys.eliminate_vars, cfg, saturate=sys.denominator_factors
+            )
             assert got.generators == ref, format_construction(written)
             plain = eliminate(sys.hypothesis_polys, sys.eliminate_vars, cfg)
             saturation_matters += plain.generators != ref
@@ -412,16 +407,21 @@ def test_fix_coordinates_zero_one():
     fixed = fix_coordinates(sys, c, "zero_one")
     assert fixed.fixed == (("A", Fraction(0)), ("B", Fraction(1)))
     assert 0 not in fixed.eliminate_vars and 1 not in fixed.eliminate_vars
-    for p in fixed.elimination_input:
+    for p in fixed.hypothesis_polys + fixed.denominator_factors:
         assert not p.contains_var(0) and not p.contains_var(1)
     # the factor A - B (from the segment OA, O the midpoint of AB) is now a
-    # nonzero constant, and its generator is gone
-    pinned = [
-        k for k, d in enumerate(fixed.denominator_factors) if d.is_constant and not d.is_zero
-    ]
-    assert len(pinned) == 1
-    assert len(fixed.rabinowitsch_polys) == len(sys.rabinowitsch_polys) - 1
-    assert not any(g.contains_var(fixed.rabinowitsch_vars[pinned[0]]) for g in fixed.elimination_input)
+    # nonzero constant: saturating by it or leaving it out is the same
+    assert len(fixed.denominator_factors) == len(sys.denominator_factors)
+    pinned = [d for d in fixed.denominator_factors if d.is_constant]
+    assert len(pinned) == 1 and not pinned[0].is_zero
+    rest = [d for d in fixed.denominator_factors if not d.is_constant]
+    saturated = eliminate(
+        fixed.hypothesis_polys, fixed.eliminate_vars, saturate=fixed.denominator_factors
+    ).generators
+    assert saturated == eliminate(
+        fixed.hypothesis_polys, fixed.eliminate_vars, saturate=rest
+    ).generators
+    assert saturated == eliminate_by_product(fixed.hypothesis_polys, rest, fixed.eliminate_vars)
     # unfixed variables survive
     assert 2 in fixed.eliminate_vars
 
@@ -449,8 +449,8 @@ def test_fix_coordinates_unknown_mode():
 def test_fix_coordinates_single_free_point():
     table = VarTable()
     (A,) = _pts(table, "A")
-    B = table.add("B", VarKind.POINT)
-    C = table.add("C", VarKind.POINT)
+    B = table.add("B")
+    C = table.add("C")
     steps = (
         Declarative(B, Add(PointRef(A), Const(Fraction(1)))),
         Declarative(C, Add(PointRef(A), Const(Fraction(2)))),
@@ -468,8 +468,8 @@ def test_fix_coordinates_single_free_point_refuses_a_definition_that_is_not_a_tr
     # and A*A does not
     table = VarTable()
     (A,) = _pts(table, "A")
-    B = table.add("B", VarKind.POINT)
-    C = table.add("C", VarKind.POINT)
+    B = table.add("B")
+    C = table.add("C")
     steps = (
         Declarative(B, Add(PointRef(A), Const(Fraction(1)))),
         Declarative(C, Mul(PointRef(A), PointRef(A))),

@@ -15,8 +15,6 @@ from cni_prover.algebra_core import (
     Block,
     GrevLex,
     Polynomial,
-    VarKind,
-    VarTable,
 )
 from cni_prover.groebner import (
     _HALF,
@@ -35,6 +33,7 @@ from support import (
     from_sympy,
     in_ideal,
     make_table,
+    monic,
     mono_div,
     mono_lcm,
     mono_mul,
@@ -169,7 +168,7 @@ def test_reducer_cache_survives_appended_reducers(rng, k):
         assert rem == _reduce(terms, list(reducers), pk, budget, {})
         got = Polynomial(table, {pk.unpack(m): Fraction(c) for m, c in rem.items()})
         want = normal_form(h, gens[: len(reducers)], order)
-        assert got.monic(order) == want.monic(order)
+        assert monic(got, order) == monic(want, order)
         assert not any(pk.divides(r.lm, m) for r in reducers for m in rem)
 
     check(f)
@@ -207,7 +206,7 @@ def test_repeated_and_scaled_generators_give_the_same_basis():
         mine = groebner_basis(noisy, order).generators
         assert mine == expected.generators
         ref = sympy.groebner([to_sympy(p, syms) for p in dedup], *syms, order="grevlex")
-        assert set(mine) == {from_sympy(e, table, syms).monic(order) for e in ref.exprs}
+        assert set(mine) == {monic(from_sympy(e, table, syms), order) for e in ref.exprs}
         done += 1
 
 
@@ -346,7 +345,7 @@ def test_reduced_basis_matches_sympy():
         mine = groebner_basis(polys, order).generators
         ref = sympy.groebner([to_sympy(p, syms) for p in polys], *syms, order="grevlex")
         theirs = tuple(
-            from_sympy(g, table, syms).monic(order) for g in ref.exprs
+            monic(from_sympy(g, table, syms), order) for g in ref.exprs
         )
         assert set(mine) == set(theirs), f"disagree on {polys}"
         done += 1
@@ -365,7 +364,7 @@ def test_elimination_matches_sympy_lex():
     while done < 40:
         table = make_table("x", "y", "z")
         if rng.random() < 0.75:
-            table.add("u", VarKind.RABINOWITSCH)
+            table.add("u")
         n = len(table)
         syms = sympy.symbols("x y z u")[:n]
         polys = [
@@ -390,7 +389,7 @@ def test_elimination_matches_sympy_lex():
         theirs = set()
         if free:
             ref = sympy.groebner(free, *kept_syms, order="grevlex")
-            theirs = {from_sympy(g, table, syms).monic(res.order) for g in ref.exprs}
+            theirs = {monic(from_sympy(g, table, syms), GrevLex(tuple(kept))) for g in ref.exprs}
         assert set(res.generators) == theirs, f"disagree on {polys}, eliminating {elim}"
         u_in_input = n == 4 and any(p.contains_var(3) for p in polys)
         paths.add((u_in_input, 3 in elim, elim != [3]))
@@ -404,14 +403,56 @@ def test_elimination_matches_sympy_lex():
     } <= paths, paths
 
 
+def test_saturation_matches_sympy_lex():
+    # saturating by d_1..d_m is eliminating u_1..u_m, one past the table for
+    # each factor, from the ideal plus each d_k*u_k - 1: the oracle is the
+    # lex basis with the eliminated variables, then the u_k, first. One
+    # generator has a factor as a factor, so saturating often removes a
+    # component and leaves a proper ideal.
+    rng = random.Random(1618)
+    table = make_table("x", "y", "z")
+    syms = sympy.symbols("x y z u1 u2")
+    changed = 0
+    done = 0
+    while done < 30:
+        factors = [
+            random_polynomial(rng, table, [0, 1, 2], max_degree=1, max_terms=2)
+            for _ in range(rng.randint(1, 2))
+        ]
+        polys = [
+            random_polynomial(rng, table, [0, 1, 2], max_degree=2, max_terms=2)
+            for _ in range(rng.randint(1, 2))
+        ]
+        if any(p.is_zero for p in polys) or any(d.is_constant for d in factors):
+            continue
+        polys[0] = polys[0] * rng.choice(factors)
+        elim = sorted(rng.sample(range(3), rng.randint(1, 2)))
+        kept = [v for v in range(3) if v not in elim]
+        res = eliminate(polys, elim, saturate=factors)
+        us = syms[3:3 + len(factors)]
+        gens = [to_sympy(p, syms) for p in polys]
+        gens += [to_sympy(d, syms) * u - 1 for d, u in zip(factors, us)]
+        lex = sympy.groebner(gens, *[syms[v] for v in elim], *us, *[syms[v] for v in kept], order="lex")
+        gone = {syms[v] for v in elim} | set(us)
+        free = [g for g in lex.exprs if not g.free_symbols & gone]
+        theirs = set()
+        if free:
+            ref = sympy.groebner(free, *[syms[v] for v in kept], order="grevlex")
+            theirs = {monic(from_sympy(g, table, syms[:3]), GrevLex(tuple(kept))) for g in ref.exprs}
+        assert set(res.generators) == theirs, f"disagree on {polys}, saturating by {factors}"
+        plain = eliminate(polys, elim).generators
+        changed += res.generators != plain and not ideal_is_trivial(res)
+        done += 1
+    assert changed >= 5
+
+
 def test_elimination_of_a_parameter():
     # x = t, y = t^2 lies on y = x^2
     table = make_table("t", "x", "y")
     t, x, y = _vars(table)
     res = eliminate([x - t, y - t * t], [0])
     assert res.eliminated == (0,)
-    assert res.kept == (1, 2)
-    assert in_ideal(y - x * x, res)
+    assert in_ideal(y - x * x, res, GrevLex((1, 2)))
     for g in res.generators:
         assert not g.contains_var(0)
 
@@ -455,15 +496,22 @@ def test_block_run_keeps_the_block_free_part_of_the_reduced_basis():
 
 def test_elimination_with_rabinowitsch_variable():
     # u*x - 1 forbids x = 0, so x*y in the ideal forces y into the
-    # eliminated ideal
-    table = VarTable()
-    x = table.add("x", VarKind.POINT)
-    y = table.add("y", VarKind.POINT)
-    u = table.add("u", VarKind.RABINOWITSCH)
-    X, Y, U = (Polynomial.variable(table, i) for i in (x, y, u))
+    # eliminated ideal; saturating by x builds that generator
+    table = make_table("x", "y", "u")
+    X, Y, U = _vars(table)
     one = Polynomial.constant(table, 1)
-    res = eliminate([U * X - one, X * Y], [u, x])
-    assert in_ideal(Y, res)
+    res = eliminate([U * X - one, X * Y], [0, 2])
+    assert in_ideal(Y, res, GrevLex((1,)))
+    assert eliminate([X * Y], [0, 2], saturate=[X]).generators == res.generators
+    # a nonzero constant factor cannot vanish and changes nothing
+    plain = eliminate([X * Y, X - Y * Y], [0])
+    assert eliminate([X * Y, X - Y * Y], [0], saturate=[one.scale(3)]) == plain
+    # a zero factor vanishes everywhere: the ideal is the whole ring, with
+    # or without other generators
+    for F in ([X * Y], []):
+        assert ideal_is_trivial(eliminate(F, [0], saturate=[Polynomial.zero(table)]))
+    # saturating nothing but a nonzero factor leaves the zero ideal
+    assert eliminate([], [0], saturate=[X - Y]).generators == ()
 
 
 def test_continued_elimination():
@@ -477,6 +525,13 @@ def test_continued_elimination():
     assert set(second.generators) == {y - one.scale(Fraction(1, 2)), z - one.scale(2)}
     with pytest.raises(AlgebraError, match="same variables"):
         eliminate([z - one.scale(2)], [1], after=first)
+    # a continued run inherits the saturation of the run it continues
+    with pytest.raises(AlgebraError, match="inherits"):
+        eliminate([z - one.scale(2)], [0], after=first, saturate=[y])
+    saturated = eliminate([x * z - x], [0], saturate=[x])
+    assert eliminate([z - y], [0], after=saturated).generators == eliminate(
+        [x * z - x, z - y], [0], saturate=[x]
+    ).generators
 
 
 def test_eliminate_everything_is_rejected():
@@ -505,7 +560,7 @@ def test_sylvester_resultant_in_elimination_ideal():
             continue  # common factor; membership would be vacuous
         resultant = from_sympy(res_xy, table, syms)
         ideal = eliminate([f, g], [0])
-        assert in_ideal(resultant, ideal), f"failed for {f} and {g}"
+        assert in_ideal(resultant, ideal, GrevLex((1,))), f"failed for {f} and {g}"
         done += 1
     assert done == 50
 

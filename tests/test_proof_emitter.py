@@ -13,10 +13,8 @@ from cni_prover.algebra_core import (
     Div,
     Mul,
     PointRef,
-    Polynomial,
     Pow,
     Sub,
-    VarKind,
     VarTable,
 )
 from cni_prover.cli_dsl import SourceProgram, parse
@@ -95,9 +93,9 @@ def test_format_expr_constants():
 
 def _slack_ring():
     table = VarTable()
-    r1 = table.add("r1", VarKind.SLACK)
-    r2 = table.add("r2", VarKind.SLACK)
-    r = table.add("r", VarKind.SLACK)
+    r1 = table.add("r1")
+    r2 = table.add("r2")
+    r = table.add("r")
     return table, (r1, r2, r)
 
 

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from cni_prover import groebner, prover
-from cni_prover.algebra_core import AlgebraError, Const, GrevLex, VarKind, VarTable
+from cni_prover.algebra_core import AlgebraError, Const, VarTable
 from cni_prover.groebner import EliminationResult, GroebnerConfig, GroebnerTimeout, eliminate
 from cni_prover.geometry_model import (
     PolynomialSystem,
@@ -117,13 +117,12 @@ def test_verdict_stable_across_fix_modes(name):
 
 def _ring(*names):
     table = VarTable()
-    idx = [table.add(n, VarKind.SLACK) for n in names]
+    idx = [table.add(n) for n in names]
     return table, idx
 
 
-def _result(table, polys, kept):
-    order = GrevLex(tuple(sorted(kept)))
-    return EliminationResult(tuple(polys), (), tuple(kept), order)
+def _result(polys):
+    return EliminationResult(tuple(polys), ())
 
 
 def test_select_pivot_minimal_r_degree():
@@ -131,7 +130,7 @@ def test_select_pivot_minimal_r_degree():
     quad = _poly(table, [({r: 2}, 1), ({}, -1)])
     lin = _poly(table, [({x: 1, r: 1}, 1), ({x: 1}, 2)])
     no_r = _poly(table, [({x: 3}, 1)])
-    I = _result(table, [quad, no_r, lin], [x, r])
+    I = _result([quad, no_r, lin])
     assert select_pivot(I, r) is lin
 
 
@@ -139,13 +138,13 @@ def test_select_pivot_tie_breaks_on_size():
     table, (x, r) = _ring("x", "r")
     big = _poly(table, [({x: 2, r: 1}, 1), ({x: 1}, 1), ({}, 1)])
     small = _poly(table, [({r: 1}, 1), ({}, 1)])
-    I = _result(table, [big, small], [x, r])
+    I = _result([big, small])
     assert select_pivot(I, r) is small
 
 
 def test_select_pivot_requires_r():
     table, (x, r) = _ring("x", "r")
-    I = _result(table, [_poly(table, [({x: 1}, 1)])], [x, r])
+    I = _result([_poly(table, [({x: 1}, 1)])])
     with pytest.raises(AlgebraError):
         select_pivot(I, r)
 
@@ -180,7 +179,6 @@ def _synthetic(table, polys, eliminate_vars, slacks, points=()):
         eliminate_vars=tuple(eliminate_vars),
         slack_map=tuple(origins),
         denominator_factors=(),
-        rabinowitsch_vars=(),
         free_points=tuple(points),
         point_names=tuple(table.name(p) for p in points),
         declaratives=(),
@@ -201,8 +199,8 @@ def test_prove_e0u_when_ideal_misses_r():
 
 def test_prove_contradictory_hypotheses_note():
     table = VarTable()
-    x = table.add("x", VarKind.POINT)
-    r = table.add("r", VarKind.SLACK)
+    x = table.add("x")
+    r = table.add("r")
     polys = [
         _poly(table, [({x: 1}, 1)]),
         _poly(table, [({x: 1}, 1), ({}, -1)]),
@@ -235,9 +233,9 @@ def test_prove_timeout_reports_to():
 def _division_system():
     """r1*r - r1 - 4r = 0 after elimination, i.e. r = r1/(r1-4)."""
     table = VarTable()
-    x = table.add("x", VarKind.POINT)
-    r1 = table.add("r1", VarKind.SLACK)
-    r = table.add("r", VarKind.SLACK)
+    x = table.add("x")
+    r1 = table.add("r1")
+    r = table.add("r")
     polys = [
         _poly(table, [({x: 1}, 1), ({r1: 1}, -1)]),
         _poly(table, [({x: 1, r: 1}, 1), ({x: 1}, -1), ({r: 1}, -4)]),
@@ -249,9 +247,9 @@ def _cylinder_system():
     """(r1 - 4)(r - 2) = 0 after elimination: generically r = 2, but on the
     slice r1 = 4 nothing constrains r."""
     table = VarTable()
-    x = table.add("x", VarKind.POINT)
-    r1 = table.add("r1", VarKind.SLACK)
-    r = table.add("r", VarKind.SLACK)
+    x = table.add("x")
+    r1 = table.add("r1")
+    r = table.add("r")
     polys = [
         _poly(table, [({x: 1}, 1), ({r1: 1}, -1)]),
         _poly(table, [({x: 1, r: 1}, 1), ({x: 1}, -2), ({r: 1}, -4), ({}, 8)]),
@@ -262,7 +260,9 @@ def _cylinder_system():
 def _check(sys, D):
     """check_denominator after the first elimination it continues from."""
     cfg = GroebnerConfig()
-    first = eliminate(sys.elimination_input, sys.eliminate_vars, cfg)
+    first = eliminate(
+        sys.hypothesis_polys, sys.eliminate_vars, cfg, saturate=sys.denominator_factors
+    )
     return check_denominator(sys, first, D, cfg)
 
 
@@ -283,9 +283,9 @@ def test_check_denominator_no_r():
 
 def test_check_denominator_second_polynomial_form():
     table = VarTable()
-    x = table.add("x", VarKind.POINT)
-    r1 = table.add("r1", VarKind.SLACK)
-    r = table.add("r", VarKind.SLACK)
+    x = table.add("x")
+    r1 = table.add("r1")
+    r = table.add("r")
     polys = [
         _poly(table, [({x: 1}, 1), ({r1: 1}, -1)]),
         # r1*r - 2*r1 - 4r + 8 = (r1-4)(r-2): dividing needs r1-4, but even
@@ -302,9 +302,9 @@ def test_check_denominator_second_polynomial_form():
 
 def test_check_denominator_second_nonlinear():
     table = VarTable()
-    x = table.add("x", VarKind.POINT)
-    r1 = table.add("r1", VarKind.SLACK)
-    r = table.add("r", VarKind.SLACK)
+    x = table.add("x")
+    r1 = table.add("r1")
+    r = table.add("r")
     polys = [
         _poly(table, [({x: 1}, 1), ({r1: 1}, -1)]),
         _poly(table, [({r: 2}, 1), ({r1: 1}, -1)]),
@@ -319,10 +319,10 @@ def test_check_denominator_second_nonlinear():
 
 def test_check_denominator_second_nonconstant_coefficient():
     table = VarTable()
-    x = table.add("x", VarKind.POINT)
-    r1 = table.add("r1", VarKind.SLACK)
-    r2 = table.add("r2", VarKind.SLACK)
-    r = table.add("r", VarKind.SLACK)
+    x = table.add("x")
+    r1 = table.add("r1")
+    r2 = table.add("r2")
+    r = table.add("r")
     polys = [
         _poly(table, [({x: 1}, 1), ({r1: 1}, -1)]),
         _poly(table, [({r2: 1, r: 1}, 1), ({}, -1)]),
@@ -356,10 +356,11 @@ def test_second_elimination_continues_from_the_first(name, fix, monkeypatch):
     cfg = GroebnerConfig(timeout=60.0)
     verdict = prove(sys, ProverConfig(timeout=60.0))
     v = verdict.trace.denominator
-    fresh = eliminate(sys.elimination_input + (v,), sys.eliminate_vars, cfg)
+    factors = sys.denominator_factors
+    fresh = eliminate(sys.hypothesis_polys + (v,), sys.eliminate_vars, cfg, saturate=factors)
     assert verdict.trace.second.generators == fresh.generators
 
-    first = eliminate(sys.elimination_input, sys.eliminate_vars, cfg)
+    first = eliminate(sys.hypothesis_polys, sys.eliminate_vars, cfg, saturate=factors)
     pairs = []
     spoly = groebner._spoly_terms
     monkeypatch.setattr(
@@ -392,8 +393,8 @@ def test_prove_division_contradiction_end_to_end():
 
 def _zero_thesis_system():
     table = VarTable()
-    x = table.add("x", VarKind.POINT)
-    r = table.add("r", VarKind.SLACK)
+    x = table.add("x")
+    r = table.add("r")
     polys = [
         _poly(table, [({x: 1}, 1)]),
         _poly(table, [({x: 1}, 1), ({r: 1}, -1)]),
@@ -403,9 +404,9 @@ def _zero_thesis_system():
 
 def _squared_thesis_system():
     table = VarTable()
-    x = table.add("x", VarKind.POINT)
-    r1 = table.add("r1", VarKind.SLACK)
-    r = table.add("r", VarKind.SLACK)
+    x = table.add("x")
+    r1 = table.add("r1")
+    r = table.add("r")
     polys = [
         _poly(table, [({x: 4}, 1), ({r1: 1}, -1)]),
         _poly(table, [({x: 2}, 1), ({r: 2}, -1)]),
@@ -415,9 +416,9 @@ def _squared_thesis_system():
 
 def _unrelated_thesis_system():
     table = VarTable()
-    x = table.add("x", VarKind.POINT)
-    r1 = table.add("r1", VarKind.SLACK)
-    r = table.add("r", VarKind.SLACK)
+    x = table.add("x")
+    r1 = table.add("r1")
+    r = table.add("r")
     polys = [
         _poly(table, [({r1: 1}, 1), ({}, -1)]),
         _poly(table, [({x: 1}, 1), ({r: 1}, -1)]),
@@ -430,10 +431,10 @@ def _third_elimination_system():
     second ideal keeps 3*r2*r + 3*r - r2, whose coefficient of r is again
     non-constant."""
     table = VarTable()
-    x = table.add("x", VarKind.POINT)
-    r1 = table.add("r1", VarKind.SLACK)
-    r2 = table.add("r2", VarKind.SLACK)
-    r = table.add("r", VarKind.SLACK)
+    x = table.add("x")
+    r1 = table.add("r1")
+    r2 = table.add("r2")
+    r = table.add("r")
     polys = [
         _poly(table, [({x: 1}, 1), ({r1: 1}, -1)]),
         _poly(table, [({r1: 1, r2: 1, r: 1}, -2)]),
@@ -442,7 +443,7 @@ def _third_elimination_system():
     return _synthetic(table, polys, [x], [r1, r2, r], points=(x,))
 
 
-def _raise_timeout(*args):
+def _raise_timeout(*args, **kwargs):
     raise GroebnerTimeout("budget exhausted")
 
 
