@@ -5,15 +5,20 @@ Inputs are cleared of denominators into integer-primitive working records
 (fraction-free), whose monomials are packed ints under the active order
 (_Packing): multiplying or dividing two monomials is one integer addition
 or subtraction, comparing them is one integer comparison, and divisibility
-is one guard-bit test. Division takes the leading term from a heap of the
-working polynomial's monomials, and the critical pairs wait in a heap keyed
-by sugar, then lcm (Monagan and Pearce, CASC 2007; Giovini et al., ISSAC
-1991). The Gebauer-Moeller criteria compare lcms on the exponent fields
-alone, and only the pairs they keep get a packed lcm. New basis elements
-enter fully reduced, tail included; redundant ones stay as reducers until
-the minimal basis is taken at the end, so the basis only grows and a cache
-can keep each monomial's reducer. Results leave as monic Polynomials on
-exponent tuples.
+is one guard-bit test. Each record keeps its tail, every term but the
+leading one, as a tuple built once: a reduction step deletes the cancelled
+leading term and merges only the reducer's tail, and an S-polynomial merges
+two tails. Division takes the leading term from a heap of the working
+polynomial's monomials, and the critical pairs wait in a heap keyed by
+sugar, then lcm (Monagan and Pearce, CASC 2007; Giovini et al., ISSAC 1991).
+The Gebauer-Moeller criteria compare lcms on the exponent fields alone, and
+only the pairs they keep get a packed lcm: the new element's leading
+monomial times the multiplier, lifted from its nonzero exponent fields
+alone. New basis elements enter fully reduced, tail included; redundant
+ones stay as reducers until the minimal basis is taken at the end, so the
+basis only grows and a cache keyed by packed monomial can keep each
+monomial's reducer, and a hit needs no divisibility test. Results leave as
+monic Polynomials on exponent tuples.
 An elimination is one Buchberger run under a block order whose first block
 holds every eliminated variable: the given ones, then one Rabinowitsch
 variable u_k per factor d_k to saturate by, packed past the table's last
@@ -78,13 +83,16 @@ class EliminationResult:
     `eliminated`. `block_basis` is the run's minimal basis of the whole
     ideal under the block order, as engine records packed by `packing`, the
     Rabinowitsch variables included; eliminate(..., after=this) continues
-    from them.
+    from them. `reductions` counts the S-pairs the run reduced, and
+    `zero_reductions` those that reduced to zero.
     """
 
     generators: tuple[Polynomial, ...]
     eliminated: tuple[int, ...]
     block_basis: tuple[_IntPoly, ...] = field(default=(), repr=False, compare=False)
     packing: _Packing | None = field(default=None, repr=False, compare=False)
+    reductions: int = field(default=0, compare=False)
+    zero_reductions: int = field(default=0, compare=False)
 
 
 class _Budget:
@@ -128,7 +136,7 @@ class _Packing:
     quotient the difference. The weight rows come first, so comparing ints
     compares monomials under the order."""
 
-    __slots__ = ("units", "shifts", "exp", "guard")
+    __slots__ = ("units", "shifts", "exp", "guard", "by_field")
 
     def __init__(self, order: MonomialOrder, n: int) -> None:
         rows = order.weights(n)
@@ -146,6 +154,9 @@ class _Packing:
         )
         self.exp = sum((_HALF - 1) << s for s in self.shifts)
         self.guard = sum(_HALF << s for s in self.shifts)
+        # the unit of the variable whose exponent sits in field k, counted
+        # from the degree field (k = 0) up
+        self.by_field = (0,) + self.units[::-1]
 
     def pack(self, m: tuple[int, ...]) -> int:
         """A tuple shorter than n leaves the fields past it zero."""
@@ -157,8 +168,19 @@ class _Packing:
         return tuple(p >> s & _FIELD for s in self.shifts)
 
     def lift(self, e: int) -> int:
-        """The packed monomial whose exponent fields are e."""
-        return self.pack(self.unpack(e))
+        """The packed monomial whose exponent fields are e. It visits only
+        the nonzero fields, from the top one down."""
+        p = deg = 0
+        by_field = self.by_field
+        while e:
+            k = (e.bit_length() - 1) // _WIDTH
+            x = e >> _WIDTH * k
+            e -= x << _WIDTH * k
+            p += x * by_field[k]
+            deg += x
+        if deg >= _HALF:
+            raise _too_big()
+        return p
 
     def lcms(self, a: int, bs) -> list[int]:
         """The exponent fields of lcm(a, b) for each b in bs, all given as
@@ -166,9 +188,10 @@ class _Packing:
         field's guard bit set, keeps that bit iff a's is at least b's; ge
         holds those bits and sel the value bits of their fields."""
         exp, guard = self.exp, self.guard
+        ag = a | guard
         out = []
         for b in bs:
-            ge = ((a | guard) - b) & guard
+            ge = (ag - b) & guard
             sel = ge - (ge >> (_WIDTH - 1))
             out.append((a & sel) | (b & (exp ^ sel)))
         return out
@@ -198,30 +221,31 @@ def _content_strip(terms):
 class _IntPoly:
     """Integer-coefficient polynomial on packed monomials, with its leading
     monomial (packed, and its exponent fields alone), leading coefficient,
-    sugar degree and largest total degree of a term."""
+    tail (every other term, as (monomial, coefficient) pairs), sugar degree
+    and largest total degree of a term."""
 
-    __slots__ = ("terms", "lm", "lexp", "lc", "sugar", "top")
+    __slots__ = ("terms", "lm", "lexp", "lc", "tail", "sugar", "top")
 
-    def __init__(self, terms, pk: _Packing, sugar=None):
+    def __init__(self, terms, lm, pk: _Packing, sugar=None):
         self.terms = terms
-        self.lm = max(terms)
-        self.lexp = self.lm & pk.exp
-        self.lc = terms[self.lm]
+        self.lm = lm
+        self.lexp = lm & pk.exp
+        self.lc = terms[lm]
+        self.tail = tuple((m, c) for m, c in terms.items() if m != lm)
         self.top = max(m & _FIELD for m in terms)
         self.sugar = self.top if sugar is None else sugar
 
 
 def _normalize(terms, pk: _Packing, sugar=None):
-    """Drop zeros, strip integer content, make the leading coefficient
-    positive. Returns None for the zero polynomial."""
-    terms = {m: c for m, c in terms.items() if c}
+    """Strip the integer content of nonzero terms and make the leading
+    coefficient positive. Returns None for the zero polynomial."""
     if not terms:
         return None
-    p = _IntPoly(_content_strip(terms), pk, sugar)
-    if p.lc < 0:
-        p.terms = {m: -c for m, c in p.terms.items()}
-        p.lc = -p.lc
-    return p
+    terms = _content_strip(terms)
+    lm = max(terms)
+    if terms[lm] < 0:
+        terms = {m: -c for m, c in terms.items()}
+    return _IntPoly(terms, lm, pk, sugar)
 
 
 def _reduce(terms, reducers, pk: _Packing, budget: _Budget, cache):
@@ -229,65 +253,76 @@ def _reduce(terms, reducers, pk: _Packing, budget: _Budget, cache):
     leading monomial, taken off a max-heap of the working polynomial's
     monomials (skipping those since cancelled), is reduced by the first
     reducer whose leading monomial divides it, or else moved to the
-    remainder. When a reducer's leading coefficient does not divide the
-    target coefficient, the working polynomial and the remainder are both
-    scaled by an integer, or relative coefficients drift. `cache` maps
-    exponent bits `(m & pk.exp) | pk.guard` to how far the reducer search
-    got: the index of the first divisor, or len(reducers) if none divides.
-    Calls may share it only while `reducers` is append-only: then a hit
-    never goes stale, and a miss rescans only the reducers appended since."""
+    remainder. The reduction cancels the leading term and merges the
+    reducer's tail. When a reducer's leading coefficient (positive, as
+    _normalize leaves it) does not divide the target coefficient, the
+    working polynomial and the remainder are both scaled by an integer, or
+    relative coefficients drift. `cache` maps a packed monomial to how far
+    the reducer search got: the index of the first divisor, or ~k when none
+    of the first k reducers divides it. Calls may share it only while
+    `reducers` is append-only: then a hit never goes stale, and a miss
+    rescans only the reducers appended since."""
     rem = {}
     terms = dict(terms)
+    get = terms.get
+    cget = cache.get
+    pop, push = heappop, heappush
     heap = [-m for m in terms]
     heapify(heap)
     exp, guard = pk.exp, pk.guard
+    nred = len(reducers)
     ticks = 0
     while heap:
-        m = -heappop(heap)
-        c = terms.get(m)
+        m = -pop(heap)
+        c = get(m)
         if c is None:
             continue
         ticks += 1
-        if not ticks % 64:
+        if not ticks & 63:
             budget.check()
-        mg = (m & exp) | guard  # _Packing.divides, inlined
-        for i in range(cache.get(mg, 0), len(reducers)):
-            if (mg - reducers[i].lexp) & guard == guard:
-                break
-        else:
-            cache[mg] = len(reducers)
-            rem[m] = terms.pop(m)
-            continue
-        cache[mg] = i
+        i = cget(m)
+        if i is None or i < 0:
+            mg = (m & exp) | guard  # _Packing.divides, inlined
+            for i in range(0 if i is None else ~i, nred):
+                if (mg - reducers[i].lexp) & guard == guard:
+                    cache[m] = i
+                    break
+            else:
+                cache[m] = ~nred
+                rem[m] = c
+                del terms[m]
+                continue
         g = reducers[i]
         q = m - g.lm
         if (q & _FIELD) + g.top >= _HALF:
             raise _too_big()
+        del terms[m]
         d = gcd(c, g.lc)
-        a = abs(g.lc // d)
-        b = c // d * (1 if g.lc > 0 else -1)
+        a = g.lc // d
+        b = c // d
         if a != 1:
             for k2 in terms:
                 terms[k2] *= a
             for k2 in rem:
                 rem[k2] *= a
-        for mt, ct in g.terms.items():
+        for mt, ct in g.tail:
             mm = q + mt
-            bc = b * ct
-            old = terms.get(mm)
+            old = get(mm)
             if old is None:
-                terms[mm] = -bc
-                heappush(heap, -mm)
-            elif old != bc:
-                terms[mm] = old - bc
+                terms[mm] = -b * ct
+                push(heap, -mm)
             else:
-                del terms[mm]
+                old -= b * ct
+                if old:
+                    terms[mm] = old
+                else:
+                    del terms[mm]
     return rem
 
 
 def _spoly_terms(f, g, L):
     """The S-polynomial of f and g, whose leading monomials have the packed
-    lcm L."""
+    lcm L: the scaled tails, merged, as the leading terms cancel."""
     qf = L - f.lm
     qg = L - g.lm
     if (qf & _FIELD) + f.top >= _HALF or (qg & _FIELD) + g.top >= _HALF:
@@ -295,16 +330,19 @@ def _spoly_terms(f, g, L):
     d = gcd(f.lc, g.lc)
     af = g.lc // d
     ag = f.lc // d
-    terms = {}
-    for m, c in f.terms.items():
-        terms[qf + m] = af * c
-    for m, c in g.terms.items():
+    terms = {qf + m: af * c for m, c in f.tail}
+    get = terms.get
+    for m, c in g.tail:
         mm = qg + m
-        nv = terms.get(mm, 0) - ag * c
-        if nv:
-            terms[mm] = nv
+        old = get(mm)
+        if old is None:
+            terms[mm] = -ag * c
         else:
-            terms.pop(mm, None)
+            old -= ag * c
+            if old:
+                terms[mm] = old
+            else:
+                del terms[mm]
     return terms
 
 
@@ -315,40 +353,59 @@ def _update(G, pairs, queue, f, pk: _Packing):
     enters it and the heap `queue` under the key (sugar, packed lcm, pair).
     The criteria run on exponent fields alone: they are injective, and a
     divisor is never a larger int, so sorting them puts divisors first as
-    the order would. Only the surviving lcms are packed."""
+    the order would. Only the surviving lcms are packed, as f's leading
+    monomial times the lift of the multiplier's exponent fields."""
     a = f.lexp
     guard = pk.guard
-    lcms = pk.lcms(a, [g.lexp for g in G])
+    lexps = [g.lexp for g in G]
+    lcms = pk.lcms(a, lexps)
     # _Packing.divides, inlined: exponent fields need no mask
-    for (i, j), L in list(pairs.items()):
-        if ((L | guard) - a) & guard == guard and lcms[i] != L and lcms[j] != L:
-            del pairs[(i, j)]
+    for key, L in list(pairs.items()):
+        if ((L | guard) - a) & guard == guard:
+            i, j = key
+            if lcms[i] != L and lcms[j] != L:
+                del pairs[key]
     by_lcm = {}
     for i, L in enumerate(lcms):
-        by_lcm.setdefault(L, []).append(i)
+        if L in by_lcm:
+            by_lcm[L].append(i)
+        else:
+            by_lcm[L] = [i]
+    lift = pk.lift
+    lm = f.lm
+    fs = f.sugar - (lm & _FIELD)
+    j = len(G)
     minimal = []
     for L in sorted(by_lcm):
-        if not any(((L | guard) - L2) & guard == guard for L2 in minimal):
+        Lg = L | guard
+        for L2 in minimal:
+            if (Lg - L2) & guard == guard:
+                break
+        else:
             minimal.append(L)
-    j = len(G)
-    for L in minimal:
-        idx = by_lcm[L]
-        # product criterion: coprime leading monomials reduce to zero anyway
-        if any(L == G[i].lexp + a for i in idx):
-            continue
-        i = idx[0]
-        P = pk.lift(L)
-        sugar = max(G[i].sugar + ((P - G[i].lm) & _FIELD), f.sugar + ((P - f.lm) & _FIELD))
-        pairs[(i, j)] = L
-        heappush(queue, (sugar, P, (i, j)))
+            idx = by_lcm[L]
+            # product criterion: coprime leading monomials reduce to zero anyway
+            for i in idx:
+                if L == lexps[i] + a:
+                    break
+            else:
+                i = idx[0]
+                P = lm + lift(L - a)
+                deg = P & _FIELD
+                if deg >= _HALF:
+                    raise _too_big()
+                g = G[i]
+                pairs[(i, j)] = L
+                heappush(queue, (deg + max(g.sugar - (g.lm & _FIELD), fs), P, (i, j)))
     G.append(f)
 
 
 def _buchberger(F, pk: _Packing, budget: _Budget, drop=0, seed=()):
     """Returns the reduced basis as integer-primitive _IntPoly, sorted by
     leading monomial ascending, less the elements whose leading monomial
-    shares a field with the exponent-field mask `drop`; and the whole
-    minimal basis, sorted the same way. `seed` is a Groebner basis under the
+    shares a field with the exponent-field mask `drop`; the whole minimal
+    basis, sorted the same way; and the number of S-pairs reduced, with how
+    many of them reduced to zero. `seed` is a Groebner basis under the
     same packing, such as the minimal basis of an earlier run: its elements
     start G with no pairs among themselves, since those already reduce to
     zero by G, and only the pairs with F's elements and their successors
@@ -372,6 +429,7 @@ def _buchberger(F, pk: _Packing, budget: _Budget, drop=0, seed=()):
     for f in F:
         _update(G, pairs, queue, f, pk)
     cache = {}
+    reductions = zeros = 0
 
     while pairs:
         sugar, L, sel = heappop(queue)
@@ -381,7 +439,10 @@ def _buchberger(F, pk: _Packing, budget: _Budget, drop=0, seed=()):
         i, j = sel
         s = _spoly_terms(G[i], G[j], L)
         p = _normalize(_reduce(s, G, pk, budget, cache), pk, sugar)
-        if p is not None:
+        reductions += 1
+        if p is None:
+            zeros += 1
+        else:
             _update(G, pairs, queue, p, pk)
 
     Gmin = []
@@ -393,7 +454,7 @@ def _buchberger(F, pk: _Packing, budget: _Budget, drop=0, seed=()):
         _normalize(_reduce(g.terms, kept[:i] + kept[i + 1:], pk, budget, {}), pk)
         for i, g in enumerate(kept)
     ]
-    return reduced, Gmin
+    return reduced, Gmin, (reductions, zeros)
 
 
 def _enter(polys: list[Polynomial], pk: _Packing) -> list[_IntPoly]:
@@ -441,7 +502,7 @@ def groebner_basis(
     if not polys:
         return GroebnerBasis((), order)
     pk = _Packing(order, len(polys[0].table))
-    out, _ = _buchberger(_enter(polys, pk), pk, _Budget(config))
+    out, _, _ = _buchberger(_enter(polys, pk), pk, _Budget(config))
     return GroebnerBasis(_exit(out, polys[0].table, pk), order)
 
 
@@ -496,10 +557,12 @@ def eliminate(
         pk, seed = after.packing, after.block_basis
         gens = _enter(polys, pk)
     drop = sum(_FIELD << s for v, s in enumerate(pk.shifts) if v not in kept)
-    reduced, basis = _buchberger(gens, pk, _Budget(config), drop, seed)
+    reduced, basis, (reductions, zeros) = _buchberger(gens, pk, _Budget(config), drop, seed)
     if any(m & drop for d in reduced for m in d.terms):
         raise AlgebraError("internal: eliminated variable survived")
-    return EliminationResult(_exit(reduced, table, pk), elim, tuple(basis), pk)
+    return EliminationResult(
+        _exit(reduced, table, pk), elim, tuple(basis), pk, reductions, zeros
+    )
 
 
 def ideal_is_trivial(G: Union[GroebnerBasis, EliminationResult]) -> bool:

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 from .algebra_core import (
     AlgebraError,
+    Block,
+    GrevLex,
     Polynomial,
     RationalExpr,
     _integer_form,
@@ -21,9 +23,11 @@ from .geometry_model import PolynomialSystem, SlackOrigin
 from .groebner import (
     DEFAULT_TIMEOUT,
     EliminationResult,
+    GroebnerBasis,
     GroebnerConfig,
     GroebnerTimeout,
     eliminate,
+    groebner_basis,
     ideal_is_trivial,
 )
 
@@ -114,7 +118,7 @@ class ProverVerdict:
             raise AlgebraError("a proved verdict carries no reason code")
 
 
-def select_pivot(I: EliminationResult, r: int) -> Polynomial:
+def select_pivot(I: EliminationResult | GroebnerBasis, r: int) -> Polynomial:
     """The generator of minimal positive degree in r; ties broken by total
     degree, then term count, then position in the generator list."""
     best = None
@@ -128,6 +132,25 @@ def select_pivot(I: EliminationResult, r: int) -> Polynomial:
     if best is None:
         raise AlgebraError("no generator contains r")
     return best[1]
+
+
+def find_pivot(I: EliminationResult, r: int, config: GroebnerConfig) -> Polynomial | None:
+    """The pivot for r in the elimination ideal I: select_pivot's choice
+    from I's generators when it is linear in r, else its choice from I's
+    reduced basis under Block(GrevLex((r,)), GrevLex(the other kept
+    variables)). Under that order a leading monomial has the r-degree of
+    its polynomial, so any element of lower positive r-degree than every
+    basis element with r reduces by the elements free of r alone: it lies
+    in the ideal they generate, and says nothing about r. None when no
+    generator contains r."""
+    if not any(g.contains_var(r) for g in I.generators):
+        return None
+    pivot = select_pivot(I, r)
+    if pivot.degree_in(r) > 1:
+        rest = tuple(v for v in range(len(pivot.table)) if v != r and v not in I.eliminated)
+        r_first = Block(GrevLex((r,)), GrevLex(rest))
+        pivot = select_pivot(groebner_basis(I.generators, r_first, config), r)
+    return pivot
 
 
 def express_linear(p: Polynomial, r: int) -> LinearForm:
@@ -176,9 +199,9 @@ def check_denominator(
     if ideal_is_trivial(second):
         return SecondElimination("trivial", gens)
     r = sys.thesis_slack
-    if not any(g.contains_var(r) for g in gens):
+    pivot2 = find_pivot(second, r, config)
+    if pivot2 is None:
         return SecondElimination("no_r", gens, "e2nru")
-    pivot2 = select_pivot(second, r)
     if pivot2.degree_in(r) > 1:
         return SecondElimination(
             "inconclusive",
@@ -213,16 +236,17 @@ def _decide(
 ) -> tuple[str | None, str | None, dict]:
     """Run the eliminations. Returns the reason code (None when proved),
     the note on the verdict, and the trace fields of the stages reached."""
+    r = sys.thesis_slack
     try:
         first = eliminate(
             sys.hypothesis_polys, sys.eliminate_vars, config, saturate=sys.denominator_factors
         )
+        pivot = find_pivot(first, r, config)
     except GroebnerTimeout:
         return "t/o", "the first elimination timed out", {}
     stage: dict = {"generators": first.generators}
-    r = sys.thesis_slack
 
-    if not any(g.contains_var(r) for g in first.generators):
+    if pivot is None:
         note = None
         if ideal_is_trivial(first):
             note = (
@@ -231,7 +255,6 @@ def _decide(
             )
         return "e0u", note, stage
 
-    pivot = select_pivot(first, r)
     if pivot.degree_in(r) > 1:
         return "nlu", f"the minimal degree of r in the ideal is {pivot.degree_in(r)}", stage
 

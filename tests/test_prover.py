@@ -335,6 +335,41 @@ def test_check_denominator_second_nonconstant_coefficient():
     assert "again non-constant" in out.note
 
 
+def _hidden_linear_system(with_second_generator):
+    """The ideal <r^2 + s*q^2, s^3 - 2*s^3*q^2 - s^2*q^2*r> over the slacks
+    (s, q, r), with x = s eliminated. Its second generator is linear in r,
+    but its grevlex reduced basis has r-degrees 2, 3, 5 and 6; the reduced
+    basis under an order comparing the degree in r first has a linear
+    element. Without the second generator that generator is returned, to
+    serve as a divisor."""
+    table = VarTable()
+    x, s, q, r = (table.add(n) for n in ("x", "s", "q", "r"))
+    polys = [
+        _poly(table, [({x: 1}, 1), ({s: 1}, -1)]),
+        _poly(table, [({r: 2}, 1), ({s: 1, q: 2}, 1)]),
+    ]
+    hidden = _poly(table, [({s: 3}, 1), ({s: 3, q: 2}, -2), ({s: 2, q: 2, r: 1}, -1)])
+    if with_second_generator:
+        polys.append(hidden)
+    return _synthetic(table, polys, [x], [s, q, r], points=(x,)), hidden, r
+
+
+def test_linear_pivot_hidden_from_the_grevlex_basis_is_found():
+    sys, _, r = _hidden_linear_system(True)
+    v = prove(sys)
+    assert sorted(g.degree_in(r) for g in v.trace.generators) == [2, 3, 5, 6]
+    assert v.trace.linear is not None
+    assert v.trace.linear.pivot.degree_in(r) == 1
+
+
+def test_second_elimination_finds_a_hidden_linear_pivot():
+    # the second ideal is the hidden-linear one: its linear element has the
+    # coefficient -s^2*q^2, so the route ends d3u, not nlu
+    sys, hidden, _ = _hidden_linear_system(False)
+    out = _check(sys, hidden)
+    assert out.reason == "d3u"
+
+
 def _divided_corpus_runs():
     """(name, fix) of each corpus run whose expected document records a
     non-constant divisor, i.e. a second elimination."""
@@ -369,6 +404,28 @@ def test_second_elimination_continues_from_the_first(name, fix, monkeypatch):
     assert check_denominator(sys, first, v, cfg).generators == fresh.generators
     seed = {id(f) for f in first.block_basis}
     assert not [p for p in pairs if id(p[0]) in seed and id(p[1]) in seed]
+
+
+@pytest.mark.parametrize("fix,reductions,zeros", [("zero_one", 1000, 670), ("off", 1831, 1313)])
+def test_corpus_reduction_counts(fix, reductions, zeros, monkeypatch):
+    """The S-pairs reduced, and those that reduced to zero, summed over the
+    first and second eliminations of every corpus statement but `pappus`.
+    The engine's pair sequence fixes these sums, so an engine change that
+    keeps them keeps the pairs it forms."""
+    manifest = json.loads((PERFBENCH / "manifest.json").read_text())
+    names = [
+        e["name"] for e in manifest["statements"]
+        if not e["name"].startswith("bad_") and e["name"] != "pappus"
+    ]
+    assert len(names) == 19
+    runs = []
+    monkeypatch.setattr(prover, "eliminate", lambda *a, **k: runs.append(eliminate(*a, **k)) or runs[-1])
+    for name in names:
+        src = (PERFBENCH / "corpus" / f"{name}.cni").read_text()
+        c = substitute_declaratives(parse(SourceProgram(src, name)))
+        prove(fix_coordinates(build_system(c), c, fix), ProverConfig(timeout=60.0))
+    assert sum(r.reductions for r in runs) == reductions
+    assert sum(r.zero_reductions for r in runs) == zeros
 
 
 def test_prove_e2nru_end_to_end():
