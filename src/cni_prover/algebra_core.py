@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
-from operator import add
+from operator import add, itemgetter, sub
+from struct import Struct
 from typing import Mapping
 
 Rational = Fraction
@@ -77,15 +79,14 @@ class MonomialOrder:
     """Base for monomial orders. Orders compare exponent tuples through sort
     keys; larger key means larger monomial.
 
-    `weights(n)` gives the same order as rows of 0/1 weights over n
-    variables, most significant first: comparing the row sums of two
-    monomials lexicographically agrees with comparing their keys, for
-    monomials that are zero outside the order's variables."""
+    `blocks()` gives the same order as grevlex blocks, most significant
+    first: monomials compare under the first block's GrevLex, ties go to the
+    next block, and so on."""
 
     def key(self, m: tuple[int, ...]):
         raise NotImplementedError
 
-    def weights(self, n: int) -> list[tuple[int, ...]]:
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
         raise NotImplementedError
 
 
@@ -97,16 +98,8 @@ class GrevLex(MonomialOrder):
         exps = [m[i] for i in self.perm]
         return (sum(exps), tuple(-e for e in reversed(exps)))
 
-    def weights(self, n: int) -> list[tuple[int, ...]]:
-        """[deg, S_{k-2}, ..., S_0], where S_j sums the exponents of
-        perm[:j+1]: after the degree, a smaller exponent in a later variable
-        makes the monomial larger."""
-        rows = []
-        row = [0] * n
-        for v in self.perm:
-            row[v] = 1
-            rows.append(tuple(row))
-        return rows[::-1]
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        return (self.perm,)
 
 
 @dataclass(frozen=True)
@@ -121,14 +114,18 @@ class Block(MonomialOrder):
     def key(self, m: tuple[int, ...]):
         return (self.first.key(m), self.second.key(m))
 
-    def weights(self, n: int) -> list[tuple[int, ...]]:
-        return self.first.weights(n) + self.second.weights(n)
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        return self.first.blocks() + self.second.blocks()
 
 
-def print_order(table: VarTable) -> GrevLex:
-    """The one order outside the engine: grevlex over the table's variables
-    in table order. Polynomials are printed and sign-normalized under it."""
-    return GrevLex(tuple(range(len(table))))
+def _print_rank(m: tuple[int, ...]) -> tuple:
+    """The sort key of the print order, the one order outside the engine:
+    grevlex over the table's variables in table order, GrevLex(range(n)).
+    Polynomials are printed and sign-normalized under it. Ascending keys
+    list monomials in descending order: a higher degree first, then, at
+    equal degree, the smaller exponent in the last variable where they
+    differ."""
+    return (-sum(m), m[::-1])
 
 
 def _integer_form(
@@ -230,10 +227,10 @@ class Polynomial:
         return max((sum(m) for m in self.terms), default=0)
 
     def degree_in(self, v: int) -> int:
-        return max((m[v] for m in self.terms), default=0)
+        return max(map(itemgetter(v), self.terms), default=0)
 
     def contains_var(self, v: int) -> bool:
-        return any(m[v] for m in self.terms)
+        return any(map(itemgetter(v), self.terms))
 
     def _same_table(self, other: "Polynomial") -> None:
         if self.table is not other.table:
@@ -320,15 +317,19 @@ class Polynomial:
         """Replace the given variables by rational constants. A value p/q
         for a variable of degree k multiplies the common denominator by
         q^k once; each term gets p^e q^(k-e) for its exponent e."""
-        nums, den = _integer_form(self.terms)
         pins = []
         for v, value in assignment.items():
             k = self.degree_in(v)
             if k:
                 value = Fraction(value)
                 pins.append((v, value.numerator, value.denominator, k))
-                den *= value.denominator ** k
+        if not pins:
+            return self
+        nums, den = _integer_form(self.terms)
+        for _, _, q, k in pins:
+            den *= q**k
         out: dict[tuple[int, ...], int] = {}
+        get = out.get
         for m, c in nums.items():
             for v, p, q, k in pins:
                 e = m[v]
@@ -341,13 +342,12 @@ class Polynomial:
                         c *= p ** e
                     m = m[:v] + (0,) + m[v + 1:]
             else:
-                out[m] = out.get(m, 0) + c
+                out[m] = get(m, 0) + c
         return Polynomial._from_integers(self.table, out, den)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms descending under the print order."""
-        order = print_order(self.table)
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: _print_rank(t[0]))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -369,8 +369,10 @@ def content_and_primitive(p: Polynomial) -> tuple[Fraction, Polynomial]:
         return Fraction(0), p
     nums, den = _integer_form(p.terms)
     g = gcd(*nums.values())
-    if p.leading_coefficient(print_order(p.table)) < 0:
+    if p.terms[min(p.terms, key=_print_rank)] < 0:
         g = -g
+    elif g == den == 1:
+        return Fraction(1), p
     prim = Polynomial._from_integers(p.table, {m: n // g for m, n in nums.items()})
     return Fraction(g, den), prim
 
@@ -469,6 +471,9 @@ class Pow(Expr):
             raise AlgebraError("Pow exponent must be nonnegative")
 
 
+_BINARY = frozenset((Add, Sub, Mul, Div))
+
+
 def as_expr(x) -> Expr:
     if isinstance(x, Expr):
         return x
@@ -477,34 +482,225 @@ def as_expr(x) -> Expr:
     raise AlgebraError(f"cannot treat {x!r} as an expression")
 
 
+def expr_postorder(e: Expr) -> list[Expr]:
+    """The nodes of e, each after its children and a left subtree before the
+    right one: the order in which a recursive walk finishes them. It is
+    found without recursion, so that a long sum or product needs no
+    interpreter frames: listed root first, right subtree before left, the
+    nodes come out in exactly the reverse order."""
+    order = []
+    todo = []
+    x = e
+    while True:
+        order.append(x)
+        t = type(x)
+        if t in _BINARY:
+            todo.append(x.left)
+            x = x.right
+        elif t is Pow:
+            x = x.base
+        elif t is Const or t is PointRef:
+            if not todo:
+                break
+            x = todo.pop()
+        else:
+            raise AlgebraError(f"unknown expression node {x!r}")
+    order.reverse()
+    return order
+
+
 def expr_substitute(e: Expr, mapping: Mapping[int, Expr]) -> Expr:
     """Replace point references by expressions. References absent from the
-    mapping stay as they are."""
-    if isinstance(e, PointRef):
-        return mapping.get(e.index, e)
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Add):
-        return Add(expr_substitute(e.left, mapping), expr_substitute(e.right, mapping))
-    if isinstance(e, Sub):
-        return Sub(expr_substitute(e.left, mapping), expr_substitute(e.right, mapping))
-    if isinstance(e, Mul):
-        return Mul(expr_substitute(e.left, mapping), expr_substitute(e.right, mapping))
-    if isinstance(e, Div):
-        return Div(expr_substitute(e.left, mapping), expr_substitute(e.right, mapping))
-    if isinstance(e, Pow):
-        return Pow(expr_substitute(e.base, mapping), e.exponent)
-    raise AlgebraError(f"unknown expression node {e!r}")
+    mapping stay as they are, and so does every subtree without one."""
+    vals = []
+    for x in expr_postorder(e):
+        t = type(x)
+        if t in _BINARY:
+            right = vals.pop()
+            left = vals[-1]
+            if left is not x.left or right is not x.right:
+                vals[-1] = t(left, right)
+            else:
+                vals[-1] = x
+        elif t is Pow:
+            if vals[-1] is not x.base:
+                vals[-1] = Pow(vals[-1], x.exponent)
+            else:
+                vals[-1] = x
+        elif t is PointRef:
+            vals.append(mapping.get(x.index, x))
+        else:
+            vals.append(x)
+    return vals[0]
 
 
 def expr_points(e: Expr) -> set[int]:
-    if isinstance(e, PointRef):
-        return {e.index}
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return expr_points(e.left) | expr_points(e.right)
-    if isinstance(e, Pow):
-        return expr_points(e.base)
-    return set()
+    """The indices of the points e references, found without recursion."""
+    points = set()
+    todo = []
+    x = e
+    while True:
+        t = type(x)
+        if t in _BINARY:
+            todo.append(x.left)
+            x = x.right
+        elif t is Pow:
+            x = x.base
+        else:
+            if t is PointRef:
+                points.add(x.index)
+            if not todo:
+                return points
+            x = todo.pop()
+
+
+# Inside expr_normalize a monomial over n variables is an int of n fields
+# of _MONO_BITS bits each. Field j, counted from the least significant,
+# holds e_0 + ... + e_j, so the top field is the total degree: a product of
+# monomials is the sum of their ints, and the fields are the weight rows of
+# the print order, so comparing ints compares monomials under it. A degree
+# stays below _MONO_LIMIT, so no field carries into the next.
+_MONO_BITS = 16
+_MONO_LIMIT = 1 << (_MONO_BITS - 1)
+_ONE = {0: 1}  # the constant 1; shared, so never mutated
+
+
+@lru_cache(maxsize=None)
+def _mono_layout(n: int) -> tuple[tuple[int, ...], int, Struct]:
+    """The packed unit monomial of each of n variables, the shift of the
+    degree field, and the struct that reads the n fields back."""
+    units = []
+    acc = 0
+    for j in reversed(range(n)):
+        acc += 1 << _MONO_BITS * j
+        units.append(acc)
+    return tuple(units[::-1]), _MONO_BITS * max(n - 1, 0), Struct(f"<{n}H")
+
+
+def _packed_mul(a: dict[int, int], b: dict[int, int], top: int) -> dict[int, int]:
+    """The product of two polynomials on packed monomials whose degree
+    field starts at bit `top`. _ONE is the identity and is returned as is."""
+    if a is _ONE:
+        return b
+    if b is _ONE:
+        return a
+    if not a or not b:
+        return {}
+    if (max(a) >> top) + (max(b) >> top) >= _MONO_LIMIT:
+        raise AlgebraError(
+            f"a monomial of total degree {_MONO_LIMIT} or more does not fit a packed field"
+        )
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        ((mb, cb),) = b.items()
+        return {m + mb: c * cb for m, c in a.items()}
+    out = {}
+    get = out.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = ma + mb
+            out[m] = get(m, 0) + ca * cb
+    if 0 in out.values():
+        out = {m: c for m, c in out.items() if c}
+    return out
+
+
+def _packed_combine(a: dict[int, int], ka: int, b: dict[int, int], kb: int) -> dict[int, int]:
+    """ka*a + kb*b for nonzero integers ka and kb."""
+    out = dict(a) if ka == 1 else {m: c * ka for m, c in a.items()}
+    get = out.get
+    for m, c in b.items():
+        c *= kb
+        old = get(m)
+        if old is not None:
+            c += old
+            if not c:
+                del out[m]
+                continue
+        out[m] = c
+    return out
+
+
+def _clear(e: Expr, n: int, factors: dict) -> tuple[dict[int, int], int, dict[int, int]]:
+    """e cleared over n variables as (num, s, den) on packed monomials, with
+    e = num/(s*den): num and den with integer coefficients, s a positive
+    integer. Each intermediate is kept the same way; a Div whose divisor is
+    not constant enters the divisor's primitive part, with a positive
+    leading coefficient, into `factors` under its terms if no equal factor
+    is there, and multiplies it into den."""
+    units, top, _ = _mono_layout(n)
+    vals = []  # (numerator terms, its positive denominator, denominator terms)
+    for x in expr_postorder(e):
+        t = type(x)
+        if t is Const:
+            v = x.value
+            vals.append((({0: v.numerator} if v else {}), v.denominator, _ONE))
+            continue
+        if t is PointRef:
+            if not 0 <= x.index < n:
+                raise AlgebraError(f"variable index {x.index} out of range")
+            vals.append(({units[x.index]: 1}, 1, _ONE))
+            continue
+        if t is Pow:
+            nb, sb, db = vals[-1]
+            num = den = _ONE
+            for _ in range(x.exponent):
+                num, den = _packed_mul(num, nb, top), _packed_mul(den, db, top)
+            vals[-1] = (num, sb**x.exponent, den)
+            continue
+        nr, sr, dr = vals.pop()
+        nl, sl, dl = vals[-1]
+        if t is Mul:
+            vals[-1] = (_packed_mul(nl, nr, top), sl * sr, _packed_mul(dl, dr, top))
+        elif t is not Div:
+            s = sl if sl == sr else sl // gcd(sl, sr) * sr
+            kr = s // sr if t is Add else -(s // sr)
+            num = _packed_combine(
+                _packed_mul(nl, dr, top), s // sl, _packed_mul(nr, dl, top), kr
+            )
+            vals[-1] = (num, s, _packed_mul(dl, dr, top))
+        else:
+            # (nl/sl)/dl over (nr/sr)/dr is nl*dr*sr / (sl*nr*dl), and nr is
+            # g times a primitive factor with a positive leading coefficient;
+            # a constant nr folds into the coefficients.
+            if not nr:
+                raise ZeroDenominatorError("denominator normalizes to the zero polynomial")
+            g = gcd(*nr.values())
+            if nr[max(nr)] < 0:
+                g = -g
+            num = _packed_mul(nl, dr, top)
+            k = sr if g > 0 else -sr
+            if k != 1:
+                num = {m: c * k for m, c in num.items()}
+            if len(nr) == 1 and 0 in nr:
+                vals[-1] = (num, sl * abs(g), dl)
+            else:
+                prim = nr if g == 1 else {m: c // g for m, c in nr.items()}
+                prim = factors.setdefault(frozenset(prim.items()), prim)
+                vals[-1] = (num, sl * abs(g), _packed_mul(dl, prim, top))
+
+    return vals[0]
+
+
+def _unpacker(table: VarTable):
+    """The function from packed terms over the table's variables, and an
+    integer denominator, to the Polynomial they stand for."""
+    n = len(table)
+    fields = _mono_layout(n)[2]
+    exponents = {}  # packed monomial -> exponent tuple, as read back
+
+    def polynomial(terms: dict[int, int], den: int = 1) -> Polynomial:
+        out = {}
+        for m, c in terms.items():
+            e = exponents.get(m)
+            if e is None:
+                s = fields.unpack(m.to_bytes(2 * n, "little"))
+                e = exponents[m] = tuple(map(sub, s, (0,) + s[:-1]))
+            out[e] = c
+        return Polynomial._from_integers(table, out, den)
+
+    return polynomial
 
 
 def expr_normalize(e: Expr, table: VarTable) -> tuple[Polynomial, Polynomial, list[Polynomial]]:
@@ -516,43 +712,28 @@ def expr_normalize(e: Expr, table: VarTable) -> tuple[Polynomial, Polynomial, li
     product of powers of the listed factors. The factors are primitive with
     positive leading coefficient under the print order, so equal factors
     of different relations are found equal downstream.
+
+    The walk keeps each intermediate numerator as integer coefficients on
+    packed monomials over one positive integer denominator, and each
+    intermediate denominator, a product of factors, as integer coefficients
+    alone; Polynomials are built only for the results.
     """
-    one = Polynomial.constant(table, 1)
-    factors: dict[Polynomial, None] = {}  # first-seen order
+    factors: dict[frozenset, dict[int, int]] = {}  # first-seen order
+    num, s, den = _clear(e, len(table), factors)
+    polynomial = _unpacker(table)
+    return polynomial(num, s), polynomial(den), [polynomial(f) for f in factors.values()]
 
-    def walk(node: Expr) -> tuple[Polynomial, Polynomial]:
-        if isinstance(node, Const):
-            return Polynomial.constant(table, node.value), one
-        if isinstance(node, PointRef):
-            return Polynomial.variable(table, node.index), one
-        if isinstance(node, Add):
-            nl, dl = walk(node.left)
-            nr, dr = walk(node.right)
-            return nl * dr + nr * dl, dl * dr
-        if isinstance(node, Sub):
-            nl, dl = walk(node.left)
-            nr, dr = walk(node.right)
-            return nl * dr - nr * dl, dl * dr
-        if isinstance(node, Mul):
-            nl, dl = walk(node.left)
-            nr, dr = walk(node.right)
-            return nl * nr, dl * dr
-        if isinstance(node, Pow):
-            nb, db = walk(node.base)
-            return nb ** node.exponent, db ** node.exponent
-        if isinstance(node, Div):
-            nl, dl = walk(node.left)
-            nr, dr = walk(node.right)
-            if nr.is_zero:
-                raise ZeroDenominatorError("denominator normalizes to the zero polynomial")
-            num = nl * dr
-            if nr.is_constant:
-                # purely numeric denominator: fold into coefficients
-                return num.scale(1 / nr.constant_value()), dl
-            content, prim = content_and_primitive(nr)
-            factors[prim] = None
-            return num.scale(1 / content), dl * prim
-        raise AlgebraError(f"unknown expression node {node!r}")
 
-    num, den = walk(e)
-    return num, den, list(factors)
+def clear_relations(
+    exprs: list[Expr], table: VarTable
+) -> tuple[list[Polynomial], list[Polynomial]]:
+    """The numerator expr_normalize gives for each expression, and the
+    distinct denominator factors of all of them, in first-seen order. No
+    denominator is built."""
+    factors: dict[frozenset, dict[int, int]] = {}  # first-seen order
+    polynomial = _unpacker(table)
+    nums = []
+    for e in exprs:
+        num, s, _ = _clear(e, len(table), factors)
+        nums.append(polynomial(num, s))
+    return nums, [polynomial(f) for f in factors.values()]

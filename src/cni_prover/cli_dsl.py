@@ -130,11 +130,8 @@ def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
             raise DslSyntaxError(
                 f"unexpected character {text[pos]!r}", line, pos + 1
             )
-        for kind in ("name", "int", "assign", "sym"):
-            value = m.group(kind)
-            if value is not None:
-                tokens.append((kind, value, m.start(kind) + 1))
-                break
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind) + 1))
         pos = m.end()
     return tokens
 

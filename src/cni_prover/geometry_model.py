@@ -20,6 +20,8 @@ from .algebra_core import (
     RationalExpr,
     Sub,
     VarTable,
+    clear_relations,
+    content_and_primitive,
     expr_normalize,
     expr_points,
     expr_substitute,
@@ -380,12 +382,9 @@ def build_system(c: Construction) -> PolynomialSystem:
         SlackOrigin(table.add(name), name, step.source.expr)
         for name, step in zip(slack_names, relations)
     )
-    polys: list[Polynomial] = []
-    factors: dict[Polynomial, None] = {}  # first-seen order
-    for k, step in enumerate(relations):
-        num, _den, fs = expr_normalize(Sub(step.expr, PointRef(n_points + k)), table)
-        polys.append(num)
-        factors.update(dict.fromkeys(fs))
+    polys, factors = clear_relations(
+        [Sub(step.expr, PointRef(n_points + k)) for k, step in enumerate(relations)], table
+    )
 
     return PolynomialSystem(
         table=table,
@@ -430,9 +429,11 @@ def fix_coordinates(sys: PolynomialSystem, c: Construction, mode: str) -> Polyno
     when the definitions commute with those maps too, pinning only shrinks
     the elimination problem. When one does not, nothing is pinned and a
     note says why. With fewer than two free points, fixes as many as
-    available. A denominator factor in the pinned points alone is a nonzero
-    multiple of A - B, so pinning makes it a nonzero constant, which the
-    elimination does not saturate by."""
+    available. Each pinned denominator factor that is not constant is made
+    primitive with a positive leading coefficient again, as build_system
+    gives them, and a repeat is dropped. A factor in the pinned points alone
+    is a nonzero multiple of A - B, so pinning makes it a nonzero constant,
+    which the elimination does not saturate by."""
     if mode not in FIX_MODES:
         raise GeometryError(f"unknown coordinate fixing mode {mode!r}")
     if mode == "off" or not c.free_points:
@@ -454,11 +455,15 @@ def fix_coordinates(sys: PolynomialSystem, c: Construction, mode: str) -> Polyno
     targets = list(zip(c.free_points[:2], values))
     assignment = {p: v for p, v in targets}
     polys = tuple(p.substitute(assignment) for p in sys.hypothesis_polys)
+    factors: dict[Polynomial, None] = {}  # first-seen order
+    for f in sys.denominator_factors:
+        f = f.substitute(assignment)
+        factors[f if f.is_constant else content_and_primitive(f)[1]] = None
     fixed_set = set(assignment)
     return replace(
         sys,
         hypothesis_polys=polys,
         eliminate_vars=tuple(v for v in sys.eliminate_vars if v not in fixed_set),
-        denominator_factors=tuple(f.substitute(assignment) for f in sys.denominator_factors),
+        denominator_factors=tuple(factors),
         fixed=sys.fixed + tuple((sys.table.name(p), v) for p, v in targets),
     )

@@ -34,6 +34,8 @@ import time
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import mul
+from struct import Struct
 from typing import Iterable, Union
 
 from .algebra_core import (
@@ -131,27 +133,31 @@ class _Packing:
     From the most significant field down: the order's weight rows, then a
     unit row for each variable the order does not cover (so packing is
     injective), then the exponents of variables 0 to n-1, then the total
-    degree. Each field is a 0/1 sum of exponents, so it never exceeds the
-    total degree, and a product of monomials is the sum of their ints, a
-    quotient the difference. The weight rows come first, so comparing ints
-    compares monomials under the order."""
+    degree. A grevlex block over perm contributes len(perm) rows, the
+    exponent sums of perm, perm[:-1], ..., perm[:1] in that order. Each
+    field is a 0/1 sum of exponents, so it never exceeds the total degree,
+    and a product of monomials is the sum of their ints, a quotient the
+    difference. The weight rows come first, so comparing ints compares
+    monomials under the order."""
 
     __slots__ = ("units", "shifts", "exp", "guard", "by_field")
 
     def __init__(self, order: MonomialOrder, n: int) -> None:
-        rows = order.weights(n)
-        covered = {v for row in rows for v in range(n) if row[v]}
-        rows = rows + [
-            tuple(int(i == v) for i in range(n)) for v in range(n) if v not in covered
-        ]
-        top = n + len(rows)
+        blocks = order.blocks()
+        covered = {v for perm in blocks for v in perm}
+        blocks += tuple((v,) for v in range(n) if v not in covered)
         self.shifts = tuple(_WIDTH * (n - v) for v in range(n))
-        self.units = tuple(
-            1
-            + (1 << self.shifts[v])
-            + sum(row[v] << _WIDTH * (top - r) for r, row in enumerate(rows))
-            for v in range(n)
-        )
+        units = [1 + (1 << s) for s in self.shifts]
+        # the row fields, from the top one down to the one above variable 0
+        row = n + sum(map(len, blocks))
+        for perm in blocks:
+            # perm[j] sits in the block's top len(perm) - j rows
+            acc = 0
+            for v in reversed(perm):
+                acc += 1 << _WIDTH * row
+                row -= 1
+                units[v] += acc
+        self.units = tuple(units)
         self.exp = sum((_HALF - 1) << s for s in self.shifts)
         self.guard = sum(_HALF << s for s in self.shifts)
         # the unit of the variable whose exponent sits in field k, counted
@@ -162,10 +168,17 @@ class _Packing:
         """A tuple shorter than n leaves the fields past it zero."""
         if sum(m) >= _HALF:
             raise _too_big()
-        return sum(e * u for e, u in zip(m, self.units) if e)
+        return sum(map(mul, m, self.units))
 
-    def unpack(self, p: int) -> tuple[int, ...]:
-        return tuple(p >> s & _FIELD for s in self.shifts)
+    def reader(self, n: int):
+        """The function from a packed monomial to the exponents of variables
+        0 to n-1: their fields are adjacent, variable 0's on top, and below
+        the guard bit each fits 16 bits unsigned."""
+        shift = _WIDTH * (len(self.shifts) - n + 1)
+        mask = (1 << _WIDTH * n) - 1
+        size = 2 * n
+        unpack = Struct(f">{n}H").unpack
+        return lambda p: unpack((p >> shift & mask).to_bytes(size, "big"))
 
     def lift(self, e: int) -> int:
         """The packed monomial whose exponent fields are e. It visits only
@@ -460,18 +473,19 @@ def _buchberger(F, pk: _Packing, budget: _Budget, drop=0, seed=()):
 def _enter(polys: list[Polynomial], pk: _Packing) -> list[_IntPoly]:
     """Clear denominators: each nonzero input as its integer-primitive form
     with positive leading coefficient."""
-    out = []
-    for p in polys:
-        nums, _ = _integer_form(p.terms)
-        out.append(_normalize({pk.pack(m): c for m, c in nums.items()}, pk))
-    return out
+    pack = pk.pack
+    return [
+        _normalize({pack(m): c for m, c in _integer_form(p.terms)[0].items()}, pk)
+        for p in polys
+    ]
 
 
 def _saturator(d: Polynomial, u: int, pk: _Packing) -> _IntPoly:
     """d*u - 1 cleared to integers, which saturates the ideal by d; u is a
     packed variable past d's table. A zero d gives the constant -1."""
     nums, den = _integer_form(d.terms)
-    terms = {pk.pack(m + (0,) * (u - len(m)) + (1,)): c for m, c in nums.items()}
+    times_u = (0,) * (u - len(d.table)) + (1,)
+    terms = {pk.pack(m + times_u): c for m, c in nums.items()}
     terms[0] = -den
     return _normalize(terms, pk)
 
@@ -479,9 +493,9 @@ def _saturator(d: Polynomial, u: int, pk: _Packing) -> _IntPoly:
 def _exit(recs, table: VarTable, pk: _Packing) -> tuple[Polynomial, ...]:
     """Monic Polynomials over the table's variables, sorted by leading
     monomial ascending. Fields packed past them must be zero."""
-    n = len(table)
+    read = pk.reader(len(table))
     return tuple(
-        Polynomial._from_integers(table, {pk.unpack(m)[:n]: c for m, c in d.terms.items()}, d.lc)
+        Polynomial._from_integers(table, {read(m): c for m, c in d.terms.items()}, d.lc)
         for d in sorted(recs, key=lambda d: d.lm)
     )
 

@@ -26,6 +26,7 @@ from .algebra_core import (
     RationalExpr,
     Sub,
     content_and_primitive,
+    expr_postorder,
 )
 from .prover import (
     PROVED,
@@ -55,35 +56,32 @@ class ProofDocument:
 _OPS = {Add: ("+", 1), Sub: ("-", 1), Mul: ("*", 2), Div: ("/", 2)}
 
 
-def _render_expr(e: RationalExpr, names: Sequence[str]) -> tuple[str, int]:
-    if isinstance(e, Const):
-        return str(e.value), (4 if e.value >= 0 else 1)
-    if isinstance(e, PointRef):
-        return names[e.index], 4
-    if isinstance(e, Pow):
-        base, bp = _render_expr(e.base, names)
-        if bp < 4:
-            base = f"({base})"
-        return f"{base}^{e.exponent}", 3
-    op = _OPS.get(type(e))
-    if op is None:
-        raise AlgebraError(f"cannot print expression node {type(e).__name__}")
-    sym, prec = op
-    left, lp = _render_expr(e.left, names)
-    right, rp = _render_expr(e.right, names)
-    if lp < prec:
-        left = f"({left})"
-    # Division and subtraction chains associate to the left, so a right
-    # operand at equal precedence keeps its parentheses.
-    if rp < prec or (rp == prec and isinstance(e, (Sub, Div))) or right.startswith("-"):
-        right = f"({right})"
-    return f"{left}{sym}{right}", prec
-
-
 def format_expr(e: RationalExpr, names: Sequence[str]) -> str:
     """Print an expression with the usual precedence rules. Left-nested
-    quotients stay flat (a/b/c) while compound right operands are wrapped."""
-    return _render_expr(e, names)[0]
+    quotients stay flat (a/b/c) while compound right operands are wrapped.
+    Each subexpression prints as (text, precedence), children first."""
+    vals: list[tuple[str, int]] = []
+    for x in expr_postorder(e):
+        t = type(x)
+        if t is Const:
+            vals.append((str(x.value), 4 if x.value >= 0 else 1))
+        elif t is PointRef:
+            vals.append((names[x.index], 4))
+        elif t is Pow:
+            text, p = vals[-1]
+            vals[-1] = (f"({text})^{x.exponent}" if p < 4 else f"{text}^{x.exponent}", 3)
+        else:
+            sym, prec = _OPS[t]
+            right, rp = vals.pop()
+            left, lp = vals[-1]
+            if lp < prec:
+                left = f"({left})"
+            # Division and subtraction chains associate to the left, so a
+            # right operand at equal precedence keeps its parentheses.
+            if rp < prec or (rp == prec and t in (Sub, Div)) or right.startswith("-"):
+                right = f"({right})"
+            vals[-1] = (f"{left}{sym}{right}", prec)
+    return vals[0][0]
 
 
 def _term_string(m: tuple[int, ...], c: Fraction, p: Polynomial) -> str:

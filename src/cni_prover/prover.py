@@ -165,7 +165,7 @@ def express_linear(p: Polynomial, r: int) -> LinearForm:
         else:
             w_terms[m] = c
     return LinearForm(
-        Polynomial(p.table, v_terms), Polynomial(p.table, w_terms), p
+        Polynomial._trusted(p.table, v_terms), Polynomial._trusted(p.table, w_terms), p
     )
 
 
@@ -175,13 +175,13 @@ def _presentation_pivot(pivot: Polynomial, r: int) -> LinearForm:
     coefficient is a negative integer (giving lines in the -r-1=0 style);
     otherwise the primitive integer form with positive leading coefficient
     under the print order is used."""
-    lf = express_linear(pivot, r)
-    if lf.v.is_constant:
-        k = Fraction(-1) / lf.v.constant_value()
+    v = express_linear(pivot, r).v
+    if v.is_constant:
+        k = Fraction(-1) / v.constant_value()
         k *= _integer_form(pivot.scale(k).terms)[1]
     else:
         k = 1 / content_and_primitive(pivot)[0]
-    return LinearForm(lf.v.scale(k), lf.w.scale(k), pivot.scale(k))
+    return express_linear(pivot.scale(k), r)
 
 
 def check_denominator(

@@ -1,13 +1,15 @@
 """Shared test helpers: exact Gaussian rationals and the evaluation of
 polynomials and point expressions over them, polynomial builders and random
 generators, sympy conversion, and the reference division and S-polynomial
-that engine results are checked against, and a reference first elimination
-through one product Rabinowitsch generator."""
+that engine results are checked against, a reference first elimination
+through one product Rabinowitsch generator, and the reference clearing of
+denominators on Polynomial arithmetic."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 from operator import add
 
 from cni_prover.algebra_core import (
@@ -25,6 +27,7 @@ from cni_prover.algebra_core import (
     Pow,
     Sub,
     VarTable,
+    ZeroDenominatorError,
 )
 from cni_prover.groebner import groebner_basis
 
@@ -331,3 +334,72 @@ def eliminate_by_product(hyps, factors, points) -> tuple[Polynomial, ...]:
 
     kept = block_free(block_free(gens, (u,)), tuple(points))
     return tuple(Polynomial(table, {m[:-1]: c for m, c in g.terms.items()}) for g in kept)
+
+
+# ---------------------------------------------------------------------------
+# Reference clearing of denominators, on Polynomial arithmetic with Fraction
+# coefficients at every node.
+
+
+def print_order(table: VarTable) -> GrevLex:
+    """The print order as a monomial order: grevlex over the table's
+    variables in table order. algebra_core sorts and sign-normalizes under
+    it through a cheaper key of its own."""
+    return GrevLex(tuple(range(len(table))))
+
+
+def reference_primitive(p: Polynomial) -> tuple[Fraction, Polynomial]:
+    """(content, primitive) with p = content * primitive, the primitive part
+    having coprime integer coefficients and a positive leading coefficient
+    under print_order. p must be nonzero."""
+    den = 1
+    for c in p.terms.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    g = 0
+    for c in p.terms.values():
+        g = gcd(g, c.numerator * (den // c.denominator))
+    if p.leading_coefficient(print_order(p.table)) < 0:
+        g = -g
+    content = Fraction(g, den)
+    return content, p.scale(1 / content)
+
+
+def reference_normalize(e: Expr, table: VarTable):
+    """What expr_normalize returns, (num, den, factors), computed by
+    recursion on Polynomials: each Add, Sub, Mul and Pow combines the
+    children's num/den pairs as fractions do; a Div folds a constant
+    divisor into the coefficients and otherwise lists the divisor's
+    primitive part as a factor, first-seen order, and multiplies it into
+    den. A divisor whose numerator is zero raises ZeroDenominatorError."""
+    one = Polynomial.constant(table, 1)
+    factors: dict[Polynomial, None] = {}
+
+    def walk(node):
+        if isinstance(node, Const):
+            return Polynomial.constant(table, node.value), one
+        if isinstance(node, PointRef):
+            return Polynomial.variable(table, node.index), one
+        if isinstance(node, Pow):
+            nb, db = walk(node.base)
+            return nb ** node.exponent, db ** node.exponent
+        nl, dl = walk(node.left)
+        nr, dr = walk(node.right)
+        if isinstance(node, Add):
+            return nl * dr + nr * dl, dl * dr
+        if isinstance(node, Sub):
+            return nl * dr - nr * dl, dl * dr
+        if isinstance(node, Mul):
+            return nl * nr, dl * dr
+        if isinstance(node, Div):
+            if nr.is_zero:
+                raise ZeroDenominatorError("denominator normalizes to the zero polynomial")
+            num = nl * dr
+            if nr.is_constant:
+                return num.scale(1 / nr.constant_value()), dl
+            content, prim = reference_primitive(nr)
+            factors[prim] = None
+            return num.scale(1 / content), dl * prim
+        raise AlgebraError(f"unknown expression node {node!r}")
+
+    num, den = walk(e)
+    return num, den, list(factors)

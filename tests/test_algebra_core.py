@@ -21,6 +21,8 @@ from cni_prover.algebra_core import (
     Sub,
     VarTable,
     ZeroDenominatorError,
+    _print_rank,
+    clear_relations,
     content_and_primitive,
     expr_normalize,
     expr_substitute,
@@ -37,7 +39,10 @@ from support import (
     mono_lcm,
     mono_mul,
     normal_form,
+    print_order,
     random_polynomial,
+    reference_normalize,
+    reference_primitive,
     s_polynomial,
 )
 
@@ -112,6 +117,13 @@ def test_lex_and_grevlex_classic_comparisons():
     xz2 = (1, 0, 2)
     assert grv.key(x2y) > grv.key(xz2)
     assert not grv.key(xy) > grv.key(xy)
+
+
+@given(st.lists(st.tuples(*(st.integers(0, 3) for _ in range(4))), min_size=1, max_size=8, unique=True))
+@settings(max_examples=200, deadline=None)
+def test_print_rank_sorts_descending_under_the_print_order(monos):
+    order = print_order(make_table("A", "B", "C", "r"))
+    assert sorted(monos, key=_print_rank) == sorted(monos, key=order.key, reverse=True)
 
 
 def test_block_order_separates_eliminated_variables():
@@ -417,6 +429,49 @@ def test_normalize_agrees_with_direct_evaluation(e, a, b):
     if any(evaluate(f, assign) == 0 for f in factors):
         return
     assert evaluate(num, assign) / evaluate(den, assign) == expr_evaluate(e, assign)
+
+
+@given(exprs, st.sampled_from([("A", "B"), ("A", "B", "C", "D", "r1", "r")]))
+@settings(max_examples=300, deadline=None)
+def test_normalize_matches_the_reference(e, names):
+    # the integer walk returns what clearing on Polynomials at every node
+    # returns, the factors in the same order, and fails on the same input
+    table = make_table(*names)
+    try:
+        want = reference_normalize(e, table)
+    except ZeroDenominatorError:
+        with pytest.raises(ZeroDenominatorError):
+            expr_normalize(e, table)
+        return
+    num, den, factors = expr_normalize(e, table)
+    assert (num, den, factors) == want
+    for f in factors:
+        assert f == reference_primitive(f)[1]
+
+
+@given(st.lists(exprs, min_size=1, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_clear_relations_matches_the_reference(es):
+    # each numerator as the reference gives it, and the factors of all the
+    # expressions once each, in first-seen order
+    table = make_table("A", "B", "r")
+    try:
+        want = [reference_normalize(e, table) for e in es]
+    except ZeroDenominatorError:
+        with pytest.raises(ZeroDenominatorError):
+            clear_relations(es, table)
+        return
+    nums, factors = clear_relations(es, table)
+    assert nums == [num for num, _, _ in want]
+    assert factors == list(dict.fromkeys(f for _, _, fs in want for f in fs))
+
+
+def test_normalize_refuses_a_degree_beyond_the_packed_field():
+    table = make_table("A")
+    big = Pow(PointRef(0), 1 << 14)
+    assert expr_normalize(Mul(big, Pow(PointRef(0), (1 << 14) - 1)), table)[0].total_degree == (1 << 15) - 1
+    with pytest.raises(AlgebraError, match="total degree 32768"):
+        expr_normalize(Mul(big, big), table)
 
 
 def test_random_polynomial_helper_stays_in_bounds():

@@ -282,7 +282,8 @@ def test_run_cli_division_by_literal_zero_is_an_error(tmp_path):
 
 
 def test_run_cli_engine_error_is_an_error(tmp_path):
-    # P15 = C^32768: the engine cannot pack a monomial of that degree
+    # P15 = C^32768: no packed monomial holds that degree, so clearing the
+    # relation that uses it fails with the engine's message
     lines = ["point A, B, C", "P0 := C"]
     lines += [f"P{i} := P{i - 1}*P{i - 1}" for i in range(1, 16)]
     f = tmp_path / "deep.cni"
@@ -332,17 +333,36 @@ def test_overlong_integer_literal_is_a_syntax_error(tmp_path):
     [
         pytest.param("(" * 3000 + "A" + ")" * 3000, id="parentheses"),
         pytest.param("-" * 3000 + "A", id="unary-minus"),
-        pytest.param("+".join(["A"] * 5000), id="long-sum"),
     ],
 )
 def test_run_cli_too_deep_input_is_an_error(tmp_path, definition):
-    # the first two overflow the parser, the long sum a later expression walk
+    # both overflow the parser, which caps the depth of nesting
     f = tmp_path / "deep.cni"
     f.write_text(f"point A, B\nX := {definition}\nprove collinear(A, B, X)\n")
     code, out, err = _run(str(f))
     assert code == 1
     assert out == ""
     assert err == f"error: {f}: input nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "definition,status",
+    [
+        pytest.param("+".join(["A"] * 5000), 2, id="5000A"),
+        pytest.param("+".join(["A"] * 1500) + "-1499*A", 0, id="A"),
+        pytest.param("(" + "+".join(["A"] * 2500 + ["B"] * 2500) + ")/5000", 0, id="midpoint"),
+    ],
+)
+@pytest.mark.parametrize("fix", ["zero_one", "off"])
+def test_run_cli_long_sum_ends_with_a_verdict(tmp_path, definition, status, fix):
+    # a sum of thousands of terms nests as deep, and every walk over it
+    # keeps its own stack: parsing, substitution, clearing, pinning, printing
+    f = tmp_path / "long.cni"
+    f.write_text(f"point A, B\nX := {definition}\nprove collinear(A, B, X)\n")
+    code, out, err = _run(str(f), fix_mode=fix)
+    assert (code, err) == (status, "")
+    assert out.startswith("Let A, B be arbitrary points.\n")
+    assert f"X:={definition}\n" in out
 
 
 def test_run_cli_unknown_predicate_is_inconclusive(tmp_path):

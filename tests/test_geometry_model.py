@@ -4,6 +4,7 @@ assembly, and coordinate fixing."""
 import random
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,13 @@ from cni_prover.algebra_core import (
     Sub,
     VarTable,
 )
-from cni_prover.cli_dsl import SourceProgram, format_construction, parse
+from cni_prover.cli_dsl import (
+    PredicateArityError,
+    SourceProgram,
+    UnknownPredicateError,
+    format_construction,
+    parse,
+)
 from cni_prover.geometry_model import (
     DEFINITIONS,
     PREDICATES,
@@ -42,7 +49,15 @@ from cni_prover.geometry_model import (
 
 from cni_prover.groebner import GroebnerConfig, eliminate
 
-from support import Qi, I, eliminate_by_product, evaluate, expr_evaluate, make_table
+from support import (
+    Qi,
+    I,
+    eliminate_by_product,
+    evaluate,
+    expr_evaluate,
+    make_table,
+    reference_primitive,
+)
 
 
 def _define(kind, *points):
@@ -424,6 +439,36 @@ def test_fix_coordinates_zero_one():
     assert saturated == eliminate_by_product(fixed.hypothesis_polys, rest, fixed.eliminate_vars)
     # unfixed variables survive
     assert 2 in fixed.eliminate_vars
+
+
+CORPUS = sorted(
+    path
+    for path in (Path(__file__).resolve().parent.parent / "perfbench" / "corpus").glob("*.cni")
+    if path.stem != "bad_zero_denominator"
+)
+
+
+@pytest.mark.parametrize("mode", ["zero_one", "minus_one_one"])
+def test_pinned_factors_are_canonical_and_distinct(mode):
+    # every non-constant factor left by pinning is primitive with a positive
+    # leading coefficient under the print order, as build_system makes them,
+    # and no factor is listed twice
+    pinned = 0
+    for path in CORPUS:
+        try:
+            c = substitute_declaratives(parse(SourceProgram(path.read_text(), path.stem)))
+        except (UnknownPredicateError, PredicateArityError):
+            continue  # the rejects have no system
+        fixed = fix_coordinates(build_system(c), c, mode)
+        if not fixed.fixed:
+            continue
+        pinned += 1
+        factors = fixed.denominator_factors
+        assert len(set(factors)) == len(factors), path.stem
+        for f in factors:
+            if not f.is_constant:
+                assert f == reference_primitive(f)[1], (path.stem, f)
+    assert pinned >= 19
 
 
 def test_fix_coordinates_minus_one_one():
