@@ -554,12 +554,12 @@ def expr_points(e: Expr) -> set[int]:
             x = todo.pop()
 
 
-# Inside expr_normalize a monomial over n variables is an int of n fields
-# of _MONO_BITS bits each. Field j, counted from the least significant,
-# holds e_0 + ... + e_j, so the top field is the total degree: a product of
-# monomials is the sum of their ints, and the fields are the weight rows of
-# the print order, so comparing ints compares monomials under it. A degree
-# stays below _MONO_LIMIT, so no field carries into the next.
+# While an expression is cleared (_clear), a monomial over n variables is an
+# int of n fields of _MONO_BITS bits each. Field j, counted from the least
+# significant, holds e_0 + ... + e_j, so the top field is the total degree:
+# a product of monomials is the sum of their ints, and the fields are the
+# weight rows of the print order, so comparing ints compares monomials under
+# it. A degree stays below _MONO_LIMIT, so no field carries into the next.
 _MONO_BITS = 16
 _MONO_LIMIT = 1 << (_MONO_BITS - 1)
 _ONE = {0: 1}  # the constant 1; shared, so never mutated
