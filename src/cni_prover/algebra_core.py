@@ -1,6 +1,7 @@
 """Exact rational arithmetic: multivariate polynomials over Q on exponent
-tuples, monomial orderings, and the normalization of complex point
-expressions into cleared fractions.
+tuples, monomial orders, the packed monomials (_Packing) that the clearing
+and the Groebner engine both work on, and the clearing of complex point
+expressions into polynomials.
 
 Everything here is exact. No floating point is used anywhere in the
 proving path, since ideal membership decisions must be error-free.
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, mul
 from struct import Struct
 from typing import Mapping
 
@@ -116,6 +117,128 @@ class Block(MonomialOrder):
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         return self.first.blocks() + self.second.blocks()
+
+
+# ---------------------------------------------------------------------------
+# Packed monomials (Monagan and Pearce, CASC 2007).
+
+# Bits per field of a packed monomial. The top bit of each field is a guard
+# that stays clear, so every field, and the total degree that bounds them
+# all, is below _HALF.
+_WIDTH = 16
+_HALF = 1 << (_WIDTH - 1)
+_FIELD = (1 << _WIDTH) - 1
+
+
+def _too_big() -> AlgebraError:
+    return AlgebraError(
+        f"a monomial of total degree {_HALF} or more does not fit a packed field"
+    )
+
+
+class _Packing:
+    """Exponent tuples over n variables as ints, under one order.
+
+    From the most significant field down: the order's weight rows, then a
+    unit row for each variable the order does not cover (so packing is
+    injective), then the exponents of variables 0 to n-1, then the total
+    degree. A grevlex block over perm contributes len(perm) rows, the
+    exponent sums of perm, perm[:-1], ..., perm[:1] in that order. Each
+    field is a 0/1 sum of exponents, so it never exceeds the total degree,
+    and a product of monomials is the sum of their ints, a quotient the
+    difference. The weight rows come first, so comparing ints compares
+    monomials under the order."""
+
+    __slots__ = ("units", "shifts", "exp", "guard", "by_field")
+
+    def __init__(self, order: MonomialOrder, n: int) -> None:
+        blocks = order.blocks()
+        covered = {v for perm in blocks for v in perm}
+        blocks += tuple((v,) for v in range(n) if v not in covered)
+        self.shifts = tuple(_WIDTH * (n - v) for v in range(n))
+        units = [1 + (1 << s) for s in self.shifts]
+        # the row fields, from the top one down to the one above variable 0
+        row = n + sum(map(len, blocks))
+        for perm in blocks:
+            # perm[j] sits in the block's top len(perm) - j rows
+            acc = 0
+            for v in reversed(perm):
+                acc += 1 << _WIDTH * row
+                row -= 1
+                units[v] += acc
+        self.units = tuple(units)
+        self.exp = sum((_HALF - 1) << s for s in self.shifts)
+        self.guard = sum(_HALF << s for s in self.shifts)
+        # the unit of the variable whose exponent sits in field k, counted
+        # from the degree field (k = 0) up
+        self.by_field = (0,) + self.units[::-1]
+
+    def pack(self, m: tuple[int, ...]) -> int:
+        """A tuple shorter than n leaves the fields past it zero."""
+        if sum(m) >= _HALF:
+            raise _too_big()
+        return sum(map(mul, m, self.units))
+
+    def reader(self, n: int):
+        """The function from a packed monomial to the exponents of variables
+        0 to n-1: their fields are adjacent, variable 0's on top, and below
+        the guard bit each fits 16 bits unsigned."""
+        shift = _WIDTH * (len(self.shifts) - n + 1)
+        mask = (1 << _WIDTH * n) - 1
+        size = 2 * n
+        unpack = Struct(f">{n}H").unpack
+        return lambda p: unpack((p >> shift & mask).to_bytes(size, "big"))
+
+    def lift(self, e: int) -> int:
+        """The packed monomial whose exponent fields are e. It visits only
+        the nonzero fields, from the top one down."""
+        p = deg = 0
+        by_field = self.by_field
+        while e:
+            k = (e.bit_length() - 1) // _WIDTH
+            x = e >> _WIDTH * k
+            e -= x << _WIDTH * k
+            p += x * by_field[k]
+            deg += x
+        if deg >= _HALF:
+            raise _too_big()
+        return p
+
+    def lcms(self, a: int, bs) -> list[int]:
+        """The exponent fields of lcm(a, b) for each b in bs, all given as
+        exponent fields. In each field, a's exponent minus b's, with the
+        field's guard bit set, keeps that bit iff a's is at least b's; ge
+        holds those bits and sel the value bits of their fields."""
+        exp, guard = self.exp, self.guard
+        ag = a | guard
+        out = []
+        for b in bs:
+            ge = (ag - b) & guard
+            sel = ge - (ge >> (_WIDTH - 1))
+            out.append((a & sel) | (b & (exp ^ sel)))
+        return out
+
+    def divides(self, d: int, m: int) -> bool:
+        """True iff monomial d divides monomial m: with the guard bits of m's
+        exponent fields set, subtracting d's exponents clears none of them."""
+        g = self.guard
+        return (((m & self.exp) | g) - (d & self.exp)) & g == g
+
+
+def _primitive(terms: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """(g, terms / g) for nonzero integer terms on packed monomials: g is
+    their content, signed so that the quotient's coefficient at the largest
+    monomial, the leading one under the packing's order, is positive."""
+    g = 0
+    for c in terms.values():
+        g = gcd(g, c)
+        if g == 1:
+            break
+    if terms[max(terms)] < 0:
+        g = -g
+    elif g == 1:
+        return 1, terms
+    return g, {m: c // g for m, c in terms.items()}
 
 
 def _print_rank(m: tuple[int, ...]) -> tuple:
@@ -554,42 +677,31 @@ def expr_points(e: Expr) -> set[int]:
             x = todo.pop()
 
 
-# While an expression is cleared (_clear), a monomial over n variables is an
-# int of n fields of _MONO_BITS bits each. Field j, counted from the least
-# significant, holds e_0 + ... + e_j, so the top field is the total degree:
-# a product of monomials is the sum of their ints, and the fields are the
-# weight rows of the print order, so comparing ints compares monomials under
-# it. A degree stays below _MONO_LIMIT, so no field carries into the next.
-_MONO_BITS = 16
-_MONO_LIMIT = 1 << (_MONO_BITS - 1)
+# ---------------------------------------------------------------------------
+# Clearing denominators on the print order's packed monomials.
+
 _ONE = {0: 1}  # the constant 1; shared, so never mutated
 
 
 @lru_cache(maxsize=None)
-def _mono_layout(n: int) -> tuple[tuple[int, ...], int, Struct]:
-    """The packed unit monomial of each of n variables, the shift of the
-    degree field, and the struct that reads the n fields back."""
-    units = []
-    acc = 0
-    for j in reversed(range(n)):
-        acc += 1 << _MONO_BITS * j
-        units.append(acc)
-    return tuple(units[::-1]), _MONO_BITS * max(n - 1, 0), Struct(f"<{n}H")
+def _print_packing(n: int) -> _Packing:
+    """The packing under which expressions over n variables are cleared,
+    that of the print order: the largest int is the leading monomial."""
+    return _Packing(GrevLex(tuple(range(n))), n)
 
 
-def _packed_mul(a: dict[int, int], b: dict[int, int], top: int) -> dict[int, int]:
-    """The product of two polynomials on packed monomials whose degree
-    field starts at bit `top`. _ONE is the identity and is returned as is."""
+def _packed_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of two polynomials on packed monomials. _ONE is the
+    identity and is returned as is."""
     if a is _ONE:
         return b
     if b is _ONE:
         return a
     if not a or not b:
         return {}
-    if (max(a) >> top) + (max(b) >> top) >= _MONO_LIMIT:
-        raise AlgebraError(
-            f"a monomial of total degree {_MONO_LIMIT} or more does not fit a packed field"
-        )
+    # the largest monomial has the largest total degree, the lowest field
+    if (max(a) & _FIELD) + (max(b) & _FIELD) >= _HALF:
+        raise _too_big()
     if len(a) == 1:
         a, b = b, a
     if len(b) == 1:
@@ -622,14 +734,15 @@ def _packed_combine(a: dict[int, int], ka: int, b: dict[int, int], kb: int) -> d
     return out
 
 
-def _clear(e: Expr, n: int, factors: dict) -> tuple[dict[int, int], int, dict[int, int]]:
-    """e cleared over n variables as (num, s, den) on packed monomials, with
-    e = num/(s*den): num and den with integer coefficients, s a positive
-    integer. Each intermediate is kept the same way; a Div whose divisor is
-    not constant enters the divisor's primitive part, with a positive
-    leading coefficient, into `factors` under its terms if no equal factor
-    is there, and multiplies it into den."""
-    units, top, _ = _mono_layout(n)
+def _clear(e: Expr, n: int, factors: dict) -> tuple[dict[int, int], int]:
+    """e cleared over n variables as (num, s) on the print order's packed
+    monomials, with e = num/(s*den): num with integer coefficients, s a
+    positive integer and den the product of the factors met. Each
+    intermediate is kept with its den; a Div whose divisor is not constant
+    enters the divisor's primitive part, with a positive leading
+    coefficient, into `factors` under its terms if no equal factor is
+    there, and multiplies it into den."""
+    units = _print_packing(n).units
     vals = []  # (numerator terms, its positive denominator, denominator terms)
     for x in expr_postorder(e):
         t = type(x)
@@ -646,94 +759,58 @@ def _clear(e: Expr, n: int, factors: dict) -> tuple[dict[int, int], int, dict[in
             nb, sb, db = vals[-1]
             num = den = _ONE
             for _ in range(x.exponent):
-                num, den = _packed_mul(num, nb, top), _packed_mul(den, db, top)
+                num, den = _packed_mul(num, nb), _packed_mul(den, db)
             vals[-1] = (num, sb**x.exponent, den)
             continue
         nr, sr, dr = vals.pop()
         nl, sl, dl = vals[-1]
         if t is Mul:
-            vals[-1] = (_packed_mul(nl, nr, top), sl * sr, _packed_mul(dl, dr, top))
+            vals[-1] = (_packed_mul(nl, nr), sl * sr, _packed_mul(dl, dr))
         elif t is not Div:
             s = sl if sl == sr else sl // gcd(sl, sr) * sr
             kr = s // sr if t is Add else -(s // sr)
-            num = _packed_combine(
-                _packed_mul(nl, dr, top), s // sl, _packed_mul(nr, dl, top), kr
-            )
-            vals[-1] = (num, s, _packed_mul(dl, dr, top))
+            num = _packed_combine(_packed_mul(nl, dr), s // sl, _packed_mul(nr, dl), kr)
+            vals[-1] = (num, s, _packed_mul(dl, dr))
         else:
             # (nl/sl)/dl over (nr/sr)/dr is nl*dr*sr / (sl*nr*dl), and nr is
             # g times a primitive factor with a positive leading coefficient;
             # a constant nr folds into the coefficients.
             if not nr:
                 raise ZeroDenominatorError("denominator normalizes to the zero polynomial")
-            g = gcd(*nr.values())
-            if nr[max(nr)] < 0:
-                g = -g
-            num = _packed_mul(nl, dr, top)
+            g, prim = _primitive(nr)
+            num = _packed_mul(nl, dr)
             k = sr if g > 0 else -sr
             if k != 1:
                 num = {m: c * k for m, c in num.items()}
-            if len(nr) == 1 and 0 in nr:
-                vals[-1] = (num, sl * abs(g), dl)
-            else:
-                prim = nr if g == 1 else {m: c // g for m, c in nr.items()}
-                prim = factors.setdefault(frozenset(prim.items()), prim)
-                vals[-1] = (num, sl * abs(g), _packed_mul(dl, prim, top))
+            if prim != _ONE:
+                dl = _packed_mul(dl, factors.setdefault(frozenset(prim.items()), prim))
+            vals[-1] = (num, sl * abs(g), dl)
 
-    return vals[0]
-
-
-def _unpacker(table: VarTable):
-    """The function from packed terms over the table's variables, and an
-    integer denominator, to the Polynomial they stand for."""
-    n = len(table)
-    fields = _mono_layout(n)[2]
-    exponents = {}  # packed monomial -> exponent tuple, as read back
-
-    def polynomial(terms: dict[int, int], den: int = 1) -> Polynomial:
-        out = {}
-        for m, c in terms.items():
-            e = exponents.get(m)
-            if e is None:
-                s = fields.unpack(m.to_bytes(2 * n, "little"))
-                e = exponents[m] = tuple(map(sub, s, (0,) + s[:-1]))
-            out[e] = c
-        return Polynomial._from_integers(table, out, den)
-
-    return polynomial
-
-
-def expr_normalize(e: Expr, table: VarTable) -> tuple[Polynomial, Polynomial, list[Polynomial]]:
-    """Clear denominators: e = num/den as formal rational functions.
-
-    Every Div node contributes its (normalized) denominator polynomial to
-    the factor list exactly once, to the first power. Constant denominators
-    are folded into the numerator coefficients, so `den` is literally a
-    product of powers of the listed factors. The factors are primitive with
-    positive leading coefficient under the print order, so equal factors
-    of different relations are found equal downstream.
-
-    The walk keeps each intermediate numerator as integer coefficients on
-    packed monomials over one positive integer denominator, and each
-    intermediate denominator, a product of factors, as integer coefficients
-    alone; Polynomials are built only for the results.
-    """
-    factors: dict[frozenset, dict[int, int]] = {}  # first-seen order
-    num, s, den = _clear(e, len(table), factors)
-    polynomial = _unpacker(table)
-    return polynomial(num, s), polynomial(den), [polynomial(f) for f in factors.values()]
+    num, s, _ = vals[0]
+    return num, s
 
 
 def clear_relations(
     exprs: list[Expr], table: VarTable
 ) -> tuple[list[Polynomial], list[Polynomial]]:
-    """The numerator expr_normalize gives for each expression, and the
-    distinct denominator factors of all of them, in first-seen order. No
-    denominator is built."""
+    """Clear the denominators of each expression e: its numerator num, with
+    e = num/den for den a product of the listed factors, and the distinct
+    denominator factors of all of them, in first-seen order. Each Div node
+    whose divisor is not constant contributes the divisor's primitive part,
+    with a positive leading coefficient under the print order, so equal
+    factors of different expressions are listed once; a constant divisor
+    folds into the numerator's coefficients. No denominator is built.
+
+    The walk keeps each intermediate numerator as integer coefficients on
+    packed monomials over one positive integer denominator, and each
+    intermediate denominator, a product of factors, as integer coefficients
+    alone; Polynomials are built only for the results."""
+    n = len(table)
+    read = _print_packing(n).reader(n)
+
+    def polynomial(terms: dict[int, int], den: int = 1) -> Polynomial:
+        return Polynomial._from_integers(table, {read(m): c for m, c in terms.items()}, den)
+
     factors: dict[frozenset, dict[int, int]] = {}  # first-seen order
-    polynomial = _unpacker(table)
-    nums = []
-    for e in exprs:
-        num, s, _ = _clear(e, len(table), factors)
-        nums.append(polynomial(num, s))
+    nums = [polynomial(*_clear(e, n, factors)) for e in exprs]
     return nums, [polynomial(f) for f in factors.values()]

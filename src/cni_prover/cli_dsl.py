@@ -205,13 +205,20 @@ class _ExprParser:
             e = e * rhs if tok[1] == "*" else e / rhs
 
     def _factor(self) -> RationalExpr:
-        tok = self.ts.peek()
-        if tok is not None and tok[1] == "-":
+        """A run of unary minuses, read in a loop, then a primary. Each minus
+        negates a constant in place and makes anything else 0 - e."""
+        minuses = 0
+        while (tok := self.ts.peek()) is not None and tok[1] == "-":
             self.ts.next()
-            inner = self._factor()
-            if isinstance(inner, Const):
-                return Const(-inner.value)
-            return Const(Fraction(0)) - inner
+            minuses += 1
+        e = self._primary()
+        if isinstance(e, Const):
+            return Const(-e.value) if minuses % 2 else e
+        for _ in range(minuses):
+            e = Const(Fraction(0)) - e
+        return e
+
+    def _primary(self) -> RationalExpr:
         kind, value, col = self.ts.next("an expression")
         if kind == "int":
             try:

@@ -22,7 +22,6 @@ from .algebra_core import (
     VarTable,
     clear_relations,
     content_and_primitive,
-    expr_normalize,
     expr_points,
     expr_substitute,
 )
@@ -407,17 +406,16 @@ def _unpinnable_point(c: Construction, table: VarTable, pinned: int) -> str | No
     """The first defined point whose definition does not commute with the
     maps that pinning relies on, or None. Pinning two points needs every
     map z -> az + b (a nonzero), so each definition must clear to an affine
-    combination of points: a constant denominator, a numerator of degree-1
-    point terms only, and coefficients summing to the denominator. Pinning
-    one point needs only the translations z -> z + b, which also allow a
-    constant term."""
+    combination of points: no denominator factor, degree-1 point terms
+    only, and coefficients summing to 1. Pinning one point needs only the
+    translations z -> z + b, which also allow a constant term."""
     degrees = (1,) if pinned == 2 else (0, 1)
     for d in c.inlined:
-        num, den, _ = expr_normalize(d.definition, table)
-        if not (
-            den.is_constant
-            and all(sum(m) in degrees for m in num.terms)
-            and sum(a for m, a in num.terms.items() if any(m)) == den.constant_value()
+        (num,), factors = clear_relations([d.definition], table)
+        if (
+            factors
+            or any(sum(m) not in degrees for m in num.terms)
+            or sum(a for m, a in num.terms.items() if any(m)) != 1
         ):
             return c.point_name(d.point)
     return None

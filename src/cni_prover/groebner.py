@@ -2,10 +2,11 @@
 elimination ideals, and the triviality test.
 
 Inputs are cleared of denominators into integer-primitive working records
-(fraction-free), whose monomials are packed ints under the active order
-(_Packing): multiplying or dividing two monomials is one integer addition
-or subtraction, comparing them is one integer comparison, and divisibility
-is one guard-bit test. Each record keeps its tail, every term but the
+(fraction-free, algebra_core._primitive), whose monomials are packed ints
+under the active order in the format that algebra_core defines and clears
+expressions on (_Packing): multiplying or dividing two monomials is one
+integer addition or subtraction, comparing them is one integer comparison,
+and divisibility is one guard-bit test. Each record keeps its tail, every term but the
 leading one, as a tuple built once: a reduction step deletes the cancelled
 leading term and merges only the reducer's tail, and an S-polynomial merges
 two tails. Division takes the leading term from a heap of the working
@@ -34,11 +35,11 @@ import time
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import mul
-from struct import Struct
 from typing import Iterable, Union
 
 from .algebra_core import (
+    _FIELD,
+    _HALF,
     AlgebraError,
     Block,
     GrevLex,
@@ -46,6 +47,9 @@ from .algebra_core import (
     Polynomial,
     VarTable,
     _integer_form,
+    _Packing,
+    _primitive,
+    _too_big,
 )
 
 
@@ -111,124 +115,7 @@ class _Budget:
 
 
 # ---------------------------------------------------------------------------
-# Packed monomials.
-
-# Bits per field of a packed monomial. The top bit of each field is a guard
-# that stays clear, so every field, and the total degree that bounds them
-# all, is below _HALF.
-_WIDTH = 16
-_HALF = 1 << (_WIDTH - 1)
-_FIELD = (1 << _WIDTH) - 1
-
-
-def _too_big() -> AlgebraError:
-    return AlgebraError(
-        f"a monomial of total degree {_HALF} or more does not fit a packed field"
-    )
-
-
-class _Packing:
-    """Exponent tuples over n variables as ints, under one order.
-
-    From the most significant field down: the order's weight rows, then a
-    unit row for each variable the order does not cover (so packing is
-    injective), then the exponents of variables 0 to n-1, then the total
-    degree. A grevlex block over perm contributes len(perm) rows, the
-    exponent sums of perm, perm[:-1], ..., perm[:1] in that order. Each
-    field is a 0/1 sum of exponents, so it never exceeds the total degree,
-    and a product of monomials is the sum of their ints, a quotient the
-    difference. The weight rows come first, so comparing ints compares
-    monomials under the order."""
-
-    __slots__ = ("units", "shifts", "exp", "guard", "by_field")
-
-    def __init__(self, order: MonomialOrder, n: int) -> None:
-        blocks = order.blocks()
-        covered = {v for perm in blocks for v in perm}
-        blocks += tuple((v,) for v in range(n) if v not in covered)
-        self.shifts = tuple(_WIDTH * (n - v) for v in range(n))
-        units = [1 + (1 << s) for s in self.shifts]
-        # the row fields, from the top one down to the one above variable 0
-        row = n + sum(map(len, blocks))
-        for perm in blocks:
-            # perm[j] sits in the block's top len(perm) - j rows
-            acc = 0
-            for v in reversed(perm):
-                acc += 1 << _WIDTH * row
-                row -= 1
-                units[v] += acc
-        self.units = tuple(units)
-        self.exp = sum((_HALF - 1) << s for s in self.shifts)
-        self.guard = sum(_HALF << s for s in self.shifts)
-        # the unit of the variable whose exponent sits in field k, counted
-        # from the degree field (k = 0) up
-        self.by_field = (0,) + self.units[::-1]
-
-    def pack(self, m: tuple[int, ...]) -> int:
-        """A tuple shorter than n leaves the fields past it zero."""
-        if sum(m) >= _HALF:
-            raise _too_big()
-        return sum(map(mul, m, self.units))
-
-    def reader(self, n: int):
-        """The function from a packed monomial to the exponents of variables
-        0 to n-1: their fields are adjacent, variable 0's on top, and below
-        the guard bit each fits 16 bits unsigned."""
-        shift = _WIDTH * (len(self.shifts) - n + 1)
-        mask = (1 << _WIDTH * n) - 1
-        size = 2 * n
-        unpack = Struct(f">{n}H").unpack
-        return lambda p: unpack((p >> shift & mask).to_bytes(size, "big"))
-
-    def lift(self, e: int) -> int:
-        """The packed monomial whose exponent fields are e. It visits only
-        the nonzero fields, from the top one down."""
-        p = deg = 0
-        by_field = self.by_field
-        while e:
-            k = (e.bit_length() - 1) // _WIDTH
-            x = e >> _WIDTH * k
-            e -= x << _WIDTH * k
-            p += x * by_field[k]
-            deg += x
-        if deg >= _HALF:
-            raise _too_big()
-        return p
-
-    def lcms(self, a: int, bs) -> list[int]:
-        """The exponent fields of lcm(a, b) for each b in bs, all given as
-        exponent fields. In each field, a's exponent minus b's, with the
-        field's guard bit set, keeps that bit iff a's is at least b's; ge
-        holds those bits and sel the value bits of their fields."""
-        exp, guard = self.exp, self.guard
-        ag = a | guard
-        out = []
-        for b in bs:
-            ge = (ag - b) & guard
-            sel = ge - (ge >> (_WIDTH - 1))
-            out.append((a & sel) | (b & (exp ^ sel)))
-        return out
-
-    def divides(self, d: int, m: int) -> bool:
-        """True iff monomial d divides monomial m: with the guard bits of m's
-        exponent fields set, subtracting d's exponents clears none of them."""
-        g = self.guard
-        return (((m & self.exp) | g) - (d & self.exp)) & g == g
-
-
-# ---------------------------------------------------------------------------
 # Fraction-free engine on integer-coefficient working records.
-
-
-def _content_strip(terms):
-    g = 0
-    for c in terms.values():
-        g = gcd(g, c)
-        if g == 1:
-            return terms
-    if g > 1:
-        return {m: c // g for m, c in terms.items()}
-    return terms
 
 
 class _IntPoly:
@@ -254,11 +141,8 @@ def _normalize(terms, pk: _Packing, sugar=None):
     coefficient positive. Returns None for the zero polynomial."""
     if not terms:
         return None
-    terms = _content_strip(terms)
-    lm = max(terms)
-    if terms[lm] < 0:
-        terms = {m: -c for m, c in terms.items()}
-    return _IntPoly(terms, lm, pk, sugar)
+    terms = _primitive(terms)[1]
+    return _IntPoly(terms, max(terms), pk, sugar)
 
 
 def _reduce(terms, reducers, pk: _Packing, budget: _Budget, cache):

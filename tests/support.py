@@ -365,12 +365,13 @@ def reference_primitive(p: Polynomial) -> tuple[Fraction, Polynomial]:
 
 
 def reference_normalize(e: Expr, table: VarTable):
-    """What expr_normalize returns, (num, den, factors), computed by
-    recursion on Polynomials: each Add, Sub, Mul and Pow combines the
-    children's num/den pairs as fractions do; a Div folds a constant
-    divisor into the coefficients and otherwise lists the divisor's
-    primitive part as a factor, first-seen order, and multiplies it into
-    den. A divisor whose numerator is zero raises ZeroDenominatorError."""
+    """(num, den, factors) with e = num/den, computed by recursion on
+    Polynomials; clear_relations gives the same num and factors for [e].
+    Each Add, Sub, Mul and Pow combines the children's num/den pairs as
+    fractions do; a Div folds a constant divisor into the coefficients and
+    otherwise lists the divisor's primitive part as a factor, first-seen
+    order, and multiplies it into den. A divisor whose numerator is zero
+    raises ZeroDenominatorError."""
     one = Polynomial.constant(table, 1)
     factors: dict[Polynomial, None] = {}
 

@@ -24,7 +24,6 @@ from cni_prover.algebra_core import (
     _print_rank,
     clear_relations,
     content_and_primitive,
-    expr_normalize,
     expr_substitute,
 )
 
@@ -359,37 +358,35 @@ def test_expr_substitute_replaces_points():
     assert out == Sub(PointRef(0), Add(PointRef(2), Const(Fraction(1))))
 
 
-def test_expr_normalize_clears_nested_quotients():
+def test_clear_relations_clears_nested_quotients():
     table = make_table("A", "B", "C")
     A, B, C = PointRef(0), PointRef(1), PointRef(2)
     e = Div(Sub(A, B), Sub(B, C))
-    num, den, factors = expr_normalize(e, table)
+    (num,), factors = clear_relations([e], table)
     a = Polynomial.variable(table, 0)
     b = Polynomial.variable(table, 1)
     c = Polynomial.variable(table, 2)
     assert num == a - b
-    assert den == b - c
     assert factors == [b - c]
 
 
-def test_expr_normalize_registers_each_factor_once():
+def test_clear_relations_registers_each_factor_once():
     table = make_table("A", "B", "C")
     A, B, C = PointRef(0), PointRef(1), PointRef(2)
     inner = Div(Sub(A, B), Sub(B, C))
     e = Div(inner, Div(Sub(B, C), Sub(A, C)))
-    num, den, factors = expr_normalize(e, table)
+    _, factors = clear_relations([e], table)
     keys = {frozenset(f.terms.items()) for f in factors}
     assert len(keys) == len(factors)
     b_minus_c = Polynomial.variable(table, 1) - Polynomial.variable(table, 2)
     assert any(f == b_minus_c for f in factors)
 
 
-def test_expr_normalize_folds_constant_denominators():
+def test_clear_relations_folds_constant_denominators():
     table = make_table("A", "B")
     e = Div(Add(PointRef(0), PointRef(1)), Const(Fraction(2)))
-    num, den, factors = expr_normalize(e, table)
+    (num,), factors = clear_relations([e], table)
     assert factors == []
-    assert den == Polynomial.constant(table, 1)
     assert num == (Polynomial.variable(table, 0) + Polynomial.variable(table, 1)).scale(Fraction(1, 2))
 
 
@@ -418,15 +415,17 @@ _gaussian = st.builds(Qi, _rational, _rational)
 @settings(max_examples=150, deadline=None)
 def test_normalize_agrees_with_direct_evaluation(e, a, b):
     # num/den must equal the expression wherever no denominator factor
-    # vanishes; a divisor that clears to zero divides by zero everywhere
+    # vanishes, den being the product of factors the reference builds; a
+    # divisor that clears to zero divides by zero everywhere
     table = make_table("A", "B")
     assign = {0: a, 1: b}
     try:
-        num, den, factors = expr_normalize(e, table)
+        (num,), factors = clear_relations([e], table)
     except ZeroDenominatorError:
         with pytest.raises(ZeroDivisionError):
             expr_evaluate(e, assign)
         return
+    den = reference_normalize(e, table)[1]
     for p in (num, den, *factors):
         _clean(p)
     if any(evaluate(f, assign) == 0 for f in factors):
@@ -441,13 +440,13 @@ def test_normalize_matches_the_reference(e, names):
     # returns, the factors in the same order, and fails on the same input
     table = make_table(*names)
     try:
-        want = reference_normalize(e, table)
+        num, _, want = reference_normalize(e, table)
     except ZeroDenominatorError:
         with pytest.raises(ZeroDenominatorError):
-            expr_normalize(e, table)
+            clear_relations([e], table)
         return
-    num, den, factors = expr_normalize(e, table)
-    assert (num, den, factors) == want
+    nums, factors = clear_relations([e], table)
+    assert (nums, factors) == ([num], want)
     for f in factors:
         assert f == reference_primitive(f)[1]
 
@@ -472,10 +471,10 @@ def test_clear_relations_matches_the_reference(es):
 def test_normalize_refuses_a_degree_beyond_the_packed_field():
     table = make_table("A")
     big = Pow(PointRef(0), 1 << 14)
-    num = expr_normalize(Mul(big, Pow(PointRef(0), (1 << 14) - 1)), table)[0]
+    (num,), _ = clear_relations([Mul(big, Pow(PointRef(0), (1 << 14) - 1))], table)
     assert num.total_degree == (1 << 15) - 1
     with pytest.raises(AlgebraError, match="total degree 32768"):
-        expr_normalize(Mul(big, big), table)
+        clear_relations([Mul(big, big)], table)
 
 
 def test_random_polynomial_helper_stays_in_bounds():

@@ -67,6 +67,12 @@ def test_parse_unary_minus():
     c = parse(SourceProgram("point A, C\nB := -A + 1\nprove collinear(A, B, C)"))
     d = c.steps[0]
     assert d.definition == Add(Sub(Const(Fraction(0)), PointRef(0)), Const(Fraction(1)))
+    # a run of minuses folds into a constant, and otherwise nests once per minus
+    c = parse(SourceProgram("point A, C\nB := --A*C - ---3\nprove collinear(A, B, C)"))
+    zero = Const(Fraction(0))
+    assert c.steps[0].definition == Sub(
+        Mul(Sub(zero, Sub(zero, PointRef(0))), PointRef(1)), Const(Fraction(-3))
+    )
 
 
 def test_parse_requires_prove():
@@ -332,11 +338,10 @@ def test_overlong_integer_literal_is_a_syntax_error(tmp_path):
     "definition",
     [
         pytest.param("(" * 3000 + "A" + ")" * 3000, id="parentheses"),
-        pytest.param("-" * 3000 + "A", id="unary-minus"),
     ],
 )
 def test_run_cli_too_deep_input_is_an_error(tmp_path, definition):
-    # both overflow the parser, which caps the depth of nesting
+    # the parser recurses per parenthesis, which caps the depth of nesting
     f = tmp_path / "deep.cni"
     f.write_text(f"point A, B\nX := {definition}\nprove collinear(A, B, X)\n")
     code, out, err = _run(str(f))
@@ -363,6 +368,20 @@ def test_run_cli_long_sum_ends_with_a_verdict(tmp_path, definition, status, fix)
     assert (code, err) == (status, "")
     assert out.startswith("Let A, B be arbitrary points.\n")
     assert f"X:={definition}\n" in out
+
+
+@pytest.mark.parametrize("minuses,status", [(3000, 0), (3001, 2)])
+@pytest.mark.parametrize("fix", ["zero_one", "off"])
+def test_run_cli_long_unary_minus_run_ends_with_a_verdict(tmp_path, minuses, status, fix):
+    # the parser reads a run of unary minuses in a loop, and X is A after an
+    # even count, -A after an odd one, which pinning refuses
+    f = tmp_path / "minus.cni"
+    f.write_text(f"point A, B\nX := {'-' * minuses}A\nprove collinear(A, B, X)\n")
+    code, out, err = _run(str(f), fix_mode=fix)
+    assert (code, err) == (status, "")
+    assert out.startswith("Let A, B be arbitrary points.\n")
+    k = minuses - 1
+    assert "X:=" + "0-(" * k + "0-A" + ")" * k + "\n" in out
 
 
 def test_run_cli_unknown_predicate_is_inconclusive(tmp_path):

@@ -1,5 +1,8 @@
 """No module under src/ or tests/ imports a name it never uses. A name
-listed in a module's __all__ counts as used: the package re-exports it."""
+listed in a module's __all__ counts as used: the package re-exports it.
+The lower modules keep their layering: algebra_core imports no other module
+of the package, groebner imports algebra_core alone, and the packed
+monomial format is defined in algebra_core only."""
 
 import ast
 from pathlib import Path
@@ -40,3 +43,62 @@ def test_no_unused_imports(path):
 def test_an_unused_import_is_found():
     source = "import os\nfrom math import gcd, lcm\nimport a.b as c\n\nprint(gcd(4, 6))\n"
     assert unused_imports(source) == [(1, "os"), (2, "lcm"), (3, "c")]
+
+
+PACKAGE = ROOT / "src" / "cni_prover"
+
+
+def package_imports(source: str) -> set[str]:
+    """The modules of the package that a module of it imports."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [
+                alias.name for alias in node.names
+            ]
+            for name in names:
+                if name and name.split(".")[0] == "cni_prover":
+                    out.add(name.split(".")[1] if "." in name else "cni_prover")
+    return out
+
+
+def top_level_definitions(source: str) -> set[str]:
+    """The names a module binds at its top level by def, class or assignment."""
+    out = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update(t.id for t in targets if isinstance(t, ast.Name))
+    return out
+
+
+@pytest.mark.parametrize(
+    "module,allowed", [("algebra_core", set()), ("groebner", {"algebra_core"})]
+)
+def test_lower_modules_keep_their_layering(module, allowed):
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert package_imports(source) == allowed
+
+
+def test_the_packed_format_is_defined_once():
+    packed = {"_Packing", "_WIDTH", "_HALF", "_FIELD"}
+    owners = {
+        path.stem: packed & top_level_definitions(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {stem: names for stem, names in owners.items() if names} == {"algebra_core": packed}
+
+
+def test_package_imports_are_found():
+    source = (
+        "from . import groebner\nfrom .algebra_core import Polynomial\n"
+        "import cni_prover.prover\nfrom cni_prover import cli_dsl\nimport os\n"
+    )
+    assert package_imports(source) == {"groebner", "algebra_core", "prover", "cni_prover"}
