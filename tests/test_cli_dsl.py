@@ -421,10 +421,13 @@ NOT_PINNABLE = [
     ("point A, B, C\nD := A*B\nprove collinear(A, D, C)\n", "zero_one"),
     ("point A, B\nD := A + 1\nprove parallel(A, D, A, B)\n", "zero_one"),
     ("point A, B\nD := A + B\nprove collinear(A, D, B)\n", "minus_one_one"),
+    ("point A, B, C\nD := A/(A - B)\nprove collinear(A, D, C)\n", "zero_one"),
 ]
 
 
-@pytest.mark.parametrize("text,fix", NOT_PINNABLE, ids=["product", "shift", "sum"])
+@pytest.mark.parametrize(
+    "text,fix", NOT_PINNABLE, ids=["product", "shift", "sum", "quotient"]
+)
 def test_pinning_is_refused_for_a_definition_that_is_not_affine(text, fix, monkeypatch):
     docs = {}
     for mode in (fix, "off"):

@@ -49,21 +49,25 @@ PACKAGE = ROOT / "src" / "cni_prover"
 
 
 def package_imports(source: str) -> set[str]:
-    """The modules of the package that a module of it imports."""
+    """The modules of the package that a module imports, by relative or by
+    absolute name; the package itself counts as "cni_prover"."""
     out = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and node.level:
-            if node.module:
-                out.add(node.module.split(".")[0])
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "cni_prover":
+                    out.add(rest.split(".")[0] or top)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                top, _, module = module.partition(".")
+                if top != "cni_prover":
+                    continue
+            if module:
+                out.add(module.split(".")[0])
             else:
                 out.update(alias.name for alias in node.names)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [node.module] if isinstance(node, ast.ImportFrom) else [
-                alias.name for alias in node.names
-            ]
-            for name in names:
-                if name and name.split(".")[0] == "cni_prover":
-                    out.add(name.split(".")[1] if "." in name else "cni_prover")
     return out
 
 
@@ -98,7 +102,10 @@ def test_the_packed_format_is_defined_once():
 
 def test_package_imports_are_found():
     source = (
+        "from __future__ import annotations\nimport os\nimport cni_prover\n"
         "from . import groebner\nfrom .algebra_core import Polynomial\n"
-        "import cni_prover.prover\nfrom cni_prover import cli_dsl\nimport os\n"
+        "import cni_prover.prover\nfrom cni_prover import cli_dsl\n"
     )
-    assert package_imports(source) == {"groebner", "algebra_core", "prover", "cni_prover"}
+    assert package_imports(source) == {
+        "groebner", "algebra_core", "prover", "cli_dsl", "cni_prover"
+    }
