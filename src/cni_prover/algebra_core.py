@@ -77,15 +77,10 @@ class VarTable:
 
 
 class MonomialOrder:
-    """Base for monomial orders. Orders compare exponent tuples through sort
-    keys; larger key means larger monomial.
-
-    `blocks()` gives the same order as grevlex blocks, most significant
-    first: monomials compare under the first block's GrevLex, ties go to the
-    next block, and so on."""
-
-    def key(self, m: tuple[int, ...]):
-        raise NotImplementedError
+    """Base for monomial orders on exponent tuples. `blocks()` gives the
+    order as grevlex blocks, most significant first: monomials compare
+    under the first block's GrevLex, ties go to the next block, and so on.
+    _Packing turns that into integers that compare as the monomials do."""
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         raise NotImplementedError
@@ -93,11 +88,12 @@ class MonomialOrder:
 
 @dataclass(frozen=True)
 class GrevLex(MonomialOrder):
-    perm: tuple[int, ...]
+    """Graded reverse lexicographic order on the variables in `perm`: the
+    larger total degree in them wins; at equal degree, the smaller exponent
+    in the last of them where two monomials differ. It ignores the other
+    variables."""
 
-    def key(self, m: tuple[int, ...]):
-        exps = [m[i] for i in self.perm]
-        return (sum(exps), tuple(-e for e in reversed(exps)))
+    perm: tuple[int, ...]
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         return (self.perm,)
@@ -111,9 +107,6 @@ class Block(MonomialOrder):
 
     first: MonomialOrder
     second: MonomialOrder
-
-    def key(self, m: tuple[int, ...]):
-        return (self.first.key(m), self.second.key(m))
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         return self.first.blocks() + self.second.blocks()
@@ -428,18 +421,19 @@ class Polynomial:
     def __hash__(self):
         return hash((id(self.table), frozenset(self.terms.items())))
 
-    def leading_monomial(self, order: MonomialOrder) -> tuple[int, ...]:
-        if self.is_zero:
-            raise AlgebraError("the zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
-
-    def leading_coefficient(self, order: MonomialOrder) -> Fraction:
-        return self.terms[self.leading_monomial(order)]
-
     def substitute(self, assignment: Mapping[int, Rational]) -> "Polynomial":
-        """Replace the given variables by rational constants. A value p/q
-        for a variable of degree k multiplies the common denominator by
-        q^k once; each term gets p^e q^(k-e) for its exponent e."""
+        """Replace the given variables by rational constants."""
+        pinned = self._pinned(assignment)
+        return self if pinned is None else Polynomial._from_integers(self.table, *pinned)
+
+    def _pinned(
+        self, assignment: Mapping[int, Rational]
+    ) -> tuple[dict[tuple[int, ...], int], int] | None:
+        """(nums, den) with self, the given variables replaced by rational
+        constants, equal to the sum of nums[m]/den times m; nums may hold
+        zeros. None when self has none of the variables. A value p/q for a
+        variable of degree k multiplies the common denominator by q^k once;
+        each term gets p^e q^(k-e) for its exponent e."""
         pins = []
         for v, value in assignment.items():
             k = self.degree_in(v)
@@ -447,7 +441,7 @@ class Polynomial:
                 value = Fraction(value)
                 pins.append((v, value.numerator, value.denominator, k))
         if not pins:
-            return self
+            return None
         nums, den = _integer_form(self.terms)
         for _, _, q, k in pins:
             den *= q**k
@@ -466,7 +460,7 @@ class Polynomial:
                     m = m[:v] + (0,) + m[v + 1:]
             else:
                 out[m] = get(m, 0) + c
-        return Polynomial._from_integers(self.table, out, den)
+        return out, den
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms descending under the print order."""
@@ -491,13 +485,30 @@ def content_and_primitive(p: Polynomial) -> tuple[Fraction, Polynomial]:
     if p.is_zero:
         return Fraction(0), p
     nums, den = _integer_form(p.terms)
-    g = gcd(*nums.values())
-    if p.terms[min(p.terms, key=_print_rank)] < 0:
-        g = -g
-    elif g == den == 1:
+    g = _signed_content(nums)
+    if g == den == 1:
         return Fraction(1), p
     prim = Polynomial._from_integers(p.table, {m: n // g for m, n in nums.items()})
     return Fraction(g, den), prim
+
+
+def _signed_content(nums: Mapping[tuple[int, ...], int]) -> int:
+    """The gcd of nonzero integer coefficients, negative when the one of the
+    leading monomial under the print order is."""
+    g = gcd(*nums.values())
+    return -g if nums[min(nums, key=_print_rank)] < 0 else g
+
+
+def substitute_primitive(p: Polynomial, assignment: Mapping[int, Rational]) -> Polynomial:
+    """p.substitute(assignment) when that is constant, else its primitive
+    part as content_and_primitive gives it, built once from the integer
+    numerators of the substitution."""
+    nums, den = p._pinned(assignment) or _integer_form(p.terms)
+    nums = {m: c for m, c in nums.items() if c}
+    if not any(map(any, nums)):
+        return Polynomial._from_integers(p.table, nums, den)
+    g = _signed_content(nums)
+    return Polynomial._from_integers(p.table, {m: c // g for m, c in nums.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ from .algebra_core import (
     Sub,
     VarTable,
     clear_relations,
-    content_and_primitive,
     expr_points,
     expr_substitute,
+    substitute_primitive,
 )
 
 
@@ -455,8 +455,7 @@ def fix_coordinates(sys: PolynomialSystem, c: Construction, mode: str) -> Polyno
     polys = tuple(p.substitute(assignment) for p in sys.hypothesis_polys)
     factors: dict[Polynomial, None] = {}  # first-seen order
     for f in sys.denominator_factors:
-        f = f.substitute(assignment)
-        factors[f if f.is_constant else content_and_primitive(f)[1]] = None
+        factors[substitute_primitive(f, assignment)] = None
     fixed_set = set(assignment)
     return replace(
         sys,

@@ -21,13 +21,15 @@ basis only grows and a cache keyed by packed monomial can keep each
 monomial's reducer, and a hit needs no divisibility test. Results leave as
 monic Polynomials on exponent tuples.
 An elimination is one Buchberger run under a block order whose first block
-holds every eliminated variable: the given ones, then one Rabinowitsch
-variable u_k per factor d_k to saturate by, packed past the table's last
-variable and entered as d_k*u_k - 1. By the elimination theorem the
-elements free of the block are a basis of the elimination ideal, and the
-run interreduces only those. A second elimination of the same ideal with
-more generators continues from the first run's minimal basis and packing:
-it enters only the pairs with the new generators and their successors.
+holds every eliminated variable: one Rabinowitsch variable u_k per factor
+d_k to saturate by, packed past the table's last variable and entered as
+d_k*u_k - 1, then the given ones. By the elimination theorem the elements
+free of the block are a basis of the elimination ideal, whatever the order
+inside the block, and the run interreduces only those. The u_k come first
+because that order reduces less than the points first on the slowest
+corpus statements. A second elimination of the same ideal with more
+generators continues from the first run's minimal basis and packing: it
+enters only the pairs with the new generators and their successors.
 """
 from __future__ import annotations
 
@@ -417,16 +419,17 @@ def eliminate(
     is ideal(F) plus the ideal `after` was computed for, whose saturation
     it inherits.
 
-    One Buchberger run under Block(GrevLex(eliminated + us), GrevLex(kept)),
+    One Buchberger run under Block(GrevLex(us + eliminated), GrevLex(kept)),
     with one Rabinowitsch variable u_k past the table's last for each
     factor d_k to saturate by and d_k*u_k - 1 among the generators. A
     nonzero constant factor cannot vanish and gets none; a zero factor
     makes the ideal the whole ring. By the elimination theorem the elements
     of the run's basis free of the block are a basis of the elimination
-    ideal, and the run reduces only those. With `after`, the run starts from
-    after's minimal block basis and its packing, and enters only the pairs
-    with F's elements and their successors. The result is the unique
-    reduced monic basis under GrevLex on the kept variables.
+    ideal, and the run reduces only those. The order inside the block
+    does not change them, only the work it takes. With `after`, the run
+    starts from after's minimal block basis and its packing, and enters
+    only the pairs with F's elements and their successors. The result is
+    the unique reduced monic basis under GrevLex on the kept variables.
     """
     config = config or DEFAULT_CONFIG
     polys = [f for f in F if not f.is_zero]
@@ -449,7 +452,7 @@ def eliminate(
         raise AlgebraError("elimination must keep at least one variable")
     if after is None:
         us = tuple(range(n, n + len(factors)))
-        pk, seed = _Packing(Block(GrevLex(elim + us), GrevLex(kept)), n + len(us)), ()
+        pk, seed = _Packing(Block(GrevLex(us + elim), GrevLex(kept)), n + len(us)), ()
         gens = _enter(polys, pk) + [_saturator(d, u, pk) for d, u in zip(factors, us)]
     else:
         pk, seed = after.packing, after.block_basis

@@ -114,10 +114,22 @@ def format_polynomial(p: Polynomial) -> str:
 # The summarizing identity.
 
 
+def _relation_texts(trace: ProofTrace) -> dict[int, str]:
+    """Each relation as printed, by its slack: the hypotheses, then the
+    thesis when the statement has one. A document formats each once."""
+    origins = trace.hypotheses + (() if trace.thesis is None else (trace.thesis,))
+    return {h.slack: format_expr(h.stated, trace.point_names) for h in origins}
+
+
 def emit_identity(trace: ProofTrace) -> str | None:
     """When the pivot has exactly two terms c*M*r + k with k constant, the
     proof amounts to one identity: the product of the slack expressions in M
     and the thesis expression equals -k/c. Returns None otherwise."""
+    return _identity(trace, _relation_texts(trace))
+
+
+def _identity(trace: ProofTrace, texts: dict[int, str]) -> str | None:
+    """emit_identity, with the relations as `_relation_texts` prints them."""
     if trace.linear is None:
         return None
     pivot = trace.linear.pivot
@@ -132,18 +144,15 @@ def emit_identity(trace: ProofTrace) -> str | None:
             const = c
     if mono is None or const is None:
         return None
-    by_slack = {h.slack: h for h in trace.hypotheses}
-    names = trace.point_names
     factors = []
     for v, e in enumerate(mono):
         if v == r or not e:
             continue
-        origin = by_slack.get(v)
-        if origin is None:
+        s = texts.get(v)
+        if s is None:
             return None
-        s = format_expr(origin.stated, names)
         factors.append(f"({s})" + (f"^{e}" if e > 1 else ""))
-    thesis_s = format_expr(trace.thesis.stated, names)
+    thesis_s = texts[r]
     value = -const / coeff
     if not factors:
         return f"{thesis_s}={value}"
@@ -179,7 +188,9 @@ def _note_line(note: str) -> str:
     return "Note: " + note + ("" if note.endswith(".") else ".")
 
 
-def _narration(verdict: ProverVerdict, show_ideal: bool) -> list[tuple[str, str]]:
+def _narration(
+    verdict: ProverVerdict, show_ideal: bool, texts: dict[int, str]
+) -> list[tuple[str, str]]:
     t = verdict.trace
     names = t.point_names
     items: list[tuple[str, str]] = []
@@ -197,7 +208,7 @@ def _narration(verdict: ProverVerdict, show_ideal: bool) -> list[tuple[str, str]
     for name, defn in t.declaratives:
         items.append(("f", f"{name}:={format_expr(defn, names)}"))
     for h in t.hypotheses:
-        items.append(("fr", f"{format_expr(h.stated, names)}={h.name}"))
+        items.append(("fr", f"{texts[h.slack]}={h.name}"))
 
     if t.fixed:
         items.append(("s", "Without loss of generality, some coordinates can be fixed:"))
@@ -206,7 +217,7 @@ def _narration(verdict: ProverVerdict, show_ideal: bool) -> list[tuple[str, str]
 
     if t.thesis is not None:
         items.append(("s", "The thesis:"))
-        items.append(("f", f"{format_expr(t.thesis.stated, names)}={t.thesis.name}"))
+        items.append(("f", f"{texts[t.thesis.slack]}={t.thesis.name}"))
         items.append(("s", "We eliminate all variables that correspond to complex points."))
 
     if show_ideal and t.thesis is not None and (t.generators or verdict.reason != "t/o"):
@@ -258,7 +269,7 @@ def _narration(verdict: ProverVerdict, show_ideal: bool) -> list[tuple[str, str]
 
     if verdict.outcome == PROVED:
         items.append(("s", "Since all hypotheses are real expressions, the thesis must also be real."))
-        identity = emit_identity(t)
+        identity = _identity(t, texts)
         if identity is not None:
             items.append(("s", "The proof can be summarized as the complex number identity:"))
             items.append(("f", identity))
@@ -280,7 +291,7 @@ def _banner(verdict: ProverVerdict) -> str:
     return BANNER_PROVED if verdict.outcome == PROVED else BANNER_INCONCLUSIVE
 
 
-def _json_payload(verdict: ProverVerdict, show_ideal: bool) -> dict:
+def _json_payload(verdict: ProverVerdict, show_ideal: bool, texts: dict[int, str]) -> dict:
     t = verdict.trace
     names = t.point_names
     second = t.second
@@ -294,12 +305,12 @@ def _json_payload(verdict: ProverVerdict, show_ideal: bool) -> dict:
         "verdict": verdict.outcome,
         "reason": verdict.reason,
         "hypotheses": [
-            {"relation": format_expr(h.stated, names), "slack": h.name}
+            {"relation": texts[h.slack], "slack": h.name}
             for h in t.hypotheses
         ],
         "fixed": [{"point": p, "value": str(v)} for p, v in t.fixed],
         "thesis": (
-            {"relation": format_expr(t.thesis.stated, names), "slack": t.thesis.name}
+            {"relation": texts[t.thesis.slack], "slack": t.thesis.name}
             if t.thesis is not None
             else None
         ),
@@ -307,7 +318,7 @@ def _json_payload(verdict: ProverVerdict, show_ideal: bool) -> dict:
         "rational_form": _rational_form(t),
         "denominator": fmt(t.denominator),
         "second_elimination": second.status if second is not None else None,
-        "identity": emit_identity(t),
+        "identity": _identity(t, texts),
         "declaratives": [
             {"point": nm, "definition": format_expr(d, names)}
             for nm, d in t.declaratives
@@ -332,13 +343,14 @@ def emit_trace(
     if format not in FORMATS:
         raise AlgebraError(f"unknown proof format {format!r}")
     banner = _banner(verdict)
+    texts = _relation_texts(verdict.trace)
 
     if format == "json":
-        payload = _json_payload(verdict, show_ideal)
+        payload = _json_payload(verdict, show_ideal, texts)
         lines = tuple(json.dumps(payload, indent=2).splitlines())
         return ProofDocument("json", lines, banner)
 
-    items = _narration(verdict, show_ideal)
+    items = _narration(verdict, show_ideal, texts)
     if format == "text":
         return ProofDocument("text", tuple(text for _, text in items), banner)
 

@@ -119,14 +119,18 @@ class ProverVerdict:
 
 
 def select_pivot(I: EliminationResult | GroebnerBasis, r: int) -> Polynomial:
-    """The generator of minimal positive degree in r; ties broken by total
-    degree, then term count, then position in the generator list."""
+    """The generator of minimal positive degree in r. Ties go first to one
+    whose terms with r hold no other variable: for a linear pivot, that is
+    a constant coefficient v of r, so r needs no division when some
+    generator allows that. Then lower total degree, then fewer terms, then
+    position in the generator list."""
     best = None
     for i, g in enumerate(I.generators):
         d = g.degree_in(r)
         if d == 0:
             continue
-        key = (d, g.total_degree, len(g.terms), i)
+        varies = any(m[r] and sum(m) > m[r] for m in g.terms)
+        key = (d, varies, g.total_degree, len(g.terms), i)
         if best is None or key < best[0]:
             best = (key, g)
     if best is None:

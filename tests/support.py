@@ -157,11 +157,31 @@ def expr_evaluate(e: Expr, assignment):
     raise AlgebraError(f"unknown expression node {e!r}")
 
 
+def order_key(order: MonomialOrder, m: tuple[int, ...]):
+    """The sort key of monomial m under a GrevLex or Block order: a larger
+    key is a larger monomial. It reads the orders' fields, not their
+    blocks(), so it is a reference for the packed monomials."""
+    if isinstance(order, Block):
+        return (order_key(order.first, m), order_key(order.second, m))
+    exps = [m[i] for i in order.perm]
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def leading_monomial(p: Polynomial, order: MonomialOrder) -> tuple[int, ...]:
+    if p.is_zero:
+        raise AlgebraError("the zero polynomial has no leading monomial")
+    return max(p.terms, key=lambda m: order_key(order, m))
+
+
+def leading_coefficient(p: Polynomial, order: MonomialOrder) -> Fraction:
+    return p.terms[leading_monomial(p, order)]
+
+
 def monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
     """p scaled to leading coefficient 1 under `order`; zero stays zero."""
     if p.is_zero:
         return p
-    return p.scale(1 / p.leading_coefficient(order))
+    return p.scale(1 / leading_coefficient(p, order))
 
 
 def mono(table: VarTable, exps: dict[int, int]) -> tuple[int, ...]:
@@ -259,11 +279,12 @@ def normal_form(f: Polynomial, G, order: MonomialOrder) -> Polynomial:
     for g in G:
         if g.is_zero:
             raise AlgebraError("normal_form requires nonzero divisors")
-        reducers.append((g.leading_monomial(order), g.leading_coefficient(order), g))
+        lm = leading_monomial(g, order)
+        reducers.append((lm, g.terms[lm], g))
     work = dict(f.terms)
     rem: dict[tuple[int, ...], Fraction] = {}
     while work:
-        m = max(work, key=order.key)
+        m = max(work, key=lambda t: order_key(order, t))
         c = work.pop(m)
         hit = None
         for lm, lc, g in reducers:
@@ -291,8 +312,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     """S(f, g) = (lcm/lt(f)) * f - (lcm/lt(g)) * g; the leading terms cancel."""
     if f.is_zero or g.is_zero:
         raise AlgebraError("S-polynomial of a zero polynomial")
-    lmf = f.leading_monomial(order)
-    lmg = g.leading_monomial(order)
+    lmf = leading_monomial(f, order)
+    lmg = leading_monomial(g, order)
     l = mono_lcm(lmf, lmg)
     tf = Polynomial(f.table, {mono_div(l, lmf): 1 / f.terms[lmf]})
     tg = Polynomial(g.table, {mono_div(l, lmg): 1 / g.terms[lmg]})
@@ -358,7 +379,7 @@ def reference_primitive(p: Polynomial) -> tuple[Fraction, Polynomial]:
     g = 0
     for c in p.terms.values():
         g = gcd(g, c.numerator * (den // c.denominator))
-    if p.leading_coefficient(print_order(p.table)) < 0:
+    if leading_coefficient(p, print_order(p.table)) < 0:
         g = -g
     content = Fraction(g, den)
     return content, p.scale(1 / content)

@@ -32,12 +32,15 @@ from cni_prover.groebner import (
 from support import (
     from_sympy,
     in_ideal,
+    leading_coefficient,
+    leading_monomial,
     make_table,
     monic,
     mono_div,
     mono_lcm,
     mono_mul,
     normal_form,
+    order_key,
     random_polynomial,
     s_polynomial,
     to_sympy,
@@ -76,7 +79,7 @@ def test_packing_is_the_order_and_the_monoid(case):
     order, n, (a, b, c) = case
     pk = _Packing(order, n)
     pa, pb = pk.pack(a), pk.pack(b)
-    assert (pa < pb) == (order.key(a) < order.key(b))
+    assert (pa < pb) == (order_key(order, a) < order_key(order, b))
     assert (pa == pb) == (a == b)
     assert pa + pb == pk.pack(mono_mul(a, b))
     assert pk.reader(n)(pa) == a
@@ -192,8 +195,8 @@ def test_repeated_and_scaled_generators_give_the_same_basis():
             for _ in range(rng.randint(2, 3))
         ]
         base = [p for p in base if not p.is_zero]
-        base.sort(key=lambda p: order.key(p.leading_monomial(order)))
-        lms = [p.leading_monomial(order) for p in base]
+        base.sort(key=lambda p: order_key(order, leading_monomial(p, order)))
+        lms = [leading_monomial(p, order) for p in base]
         if len(base) < 2 or lms[0] == lms[-1]:
             continue
         # in the ideal, with the leading monomial of base[-1]
@@ -291,11 +294,11 @@ def test_basis_is_autoreduced():
             continue
         gens = groebner_basis(polys, order).generators
         for i, g in enumerate(gens):
-            assert g.leading_coefficient(order) == 1
+            assert leading_coefficient(g, order) == 1
             others = [h for j, h in enumerate(gens) if j != i]
             if not others:
                 continue
-            lms = [h.leading_monomial(order) for h in others]
+            lms = [leading_monomial(h, order) for h in others]
             for m in g.terms:
                 assert not any(mono_div(m, lm) is not None for lm in lms)
 
@@ -484,9 +487,9 @@ def test_block_run_keeps_the_block_free_part_of_the_reduced_basis():
         assert kept == tuple(g for g in full if not any(g.contains_var(v) for v in block))
         pk = res.packing
         assert [pk.reader(len(table))(g.lm) for g in res.block_basis] == [
-            g.leading_monomial(order) for g in full
+            leading_monomial(g, order) for g in full
         ]
-        lms = [g.leading_monomial(order) for g in kept]
+        lms = [leading_monomial(g, order) for g in kept]
         for i, g in enumerate(kept):
             for m in g.terms:
                 assert not any(
@@ -512,6 +515,51 @@ def test_elimination_with_rabinowitsch_variable():
         assert ideal_is_trivial(eliminate(F, [0], saturate=[Polynomial.zero(table)]))
     # saturating nothing but a nonzero factor leaves the zero ideal
     assert eliminate([], [0], saturate=[X - Y]).generators == ()
+
+
+@given(st.randoms(use_true_random=False), st.data())
+@settings(max_examples=60, deadline=None)
+def test_order_inside_the_block_does_not_change_the_elimination(rng, data):
+    # by the elimination theorem any order of the eliminated block gives the
+    # same block-free part of the reduced basis: here every permutation of
+    # the points and explicit Rabinowitsch variables u_k, one per factor
+    # d_k with d_k*u_k - 1 among the generators, must give what eliminate
+    # prints
+    table = make_table("x", "y", "z", "w")
+    factors = [
+        random_polynomial(rng, table, range(4), max_degree=1, max_terms=2)
+        for _ in range(rng.randint(0, 2))
+    ]
+    factors = [d for d in factors if not d.is_constant]
+    polys = [
+        random_polynomial(rng, table, range(4), max_degree=2, max_terms=3)
+        for _ in range(rng.randint(1, 3))
+    ]
+    polys = [p for p in polys if not p.is_constant]  # a nonzero one is trivial
+    for k, d in enumerate(factors[: len(polys)]):
+        polys[k] = polys[k] * d  # so that saturating removes a component
+    elim = tuple(sorted(rng.sample(range(4), rng.randint(1, 2))))
+    kept = tuple(v for v in range(4) if v not in elim)
+    expected = eliminate(polys, elim, GroebnerConfig(timeout=None), saturate=factors)
+
+    ext = make_table("x", "y", "z", "w", *(f"u{k}" for k in range(len(factors))))
+    us = tuple(range(4, len(ext)))
+
+    def lift(p):
+        return Polynomial(ext, {m + (0,) * len(us): c for m, c in p.terms.items()})
+
+    gens = [lift(p) for p in polys] + [
+        lift(d) * Polynomial.variable(ext, u) - Polynomial.constant(ext, 1)
+        for d, u in zip(factors, us)
+    ]
+    perm = tuple(data.draw(st.permutations(elim + us)))
+    basis = groebner_basis(gens, Block(GrevLex(perm), GrevLex(kept)), GroebnerConfig(timeout=None))
+    free = tuple(
+        Polynomial(table, {m[:4]: c for m, c in g.terms.items()})
+        for g in basis.generators
+        if not any(g.contains_var(v) for v in perm)
+    )
+    assert free == expected.generators
 
 
 def test_continued_elimination():

@@ -142,6 +142,18 @@ def test_select_pivot_tie_breaks_on_size():
     assert select_pivot(I, r) is small
 
 
+def test_select_pivot_prefers_a_constant_coefficient_of_r():
+    # two of Newton-Gauss's pinned second-ideal generators: the smaller one
+    # divides by r4, the larger one gives r as a polynomial
+    table, (r2, r3, r4, r) = _ring("r2", "r3", "r4", "r")
+    divides = _poly(table, [({r4: 1, r: 1}, 1), ({r3: 1}, -1), ({r4: 1}, 1)])
+    polynomial = _poly(
+        table, [({r: 1}, 1), ({r2: 1, r3: 1}, 1), ({r2: 1}, 1), ({r3: 1}, 1), ({}, 1)]
+    )
+    I = _result([divides, polynomial])
+    assert select_pivot(I, r) is polynomial
+
+
 def test_select_pivot_requires_r():
     table, (x, r) = _ring("x", "r")
     I = _result([_poly(table, [({x: 1}, 1)])])
@@ -406,7 +418,9 @@ def test_second_elimination_continues_from_the_first(name, fix, monkeypatch):
     assert not [p for p in pairs if id(p[0]) in seed and id(p[1]) in seed]
 
 
-@pytest.mark.parametrize("fix,reductions,zeros", [("zero_one", 1000, 670), ("off", 1831, 1313)])
+@pytest.mark.parametrize(
+    "fix,reductions,zeros", [("zero_one", 960, 660), ("off", 1953, 1408)], ids=["zero_one", "off"]
+)
 def test_corpus_reduction_counts(fix, reductions, zeros, monkeypatch):
     """The S-pairs reduced, and those that reduced to zero, summed over the
     first and second eliminations of every corpus statement but `pappus`.
