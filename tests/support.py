@@ -1,6 +1,7 @@
 """Shared test helpers: exact Gaussian rationals and the evaluation of
 polynomials and point expressions over them, polynomial builders and random
-generators, sympy conversion, and the reference division and S-polynomial
+generators, sympy conversion, the sort keys of the monomial orders and the
+leading terms under them, and the reference division and S-polynomial
 that engine results are checked against, a reference first elimination
 through one product Rabinowitsch generator, and the reference clearing of
 denominators on Polynomial arithmetic."""
