@@ -505,7 +505,7 @@ def substitute_primitive(p: Polynomial, assignment: Mapping[int, Rational]) -> P
     numerators of the substitution."""
     nums, den = p._pinned(assignment) or _integer_form(p.terms)
     nums = {m: c for m, c in nums.items() if c}
-    if not any(map(any, nums)):
+    if not any(map(any, nums)):  # zero or a constant
         return Polynomial._from_integers(p.table, nums, den)
     g = _signed_content(nums)
     return Polynomial._from_integers(p.table, {m: c // g for m, c in nums.items()})
