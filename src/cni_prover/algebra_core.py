@@ -479,35 +479,18 @@ class Polynomial:
         return "Polynomial(" + " + ".join(bits) + ")"
 
 
-def content_and_primitive(p: Polynomial) -> tuple[Fraction, Polynomial]:
-    """Write p = content * primitive with primitive having coprime integer
-    coefficients and a positive leading coefficient under the print order."""
-    if p.is_zero:
-        return Fraction(0), p
-    nums, den = _integer_form(p.terms)
-    g = _signed_content(nums)
-    if g == den == 1:
-        return Fraction(1), p
-    prim = Polynomial._from_integers(p.table, {m: n // g for m, n in nums.items()})
-    return Fraction(g, den), prim
-
-
-def _signed_content(nums: Mapping[tuple[int, ...], int]) -> int:
-    """The gcd of nonzero integer coefficients, negative when the one of the
-    leading monomial under the print order is."""
-    g = gcd(*nums.values())
-    return -g if nums[min(nums, key=_print_rank)] < 0 else g
-
-
 def substitute_primitive(p: Polynomial, assignment: Mapping[int, Rational]) -> Polynomial:
     """p.substitute(assignment) when that is constant, else its primitive
-    part as content_and_primitive gives it, built once from the integer
-    numerators of the substitution."""
+    part: coprime integer coefficients and a positive leading coefficient
+    under the print order, built once from the integer numerators of the
+    substitution."""
     nums, den = p._pinned(assignment) or _integer_form(p.terms)
     nums = {m: c for m, c in nums.items() if c}
     if not any(map(any, nums)):  # zero or a constant
         return Polynomial._from_integers(p.table, nums, den)
-    g = _signed_content(nums)
+    g = gcd(*nums.values())
+    if nums[min(nums, key=_print_rank)] < 0:
+        g = -g
     return Polynomial._from_integers(p.table, {m: c // g for m, c in nums.items()})
 
 
@@ -669,23 +652,8 @@ def expr_substitute(e: Expr, mapping: Mapping[int, Expr]) -> Expr:
 
 
 def expr_points(e: Expr) -> set[int]:
-    """The indices of the points e references, found without recursion."""
-    points = set()
-    todo = []
-    x = e
-    while True:
-        t = type(x)
-        if t in _BINARY:
-            todo.append(x.left)
-            x = x.right
-        elif t is Pow:
-            x = x.base
-        else:
-            if t is PointRef:
-                points.add(x.index)
-            if not todo:
-                return points
-            x = todo.pop()
+    """The indices of the points e references."""
+    return {x.index for x in expr_postorder(e) if type(x) is PointRef}
 
 
 # ---------------------------------------------------------------------------

@@ -445,7 +445,8 @@ def run_cli(cfg: CliConfig, out=None, err=None) -> int:
     """Prove the program in cfg.input and print the proof document. Exit
     status 0 for Proved, 2 for Inconclusive, 1 for parse, construction,
     engine or IO errors, input that is not UTF-8, and input nested too
-    deeply to walk without exhausting the interpreter stack."""
+    deeply to walk without exhausting the interpreter stack. One leading
+    byte-order mark is dropped."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     source_name = "<stdin>" if cfg.input == "-" else cfg.input
@@ -463,6 +464,7 @@ def run_cli(cfg: CliConfig, out=None, err=None) -> int:
     except UnicodeDecodeError as exc:
         print(f"error: {source_name}: not valid UTF-8 ({exc.reason} at byte {exc.start})", file=err)
         return 1
+    text = text.removeprefix("\ufeff")  # a UTF-8 byte-order mark, as editors save one
     try:
         document, status = _prove_text(text, source_name, cfg)
     except (DslSyntaxError, GeometryError, AlgebraError) as exc:

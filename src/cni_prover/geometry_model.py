@@ -11,17 +11,14 @@ from fractions import Fraction
 from typing import Callable, ClassVar, Union
 
 from .algebra_core import (
-    Add,
-    Div,
-    Mul,
     PointRef,
     Polynomial,
-    Pow,
     RationalExpr,
     Sub,
     VarTable,
     clear_relations,
     expr_points,
+    expr_postorder,
     expr_substitute,
     substitute_primitive,
 )
@@ -41,15 +38,13 @@ class PredicateArgumentError(GeometryError):
 # it holds. Arguments are point variable indices, one per dataclass field.
 
 
-def _differences(e: RationalExpr):
+def _differences(e: RationalExpr) -> list[tuple[int, int]]:
     """(a, b) for each difference of two points a - b in e, left to right."""
-    if isinstance(e, Sub) and isinstance(e.left, PointRef) and isinstance(e.right, PointRef):
-        yield e.left.index, e.right.index
-    elif isinstance(e, Pow):
-        yield from _differences(e.base)
-    elif isinstance(e, (Add, Sub, Mul, Div)):
-        yield from _differences(e.left)
-        yield from _differences(e.right)
+    return [
+        (x.left.index, x.right.index)
+        for x in expr_postorder(e)
+        if type(x) is Sub and type(x.left) is PointRef and type(x.right) is PointRef
+    ]
 
 
 class Predicate:

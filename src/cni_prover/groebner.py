@@ -19,7 +19,10 @@ alone. New basis elements enter fully reduced, tail included; redundant
 ones stay as reducers until the minimal basis is taken at the end, so the
 basis only grows and a cache keyed by packed monomial can keep each
 monomial's reducer, and a hit needs no divisibility test. Results leave as
-monic Polynomials on exponent tuples.
+the records read: Polynomials on exponent tuples with coprime integer
+coefficients and a positive leading coefficient under the run's order.
+For an elimination that order, on the kept variables, is the print order,
+so documents print the generators as they are.
 An elimination is one Buchberger run under a block order whose first block
 holds every eliminated variable: one Rabinowitsch variable u_k per factor
 d_k to saturate by, packed past the table's last variable and entered as
@@ -75,8 +78,9 @@ DEFAULT_CONFIG = GroebnerConfig()
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """The reduced monic basis under `order`, sorted by leading monomial
-    ascending."""
+    """The reduced basis under `order`, sorted by leading monomial
+    ascending. Each generator has coprime integer coefficients and a
+    positive leading coefficient under `order`."""
 
     generators: tuple[Polynomial, ...]
     order: MonomialOrder
@@ -86,9 +90,11 @@ class GroebnerBasis:
 class EliminationResult:
     """Generators of the elimination ideal, free of eliminated variables.
 
-    The generators form the reduced monic basis under a graded reverse
+    The generators form the reduced basis under a graded reverse
     lexicographic order on the kept variables, the table's variables not in
-    `eliminated`. `block_basis` is the run's minimal basis of the whole
+    `eliminated`, which is the print order on them. Each has coprime
+    integer coefficients and a positive leading coefficient under it.
+    `block_basis` is the run's minimal basis of the whole
     ideal under the block order, as engine records packed by `packing`, the
     Rabinowitsch variables included; eliminate(..., after=this) continues
     from them. `reductions` counts the S-pairs the run reduced, and
@@ -377,11 +383,12 @@ def _saturator(d: Polynomial, u: int, pk: _Packing) -> _IntPoly:
 
 
 def _exit(recs, table: VarTable, pk: _Packing) -> tuple[Polynomial, ...]:
-    """Monic Polynomials over the table's variables, sorted by leading
-    monomial ascending. Fields packed past them must be zero."""
+    """The records as Polynomials over the table's variables, coefficients
+    unchanged, sorted by leading monomial ascending. Fields packed past
+    them must be zero."""
     read = pk.reader(len(table))
     return tuple(
-        Polynomial._from_integers(table, {read(m): c for m, c in d.terms.items()}, d.lc)
+        Polynomial._from_integers(table, {read(m): c for m, c in d.terms.items()})
         for d in sorted(recs, key=lambda d: d.lm)
     )
 
@@ -395,8 +402,9 @@ def groebner_basis(
     order: MonomialOrder,
     config: GroebnerConfig | None = None,
 ) -> GroebnerBasis:
-    """Reduced monic Groebner basis of the ideal generated by F under
-    `order`. Deterministic for a fixed input list."""
+    """Reduced Groebner basis of the ideal generated by F under `order`,
+    each generator integer-primitive with a positive leading coefficient
+    under `order`. Deterministic for a fixed input list."""
     config = config or DEFAULT_CONFIG
     polys = [f for f in F if not f.is_zero]
     if not polys:
@@ -429,7 +437,9 @@ def eliminate(
     does not change them, only the work it takes. With `after`, the run
     starts from after's minimal block basis and its packing, and enters
     only the pairs with F's elements and their successors. The result is
-    the unique reduced monic basis under GrevLex on the kept variables.
+    the unique reduced basis under GrevLex on the kept variables, the print
+    order on them, each generator scaled to coprime integer coefficients
+    and a positive leading coefficient.
     """
     config = config or DEFAULT_CONFIG
     polys = [f for f in F if not f.is_zero]

@@ -25,7 +25,6 @@ from .algebra_core import (
     Pow,
     RationalExpr,
     Sub,
-    content_and_primitive,
     expr_postorder,
 )
 from .prover import (
@@ -121,15 +120,12 @@ def _relation_texts(trace: ProofTrace) -> dict[int, str]:
     return {h.slack: format_expr(h.stated, trace.point_names) for h in origins}
 
 
-def emit_identity(trace: ProofTrace) -> str | None:
+def emit_identity(trace: ProofTrace, texts: dict[int, str] | None = None) -> str | None:
     """When the pivot has exactly two terms c*M*r + k with k constant, the
     proof amounts to one identity: the product of the slack expressions in M
-    and the thesis expression equals -k/c. Returns None otherwise."""
-    return _identity(trace, _relation_texts(trace))
-
-
-def _identity(trace: ProofTrace, texts: dict[int, str]) -> str | None:
-    """emit_identity, with the relations as `_relation_texts` prints them."""
+    and the thesis expression equals -k/c. Returns None otherwise. `texts`
+    holds the relations as `_relation_texts` prints them, when the caller
+    has them already."""
     if trace.linear is None:
         return None
     pivot = trace.linear.pivot
@@ -144,6 +140,8 @@ def _identity(trace: ProofTrace, texts: dict[int, str]) -> str | None:
             const = c
     if mono is None or const is None:
         return None
+    if texts is None:
+        texts = _relation_texts(trace)
     factors = []
     for v, e in enumerate(mono):
         if v == r or not e:
@@ -224,7 +222,7 @@ def _narration(
         if t.generators:
             items.append(("s", "The elimination ideal is generated by:"))
             for g in t.generators:
-                items.append(("f", format_polynomial(content_and_primitive(g)[1])))
+                items.append(("f", format_polynomial(g)))
         else:
             items.append(("s", "The elimination ideal is <0>."))
 
@@ -253,7 +251,7 @@ def _narration(
             if show_ideal and second.generators:
                 items.append(("s", "The second elimination ideal is generated by:"))
                 for g in second.generators:
-                    items.append(("f", format_polynomial(content_and_primitive(g)[1])))
+                    items.append(("f", format_polynomial(g)))
             if second.status == "trivial":
                 items.append(("s", "The elimination verifies that that divisor cannot be zero."))
             elif second.status == "polynomial":
@@ -269,7 +267,7 @@ def _narration(
 
     if verdict.outcome == PROVED:
         items.append(("s", "Since all hypotheses are real expressions, the thesis must also be real."))
-        identity = _identity(t, texts)
+        identity = emit_identity(t, texts)
         if identity is not None:
             items.append(("s", "The proof can be summarized as the complex number identity:"))
             items.append(("f", identity))
@@ -318,7 +316,7 @@ def _json_payload(verdict: ProverVerdict, show_ideal: bool, texts: dict[int, str
         "rational_form": _rational_form(t),
         "denominator": fmt(t.denominator),
         "second_elimination": second.status if second is not None else None,
-        "identity": _identity(t, texts),
+        "identity": emit_identity(t, texts),
         "declaratives": [
             {"point": nm, "definition": format_expr(d, names)}
             for nm, d in t.declaratives
@@ -327,9 +325,9 @@ def _json_payload(verdict: ProverVerdict, show_ideal: bool, texts: dict[int, str
         "note": t.reason_note,
     }
     if show_ideal and t.thesis is not None:
-        obj["ideal"] = [fmt(content_and_primitive(g)[1]) for g in t.generators]
+        obj["ideal"] = [format_polynomial(g) for g in t.generators]
         obj["second_ideal"] = (
-            [fmt(content_and_primitive(g)[1]) for g in second.generators]
+            [format_polynomial(g) for g in second.generators]
             if second is not None and second.generators is not None
             else None
         )

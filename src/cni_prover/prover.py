@@ -2,6 +2,10 @@
 generator, express the thesis slack r linearly, and analyse the divisor
 through a second elimination when the expression requires a division.
 
+The generators arrive integer-primitive from groebner, with a positive
+leading coefficient under the print order, and the traces keep them so.
+The pivot only gets its sign chosen for display.
+
 A statement is never declared false here. Every non-proved outcome is
 Inconclusive with a reason code.
 """
@@ -16,8 +20,6 @@ from .algebra_core import (
     GrevLex,
     Polynomial,
     RationalExpr,
-    _integer_form,
-    content_and_primitive,
 )
 from .geometry_model import PolynomialSystem, SlackOrigin
 from .groebner import (
@@ -174,18 +176,17 @@ def express_linear(p: Polynomial, r: int) -> LinearForm:
 
 
 def _presentation_pivot(pivot: Polynomial, r: int) -> LinearForm:
-    """The linear split of the monic pivot under a deterministic display
-    scaling. With a constant coefficient of r the pivot is rescaled so that
-    coefficient is a negative integer (giving lines in the -r-1=0 style);
-    otherwise the primitive integer form with positive leading coefficient
-    under the print order is used."""
-    v = express_linear(pivot, r).v
-    if v.is_constant:
-        k = Fraction(-1) / v.constant_value()
-        k *= _integer_form(pivot.scale(k).terms)[1]
+    """The linear split of the integer-primitive pivot, signed for display:
+    a constant coefficient of r is made negative (giving lines in the
+    -r-1=0 style); otherwise the leading coefficient under the print order
+    is made positive. A pivot from an elimination has that sign already;
+    one from find_pivot's r-first basis may not."""
+    lf = express_linear(pivot, r)
+    if lf.v.is_constant:
+        flip = lf.v.constant_value() > 0
     else:
-        k = 1 / content_and_primitive(pivot)[0]
-    return express_linear(pivot.scale(k), r)
+        flip = pivot.sorted_terms()[0][1] < 0
+    return LinearForm(-lf.v, -lf.w, -pivot) if flip else lf
 
 
 def check_denominator(

@@ -185,6 +185,13 @@ def monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
     return p.scale(1 / leading_coefficient(p, order))
 
 
+def is_primitive(p: Polynomial) -> bool:
+    """True iff p is nonzero with coprime integer coefficients."""
+    return all(c.denominator == 1 for c in p.terms.values()) and (
+        gcd(*(c.numerator for c in p.terms.values())) == 1
+    )
+
+
 def mono(table: VarTable, exps: dict[int, int]) -> tuple[int, ...]:
     """Exponent tuple over `table` from a sparse {variable: exponent} map."""
     out = [0] * len(table)

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +22,6 @@ from cni_prover.algebra_core import (
     ZeroDenominatorError,
     _print_rank,
     clear_relations,
-    content_and_primitive,
     expr_substitute,
     substitute_primitive,
 )
@@ -204,18 +202,6 @@ def test_leading_data_and_monic(xyz):
     assert leading_coefficient(monic(p, order), order) == 1
 
 
-def test_content_and_primitive(xyz):
-    table, x, y, _ = xyz
-    p = x.scale(Fraction(4, 3)) + y.scale(Fraction(2, 3))
-    content, prim = content_and_primitive(p)
-    assert content * prim.terms[(1, 0, 0)] == Fraction(4, 3)
-    coeffs = sorted(prim.terms.values())
-    assert coeffs == [1, 2]
-    # negative leading coefficient flips the content sign
-    content2, prim2 = content_and_primitive(-p)
-    assert prim2 == prim and content2 == -content
-
-
 _small = st.integers(min_value=-4, max_value=4)
 _rational = st.builds(Fraction, _small, st.integers(min_value=1, max_value=6))
 
@@ -294,18 +280,7 @@ def test_substitute_agrees_with_evaluation(p, vals, pinned):
     assert evaluate(q, a) == evaluate(p, a)
     # a pinned denominator factor: the constant, or the primitive part
     prim = _clean(substitute_primitive(p, assignment))
-    assert prim == (q if q.is_constant else content_and_primitive(q)[1])
-
-
-@given(polys(_TBL))
-@settings(max_examples=60, deadline=None)
-def test_content_and_primitive_property(p):
-    content, prim = content_and_primitive(p)
-    _clean(prim)
-    assert prim.scale(content) == p
-    if not p.is_zero:
-        assert all(c.denominator == 1 for c in prim.terms.values())
-        assert gcd(*(c.numerator for c in prim.terms.values())) == 1
+    assert prim == (q if q.is_constant else reference_primitive(q)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,38 @@ def test_run_cli_non_utf8_stdin_is_an_error(monkeypatch):
     assert err == "error: <stdin>: not valid UTF-8 (invalid continuation byte at byte 5)\n"
 
 
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, monkeypatch):
+    # a file saved with a UTF-8 byte-order mark, and stdin bytes or text
+    # starting with one, give what the same text without it gives
+    data = EXAMPLE2.encode("utf-8")
+    plain = tmp_path / "plain.cni"
+    plain.write_bytes(data)
+    bom = tmp_path / "bom.cni"
+    bom.write_bytes(b"\xef\xbb\xbf" + data)
+    want = _run(str(plain), format="json")
+    assert want[0] == 0 and want[2] == ""
+    assert _run(str(bom), format="json") == want
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xef\xbb\xbf" + data)))
+    assert _run("-", format="json") == want
+    monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + EXAMPLE2))
+    assert _run("-", format="json") == want
+
+
+@pytest.mark.parametrize(
+    "text,column",
+    [("point A, B\ufeff\n", 11), ("\ufeffpoint A, B\ufeff\n", 11), ("\ufeff\ufeffpoint A, B\n", 1)],
+    ids=["later", "leading-and-later", "two-leading"],
+)
+def test_a_byte_order_mark_past_the_first_is_an_error(text, column, tmp_path):
+    # only one leading mark is dropped: a U+FEFF later in the line, or a
+    # second leading one, is an unexpected character as before
+    f = tmp_path / "mark.cni"
+    f.write_bytes((text + "prove collinear(A, B, A)\n").encode("utf-8"))
+    code, out, err = _run(str(f))
+    assert (code, out) == (1, "")
+    assert err == f"error: {f}: line 1, column {column}: unexpected character '\\ufeff'\n"
+
+
 def test_overlong_integer_literal_is_a_syntax_error(tmp_path):
     src = "point A, B\nX := A + " + "7" * 5000 + "\nprove collinear(A, B, X)\n"
     with pytest.raises(DslSyntaxError) as info:

@@ -32,6 +32,7 @@ from cni_prover.groebner import (
 from support import (
     from_sympy,
     in_ideal,
+    is_primitive,
     leading_coefficient,
     leading_monomial,
     make_table,
@@ -41,6 +42,7 @@ from support import (
     mono_mul,
     normal_form,
     order_key,
+    print_order,
     random_polynomial,
     s_polynomial,
     to_sympy,
@@ -209,8 +211,45 @@ def test_repeated_and_scaled_generators_give_the_same_basis():
         mine = groebner_basis(noisy, order).generators
         assert mine == expected.generators
         ref = sympy.groebner([to_sympy(p, syms) for p in dedup], *syms, order="grevlex")
-        assert set(mine) == {monic(from_sympy(e, table, syms), order) for e in ref.exprs}
+        assert {monic(g, order) for g in mine} == {
+            monic(from_sympy(e, table, syms), order) for e in ref.exprs
+        }
         done += 1
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_generators_leave_integer_primitive(rng):
+    # every generator leaves the engine with coprime integer coefficients
+    # and a positive leading coefficient under the run's order; for an
+    # elimination that order is the print order on the kept variables, so
+    # documents print the generators as they are
+    table = make_table("x", "y", "z", "w")
+    polys = [
+        random_polynomial(rng, table, range(4), max_degree=2, max_terms=3).scale(
+            Fraction(rng.randint(1, 6), rng.randint(1, 6))
+        )
+        for _ in range(rng.randint(1, 3))
+    ]
+    factors = [
+        random_polynomial(rng, table, range(4), max_degree=1, max_terms=2).scale(
+            Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 6))
+        )
+        for _ in range(rng.randint(0, 2))
+    ]
+    elim = tuple(sorted(rng.sample(range(4), rng.randint(1, 2))))
+    kept = GrevLex(tuple(v for v in range(4) if v not in elim))
+    order = rng.choice([Block(GrevLex(elim), kept), GrevLex((3, 1, 0, 2))])
+    config = GroebnerConfig(timeout=None)
+    runs = [
+        (eliminate(polys, elim, config, saturate=factors).generators, [kept, print_order(table)]),
+        (groebner_basis(polys, order, config).generators, [order]),
+    ]
+    for gens, orders in runs:
+        for g in gens:
+            assert is_primitive(g)
+            for order in orders:
+                assert leading_coefficient(g, order) > 0
 
 
 def test_single_generator_is_its_own_basis():
@@ -294,7 +333,7 @@ def test_basis_is_autoreduced():
             continue
         gens = groebner_basis(polys, order).generators
         for i, g in enumerate(gens):
-            assert leading_coefficient(g, order) == 1
+            assert is_primitive(g) and leading_coefficient(g, order) > 0
             others = [h for j, h in enumerate(gens) if j != i]
             if not others:
                 continue
@@ -350,7 +389,7 @@ def test_reduced_basis_matches_sympy():
         theirs = tuple(
             monic(from_sympy(g, table, syms), order) for g in ref.exprs
         )
-        assert set(mine) == set(theirs), f"disagree on {polys}"
+        assert {monic(g, order) for g in mine} == set(theirs), f"disagree on {polys}"
         done += 1
     assert done == 25
 
@@ -393,7 +432,8 @@ def test_elimination_matches_sympy_lex():
         if free:
             ref = sympy.groebner(free, *kept_syms, order="grevlex")
             theirs = {monic(from_sympy(g, table, syms), GrevLex(tuple(kept))) for g in ref.exprs}
-        assert set(res.generators) == theirs, f"disagree on {polys}, eliminating {elim}"
+        mine = {monic(g, GrevLex(tuple(kept))) for g in res.generators}
+        assert mine == theirs, f"disagree on {polys}, eliminating {elim}"
         u_in_input = n == 4 and any(p.contains_var(3) for p in polys)
         paths.add((u_in_input, 3 in elim, elim != [3]))
         done += 1
@@ -442,7 +482,8 @@ def test_saturation_matches_sympy_lex():
         if free:
             ref = sympy.groebner(free, *[syms[v] for v in kept], order="grevlex")
             theirs = {monic(from_sympy(g, table, syms[:3]), GrevLex(tuple(kept))) for g in ref.exprs}
-        assert set(res.generators) == theirs, f"disagree on {polys}, saturating by {factors}"
+        mine = {monic(g, GrevLex(tuple(kept))) for g in res.generators}
+        assert mine == theirs, f"disagree on {polys}, saturating by {factors}"
         plain = eliminate(polys, elim).generators
         changed += res.generators != plain and not ideal_is_trivial(res)
         done += 1
@@ -566,14 +607,14 @@ def test_order_inside_the_block_does_not_change_the_elimination(rng):
 
 
 def test_continued_elimination():
-    # y*z = 1 and z = 2 leave y = 1/2
+    # y*z = 1 and z = 2 leave 2*y = 1
     table = make_table("x", "y", "z")
     x, y, z = _vars(table)
     one = Polynomial.constant(table, 1)
     first = eliminate([x - y, y * z - one], [0])
     second = eliminate([z - one.scale(2)], [0], after=first)
     assert second.generators == eliminate([x - y, y * z - one, z - one.scale(2)], [0]).generators
-    assert set(second.generators) == {y - one.scale(Fraction(1, 2)), z - one.scale(2)}
+    assert set(second.generators) == {y.scale(2) - one, z - one.scale(2)}
     with pytest.raises(AlgebraError, match="same variables"):
         eliminate([z - one.scale(2)], [1], after=first)
     # a continued run inherits the saturation of the run it continues

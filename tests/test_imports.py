@@ -1,8 +1,9 @@
 """No module under src/ or tests/ imports a name it never uses. A name
 listed in a module's __all__ counts as used: the package re-exports it.
 The lower modules keep their layering: algebra_core imports no other module
-of the package, groebner imports algebra_core alone, and the packed
-monomial format is defined in algebra_core only."""
+of the package, groebner imports algebra_core alone, the packed monomial
+format is defined in algebra_core only, and groebner is the one module
+that imports underscore-prefixed names from another."""
 
 import ast
 from pathlib import Path
@@ -109,3 +110,37 @@ def test_package_imports_are_found():
     assert package_imports(source) == {
         "groebner", "algebra_core", "prover", "cli_dsl", "cni_prover"
     }
+
+
+def private_imports(source: str) -> list[tuple[str, str]]:
+    """(module, name) of each underscore-prefixed name that a module imports
+    from the package, by relative or by absolute name."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").partition(".")[0] == "cni_prover"
+        ):
+            out.extend((node.module or "", a.name) for a in node.names if a.name.startswith("_"))
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "groebner"],
+    ids=lambda p: p.stem,
+)
+def test_only_the_engine_imports_private_names(path):
+    # groebner works on algebra_core's packed monomials and integer forms;
+    # every other module reaches the rest of the package by public names
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_imports_are_found():
+    source = (
+        "from __future__ import annotations\nfrom math import _x\n"
+        "from .algebra_core import Polynomial, _integer_form\n"
+        "from cni_prover.groebner import _Budget\nfrom . import _hidden\n"
+    )
+    assert private_imports(source) == [
+        ("", "_hidden"), ("algebra_core", "_integer_form"), ("cni_prover.groebner", "_Budget")
+    ]

@@ -43,6 +43,7 @@ from cni_prover.proof_emitter import (
 from support import poly
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 _CACHE = {}
 
@@ -267,6 +268,30 @@ def test_json_show_ideal_adds_generator_lists():
     assert "ideal" in payload and "second_ideal" in payload
     assert "r1*r-r1-4*r" in payload["ideal"]
     assert payload["second_ideal"] == ["1"]
+
+
+def _corpus_runs():
+    """(name, fix) of each corpus statement that reaches the prover, in
+    every fix mode the benchmark records."""
+    return [
+        (path.stem, path.parent.name)
+        for path in sorted((PERFBENCH / "expected").glob("*/*.json"))
+        if not path.stem.startswith("bad_")
+    ]
+
+
+@pytest.mark.parametrize("name,fix", _corpus_runs())
+def test_ideal_prints_the_generators_as_the_engine_leaves_them(name, fix):
+    # the engine leaves each generator integer-primitive with a positive
+    # print-order lead, so the document prints it with no rescaling
+    src = (PERFBENCH / "corpus" / f"{name}.cni").read_text()
+    c = substitute_declaratives(parse(SourceProgram(src, name)))
+    verdict = prove(fix_coordinates(build_system(c), c, fix), ProverConfig(timeout=60.0))
+    payload = json.loads(emit_trace(verdict, "json", show_ideal=True).text())
+    assert payload["ideal"] == [format_polynomial(g) for g in verdict.trace.generators]
+    second = verdict.trace.second
+    if second is not None:
+        assert payload["second_ideal"] == [format_polynomial(g) for g in second.generators]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from cni_prover.prover import (
     REASON_MEANINGS,
     ProverConfig,
     ProverVerdict,
+    _presentation_pivot,
     check_denominator,
     express_linear,
     prove,
@@ -174,6 +175,21 @@ def test_express_linear_rejects_higher_degree():
     table, (a, r) = _ring("a", "r")
     with pytest.raises(AlgebraError):
         express_linear(_poly(table, [({r: 2}, 1)]), r)
+
+
+def test_presentation_pivot_signs_the_pivot_for_print():
+    # an r-first basis leaves s*r - 2*s^3 integer-primitive with a positive
+    # lead, s*r, while its print-order lead, -2*s^3, is negative: the
+    # document shows it with a positive print-order lead
+    table, (s, r) = _ring("s", "r")
+    lf = _presentation_pivot(_poly(table, [({s: 1, r: 1}, 1), ({s: 3}, -2)]), r)
+    assert format_polynomial(lf.pivot) == "2*s^3-s*r"
+    assert lf.v == _poly(table, [({s: 1}, -1)])
+    assert lf.w == _poly(table, [({s: 3}, 2)])
+    # a constant coefficient of r is made negative, whatever the lead
+    for sign in (1, -1):
+        lf = _presentation_pivot(_poly(table, [({r: 1}, sign), ({s: 2}, 3 * sign)]), r)
+        assert format_polynomial(lf.pivot) == "-3*s^2-r"
 
 
 # ---------------------------------------------------------------------------
