@@ -16,8 +16,6 @@ from operator import add, itemgetter, mul
 from struct import Struct
 from typing import Mapping
 
-Rational = Fraction
-
 
 class AlgebraError(ValueError):
     """Raised on structurally invalid algebraic input."""
@@ -270,7 +268,7 @@ class Polynomial:
 
     __slots__ = ("table", "terms")
 
-    def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...], Rational]) -> None:
+    def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...], Fraction]) -> None:
         cleaned: dict[tuple[int, ...], Fraction] = {}
         for m, c in terms.items():
             if type(c) is not Fraction:
@@ -421,47 +419,6 @@ class Polynomial:
     def __hash__(self):
         return hash((id(self.table), frozenset(self.terms.items())))
 
-    def substitute(self, assignment: Mapping[int, Rational]) -> "Polynomial":
-        """Replace the given variables by rational constants."""
-        pinned = self._pinned(assignment)
-        return self if pinned is None else Polynomial._from_integers(self.table, *pinned)
-
-    def _pinned(
-        self, assignment: Mapping[int, Rational]
-    ) -> tuple[dict[tuple[int, ...], int], int] | None:
-        """(nums, den) with self, the given variables replaced by rational
-        constants, equal to the sum of nums[m]/den times m; nums may hold
-        zeros. None when self has none of the variables. A value p/q for a
-        variable of degree k multiplies the common denominator by q^k once;
-        each term gets p^e q^(k-e) for its exponent e."""
-        pins = []
-        for v, value in assignment.items():
-            k = self.degree_in(v)
-            if k:
-                value = Fraction(value)
-                pins.append((v, value.numerator, value.denominator, k))
-        if not pins:
-            return None
-        nums, den = _integer_form(self.terms)
-        for _, _, q, k in pins:
-            den *= q**k
-        out: dict[tuple[int, ...], int] = {}
-        get = out.get
-        for m, c in nums.items():
-            for v, p, q, k in pins:
-                e = m[v]
-                if q != 1:
-                    c *= q ** (k - e)
-                if e:
-                    if p == 0:
-                        break
-                    if p != 1:
-                        c *= p ** e
-                    m = m[:v] + (0,) + m[v + 1:]
-            else:
-                out[m] = get(m, 0) + c
-        return out, den
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms descending under the print order."""
         return sorted(self.terms.items(), key=lambda t: _print_rank(t[0]))
@@ -477,21 +434,6 @@ class Polynomial:
             )
             bits.append(f"{c}" if not mono else f"{c}*{mono}")
         return "Polynomial(" + " + ".join(bits) + ")"
-
-
-def substitute_primitive(p: Polynomial, assignment: Mapping[int, Rational]) -> Polynomial:
-    """p.substitute(assignment) when that is constant, else its primitive
-    part: coprime integer coefficients and a positive leading coefficient
-    under the print order, built once from the integer numerators of the
-    substitution."""
-    nums, den = p._pinned(assignment) or _integer_form(p.terms)
-    nums = {m: c for m, c in nums.items() if c}
-    if not any(map(any, nums)):  # zero or a constant
-        return Polynomial._from_integers(p.table, nums, den)
-    g = gcd(*nums.values())
-    if nums[min(nums, key=_print_rank)] < 0:
-        g = -g
-    return Polynomial._from_integers(p.table, {m: c // g for m, c in nums.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ class SourceProgram:
 # Underscores are tolerated by the tokenizer because predicate names use
 # them (angle_eq); point identifiers themselves stay letters-and-digits.
 _TOKEN_RE = re.compile(
-    r"[ \t]*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<assign>:=)|(?P<sym>[+\-*/(),]))"
+    r"[ \t]*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<assign>:=)|(?P<sym>[+\-*/(),]))"
 )
 # What _TOKEN_RE skips before a token, and no other whitespace.
 _BLANKS_RE = re.compile(r"[ \t]*")

@@ -11,6 +11,7 @@ from fractions import Fraction
 from typing import Callable, ClassVar, Union
 
 from .algebra_core import (
+    Const,
     PointRef,
     Polynomial,
     RationalExpr,
@@ -20,7 +21,6 @@ from .algebra_core import (
     expr_points,
     expr_postorder,
     expr_substitute,
-    substitute_primitive,
 )
 
 
@@ -355,6 +355,13 @@ def _collect_notes(c: Construction) -> tuple[str, ...]:
     return tuple(notes)
 
 
+def _slack_relations(c: Construction) -> list[RationalExpr]:
+    """e_k - r_k for the k-th relation of c, the thesis last: r_k is the
+    variable after the points and the earlier slacks."""
+    n = len(c.table)
+    return [Sub(step.expr, PointRef(n + k)) for k, step in enumerate(c.steps + (c.thesis,))]
+
+
 def build_system(c: Construction) -> PolynomialSystem:
     """Translate a construction (declaratives already substituted) into the
     cleared polynomial system: one polynomial e_i - r_i per relation, the
@@ -376,9 +383,7 @@ def build_system(c: Construction) -> PolynomialSystem:
         SlackOrigin(table.add(name), name, step.source.expr)
         for name, step in zip(slack_names, relations)
     )
-    polys, factors = clear_relations(
-        [Sub(step.expr, PointRef(n_points + k)) for k, step in enumerate(relations)], table
-    )
+    polys, factors = clear_relations(_slack_relations(c), table)
 
     return PolynomialSystem(
         table=table,
@@ -422,11 +427,13 @@ def fix_coordinates(sys: PolynomialSystem, c: Construction, mode: str) -> Polyno
     when the definitions commute with those maps too, pinning only shrinks
     the elimination problem. When one does not, nothing is pinned and a
     note says why. With fewer than two free points, fixes as many as
-    available. Each pinned denominator factor that is not constant is made
-    primitive with a positive leading coefficient again, as build_system
-    gives them, and a repeat is dropped. A factor in the pinned points alone
-    is a nonzero multiple of A - B, so pinning makes it a nonzero constant,
-    which the elimination does not saturate by."""
+    available. The pinned points are replaced by their values in the
+    relations of c, which are then cleared as build_system clears them: the
+    polynomials and the denominator factors, primitive, with a positive
+    leading coefficient and distinct, come out of that one clearing. A
+    divisor in the pinned points alone is a nonzero multiple of A - B, so
+    pinning makes it a nonzero constant, which folds into the coefficients
+    and is not listed as a factor."""
     if mode not in FIX_MODES:
         raise GeometryError(f"unknown coordinate fixing mode {mode!r}")
     if mode == "off" or not c.free_points:
@@ -446,16 +453,14 @@ def fix_coordinates(sys: PolynomialSystem, c: Construction, mode: str) -> Polyno
         return replace(sys, notes=sys.notes + (note,))
     values = (Fraction(0), Fraction(1)) if mode == "zero_one" else (Fraction(-1), Fraction(1))
     targets = list(zip(c.free_points[:2], values))
-    assignment = {p: v for p, v in targets}
-    polys = tuple(p.substitute(assignment) for p in sys.hypothesis_polys)
-    factors: dict[Polynomial, None] = {}  # first-seen order
-    for f in sys.denominator_factors:
-        factors[substitute_primitive(f, assignment)] = None
-    fixed_set = set(assignment)
+    pins = {p: Const(v) for p, v in targets}
+    polys, factors = clear_relations(
+        [expr_substitute(e, pins) for e in _slack_relations(c)], sys.table
+    )
     return replace(
         sys,
-        hypothesis_polys=polys,
-        eliminate_vars=tuple(v for v in sys.eliminate_vars if v not in fixed_set),
+        hypothesis_polys=tuple(polys),
+        eliminate_vars=tuple(v for v in sys.eliminate_vars if v not in pins),
         denominator_factors=tuple(factors),
         fixed=sys.fixed + tuple((sys.table.name(p), v) for p, v in targets),
     )

@@ -23,7 +23,6 @@ from cni_prover.algebra_core import (
     _print_rank,
     clear_relations,
     expr_substitute,
-    substitute_primitive,
 )
 
 from support import (
@@ -173,14 +172,6 @@ def test_constant_helpers(xyz):
         x.constant_value()
 
 
-def test_substitute_partial_and_full(xyz):
-    table, x, y, z = xyz
-    p = x * y + z
-    q = p.substitute({0: Fraction(2)})
-    assert q == y.scale(2) + z
-    assert p.substitute({0: 1, 1: 1, 2: 0}).constant_value() == 1
-
-
 def test_evaluate_matches_substitute(xyz):
     table, x, y, z = xyz
     p = x * y * y - z.scale(7) + Polynomial.constant(table, 3)
@@ -268,19 +259,6 @@ def test_kernels_agree_with_evaluation(p, q, vals, k, c):
     assert evaluate(_clean(p ** k), a) == P ** k
     assert evaluate(_clean(p.scale(c)), a) == P * c
     assert _clean(p.scale(1)) == p
-
-
-@given(polys(_TBL), st.lists(_value, min_size=3, max_size=3), st.sets(st.integers(0, 2)))
-@settings(max_examples=100, deadline=None)
-def test_substitute_agrees_with_evaluation(p, vals, pinned):
-    a = dict(enumerate(vals))
-    assignment = {v: a[v] for v in pinned}
-    q = _clean(p.substitute(assignment))
-    assert not any(q.contains_var(v) for v in pinned)
-    assert evaluate(q, a) == evaluate(p, a)
-    # a pinned denominator factor: the constant, or the primitive part
-    prim = _clean(substitute_primitive(p, assignment))
-    assert prim == (q if q.is_constant else reference_primitive(q)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -167,12 +167,19 @@ def test_parse_malformed_tokens():
 
 @pytest.mark.parametrize(
     "statement, column, char",
-    [("point A,   ;B", 12, ";"), ("point A,\fB", 9, "\f"), ("point A,\t\f B", 10, "\f")],
+    [
+        ("point A,   ;B", 12, ";"),
+        ("point A,\fB", 9, "\f"),
+        ("point A,\t\f B", 10, "\f"),
+        # decimal digits other than 0-9: Arabic-Indic and fullwidth two
+        ("M := (A + B)/\u0662", 14, "\u0662"),
+        ("M := (A + B)/\uff12", 14, "\uff12"),
+    ],
 )
 def test_unexpected_character_names_itself_and_its_column(statement, column, char):
     """The error skips the blanks a token may follow, spaces and tabs, and
     nothing more: a form feed is the unexpected character, not the point
-    name after it."""
+    name after it. An integer literal is written in the digits 0-9 only."""
     with pytest.raises(DslSyntaxError) as info:
         parse(SourceProgram(statement + "\nprove collinear(A, B, A)"))
     assert (info.value.line, info.value.column) == (1, column)

@@ -424,19 +424,17 @@ def test_fix_coordinates_zero_one():
     assert 0 not in fixed.eliminate_vars and 1 not in fixed.eliminate_vars
     for p in fixed.hypothesis_polys + fixed.denominator_factors:
         assert not p.contains_var(0) and not p.contains_var(1)
-    # the factor A - B (from the segment OA, O the midpoint of AB) is now a
-    # nonzero constant: saturating by it or leaving it out is the same
-    assert len(fixed.denominator_factors) == len(sys.denominator_factors)
-    pinned = [d for d in fixed.denominator_factors if d.is_constant]
-    assert len(pinned) == 1 and not pinned[0].is_zero
-    rest = [d for d in fixed.denominator_factors if not d.is_constant]
+    # the factor A - B (from the segment OA, O the midpoint of AB) becomes a
+    # nonzero constant, which the clearing folds: three factors stay
+    assert len(sys.denominator_factors) == 4
+    assert len(fixed.denominator_factors) == 3
+    assert not any(d.is_constant for d in fixed.denominator_factors)
     saturated = eliminate(
         fixed.hypothesis_polys, fixed.eliminate_vars, saturate=fixed.denominator_factors
     ).generators
-    assert saturated == eliminate(
-        fixed.hypothesis_polys, fixed.eliminate_vars, saturate=rest
-    ).generators
-    assert saturated == eliminate_by_product(fixed.hypothesis_polys, rest, fixed.eliminate_vars)
+    assert saturated == eliminate_by_product(
+        fixed.hypothesis_polys, fixed.denominator_factors, fixed.eliminate_vars
+    )
     # unfixed variables survive
     assert 2 in fixed.eliminate_vars
 
@@ -448,26 +446,64 @@ CORPUS = sorted(
 )
 
 
-@pytest.mark.parametrize("mode", ["zero_one", "minus_one_one"])
-def test_pinned_factors_are_canonical_and_distinct(mode):
-    # every non-constant factor left by pinning is primitive with a positive
-    # leading coefficient under the print order, as build_system makes them,
-    # and no factor is listed twice
-    pinned = 0
+def _corpus_constructions():
     for path in CORPUS:
         try:
             c = substitute_declaratives(parse(SourceProgram(path.read_text(), path.stem)))
         except (UnknownPredicateError, PredicateArityError):
             continue  # the rejects have no system
+        yield path.stem, c
+
+
+@pytest.mark.parametrize("mode", ["zero_one", "minus_one_one"])
+def test_pinned_factors_are_canonical_and_distinct(mode):
+    # every factor left by pinning is non-constant and primitive with a
+    # positive leading coefficient under the print order, as build_system
+    # makes them, and no factor is listed twice
+    pinned = 0
+    for name, c in _corpus_constructions():
         fixed = fix_coordinates(build_system(c), c, mode)
         if not fixed.fixed:
             continue
         pinned += 1
         factors = fixed.denominator_factors
-        assert len(set(factors)) == len(factors), path.stem
+        assert len(set(factors)) == len(factors), name
         for f in factors:
-            if not f.is_constant:
-                assert f == reference_primitive(f)[1], (path.stem, f)
+            assert not f.is_constant, (name, f)
+            assert f == reference_primitive(f)[1], (name, f)
+    assert pinned >= 19
+
+
+@pytest.mark.parametrize("mode", ["zero_one", "minus_one_one"])
+def test_pinned_polynomials_are_multiples_of_the_unpinned_ones(mode):
+    # pinning A and B to a and b and then clearing gives, for each relation,
+    # lambda times the unpinned polynomial with A = a and B = b, for one
+    # nonzero rational lambda: checked by evaluation at random rational
+    # points that carry the pinned values
+    rng = random.Random(18)
+    pinned = 0
+    for name, c in _corpus_constructions():
+        sys = build_system(c)
+        fixed = fix_coordinates(sys, c, mode)
+        if not fixed.fixed:
+            continue
+        pinned += 1
+        values = {sys.table.index(p): v for p, v in fixed.fixed}
+        points = []
+        for _ in range(4):
+            point = {
+                v: Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for v in range(len(sys.table))
+            }
+            points.append({**point, **values})
+        for k, (p, q) in enumerate(zip(fixed.hypothesis_polys, sys.hypothesis_polys)):
+            assert not any(p.contains_var(v) for v in values), (name, k)
+            ratios = set()
+            for point in points:
+                pv, qv = evaluate(p, point), evaluate(q, point)
+                assert (pv == 0) == (qv == 0), (name, k)
+                if qv:
+                    ratios.add(pv / qv)
+            assert len(ratios) == 1 and 0 not in ratios, (name, k, ratios)
     assert pinned >= 19
 
 

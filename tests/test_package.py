@@ -1,5 +1,11 @@
 """The package's exported names are the documented library surface."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import cni_prover
 
 LIBRARY = {
@@ -21,3 +27,28 @@ def test_all_is_the_library_surface():
     assert len(cni_prover.__all__) == len(LIBRARY)
     for name in LIBRARY:
         assert getattr(cni_prover, name) is not None
+
+
+def test_readme_library_example_runs_from_the_repo_root():
+    # the "Library" block of README.md, run as written from the repo root,
+    # prints the text document that the command line gives for the same
+    # statement pinned (the golden one shows the ideal too, so it is
+    # compared up to that section)
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"^## Library\n\n```python\n(.*?)^```$", readme, re.S | re.M).group(1)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    golden = (root / "tests" / "golden" / "problems" / "zero_one" / "varignon.txt").read_text(
+        encoding="utf-8"
+    )
+    head = golden.split("The elimination ideal is generated by:\n")[0]
+    assert run.stdout.splitlines()[:2] == [
+        "Let A, B, C, D be arbitrary points.",
+        "The statement is true under some non-degeneracy conditions (see below).",
+    ]
+    assert run.stdout.startswith(head) and head.count("\n") >= 10
