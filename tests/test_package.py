@@ -47,8 +47,5 @@ def test_readme_library_example_runs_from_the_repo_root():
         encoding="utf-8"
     )
     head = golden.split("The elimination ideal is generated by:\n")[0]
-    assert run.stdout.splitlines()[:2] == [
-        "Let A, B, C, D be arbitrary points.",
-        "The statement is true under some non-degeneracy conditions (see below).",
-    ]
-    assert run.stdout.startswith(head) and head.count("\n") >= 10
+    assert head.startswith("Let A, B, C, D be arbitrary points.\n") and head.count("\n") >= 10
+    assert run.stdout.startswith(head)
