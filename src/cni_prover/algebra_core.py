@@ -242,60 +242,35 @@ def _print_rank(m: tuple[int, ...]) -> tuple:
     return (-sum(m), m[::-1])
 
 
-def _integer_form(
-    terms: Mapping[tuple[int, ...], Fraction]
-) -> tuple[dict[tuple[int, ...], int], int]:
-    """(nums, den) with terms[m] == nums[m] / den: the coefficients as
-    integer numerators over one common denominator, the lcm of theirs."""
-    den = 1
-    for c in terms.values():
-        d = c.denominator
-        if den % d:
-            den = den // gcd(den, d) * d
-    if den == 1:
-        return {m: c.numerator for m, c in terms.items()}, 1
-    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
-
-
 class Polynomial:
     """Polynomial over Q attached to a variable table. Terms map exponent
-    tuples of length len(table) to Fraction coefficients; the zero
+    tuples of length len(table) to rational coefficients; the zero
     polynomial is the empty map and no zero coefficient is ever stored.
     Building a polynomial seals its table against new variables.
 
-    Arithmetic runs on integer numerators over one common denominator
-    (`_integer_form`) and makes one Fraction per result term."""
+    Arithmetic is plain arithmetic on the coefficients as they are: the
+    clearing and the engine build integer coefficients only, and sums and
+    products of ints stay ints. A Fraction coefficient, from a test or a
+    display scaling, stays a Fraction."""
 
     __slots__ = ("table", "terms")
 
-    def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...], Fraction]) -> None:
-        cleaned: dict[tuple[int, ...], Fraction] = {}
-        for m, c in terms.items():
-            if type(c) is not Fraction:
-                c = Fraction(c)
-            if c:
-                cleaned[m] = c
+    def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...], int | Fraction]) -> None:
         table._sealed = True
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c})
 
     @classmethod
-    def _trusted(cls, table: VarTable, terms: dict[tuple[int, ...], Fraction]) -> "Polynomial":
-        """Wrap terms that are already nonzero Fractions, without copying."""
+    def _trusted(
+        cls, table: VarTable, terms: dict[tuple[int, ...], int | Fraction]
+    ) -> "Polynomial":
+        """Wrap terms whose coefficients are already nonzero, without
+        copying."""
         p = object.__new__(cls)
         table._sealed = True
         object.__setattr__(p, "table", table)
         object.__setattr__(p, "terms", terms)
         return p
-
-    @classmethod
-    def _from_integers(
-        cls, table: VarTable, nums: Mapping[tuple[int, ...], int], den: int = 1
-    ) -> "Polynomial":
-        """The polynomial with coefficients nums[m] / den; zeros are dropped."""
-        if den == 1:
-            return cls._trusted(table, {m: Fraction(c) for m, c in nums.items() if c})
-        return cls._trusted(table, {m: Fraction(c, den) for m, c in nums.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -306,8 +281,6 @@ class Polynomial:
 
     @classmethod
     def constant(cls, table: VarTable, c) -> "Polynomial":
-        if type(c) is not Fraction:
-            c = Fraction(c)
         return cls._trusted(table, {(0,) * len(table): c} if c else {})
 
     @classmethod
@@ -315,7 +288,7 @@ class Polynomial:
         n = len(table)
         if not 0 <= v < n:
             raise AlgebraError(f"variable index {v} out of range")
-        return cls._trusted(table, {(0,) * v + (1,) + (0,) * (n - v - 1): Fraction(1)})
+        return cls._trusted(table, {(0,) * v + (1,) + (0,) * (n - v - 1): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -325,16 +298,10 @@ class Polynomial:
     def is_constant(self) -> bool:
         return not any(any(m) for m in self.terms)
 
-    def _is_one(self) -> bool:
-        if len(self.terms) != 1:
-            return False
-        ((m, c),) = self.terms.items()
-        return c == 1 and not any(m)
-
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.is_constant:
             raise AlgebraError("polynomial is not constant")
-        return self.terms.get((0,) * len(self.table), Fraction(0))
+        return self.terms.get((0,) * len(self.table), 0)
 
     @property
     def total_degree(self) -> int:
@@ -376,19 +343,13 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._same_table(other)
-        if other._is_one():
-            return self
-        if self._is_one():
-            return other
-        na, da = _integer_form(self.terms)
-        nb, db = _integer_form(other.terms)
-        out: dict[tuple[int, ...], int] = {}
+        out = {}
         get = out.get
-        for ma, ca in na.items():
-            for mb, cb in nb.items():
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
                 m = tuple(map(add, ma, mb))
                 out[m] = get(m, 0) + ca * cb
-        return Polynomial._from_integers(self.table, out, da * db)
+        return Polynomial(self.table, out)
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -399,15 +360,9 @@ class Polynomial:
         return acc
 
     def scale(self, c) -> "Polynomial":
-        if type(c) is not Fraction:
-            c = Fraction(c)
         if c == 1:
             return self
-        nums, den = _integer_form(self.terms)
-        p = c.numerator
-        return Polynomial._from_integers(
-            self.table, {m: n * p for m, n in nums.items()}, den * c.denominator
-        )
+        return Polynomial(self.table, {m: a * c for m, a in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -419,7 +374,7 @@ class Polynomial:
     def __hash__(self):
         return hash((id(self.table), frozenset(self.terms.items())))
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
         """Terms descending under the print order."""
         return sorted(self.terms.items(), key=lambda t: _print_rank(t[0]))
 
@@ -655,14 +610,15 @@ def _packed_combine(a: dict[int, int], ka: int, b: dict[int, int], kb: int) -> d
     return out
 
 
-def _clear(e: Expr, n: int, factors: dict) -> tuple[dict[int, int], int]:
-    """e cleared over n variables as (num, s) on the print order's packed
-    monomials, with e = num/(s*den): num with integer coefficients, s a
-    positive integer and den the product of the factors met. Each
-    intermediate is kept with its den; a Div whose divisor is not constant
-    enters the divisor's primitive part, with a positive leading
-    coefficient, into `factors` under its terms if no equal factor is
-    there, and multiplies it into den."""
+def _clear(e: Expr, n: int, factors: dict) -> dict[int, int]:
+    """The numerator num of e cleared over n variables, with integer
+    coefficients on the print order's packed monomials: num = s*den*e for
+    a positive integer s and den the product of the factors met. Each
+    intermediate is kept as num/(s*den) with its own s and den; a Div whose
+    divisor is not constant enters the divisor's primitive part, with a
+    positive leading coefficient, into `factors` under its terms if no
+    equal factor is there, and multiplies it into den. The final s is
+    dropped: a nonzero constant factor changes no ideal."""
     units = _print_packing(n).units
     vals = []  # (numerator terms, its positive denominator, denominator terms)
     for x in expr_postorder(e):
@@ -707,20 +663,20 @@ def _clear(e: Expr, n: int, factors: dict) -> tuple[dict[int, int], int]:
                 dl = _packed_mul(dl, factors.setdefault(frozenset(prim.items()), prim))
             vals[-1] = (num, sl * abs(g), dl)
 
-    num, s, _ = vals[0]
-    return num, s
+    return vals[0][0]
 
 
 def clear_relations(
     exprs: list[Expr], table: VarTable
 ) -> tuple[list[Polynomial], list[Polynomial]]:
     """Clear the denominators of each expression e: its numerator num, with
-    e = num/den for den a product of the listed factors, and the distinct
-    denominator factors of all of them, in first-seen order. Each Div node
-    whose divisor is not constant contributes the divisor's primitive part,
-    with a positive leading coefficient under the print order, so equal
-    factors of different expressions are listed once; a constant divisor
-    folds into the numerator's coefficients. No denominator is built.
+    integer coefficients and num = s*den*e for a positive integer s and den
+    a product of the listed factors, and the distinct denominator factors
+    of all of them, in first-seen order. Each Div node whose divisor is not
+    constant contributes the divisor's primitive part, with a positive
+    leading coefficient under the print order, so equal factors of
+    different expressions are listed once; a constant divisor folds into
+    the numerator's coefficients. No denominator is built.
 
     The walk keeps each intermediate numerator as integer coefficients on
     packed monomials over one positive integer denominator, and each
@@ -729,9 +685,9 @@ def clear_relations(
     n = len(table)
     read = _print_packing(n).reader(n)
 
-    def polynomial(terms: dict[int, int], den: int = 1) -> Polynomial:
-        return Polynomial._from_integers(table, {read(m): c for m, c in terms.items()}, den)
+    def polynomial(terms: dict[int, int]) -> Polynomial:
+        return Polynomial._trusted(table, {read(m): c for m, c in terms.items()})
 
     factors: dict[frozenset, dict[int, int]] = {}  # first-seen order
-    nums = [polynomial(*_clear(e, n, factors)) for e in exprs]
+    nums = [polynomial(_clear(e, n, factors)) for e in exprs]
     return nums, [polynomial(f) for f in factors.values()]

@@ -405,17 +405,18 @@ FIX_MODES = ("zero_one", "minus_one_one", "off")
 def _unpinnable_point(c: Construction, table: VarTable, pinned: int) -> str | None:
     """The first defined point whose definition does not commute with the
     maps that pinning relies on, or None. Pinning two points needs every
-    map z -> az + b (a nonzero), so each definition must clear to an affine
-    combination of points: no denominator factor, degree-1 point terms
-    only, and coefficients summing to 1. Pinning one point needs only the
+    map z -> az + b (a nonzero), so each definition D := e must be an
+    affine combination of points: e - D clears with no denominator factor
+    to degree-1 point terms only, whose coefficients sum to 0, whatever
+    positive scale the clearing leaves. Pinning one point needs only the
     translations z -> z + b, which also allow a constant term."""
     degrees = (1,) if pinned == 2 else (0, 1)
     for d in c.inlined:
-        (num,), factors = clear_relations([d.definition], table)
+        (num,), factors = clear_relations([Sub(d.definition, PointRef(d.point))], table)
         if (
             factors
             or any(sum(m) not in degrees for m in num.terms)
-            or sum(a for m, a in num.terms.items() if any(m)) != 1
+            or sum(a for m, a in num.terms.items() if any(m))
         ):
             return c.point_name(d.point)
     return None

@@ -1,28 +1,30 @@
 """Buchberger engine with Gebauer-Moeller pair pruning, reduced bases,
 elimination ideals, and the triviality test.
 
-Inputs are cleared of denominators into integer-primitive working records
-(fraction-free, algebra_core._primitive), whose monomials are packed ints
-under the active order in the format that algebra_core defines and clears
-expressions on (_Packing): multiplying or dividing two monomials is one
-integer addition or subtraction, comparing them is one integer comparison,
-and divisibility is one guard-bit test. Each record keeps its tail, every term but the
-leading one, as a tuple built once: a reduction step deletes the cancelled
-leading term and merges only the reducer's tail, and an S-polynomial merges
-two tails. Division takes the leading term from a heap of the working
-polynomial's monomials, and the critical pairs wait in a heap keyed by
-sugar, then lcm (Monagan and Pearce, CASC 2007; Giovini et al., ISSAC 1991).
-The Gebauer-Moeller criteria compare lcms on the exponent fields alone, and
-only the pairs they keep get a packed lcm: the new element's leading
-monomial times the multiplier, lifted from its nonzero exponent fields
-alone. New basis elements enter fully reduced, tail included; redundant
-ones stay as reducers until the minimal basis is taken at the end, so the
-basis only grows and a cache keyed by packed monomial can keep each
-monomial's reducer, and a hit needs no divisibility test. Results leave as
-the records read: Polynomials on exponent tuples with coprime integer
-coefficients and a positive leading coefficient under the run's order.
-For an elimination that order, on the kept variables, is the print order,
-so documents print the generators as they are.
+Inputs have integer coefficients, as the clearing leaves them, and enter as
+integer-primitive working records (fraction-free, algebra_core._primitive):
+scaling a generator by a nonzero constant changes no ideal. Their monomials
+are packed ints under the active order in the format that algebra_core
+defines and clears expressions on (_Packing): multiplying or dividing two
+monomials is one integer addition or subtraction, comparing them is one
+integer comparison, and divisibility is one guard-bit test. Each record
+keeps its tail, every term but the leading one, as a tuple built once: a
+reduction step deletes the cancelled leading term and merges only the
+reducer's tail, and an S-polynomial merges two tails. Division takes the
+leading term from a heap of the working polynomial's monomials, and the
+critical pairs wait in a heap keyed by sugar, then lcm (Monagan and Pearce,
+CASC 2007; Giovini et al., ISSAC 1991). The Gebauer-Moeller criteria
+compare lcms on the exponent fields alone, and only the pairs they keep get
+a packed lcm: the new element's leading monomial times the multiplier,
+lifted from its nonzero exponent fields alone. New basis elements enter
+fully reduced, tail included; redundant ones stay as reducers until the
+minimal basis is taken at the end, so the basis only grows and a cache
+keyed by packed monomial can keep each monomial's reducer, and a hit needs
+no divisibility test. Results leave as the records read: Polynomials on
+exponent tuples with coprime integer coefficients and a positive leading
+coefficient under the run's order. For an elimination that order, on the
+kept variables, is the print order, so documents print the generators as
+they are.
 An elimination is one Buchberger run under a block order whose first block
 holds every eliminated variable: one Rabinowitsch variable u_k per factor
 d_k to saturate by, packed past the table's last variable and entered as
@@ -51,7 +53,6 @@ from .algebra_core import (
     MonomialOrder,
     Polynomial,
     VarTable,
-    _integer_form,
     _Packing,
     _primitive,
     _too_big,
@@ -363,22 +364,18 @@ def _buchberger(F, pk: _Packing, budget: _Budget, drop=0, seed=()):
 
 
 def _enter(polys: list[Polynomial], pk: _Packing) -> list[_IntPoly]:
-    """Clear denominators: each nonzero input as its integer-primitive form
-    with positive leading coefficient."""
+    """Each nonzero integer-coefficient input as its primitive form with a
+    positive leading coefficient."""
     pack = pk.pack
-    return [
-        _normalize({pack(m): c for m, c in _integer_form(p.terms)[0].items()}, pk)
-        for p in polys
-    ]
+    return [_normalize({pack(m): c for m, c in p.terms.items()}, pk) for p in polys]
 
 
 def _saturator(d: Polynomial, u: int, pk: _Packing) -> _IntPoly:
-    """d*u - 1 cleared to integers, which saturates the ideal by d; u is a
-    packed variable past d's table. A zero d gives the constant -1."""
-    nums, den = _integer_form(d.terms)
+    """d*u - 1, which saturates the ideal by d; u is a packed variable past
+    d's table. A zero d gives the constant -1."""
     times_u = (0,) * (u - len(d.table)) + (1,)
-    terms = {pk.pack(m + times_u): c for m, c in nums.items()}
-    terms[0] = -den
+    terms = {pk.pack(m + times_u): c for m, c in d.terms.items()}
+    terms[0] = -1
     return _normalize(terms, pk)
 
 
@@ -388,7 +385,7 @@ def _exit(recs, table: VarTable, pk: _Packing) -> tuple[Polynomial, ...]:
     them must be zero."""
     read = pk.reader(len(table))
     return tuple(
-        Polynomial._from_integers(table, {read(m): c for m, c in d.terms.items()})
+        Polynomial._trusted(table, {read(m): c for m, c in d.terms.items()})
         for d in sorted(recs, key=lambda d: d.lm)
     )
 
@@ -402,9 +399,10 @@ def groebner_basis(
     order: MonomialOrder,
     config: GroebnerConfig | None = None,
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by F under `order`,
-    each generator integer-primitive with a positive leading coefficient
-    under `order`. Deterministic for a fixed input list."""
+    """Reduced Groebner basis of the ideal generated by F, polynomials with
+    integer coefficients, under `order`, each generator integer-primitive
+    with a positive leading coefficient under `order`. Deterministic for a
+    fixed input list."""
     config = config or DEFAULT_CONFIG
     polys = [f for f in F if not f.is_zero]
     if not polys:
@@ -422,7 +420,8 @@ def eliminate(
     saturate: Iterable[Polynomial] = (),
 ) -> EliminationResult:
     """Generators of the saturation of ideal(F) by each polynomial in
-    `saturate`, intersected with the ring in the kept variables. With
+    `saturate`, intersected with the ring in the kept variables. F and
+    `saturate` hold polynomials with integer coefficients. With
     `after`, the result of an elimination of the same variables, the ideal
     is ideal(F) plus the ideal `after` was computed for, whose saturation
     it inherits.

@@ -83,7 +83,7 @@ def format_expr(e: RationalExpr, names: Sequence[str]) -> str:
     return vals[0][0]
 
 
-def _term_string(m: tuple[int, ...], c: Fraction, p: Polynomial) -> str:
+def _term_string(m: tuple[int, ...], c: int | Fraction, p: Polynomial) -> str:
     if not any(m):
         return str(c)
     mono = "*".join(
@@ -151,7 +151,7 @@ def emit_identity(trace: ProofTrace, texts: dict[int, str] | None = None) -> str
             return None
         factors.append(f"({s})" + (f"^{e}" if e > 1 else ""))
     thesis_s = texts[r]
-    value = -const / coeff
+    value = Fraction(-const, coeff)
     if not factors:
         return f"{thesis_s}={value}"
     factors.append(f"({thesis_s})")
@@ -166,7 +166,7 @@ def _rational_form(trace: ProofTrace) -> str | None:
     v, w = trace.linear.v, trace.linear.w
     if v.is_constant:
         return format_polynomial(w.scale(Fraction(-1) / v.constant_value()))
-    num = w.scale(Fraction(-1))
+    num = -w
     ns = format_polynomial(num)
     if len(num.terms) > 1:
         ns = f"({ns})"

@@ -163,8 +163,8 @@ def express_linear(p: Polynomial, r: int) -> LinearForm:
     """Split p = v*r + w. Requires p of degree exactly 1 in r."""
     if p.degree_in(r) != 1:
         raise AlgebraError("pivot is not linear in r")
-    v_terms: dict[tuple[int, ...], Fraction] = {}
-    w_terms: dict[tuple[int, ...], Fraction] = {}
+    v_terms: dict[tuple[int, ...], int] = {}
+    w_terms: dict[tuple[int, ...], int] = {}
     for m, c in p.terms.items():
         if m[r]:
             v_terms[m[:r] + (0,) + m[r + 1:]] = c

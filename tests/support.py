@@ -174,7 +174,7 @@ def leading_monomial(p: Polynomial, order: MonomialOrder) -> tuple[int, ...]:
     return max(p.terms, key=lambda m: order_key(order, m))
 
 
-def leading_coefficient(p: Polynomial, order: MonomialOrder) -> Fraction:
+def leading_coefficient(p: Polynomial, order: MonomialOrder) -> int | Fraction:
     return p.terms[leading_monomial(p, order)]
 
 
@@ -182,7 +182,7 @@ def monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
     """p scaled to leading coefficient 1 under `order`; zero stays zero."""
     if p.is_zero:
         return p
-    return p.scale(1 / leading_coefficient(p, order))
+    return p.scale(Fraction(1, leading_coefficient(p, order)))
 
 
 def is_primitive(p: Polynomial) -> bool:
@@ -201,8 +201,9 @@ def mono(table: VarTable, exps: dict[int, int]) -> tuple[int, ...]:
 
 
 def poly(table: VarTable, terms) -> Polynomial:
-    """Polynomial from (sparse exponent map, coefficient) pairs."""
-    return Polynomial(table, {mono(table, m): Fraction(c) for m, c in terms})
+    """Polynomial from (sparse exponent map, coefficient) pairs; the
+    coefficients are kept as given, so ints stay ints."""
+    return Polynomial(table, {mono(table, m): c for m, c in terms})
 
 
 def random_polynomial(
@@ -212,17 +213,18 @@ def random_polynomial(
     max_degree: int = 3,
     max_terms: int = 4,
 ) -> Polynomial:
-    terms: dict[tuple[int, ...], Fraction] = {}
+    """A random polynomial with integer coefficients."""
+    terms: dict[tuple[int, ...], int] = {}
     for _ in range(rng.randint(1, max_terms)):
         exps: dict[int, int] = {}
         for _ in range(rng.randint(0, max_degree)):
             v = rng.choice(variables)
             exps[v] = exps.get(v, 0) + 1
-        c = Fraction(rng.randint(-5, 5))
+        c = rng.randint(-5, 5)
         if not c:
             continue
         m = mono(table, exps)
-        nc = terms.get(m, Fraction(0)) + c
+        nc = terms.get(m, 0) + c
         if nc:
             terms[m] = nc
         else:
@@ -244,16 +246,19 @@ def to_sympy(p: Polynomial, symbols):
 
 
 def from_sympy(expr, table: VarTable, symbols) -> Polynomial:
-    """Convert a sympy polynomial expression back; inverse of to_sympy."""
+    """Convert a sympy polynomial expression back; inverse of to_sympy.
+    Integer coefficients come back as ints, the others as Fractions."""
     import sympy
 
     index = {s: i for i, s in enumerate(symbols)}
     poly = sympy.Poly(sympy.expand(expr), *symbols)
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int | Fraction] = {}
     for monom, coeff in poly.terms():
         c = sympy.Rational(coeff)
-        frac = Fraction(int(c.p), int(c.q))
-        terms[mono(table, {index[s]: e for s, e in zip(symbols, monom)})] = frac
+        q = int(c.q)
+        terms[mono(table, {index[s]: e for s, e in zip(symbols, monom)})] = (
+            int(c.p) if q == 1 else Fraction(int(c.p), q)
+        )
     return Polynomial(table, terms)
 
 
@@ -290,7 +295,7 @@ def normal_form(f: Polynomial, G, order: MonomialOrder) -> Polynomial:
         lm = leading_monomial(g, order)
         reducers.append((lm, g.terms[lm], g))
     work = dict(f.terms)
-    rem: dict[tuple[int, ...], Fraction] = {}
+    rem: dict[tuple[int, ...], int | Fraction] = {}
     while work:
         m = max(work, key=lambda t: order_key(order, t))
         c = work.pop(m)
@@ -298,7 +303,7 @@ def normal_form(f: Polynomial, G, order: MonomialOrder) -> Polynomial:
         for lm, lc, g in reducers:
             q = mono_div(m, lm)
             if q is not None:
-                hit = (q, c / lc, g)
+                hit = (q, Fraction(c, lc), g)
                 break
         if hit is None:
             rem[m] = c
@@ -308,7 +313,7 @@ def normal_form(f: Polynomial, G, order: MonomialOrder) -> Polynomial:
             mm = mono_mul(q, mg)
             if mm == m:
                 continue  # the head term cancels exactly
-            nc = work.get(mm, Fraction(0)) - scale * cg
+            nc = work.get(mm, 0) - scale * cg
             if nc:
                 work[mm] = nc
             else:
@@ -323,8 +328,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     lmf = leading_monomial(f, order)
     lmg = leading_monomial(g, order)
     l = mono_lcm(lmf, lmg)
-    tf = Polynomial(f.table, {mono_div(l, lmf): 1 / f.terms[lmf]})
-    tg = Polynomial(g.table, {mono_div(l, lmg): 1 / g.terms[lmg]})
+    tf = Polynomial(f.table, {mono_div(l, lmf): Fraction(1, f.terms[lmf])})
+    tg = Polynomial(g.table, {mono_div(l, lmg): Fraction(1, g.terms[lmg])})
     return tf * f - tg * g
 
 
@@ -366,8 +371,8 @@ def eliminate_by_product(hyps, factors, points) -> tuple[Polynomial, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Reference clearing of denominators, on Polynomial arithmetic with Fraction
-# coefficients at every node.
+# Reference clearing of denominators, on Polynomial arithmetic at every node,
+# dividing through Fraction.
 
 
 def print_order(table: VarTable) -> GrevLex:
@@ -390,7 +395,7 @@ def reference_primitive(p: Polynomial) -> tuple[Fraction, Polynomial]:
     if leading_coefficient(p, print_order(p.table)) < 0:
         g = -g
     content = Fraction(g, den)
-    return content, p.scale(1 / content)
+    return content, p.scale(Fraction(1) / content)
 
 
 def reference_normalize(e: Expr, table: VarTable):
@@ -425,10 +430,10 @@ def reference_normalize(e: Expr, table: VarTable):
                 raise ZeroDenominatorError("denominator normalizes to the zero polynomial")
             num = nl * dr
             if nr.is_constant:
-                return num.scale(1 / nr.constant_value()), dl
+                return num.scale(Fraction(1, nr.constant_value())), dl
             content, prim = reference_primitive(nr)
             factors[prim] = None
-            return num.scale(1 / content), dl * prim
+            return num.scale(Fraction(1) / content), dl * prim
         raise AlgebraError(f"unknown expression node {node!r}")
 
     num, den = walk(e)

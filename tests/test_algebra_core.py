@@ -198,22 +198,39 @@ _rational = st.builds(Fraction, _small, st.integers(min_value=1, max_value=6))
 
 
 @st.composite
-def polys(draw, table):
+def polys(draw, table, coefficients=_rational):
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
         exps = tuple(draw(st.integers(0, 2)) for _ in range(3))
-        c = draw(_rational)
+        c = draw(coefficients)
         if c:
             terms[exps] = c
     return Polynomial(table, terms)
 
 
-def _clean(p: Polynomial) -> Polynomial:
-    """p, after checking that every stored coefficient is a nonzero
-    Fraction, not an int."""
+def _all_ints(*ps: Polynomial) -> bool:
+    return all(type(c) is int for p in ps for c in p.terms.values())
+
+
+def _clean(p: Polynomial, ints: bool = False) -> Polynomial:
+    """p, after checking that every stored coefficient is a nonzero int or
+    Fraction, never a float, and an int when `ints` says that every operand
+    it came from had int coefficients."""
     for c in p.terms.values():
-        assert type(c) is Fraction and c != 0
+        assert type(c) in ((int,) if ints else (int, Fraction)) and c != 0
     return p
+
+
+def _scale_of(num: Polynomial, want: Polynomial) -> Fraction:
+    """The s with num == s*want, read off one coefficient; it must be a
+    positive integer. Both zero gives 1."""
+    if want.is_zero:
+        assert num.is_zero
+        return Fraction(1)
+    m = next(iter(want.terms))
+    s = Fraction(num.terms.get(m, 0), want.terms[m])
+    assert s > 0 and s.denominator == 1
+    return s
 
 
 _TBL = make_table("x", "y", "z")
@@ -241,24 +258,30 @@ def test_evaluation_is_a_homomorphism(p, q, vals):
 _value = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]), _rational)
 
 
+_either = st.one_of(polys(_TBL, _small), polys(_TBL))
+
+
 @given(
-    polys(_TBL),
-    polys(_TBL),
+    _either,
+    _either,
     st.lists(_value, min_size=3, max_size=3),
     st.integers(0, 3),
-    _rational,
+    st.one_of(_small, _rational),
 )
 @settings(max_examples=100, deadline=None)
 def test_kernels_agree_with_evaluation(p, q, vals, k, c):
+    # integer operands give integer results: the clearing and the engine
+    # never meet a Fraction
     a = dict(enumerate(vals))
     P, Q = evaluate(p, a), evaluate(q, a)
-    assert evaluate(_clean(p + q), a) == P + Q
-    assert evaluate(_clean(p - q), a) == P - Q
-    assert evaluate(_clean(-p), a) == -P
-    assert evaluate(_clean(p * q), a) == P * Q
-    assert evaluate(_clean(p ** k), a) == P ** k
-    assert evaluate(_clean(p.scale(c)), a) == P * c
-    assert _clean(p.scale(1)) == p
+    ints = _all_ints(p, q)
+    assert evaluate(_clean(p + q, ints), a) == P + Q
+    assert evaluate(_clean(p - q, ints), a) == P - Q
+    assert evaluate(_clean(-p, _all_ints(p)), a) == -P
+    assert evaluate(_clean(p * q, ints), a) == P * Q
+    assert evaluate(_clean(p ** k, _all_ints(p)), a) == P ** k
+    assert evaluate(_clean(p.scale(c), _all_ints(p) and type(c) is int), a) == P * c
+    assert _clean(p.scale(1), _all_ints(p)) == p
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +368,16 @@ def test_clear_relations_registers_each_factor_once():
 
 
 def test_clear_relations_folds_constant_denominators():
+    # (A + B)/2 clears to 2 * (A + B)/2: the constant divisor leaves no
+    # factor and no Fraction
     table = make_table("A", "B")
     e = Div(Add(PointRef(0), PointRef(1)), Const(Fraction(2)))
     (num,), factors = clear_relations([e], table)
     assert factors == []
-    assert num == (Polynomial.variable(table, 0) + Polynomial.variable(table, 1)).scale(Fraction(1, 2))
+    want = (Polynomial.variable(table, 0) + Polynomial.variable(table, 1)).scale(Fraction(1, 2))
+    s = _scale_of(num, want)
+    assert s == 2 and num == want.scale(s)
+    _clean(num, ints=True)
 
 
 _leaf = st.one_of(st.builds(PointRef, st.integers(0, 1)), st.builds(Const, _rational))
@@ -376,9 +404,10 @@ _gaussian = st.builds(Qi, _rational, _rational)
 @given(exprs, _gaussian, _gaussian)
 @settings(max_examples=150, deadline=None)
 def test_normalize_agrees_with_direct_evaluation(e, a, b):
-    # num/den must equal the expression wherever no denominator factor
-    # vanishes, den being the product of factors the reference builds; a
-    # divisor that clears to zero divides by zero everywhere
+    # num/den must equal s times the expression wherever no denominator
+    # factor vanishes, den being the product of factors the reference builds
+    # and s the positive integer the clearing leaves; a divisor that clears
+    # to zero divides by zero everywhere
     table = make_table("A", "B")
     assign = {0: a, 1: b}
     try:
@@ -387,19 +416,22 @@ def test_normalize_agrees_with_direct_evaluation(e, a, b):
         with pytest.raises(ZeroDivisionError):
             expr_evaluate(e, assign)
         return
-    den = reference_normalize(e, table)[1]
-    for p in (num, den, *factors):
-        _clean(p)
+    ref, den, _ = reference_normalize(e, table)
+    s = _scale_of(num, ref)
+    for p in (num, *factors):
+        _clean(p, ints=True)
+    _clean(den)
     if any(evaluate(f, assign) == 0 for f in factors):
         return
-    assert evaluate(num, assign) / evaluate(den, assign) == expr_evaluate(e, assign)
+    assert evaluate(num, assign) / evaluate(den, assign) == expr_evaluate(e, assign) * s
 
 
 @given(exprs, st.sampled_from([("A", "B"), ("A", "B", "C", "D", "r1", "r")]))
 @settings(max_examples=300, deadline=None)
 def test_normalize_matches_the_reference(e, names):
     # the integer walk returns what clearing on Polynomials at every node
-    # returns, the factors in the same order, and fails on the same input
+    # returns, up to a positive integer scale of the numerator, the factors
+    # in the same order, and fails on the same input
     table = make_table(*names)
     try:
         num, _, want = reference_normalize(e, table)
@@ -408,7 +440,8 @@ def test_normalize_matches_the_reference(e, names):
             clear_relations([e], table)
         return
     nums, factors = clear_relations([e], table)
-    assert (nums, factors) == ([num], want)
+    s = _scale_of(nums[0], num)
+    assert (nums, factors) == ([num.scale(s)], want)
     for f in factors:
         assert f == reference_primitive(f)[1]
 
@@ -416,8 +449,9 @@ def test_normalize_matches_the_reference(e, names):
 @given(st.lists(exprs, min_size=1, max_size=3))
 @settings(max_examples=100, deadline=None)
 def test_clear_relations_matches_the_reference(es):
-    # each numerator as the reference gives it, and the factors of all the
-    # expressions once each, in first-seen order
+    # each numerator as the reference gives it, up to a positive integer
+    # scale, and the factors of all the expressions once each, in
+    # first-seen order
     table = make_table("A", "B", "r")
     try:
         want = [reference_normalize(e, table) for e in es]
@@ -426,7 +460,9 @@ def test_clear_relations_matches_the_reference(es):
             clear_relations(es, table)
         return
     nums, factors = clear_relations(es, table)
-    assert nums == [num for num, _, _ in want]
+    assert len(nums) == len(want)
+    for got, (num, _, _) in zip(nums, want):
+        assert got == num.scale(_scale_of(got, num))
     assert factors == list(dict.fromkeys(f for _, _, fs in want for f in fs))
 
 

@@ -461,11 +461,16 @@ NOT_PINNABLE = [
     ("point A, B\nD := A + 1\nprove parallel(A, D, A, B)\n", "zero_one"),
     ("point A, B\nD := A + B\nprove collinear(A, D, B)\n", "minus_one_one"),
     ("point A, B, C\nD := A/(A - B)\nprove collinear(A, D, C)\n", "zero_one"),
+    # the weights sum to 2/3; it clears to A + B - 3*D
+    ("point A, B\nD := (A + B)/3\nprove collinear(A, D, B)\n", "zero_one"),
+    ("point A, B\nD := (A + B)/3\nprove collinear(A, D, B)\n", "minus_one_one"),
 ]
 
 
 @pytest.mark.parametrize(
-    "text,fix", NOT_PINNABLE, ids=["product", "shift", "sum", "quotient"]
+    "text,fix",
+    NOT_PINNABLE,
+    ids=["product", "shift", "sum", "quotient", "third-zero_one", "third-minus_one_one"],
 )
 def test_pinning_is_refused_for_a_definition_that_is_not_affine(text, fix, monkeypatch):
     docs = {}
@@ -483,6 +488,18 @@ def test_pinning_is_refused_for_a_definition_that_is_not_affine(text, fix, monke
         "the similarities of the plane (rotations, scalings and translations), "
         "so pinning could change the statement."
     ]
+
+
+@pytest.mark.parametrize("fix", ["zero_one", "minus_one_one"])
+def test_pinning_is_kept_for_an_affine_definition_whatever_its_denominator(fix, monkeypatch):
+    # (3*A - B)/2 weighs A and B by 3/2 and -1/2, which sum to 1; it clears
+    # to 3*A - B - 2*D, whose weights sum to 0 at every scale
+    text = "point A, B\nD := (3*A - B)/2\nprove collinear(A, D, B)\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = _run("-", fix_mode=fix, format="json")
+    doc = json.loads(out)
+    assert (code, err, doc["verdict"], doc["notes"]) == (0, "", "Proved", [])
+    assert [f["point"] for f in doc["fixed"]] == ["A", "B"]
 
 
 def test_cli_config_validation():

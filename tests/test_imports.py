@@ -130,7 +130,7 @@ def private_imports(source: str) -> list[tuple[str, str]]:
     ids=lambda p: p.stem,
 )
 def test_only_the_engine_imports_private_names(path):
-    # groebner works on algebra_core's packed monomials and integer forms;
+    # groebner works on algebra_core's packed monomials and integer terms;
     # every other module reaches the rest of the package by public names
     assert private_imports(path.read_text(encoding="utf-8")) == []
 
@@ -138,9 +138,9 @@ def test_only_the_engine_imports_private_names(path):
 def test_private_imports_are_found():
     source = (
         "from __future__ import annotations\nfrom math import _x\n"
-        "from .algebra_core import Polynomial, _integer_form\n"
+        "from .algebra_core import Polynomial, _primitive\n"
         "from cni_prover.groebner import _Budget\nfrom . import _hidden\n"
     )
     assert private_imports(source) == [
-        ("", "_hidden"), ("algebra_core", "_integer_form"), ("cni_prover.groebner", "_Budget")
+        ("", "_hidden"), ("algebra_core", "_primitive"), ("cni_prover.groebner", "_Budget")
     ]

@@ -458,6 +458,39 @@ def test_corpus_reduction_counts(fix, reductions, zeros, monkeypatch):
     assert sum(r.zero_reductions for r in runs) == zeros
 
 
+def _integer_runs():
+    """(path, fix) for every corpus statement that reaches the prover but
+    `pappus`, and every problem, in every fix mode."""
+    paths = [
+        p for p in sorted((PERFBENCH / "corpus").glob("*.cni"))
+        if not p.stem.startswith("bad_") and p.stem != "pappus"
+    ]
+    paths += sorted(PROBLEMS.glob("*.cni"))
+    return [(p, fix) for p in paths for fix in ("zero_one", "minus_one_one", "off")]
+
+
+@pytest.mark.parametrize(
+    "path,fix",
+    _integer_runs(),
+    ids=lambda x: x if isinstance(x, str) else f"{x.parent.name}/{x.stem}",
+)
+def test_the_proving_path_holds_integer_coefficients(path, fix):
+    # the clearing leaves integer numerators, and the engine takes and
+    # leaves integers, so no Fraction reaches a polynomial of the proof
+    c = substitute_declaratives(parse(SourceProgram(path.read_text(), path.stem)))
+    sys = fix_coordinates(build_system(c), c, fix)
+    t = prove(sys, ProverConfig(timeout=60.0)).trace
+    polys = [*sys.hypothesis_polys, *sys.denominator_factors, *t.generators]
+    for lf in (t.linear, t.second and t.second.linear):
+        if lf:
+            polys += [lf.pivot, lf.v, lf.w]
+    if t.second is not None:
+        polys += t.second.generators or ()
+    assert t.generators
+    bad = [c for p in polys for c in p.terms.values() if type(c) is not int]
+    assert not bad, bad[:3]
+
+
 def test_prove_e2nru_end_to_end():
     table, x, r1, r, sys = _cylinder_system()
     v = prove(sys)
