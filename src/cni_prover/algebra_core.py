@@ -8,7 +8,6 @@ proving path, since ideal membership decisions must be error-free.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -71,40 +70,93 @@ class VarTable:
 
 
 # ---------------------------------------------------------------------------
+# Immutable records.
+
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the package's immutable value records. A concrete subclass
+    lists its fields in its own `__slots__`, and its `__init__` sets them
+    through object.__setattr__, after any checks. Records of the same
+    class are equal, and hash alike, when their fields are; a record of
+    another class compares as NotImplemented. The repr is
+    Name(field=value, ...). Fields cannot be assigned or deleted."""
+
+    __slots__ = ()
+
+    # fields left out of the repr
+    _hidden: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        """The values that equality and hashing compare: every field."""
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = (f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f not in self._hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed. The class's __init__ must
+        take each field by its name; it checks the new values."""
+        return type(self)(**{f: getattr(self, f) for f in self.__slots__} | changes)
+
+
+# ---------------------------------------------------------------------------
 # Monomials are exponent tuples with one entry per variable of the table.
 
 
-class MonomialOrder:
+class MonomialOrder(Record):
     """Base for monomial orders on exponent tuples. `blocks()` gives the
     order as grevlex blocks, most significant first: monomials compare
     under the first block's GrevLex, ties go to the next block, and so on.
     _Packing turns that into integers that compare as the monomials do."""
 
+    __slots__ = ()
+
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class GrevLex(MonomialOrder):
     """Graded reverse lexicographic order on the variables in `perm`: the
     larger total degree in them wins; at equal degree, the smaller exponent
     in the last of them where two monomials differ. It ignores the other
     variables."""
 
-    perm: tuple[int, ...]
+    __slots__ = ("perm",)
+
+    def __init__(self, perm: tuple[int, ...]) -> None:
+        _set(self, "perm", perm)
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         return (self.perm,)
 
 
-@dataclass(frozen=True)
 class Block(MonomialOrder):
     """Block order: compare by `first` (the eliminated block), break ties by
     `second`. Any monomial touching a first-block variable exceeds every
     monomial free of them, which is what elimination needs."""
 
-    first: MonomialOrder
-    second: MonomialOrder
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: MonomialOrder, second: MonomialOrder) -> None:
+        _set(self, "first", first)
+        _set(self, "second", second)
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         return self.first.blocks() + self.second.blocks()
@@ -395,7 +447,7 @@ class Polynomial:
 # Rational point expressions
 
 
-class Expr:
+class Expr(Record):
     """Expression tree over complex point symbols and rational constants."""
 
     __slots__ = ()
@@ -434,55 +486,60 @@ class Expr:
 RationalExpr = Expr
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, value: Fraction) -> None:
+        _set(self, "value", Fraction(value))
 
 
-@dataclass(frozen=True)
 class PointRef(Expr):
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
+class _Binary(Expr):
+    """A node with the fields left and right, each listed by the subclass."""
+
+    __slots__ = ()
+
+    def __init__(self, left: Expr, right: Expr) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+class Add(_Binary):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+class Sub(_Binary):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
+class Mul(_Binary):
+    __slots__ = ("left", "right")
 
-    def __post_init__(self):
-        if isinstance(self.right, Const) and self.right.value == 0:
+
+class Div(_Binary):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr) -> None:
+        if isinstance(right, Const) and right.value == 0:
             raise ZeroDenominatorError("division by the constant zero")
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")
 
-    def __post_init__(self):
-        if self.exponent < 0:
+    def __init__(self, base: Expr, exponent: int) -> None:
+        if exponent < 0:
             raise AlgebraError("Pow exponent must be nonnegative")
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
 
 
 _BINARY = frozenset((Add, Sub, Mul, Div))

@@ -21,11 +21,10 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra_core import AlgebraError, Const, PointRef, RationalExpr, VarTable
+from .algebra_core import AlgebraError, Const, PointRef, RationalExpr, Record, VarTable
 from .geometry_model import (
     DEFINITIONS,
     FIX_MODES,
@@ -40,7 +39,7 @@ from .geometry_model import (
     predicate_step,
     substitute_declaratives,
 )
-from .groebner import DEFAULT_TIMEOUT
+from .groebner import DEFAULT_TIMEOUT, check_timeout
 from .proof_emitter import FORMATS, emit_trace, format_expr
 from .prover import INCONCLUSIVE, PROVED, ProofTrace, ProverConfig, ProverVerdict, prove
 
@@ -81,12 +80,17 @@ KEYWORDS = ("point", "assume", "prove")
 _LINE_END = re.compile(r"\r\n?|\n")
 
 
-@dataclass(frozen=True)
-class SourceProgram:
+_set = object.__setattr__
+
+
+class SourceProgram(Record):
     """Raw program text plus a name used in diagnostics."""
 
-    text: str
-    name: str = "<input>"
+    __slots__ = ("text", "name")
+
+    def __init__(self, text: str, name: str = "<input>") -> None:
+        _set(self, "text", text)
+        _set(self, "name", name)
 
     def statements(self) -> list[tuple[int, str]]:
         """Non-empty statements with their 1-based line numbers, comments
@@ -286,9 +290,8 @@ def _build_predicate(name: str, args: list[int], line: int, col: int) -> Predica
     cls = _PREDICATE_BY_NAME.get(name)
     if cls is None:
         raise UnknownPredicateError(name, line)
-    arity = len(fields(cls))
-    if len(args) != arity:
-        raise PredicateArityError(name, line, arity, len(args))
+    if len(args) != cls.arity:
+        raise PredicateArityError(name, line, cls.arity, len(args))
     try:
         return cls(*args)
     except GeometryError as exc:
@@ -395,21 +398,27 @@ def format_construction(c: Construction) -> str:
 # CLI driver.
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    input: str
-    fix_mode: str = "zero_one"
-    timeout: float = DEFAULT_TIMEOUT
-    format: str = "text"
-    show_ideal: bool = False
+class CliConfig(Record):
+    __slots__ = ("input", "fix_mode", "timeout", "format", "show_ideal")
 
-    def __post_init__(self):
-        if not self.timeout > 0:  # also rejects NaN, whose deadline never fires
-            raise ValueError("timeout must be positive")
-        if self.fix_mode not in FIX_MODES:
-            raise ValueError(f"unknown fix mode {self.fix_mode!r}")
-        if self.format not in FORMATS:
-            raise ValueError(f"unknown format {self.format!r}")
+    def __init__(
+        self,
+        input: str,
+        fix_mode: str = "zero_one",
+        timeout: float = DEFAULT_TIMEOUT,
+        format: str = "text",
+        show_ideal: bool = False,
+    ) -> None:
+        check_timeout(timeout)
+        if fix_mode not in FIX_MODES:
+            raise ValueError(f"unknown fix mode {fix_mode!r}")
+        if format not in FORMATS:
+            raise ValueError(f"unknown format {format!r}")
+        _set(self, "input", input)
+        _set(self, "fix_mode", fix_mode)
+        _set(self, "timeout", timeout)
+        _set(self, "format", format)
+        _set(self, "show_ideal", show_ideal)
 
 
 def _unsupported_verdict(code: str, note: str) -> ProverVerdict:

@@ -5,8 +5,6 @@ the polynomial system whose elimination ideal decides the statement.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from functools import cached_property
 from fractions import Fraction
 from typing import Callable, ClassVar, Union
 
@@ -15,6 +13,7 @@ from .algebra_core import (
     PointRef,
     Polynomial,
     RationalExpr,
+    Record,
     Sub,
     VarTable,
     clear_relations,
@@ -22,6 +21,9 @@ from .algebra_core import (
     expr_postorder,
     expr_substitute,
 )
+
+
+_set = object.__setattr__
 
 
 class GeometryError(ValueError):
@@ -35,7 +37,7 @@ class PredicateArgumentError(GeometryError):
 # ---------------------------------------------------------------------------
 # The catalog. Each predicate class is one entry: its DSL name, the caveat of
 # its encoding if any, and the rational expression that is real exactly when
-# it holds. Arguments are point variable indices, one per dataclass field.
+# it holds. Arguments are point variable indices, one per field.
 
 
 def _differences(e: RationalExpr) -> list[tuple[int, int]]:
@@ -47,89 +49,78 @@ def _differences(e: RationalExpr) -> list[tuple[int, int]]:
     ]
 
 
-class Predicate:
+class Predicate(Record):
     """A catalog entry. `name` is the DSL name; `caveat`, when set, is the
-    note a proof document carries whenever the predicate is used; `expr`
-    is the expression that is real iff the predicate holds, built once per
-    predicate. Every directed segment in it must join symbolically distinct
-    points, or a denominator is identically zero."""
+    note a proof document carries whenever the predicate is used; `arity`
+    is the number of points, one per field. `expr` is the expression that
+    is real iff the predicate holds, which `_expr` builds from the points'
+    references once per predicate. Every directed segment in it must join
+    symbolically distinct points, or a denominator is identically zero."""
 
-    __slots__ = ()
+    __slots__ = ("expr",)
     name: ClassVar[str]
     caveat: ClassVar[str | None] = None
+    arity: ClassVar[int]
 
-    def __post_init__(self):
-        for a, b in _differences(self.expr):
+    def __init_subclass__(cls) -> None:
+        cls.arity = len(cls.__slots__)
+
+    def __init__(self, *points: int) -> None:
+        if len(points) != self.arity:
+            raise TypeError(
+                f"{type(self).__name__} takes {self.arity} points, got {len(points)}"
+            )
+        for f, i in zip(self.__slots__, points):
+            _set(self, f, i)
+        expr = self._expr(*map(PointRef, points))
+        for a, b in _differences(expr):
             if a == b:
                 raise PredicateArgumentError(
                     f"{type(self).__name__} needs distinct points in each "
                     f"directed segment (argument {a} repeated)"
                 )
+        _set(self, "expr", expr)
 
     def points(self) -> tuple[int, ...]:
-        return tuple(getattr(self, f.name) for f in fields(self))
+        return self._key()
 
-    def _refs(self) -> tuple[PointRef, ...]:
-        return tuple(PointRef(i) for i in self.points())
-
-    @cached_property
-    def expr(self) -> RationalExpr:
+    @staticmethod
+    def _expr(*refs: PointRef) -> RationalExpr:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Collinear(Predicate):
-    a: int
-    o: int
-    b: int
-
+    __slots__ = ("a", "o", "b")
     name = "collinear"
 
-    @cached_property
-    def expr(self):
-        a, o, b = self._refs()
+    @staticmethod
+    def _expr(a, o, b):
         return (a - o) / (o - b)
 
 
-@dataclass(frozen=True)
 class Parallel(Predicate):
-    e: int
-    f: int
-    g: int
-    h: int
-
+    __slots__ = ("e", "f", "g", "h")
     name = "parallel"
 
-    @cached_property
-    def expr(self):
-        e, f, g, h = self._refs()
+    @staticmethod
+    def _expr(e, f, g, h):
         return (e - f) / (g - h)
 
 
-@dataclass(frozen=True)
 class Perpendicular(Predicate):
-    p: int
-    q: int
-    r: int
-    s: int
-
+    __slots__ = ("p", "q", "r", "s")
     name = "perpendicular"
 
-    @cached_property
-    def expr(self):
-        p, q, r, s = self._refs()
+    @staticmethod
+    def _expr(p, q, r, s):
         return ((p - q) / (r - s)) ** 2
 
 
-@dataclass(frozen=True)
 class Equidistant(Predicate):
     """OA = OC, encoded through the angle equality of the isosceles
     triangle OAC."""
 
-    o: int
-    a: int
-    c: int
-
+    __slots__ = ("o", "a", "c")
     name = "equidist"
     caveat = (
         "Distance equality is encoded through the isosceles angle "
@@ -137,47 +128,32 @@ class Equidistant(Predicate):
         "configurations."
     )
 
-    @cached_property
-    def expr(self):
-        o, a, c = self._refs()
+    @staticmethod
+    def _expr(o, a, c):
         return ((a - c) / (a - o)) / ((c - o) / (c - a))
 
 
-@dataclass(frozen=True)
 class AngleEqual(Predicate):
     """Angle P1-Q1-R1 equals angle P2-Q2-R2 (vertex in the middle)."""
 
-    p1: int
-    q1: int
-    r1: int
-    p2: int
-    q2: int
-    r2: int
-
+    __slots__ = ("p1", "q1", "r1", "p2", "q2", "r2")
     name = "angle_eq"
 
-    @cached_property
-    def expr(self):
-        p1, q1, r1, p2, q2, r2 = self._refs()
+    @staticmethod
+    def _expr(p1, q1, r1, p2, q2, r2):
         return ((q1 - p1) / (q1 - r1)) / ((q2 - p2) / (q2 - r2))
 
 
-@dataclass(frozen=True)
 class Concyclic(Predicate):
-    a: int
-    b: int
-    c: int
-    d: int
-
+    __slots__ = ("a", "b", "c", "d")
     name = "concyclic"
     caveat = (
         "Concyclicity is encoded through the real cross-ratio, which is "
         "also real when the four points are collinear."
     )
 
-    @cached_property
-    def expr(self):
-        a, b, c, d = self._refs()
+    @staticmethod
+    def _expr(a, b, c, d):
         return (a - c) * (b - d) / ((a - d) * (b - c))
 
 
@@ -205,20 +181,24 @@ DEFINITIONS: dict[str, Callable[..., RationalExpr]] = {
 # Construction steps.
 
 
-@dataclass(frozen=True)
-class Declarative:
-    point: int
-    definition: RationalExpr
+class Declarative(Record):
+    __slots__ = ("point", "definition")
+
+    def __init__(self, point: int, definition: RationalExpr) -> None:
+        _set(self, "point", point)
+        _set(self, "definition", definition)
 
 
-@dataclass(frozen=True)
-class RealRelational:
+class RealRelational(Record):
     """The rational expression of a predicate, required to be real. `expr`
     is what the algebra consumes (declaratives substituted); the expression
     as written is `source.expr`."""
 
-    expr: RationalExpr
-    source: Predicate
+    __slots__ = ("expr", "source")
+
+    def __init__(self, expr: RationalExpr, source: Predicate) -> None:
+        _set(self, "expr", expr)
+        _set(self, "source", source)
 
 
 def predicate_step(p: Predicate) -> RealRelational:
@@ -229,36 +209,43 @@ def predicate_step(p: Predicate) -> RealRelational:
 ConstructionStep = Union[Declarative, RealRelational]
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(Record):
     """A construction: free points, steps, and exactly one thesis, the
     relation that comes last."""
 
-    table: VarTable
-    free_points: tuple[int, ...]
-    steps: tuple[ConstructionStep, ...]
-    thesis: RealRelational | None = None
-    inlined: tuple[Declarative, ...] = ()
+    __slots__ = ("table", "free_points", "steps", "thesis", "inlined")
 
-    def __post_init__(self):
-        if self.thesis is None:
+    def __init__(
+        self,
+        table: VarTable,
+        free_points: tuple[int, ...],
+        steps: tuple[ConstructionStep, ...],
+        thesis: RealRelational | None = None,
+        inlined: tuple[Declarative, ...] = (),
+    ) -> None:
+        if thesis is None:
             raise GeometryError("a construction needs a thesis")
-        n = len(self.table)
-        for i in self.free_points:
+        n = len(table)
+        for i in free_points:
             if not 0 <= i < n:
                 raise GeometryError(f"free point index {i} out of range")
-        for step in self.steps + (self.thesis,):
+        for step in steps + (thesis,):
             if isinstance(step, Declarative):
                 for ref in expr_points(step.definition):
                     if ref >= step.point:
                         raise GeometryError(
-                            f"declarative point {self.table.name(step.point)} may "
+                            f"declarative point {table.name(step.point)} may "
                             f"only reference earlier points"
                         )
             else:
                 for ref in expr_points(step.expr):
                     if not 0 <= ref < n:
                         raise GeometryError(f"point index {ref} out of range")
+        _set(self, "table", table)
+        _set(self, "free_points", free_points)
+        _set(self, "steps", steps)
+        _set(self, "thesis", thesis)
+        _set(self, "inlined", inlined)
 
     def point_name(self, i: int) -> str:
         return self.table.name(i)
@@ -290,31 +277,58 @@ def substitute_declaratives(c: Construction) -> Construction:
 # Polynomial system assembly.
 
 
-@dataclass(frozen=True)
-class SlackOrigin:
+class SlackOrigin(Record):
     """Ties a slack variable to the relation it measures, as written."""
 
-    slack: int
-    name: str
-    stated: RationalExpr
+    __slots__ = ("slack", "name", "stated")
+
+    def __init__(self, slack: int, name: str, stated: RationalExpr) -> None:
+        _set(self, "slack", slack)
+        _set(self, "name", name)
+        _set(self, "stated", stated)
 
 
-@dataclass(frozen=True)
-class PolynomialSystem:
+class PolynomialSystem(Record):
     """Cleared polynomials p1..ps (thesis last), the distinct denominator
     factors d_1..d_m, which must not vanish, and the variables to
     eliminate. The elimination saturates the ideal by the factors."""
 
-    table: VarTable
-    hypothesis_polys: tuple[Polynomial, ...]
-    eliminate_vars: tuple[int, ...]
-    slack_map: tuple[SlackOrigin, ...]
-    denominator_factors: tuple[Polynomial, ...]
-    free_points: tuple[int, ...]
-    point_names: tuple[str, ...]
-    declaratives: tuple[tuple[str, RationalExpr], ...]
-    fixed: tuple[tuple[str, Fraction], ...] = ()
-    notes: tuple[str, ...] = ()
+    __slots__ = (
+        "table",
+        "hypothesis_polys",
+        "eliminate_vars",
+        "slack_map",
+        "denominator_factors",
+        "free_points",
+        "point_names",
+        "declaratives",
+        "fixed",
+        "notes",
+    )
+
+    def __init__(
+        self,
+        table: VarTable,
+        hypothesis_polys: tuple[Polynomial, ...],
+        eliminate_vars: tuple[int, ...],
+        slack_map: tuple[SlackOrigin, ...],
+        denominator_factors: tuple[Polynomial, ...],
+        free_points: tuple[int, ...],
+        point_names: tuple[str, ...],
+        declaratives: tuple[tuple[str, RationalExpr], ...],
+        fixed: tuple[tuple[str, Fraction], ...] = (),
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        _set(self, "table", table)
+        _set(self, "hypothesis_polys", hypothesis_polys)
+        _set(self, "eliminate_vars", eliminate_vars)
+        _set(self, "slack_map", slack_map)
+        _set(self, "denominator_factors", denominator_factors)
+        _set(self, "free_points", free_points)
+        _set(self, "point_names", point_names)
+        _set(self, "declaratives", declaratives)
+        _set(self, "fixed", fixed)
+        _set(self, "notes", notes)
 
     @property
     def thesis_slack(self) -> int:
@@ -451,15 +465,14 @@ def fix_coordinates(sys: PolynomialSystem, c: Construction, mode: str) -> Polyno
             f"No coordinates were pinned: the definition of {culprit} does not "
             f"commute with {maps}, so pinning could change the statement."
         )
-        return replace(sys, notes=sys.notes + (note,))
+        return sys._replace(notes=sys.notes + (note,))
     values = (Fraction(0), Fraction(1)) if mode == "zero_one" else (Fraction(-1), Fraction(1))
     targets = list(zip(c.free_points[:2], values))
     pins = {p: Const(v) for p, v in targets}
     polys, factors = clear_relations(
         [expr_substitute(e, pins) for e in _slack_relations(c)], sys.table
     )
-    return replace(
-        sys,
+    return sys._replace(
         hypothesis_polys=tuple(polys),
         eliminate_vars=tuple(v for v in sys.eliminate_vars if v not in pins),
         denominator_factors=tuple(factors),

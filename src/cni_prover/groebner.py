@@ -1,8 +1,9 @@
 """Buchberger engine with Gebauer-Moeller pair pruning, reduced bases,
 elimination ideals, and the triviality test.
 
-Inputs have integer coefficients, as the clearing leaves them, and enter as
-integer-primitive working records (fraction-free, algebra_core._primitive):
+Inputs have integer coefficients, as the clearing leaves them (any other
+coefficient raises AlgebraError), and enter as integer-primitive working
+records (fraction-free, algebra_core._primitive):
 scaling a generator by a nonzero constant changes no ideal. Their monomials
 are packed ints under the active order in the format that algebra_core
 defines and clears expressions on (_Packing): multiplying or dividing two
@@ -39,7 +40,6 @@ enters only the pairs with the new generators and their successors.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Union
@@ -52,6 +52,7 @@ from .algebra_core import (
     GrevLex,
     MonomialOrder,
     Polynomial,
+    Record,
     VarTable,
     _Packing,
     _primitive,
@@ -65,30 +66,43 @@ class GroebnerTimeout(Exception):
 
 DEFAULT_TIMEOUT = 20.0  # seconds; also the prover's and the command line's
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class GroebnerConfig:
-    """timeout: wall-clock seconds for the whole call, or None for no
-    limit."""
 
-    timeout: float | None = DEFAULT_TIMEOUT
+def check_timeout(timeout: float) -> None:
+    """Reject a budget that is not a positive number of seconds."""
+    if not timeout > 0:  # also rejects NaN, whose deadline never fires
+        raise ValueError("timeout must be positive")
+
+
+class GroebnerConfig(Record):
+    """timeout: wall-clock seconds for the whole call, positive, or None
+    for no limit."""
+
+    __slots__ = ("timeout",)
+
+    def __init__(self, timeout: float | None = DEFAULT_TIMEOUT) -> None:
+        if timeout is not None:
+            check_timeout(timeout)
+        _set(self, "timeout", timeout)
 
 
 DEFAULT_CONFIG = GroebnerConfig()
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(Record):
     """The reduced basis under `order`, sorted by leading monomial
     ascending. Each generator has coprime integer coefficients and a
     positive leading coefficient under `order`."""
 
-    generators: tuple[Polynomial, ...]
-    order: MonomialOrder
+    __slots__ = ("generators", "order")
+
+    def __init__(self, generators: tuple[Polynomial, ...], order: MonomialOrder) -> None:
+        _set(self, "generators", generators)
+        _set(self, "order", order)
 
 
-@dataclass(frozen=True)
-class EliminationResult:
+class EliminationResult(Record):
     """Generators of the elimination ideal, free of eliminated variables.
 
     The generators form the reduced basis under a graded reverse
@@ -99,15 +113,38 @@ class EliminationResult:
     ideal under the block order, as engine records packed by `packing`, the
     Rabinowitsch variables included; eliminate(..., after=this) continues
     from them. `reductions` counts the S-pairs the run reduced, and
-    `zero_reductions` those that reduced to zero.
+    `zero_reductions` those that reduced to zero. Equality and hashing
+    compare the generators and `eliminated` alone.
     """
 
-    generators: tuple[Polynomial, ...]
-    eliminated: tuple[int, ...]
-    block_basis: tuple[_IntPoly, ...] = field(default=(), repr=False, compare=False)
-    packing: _Packing | None = field(default=None, repr=False, compare=False)
-    reductions: int = field(default=0, compare=False)
-    zero_reductions: int = field(default=0, compare=False)
+    __slots__ = (
+        "generators",
+        "eliminated",
+        "block_basis",
+        "packing",
+        "reductions",
+        "zero_reductions",
+    )
+    _hidden = ("block_basis", "packing")
+
+    def __init__(
+        self,
+        generators: tuple[Polynomial, ...],
+        eliminated: tuple[int, ...],
+        block_basis: tuple[_IntPoly, ...] = (),
+        packing: _Packing | None = None,
+        reductions: int = 0,
+        zero_reductions: int = 0,
+    ) -> None:
+        _set(self, "generators", generators)
+        _set(self, "eliminated", eliminated)
+        _set(self, "block_basis", block_basis)
+        _set(self, "packing", packing)
+        _set(self, "reductions", reductions)
+        _set(self, "zero_reductions", zero_reductions)
+
+    def _key(self) -> tuple:
+        return (self.generators, self.eliminated)
 
 
 class _Budget:
@@ -363,18 +400,27 @@ def _buchberger(F, pk: _Packing, budget: _Budget, drop=0, seed=()):
     return reduced, Gmin, (reductions, zeros)
 
 
+def _integer_terms(p: Polynomial) -> dict:
+    """p's terms, once each coefficient is checked to be an int: the engine
+    is fraction-free."""
+    for c in p.terms.values():
+        if not isinstance(c, int):
+            raise AlgebraError(f"coefficient {c!r} is not an integer; clear denominators first")
+    return p.terms
+
+
 def _enter(polys: list[Polynomial], pk: _Packing) -> list[_IntPoly]:
     """Each nonzero integer-coefficient input as its primitive form with a
     positive leading coefficient."""
     pack = pk.pack
-    return [_normalize({pack(m): c for m, c in p.terms.items()}, pk) for p in polys]
+    return [_normalize({pack(m): c for m, c in _integer_terms(p).items()}, pk) for p in polys]
 
 
 def _saturator(d: Polynomial, u: int, pk: _Packing) -> _IntPoly:
     """d*u - 1, which saturates the ideal by d; u is a packed variable past
     d's table. A zero d gives the constant -1."""
     times_u = (0,) * (u - len(d.table)) + (1,)
-    terms = {pk.pack(m + times_u): c for m, c in d.terms.items()}
+    terms = {pk.pack(m + times_u): c for m, c in _integer_terms(d).items()}
     terms[0] = -1
     return _normalize(terms, pk)
 
@@ -402,7 +448,8 @@ def groebner_basis(
     """Reduced Groebner basis of the ideal generated by F, polynomials with
     integer coefficients, under `order`, each generator integer-primitive
     with a positive leading coefficient under `order`. Deterministic for a
-    fixed input list."""
+    fixed input list. A coefficient that is not an int raises
+    AlgebraError."""
     config = config or DEFAULT_CONFIG
     polys = [f for f in F if not f.is_zero]
     if not polys:
@@ -421,7 +468,8 @@ def eliminate(
 ) -> EliminationResult:
     """Generators of the saturation of ideal(F) by each polynomial in
     `saturate`, intersected with the ring in the kept variables. F and
-    `saturate` hold polynomials with integer coefficients. With
+    `saturate` hold polynomials with integer coefficients; any other
+    coefficient raises AlgebraError. With
     `after`, the result of an elimination of the same variables, the ideal
     is ideal(F) plus the ideal `after` was computed for, whose saturation
     it inherits.

@@ -10,7 +10,6 @@ machine consumption.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -24,6 +23,7 @@ from .algebra_core import (
     Polynomial,
     Pow,
     RationalExpr,
+    Record,
     Sub,
     expr_postorder,
 )
@@ -36,14 +36,18 @@ from .prover import (
 
 FORMATS = ("text", "latex", "json")
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class ProofDocument:
+
+class ProofDocument(Record):
     """Rendered proof: ordered lines plus the one-line verdict banner."""
 
-    format: str
-    lines: tuple[str, ...]
-    banner: str
+    __slots__ = ("format", "lines", "banner")
+
+    def __init__(self, format: str, lines: tuple[str, ...], banner: str) -> None:
+        _set(self, "format", format)
+        _set(self, "lines", lines)
+        _set(self, "banner", banner)
 
     def text(self) -> str:
         return "\n".join(self.lines)

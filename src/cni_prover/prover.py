@@ -11,7 +11,6 @@ Inconclusive with a reason code.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra_core import (
@@ -20,6 +19,7 @@ from .algebra_core import (
     GrevLex,
     Polynomial,
     RationalExpr,
+    Record,
 )
 from .geometry_model import PolynomialSystem, SlackOrigin
 from .groebner import (
@@ -28,6 +28,7 @@ from .groebner import (
     GroebnerBasis,
     GroebnerConfig,
     GroebnerTimeout,
+    check_timeout,
     eliminate,
     groebner_basis,
     ideal_is_trivial,
@@ -47,23 +48,32 @@ REASON_MEANINGS = {
 }
 
 
-@dataclass(frozen=True)
-class ProverConfig:
-    timeout: float = DEFAULT_TIMEOUT  # seconds per elimination
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class ProverConfig(Record):
+    """timeout: wall-clock seconds per elimination, positive."""
+
+    __slots__ = ("timeout",)
+
+    def __init__(self, timeout: float = DEFAULT_TIMEOUT) -> None:
+        check_timeout(timeout)
+        _set(self, "timeout", timeout)
+
+
+class LinearForm(Record):
     """pivot = v*r + w with v and w free of r; the rational form of the
     thesis slack is r = -w/v."""
 
-    v: Polynomial
-    w: Polynomial
-    pivot: Polynomial
+    __slots__ = ("v", "w", "pivot")
+
+    def __init__(self, v: Polynomial, w: Polynomial, pivot: Polynomial) -> None:
+        _set(self, "v", v)
+        _set(self, "w", w)
+        _set(self, "pivot", pivot)
 
 
-@dataclass(frozen=True)
-class SecondElimination:
+class SecondElimination(Record):
     """What the second elimination, run with the divisor appended, says.
 
     `status` is the JSON `second_elimination` value: "trivial" (the divisor
@@ -73,31 +83,68 @@ class SecondElimination:
     route proves the statement; `generators` is None when the elimination
     did not finish."""
 
-    status: str
-    generators: tuple[Polynomial, ...] | None
-    reason: str | None = None
-    note: str | None = None
-    linear: LinearForm | None = None
+    __slots__ = ("status", "generators", "reason", "note", "linear")
+
+    def __init__(
+        self,
+        status: str,
+        generators: tuple[Polynomial, ...] | None,
+        reason: str | None = None,
+        note: str | None = None,
+        linear: LinearForm | None = None,
+    ) -> None:
+        _set(self, "status", status)
+        _set(self, "generators", generators)
+        _set(self, "reason", reason)
+        _set(self, "note", note)
+        _set(self, "linear", linear)
 
 
-@dataclass(frozen=True)
-class ProofTrace:
+class ProofTrace(Record):
     """Everything a renderer needs, in the order the proof narrates it.
     `thesis` is set exactly when the statement reached elimination, so a
     set `linear` implies a set `thesis`; `second` is set exactly when
     `linear` needs a division."""
 
-    point_names: tuple[str, ...]
-    free_point_names: tuple[str, ...]
-    declaratives: tuple[tuple[str, RationalExpr], ...]
-    hypotheses: tuple[SlackOrigin, ...]
-    fixed: tuple[tuple[str, Fraction], ...]
-    notes: tuple[str, ...]
-    thesis: SlackOrigin | None = None
-    generators: tuple[Polynomial, ...] = ()
-    linear: LinearForm | None = None
-    second: SecondElimination | None = None
-    reason_note: str | None = None
+    __slots__ = (
+        "point_names",
+        "free_point_names",
+        "declaratives",
+        "hypotheses",
+        "fixed",
+        "notes",
+        "thesis",
+        "generators",
+        "linear",
+        "second",
+        "reason_note",
+    )
+
+    def __init__(
+        self,
+        point_names: tuple[str, ...],
+        free_point_names: tuple[str, ...],
+        declaratives: tuple[tuple[str, RationalExpr], ...],
+        hypotheses: tuple[SlackOrigin, ...],
+        fixed: tuple[tuple[str, Fraction], ...],
+        notes: tuple[str, ...],
+        thesis: SlackOrigin | None = None,
+        generators: tuple[Polynomial, ...] = (),
+        linear: LinearForm | None = None,
+        second: SecondElimination | None = None,
+        reason_note: str | None = None,
+    ) -> None:
+        _set(self, "point_names", point_names)
+        _set(self, "free_point_names", free_point_names)
+        _set(self, "declaratives", declaratives)
+        _set(self, "hypotheses", hypotheses)
+        _set(self, "fixed", fixed)
+        _set(self, "notes", notes)
+        _set(self, "thesis", thesis)
+        _set(self, "generators", generators)
+        _set(self, "linear", linear)
+        _set(self, "second", second)
+        _set(self, "reason_note", reason_note)
 
     @property
     def denominator(self) -> Polynomial | None:
@@ -107,17 +154,17 @@ class ProofTrace:
         return self.linear.v
 
 
-@dataclass(frozen=True)
-class ProverVerdict:
-    outcome: str
-    reason: str | None
-    trace: ProofTrace
+class ProverVerdict(Record):
+    __slots__ = ("outcome", "reason", "trace")
 
-    def __post_init__(self):
-        if self.outcome == INCONCLUSIVE and self.reason not in REASON_MEANINGS:
-            raise AlgebraError(f"unknown reason code {self.reason!r}")
-        if self.outcome == PROVED and self.reason is not None:
+    def __init__(self, outcome: str, reason: str | None, trace: ProofTrace) -> None:
+        if outcome == INCONCLUSIVE and reason not in REASON_MEANINGS:
+            raise AlgebraError(f"unknown reason code {reason!r}")
+        if outcome == PROVED and reason is not None:
             raise AlgebraError("a proved verdict carries no reason code")
+        _set(self, "outcome", outcome)
+        _set(self, "reason", reason)
+        _set(self, "trace", trace)
 
 
 def select_pivot(I: EliminationResult | GroebnerBasis, r: int) -> Polynomial:

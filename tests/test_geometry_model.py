@@ -2,7 +2,6 @@
 assembly, and coordinate fixing."""
 
 import random
-from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -123,7 +122,7 @@ SEGMENTS = {
 @pytest.mark.parametrize("cls", PREDICATES, ids=lambda cls: cls.__name__)
 def test_repeated_argument_is_rejected_exactly_inside_a_segment(cls):
     segments = {frozenset(pair) for pair in SEGMENTS[cls]}
-    n = len(fields(cls))
+    n = cls.arity
     for i in range(n):
         for j in range(i + 1, n):
             args = list(range(n))
@@ -142,7 +141,7 @@ def test_repeated_argument_is_rejected_exactly_inside_a_segment(cls):
 @pytest.mark.parametrize("cls", PREDICATES, ids=lambda cls: cls.__name__)
 def test_every_predicate_round_trips_through_source_form(cls):
     table = make_table(*"ABCDEF")
-    n = len(fields(cls))
+    n = cls.arity
     hypothesis = predicate_step(cls(*range(n)))
     thesis = predicate_step(cls(*reversed(range(n))))
     c = Construction(table=table, free_points=tuple(range(6)), steps=(hypothesis,), thesis=thesis)
@@ -358,7 +357,7 @@ def _random_construction(rng):
             points.append(m)
         try:
             relations = [
-                predicate_step(cls(*(rng.choice(points) for _ in fields(cls))))
+                predicate_step(cls(*(rng.choice(points) for _ in range(cls.arity))))
                 for cls in rng.choices(PREDICATES, k=rng.randint(2, 3))
             ]
         except PredicateArgumentError:

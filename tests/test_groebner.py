@@ -4,6 +4,7 @@ oracles, and budget behaviour."""
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -214,6 +215,34 @@ def test_repeated_and_scaled_generators_give_the_same_basis():
             monic(from_sympy(e, table, syms), order) for e in ref.exprs
         }
         done += 1
+
+
+def test_a_fraction_coefficient_is_rejected_at_the_entry():
+    # the engine is fraction-free, so a Fraction coefficient is an error,
+    # in an input and in a factor to saturate by alike
+    table = make_table("x", "y", "z")
+    x, y, z = (Polynomial.variable(table, v) for v in range(3))
+    half_y = x + Polynomial.constant(table, Fraction(1, 2)) * y
+    calls = [
+        lambda: groebner_basis([half_y], GrevLex((0, 1, 2))),
+        lambda: eliminate([half_y, y - z], [1]),
+        lambda: eliminate([y - z], [1], saturate=[half_y]),
+    ]
+    for call in calls:
+        with pytest.raises(AlgebraError, match=r"coefficient Fraction\(1, 2\) is not an integer"):
+            call()
+
+
+@pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+def test_a_budget_that_is_not_positive_is_rejected(timeout):
+    # a NaN deadline would never fire: monotonic() > nan is always False
+    with pytest.raises(ValueError, match="timeout must be positive"):
+        GroebnerConfig(timeout=timeout)
+
+
+def test_no_budget_is_no_limit():
+    assert _Budget(GroebnerConfig(timeout=None)).deadline is None
+    assert _Budget(GroebnerConfig(timeout=1.0)).deadline is not None
 
 
 @given(st.randoms(use_true_random=False))

@@ -3,7 +3,9 @@ listed in a module's __all__ counts as used: the package re-exports it.
 The lower modules keep their layering: algebra_core imports no other module
 of the package, groebner imports algebra_core alone, the packed monomial
 format is defined in algebra_core only, and groebner is the one module
-that imports underscore-prefixed names from another."""
+that imports underscore-prefixed names from another. No module of the
+package imports dataclasses, whose import and decorators cost more start-up
+time than the rest of the package."""
 
 import ast
 from pathlib import Path
@@ -144,3 +146,29 @@ def test_private_imports_are_found():
     assert private_imports(source) == [
         ("", "_hidden"), ("algebra_core", "_primitive"), ("cni_prover.groebner", "_Budget")
     ]
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules a module imports by absolute name,
+    anywhere in it."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add((node.module or "").partition(".")[0])
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_the_package_does_not_import_dataclasses(path):
+    assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+def test_imported_modules_are_found():
+    source = (
+        "from __future__ import annotations\nimport os.path, sys as s\n"
+        "from . import groebner\nfrom .prover import prove\n"
+        "def f():\n    from dataclasses import dataclass\n"
+    )
+    assert imported_modules(source) == {"__future__", "os", "sys", "dataclasses"}

@@ -1,4 +1,5 @@
-"""The package's exported names are the documented library surface."""
+"""The package's exported names are the documented library surface, and
+importing it loads none of the heavy standard modules."""
 
 import os
 import re
@@ -49,3 +50,19 @@ def test_readme_library_example_runs_from_the_repo_root():
     head = golden.split("The elimination ideal is generated by:\n")[0]
     assert head.startswith("Let A, B, C, D be arbitrary points.\n") and head.count("\n") >= 10
     assert run.stdout.startswith(head)
+
+
+def test_import_loads_no_code_generation_modules():
+    # dataclasses, and the inspect, ast and dis it imports, cost a fresh
+    # interpreter more than the package itself; -S keeps site's own imports
+    # out of the count
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = (
+        "import sys, cni_prover\n"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", "[]\n")

@@ -254,6 +254,13 @@ def test_prove_timeout_reports_to():
     assert "timed out" in v.trace.reason_note
 
 
+@pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+def test_a_budget_that_is_not_positive_is_rejected(timeout):
+    # a NaN deadline would never fire: monotonic() > nan is always False
+    with pytest.raises(ValueError, match="timeout must be positive"):
+        ProverConfig(timeout=timeout)
+
+
 # ---------------------------------------------------------------------------
 # Divisor analysis.
 
