@@ -8,10 +8,13 @@ standard input, in each format. Its standard output goes to
 `<group>/<fix>/<name>.txt`, `.tex` and `.json` next to this script; an input
 the prover refuses (exit status 1) leaves its standard error line in
 `<name>.err` instead. The cases are every `perfbench/corpus` statement but
-`pappus` under `minus_one_one` (group `corpus`), and every
-`problems/*.cni` under each fix mode (group `problems`). `pappus` takes
-about 30 s a document. Rewrite these files only in a change that says why
-the output of the program changed.
+`pappus` under `minus_one_one` and under `off` (group `corpus`), and every
+`problems/*.cni` under each fix mode (group `problems`). `perfbench/expected`
+holds the corpus under `zero_one` and `off` as JSON only, so the unpinned
+text and LaTeX documents, and unpinned `circumcenter` and `angle_bisectors`
+in any format, are held here alone. `pappus` takes about 30 s a document.
+Rewrite these files only in a change that says why the output of the
+program changed.
 """
 from __future__ import annotations
 
@@ -30,11 +33,12 @@ TIMEOUT = 60.0
 
 def cases() -> list[tuple[str, str, Path]]:
     """(group, fix, source) for every golden case."""
-    out = [
-        ("corpus", "minus_one_one", path)
+    corpus = [
+        path
         for path in sorted((ROOT / "perfbench" / "corpus").glob("*.cni"))
         if path.stem != "pappus"
     ]
+    out = [("corpus", fix, path) for fix in ("minus_one_one", "off") for path in corpus]
     for fix in FIX_MODES:
         out.extend(("problems", fix, path) for path in sorted((ROOT / "problems").glob("*.cni")))
     return out

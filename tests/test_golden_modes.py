@@ -2,9 +2,10 @@
 not hold: every document under `tests/golden` must match what the prover
 prints now.
 
-`tests/golden/make_golden.py` wrote them: the corpus under
-`--fix minus_one_one`, and `problems/*.cni` under every fix mode, each as
-text, LaTeX and JSON `--show-ideal` documents read from standard input. A
+`tests/golden/make_golden.py` wrote them: the corpus but `pappus` under
+`--fix minus_one_one` and `--fix off`, and `problems/*.cni` under every fix
+mode, each as text, LaTeX and JSON `--show-ideal` documents read from
+standard input. A
 document's exit status is 0 when its JSON verdict is Proved and 2
 otherwise; an input the prover refuses has a `.err` file with its one
 standard error line, and exit status 1.
