@@ -33,9 +33,16 @@ d_k*u_k - 1, then the given ones. By the elimination theorem the elements
 free of the block are a basis of the elimination ideal, whatever the order
 inside the block, and the run interreduces only those. The u_k come first
 because that order reduces less than the points first on the slowest
-corpus statements. A second elimination of the same ideal with more
-generators continues from the first run's minimal basis and packing: it
-enters only the pairs with the new generators and their successors.
+corpus statements. When every generator and factor is invariant under
+moving all eliminated variables by the same t, as an unpinned system of
+point differences is, the run sets the last eliminated variable that
+occurs to 0 first: x_v -> x_v + x_v0 is an automorphism that fixes the
+kept variables and maps each invariant generator to itself with x_v0 = 0,
+so the elimination ideal, and its reduced basis, stay the same with fewer
+terms. A second elimination of the same ideal with more generators
+continues from the first run's minimal basis and packing, translating its
+generators the same way: it enters only the pairs with the new generators
+and their successors.
 """
 from __future__ import annotations
 
@@ -109,12 +116,14 @@ class EliminationResult(Record):
     lexicographic order on the kept variables, the table's variables not in
     `eliminated`, which is the print order on them. Each has coprime
     integer coefficients and a positive leading coefficient under it.
-    `block_basis` is the run's minimal basis of the whole
-    ideal under the block order, as engine records packed by `packing`, the
-    Rabinowitsch variables included; eliminate(..., after=this) continues
-    from them. `reductions` counts the S-pairs the run reduced, and
-    `zero_reductions` those that reduced to zero. Equality and hashing
-    compare the generators and `eliminated` alone.
+    `origin` is the eliminated variable that the run translated to 0, or
+    None when the run was not translated (see eliminate).
+    `block_basis` is the run's minimal basis under the block order of the
+    whole ideal, translated when `origin` is set, as engine records packed
+    by `packing`, the Rabinowitsch variables included; eliminate(...,
+    after=this) continues from them. `reductions` counts the S-pairs the
+    run reduced, and `zero_reductions` those that reduced to zero. Equality
+    and hashing compare the generators and `eliminated` alone.
     """
 
     __slots__ = (
@@ -124,8 +133,9 @@ class EliminationResult(Record):
         "packing",
         "reductions",
         "zero_reductions",
+        "origin",
     )
-    _hidden = ("block_basis", "packing")
+    _hidden = ("block_basis", "packing", "origin")
 
     def __init__(
         self,
@@ -135,6 +145,7 @@ class EliminationResult(Record):
         packing: _Packing | None = None,
         reductions: int = 0,
         zero_reductions: int = 0,
+        origin: int | None = None,
     ) -> None:
         _set(self, "generators", generators)
         _set(self, "eliminated", eliminated)
@@ -142,6 +153,7 @@ class EliminationResult(Record):
         _set(self, "packing", packing)
         _set(self, "reductions", reductions)
         _set(self, "zero_reductions", zero_reductions)
+        _set(self, "origin", origin)
 
     def _key(self) -> tuple:
         return (self.generators, self.eliminated)
@@ -425,6 +437,49 @@ def _saturator(d: Polynomial, u: int, pk: _Packing) -> _IntPoly:
     return _normalize(terms, pk)
 
 
+def _translation_origin(polys: list[Polynomial], elim: tuple[int, ...]) -> int | None:
+    """The last variable of elim that occurs in polys, when every p in
+    polys is invariant under the translations x_v -> x_v + t of all v in
+    elim together, else None. The test is D p = 0 for D the sum of the
+    partial derivatives by the variables of elim, computed on the exponent
+    tuples; it stops at the first p that fails."""
+    for p in polys:
+        dp: dict[tuple[int, ...], int] = {}
+        for m, c in p.terms.items():
+            for v in elim:
+                k = m[v]
+                if k:
+                    q = m[:v] + (k - 1,) + m[v + 1:]
+                    dp[q] = dp.get(q, 0) + k * c
+        if any(dp.values()):
+            return None
+    for v in reversed(elim):
+        if any(p.contains_var(v) for p in polys):
+            return v
+    return None
+
+
+def _at_origin(p: Polynomial, v0: int) -> Polynomial:
+    """p with x_v0 = 0: its terms free of x_v0."""
+    return Polynomial._trusted(p.table, {m: c for m, c in p.terms.items() if not m[v0]})
+
+
+def _translate(p: Polynomial, elim: tuple[int, ...], v0: int) -> Polynomial:
+    """p with x_v replaced by x_v + x_v0 for each v of elim but v0."""
+    table = p.table
+    moved = [v for v in elim if v != v0 and p.contains_var(v)]
+    if not moved:
+        return p
+    shifted = {v: Polynomial.variable(table, v) + Polynomial.variable(table, v0) for v in moved}
+    out = Polynomial.zero(table)
+    for m, c in p.terms.items():
+        t = Polynomial._trusted(table, {tuple(0 if v in shifted else k for v, k in enumerate(m)): c})
+        for v, s in shifted.items():
+            t = t * s ** m[v]
+        out = out + t
+    return out
+
+
 def _exit(recs, table: VarTable, pk: _Packing) -> tuple[Polynomial, ...]:
     """The records as Polynomials over the table's variables, coefficients
     unchanged, sorted by leading monomial ascending. Fields packed past
@@ -481,12 +536,26 @@ def eliminate(
     makes the ideal the whole ring. By the elimination theorem the elements
     of the run's basis free of the block are a basis of the elimination
     ideal, and the run reduces only those. The order inside the block
-    does not change them, only the work it takes. With `after`, the run
-    starts from after's minimal block basis and its packing, and enters
-    only the pairs with F's elements and their successors. The result is
-    the unique reduced basis under GrevLex on the kept variables, the print
-    order on them, each generator scaled to coprime integer coefficients
-    and a positive leading coefficient.
+    does not change them, only the work it takes.
+
+    A first run tests each polynomial of F and each factor with D, the sum
+    of the partial derivatives by the eliminated variables, and stops at
+    the first that D does not kill. When D kills all of them, they are
+    invariant under moving every eliminated variable by the same t, and
+    the run drops each term that holds v0, the last eliminated variable
+    that occurs in them (the smallest of the block under its grevlex
+    order). That sets x_v0 = 0, which is what the automorphism x_v -> x_v +
+    x_v0 (v eliminated, v != v0) does to an invariant polynomial; it fixes
+    the kept and the Rabinowitsch variables, so the elimination ideal does
+    not change. The result records v0 as `origin`, and its block basis is
+    a basis of the translated ideal. With `after`, the run starts from
+    after's minimal block basis and its packing, maps F by after's
+    automorphism (the identity on a polynomial in the kept variables), and
+    enters only the pairs with F's elements and their successors.
+
+    The result is the unique reduced basis under GrevLex on the kept
+    variables, the print order on them, each generator scaled to coprime
+    integer coefficients and a positive leading coefficient.
     """
     config = config or DEFAULT_CONFIG
     polys = [f for f in F if not f.is_zero]
@@ -508,10 +577,17 @@ def eliminate(
     if not kept:
         raise AlgebraError("elimination must keep at least one variable")
     if after is None:
+        origin = _translation_origin(polys + factors, elim)
+        if origin is not None:
+            polys = [_at_origin(p, origin) for p in polys]
+            factors = [_at_origin(d, origin) for d in factors]
         us = tuple(range(n, n + len(factors)))
         pk, seed = _Packing(Block(GrevLex(us + elim), GrevLex(kept)), n + len(us)), ()
         gens = _enter(polys, pk) + [_saturator(d, u, pk) for d, u in zip(factors, us)]
     else:
+        origin = after.origin
+        if origin is not None:
+            polys = [_translate(p, elim, origin) for p in polys]
         pk, seed = after.packing, after.block_basis
         gens = _enter(polys, pk)
     drop = sum(_FIELD << s for v, s in enumerate(pk.shifts) if v not in kept)
@@ -519,7 +595,7 @@ def eliminate(
     if any(m & drop for d in reduced for m in d.terms):
         raise AlgebraError("internal: eliminated variable survived")
     return EliminationResult(
-        _exit(reduced, table, pk), elim, tuple(basis), pk, reductions, zeros
+        _exit(reduced, table, pk), elim, tuple(basis), pk, reductions, zeros, origin
     )
 
 

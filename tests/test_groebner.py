@@ -5,6 +5,7 @@ oracles, and budget behaviour."""
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -18,6 +19,10 @@ from cni_prover.algebra_core import (
     Polynomial,
     _Packing,
 )
+from cni_prover import prover
+from cni_prover.cli_dsl import SourceProgram, parse
+from cni_prover.geometry_model import build_system, fix_coordinates, substitute_declaratives
+from cni_prover.prover import ProverConfig, prove
 from cni_prover.groebner import (
     GroebnerConfig,
     GroebnerTimeout,
@@ -47,6 +52,9 @@ from support import (
     s_polynomial,
     to_sympy,
 )
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 
 def _vars(table):
@@ -652,6 +660,172 @@ def test_continued_elimination():
     assert eliminate([z - y], [0], after=saturated).generators == eliminate(
         [x * z - x, z - y], [0], saturate=[x]
     ).generators
+
+
+# Translation-invariant systems: three points a, b, c, the eliminated
+# block, and two slacks s, t. Every generator and factor built from point
+# differences and slacks is invariant under moving all points by the same
+# t, so eliminate may set the last point that occurs to 0.
+
+_POINTS = (0, 1, 2)
+
+
+def _difference(rng, table):
+    i, j = rng.sample(_POINTS, 2)
+    return Polynomial.variable(table, i) - Polynomial.variable(table, j)
+
+
+def _invariant_polynomial(rng, table):
+    """A sum of up to three terms, each an integer times a product of at
+    most two point differences and slacks."""
+    out = Polynomial.zero(table)
+    for _ in range(rng.randint(1, 3)):
+        term = Polynomial.constant(table, rng.choice([-3, -2, -1, 1, 2, 5]))
+        for _ in range(rng.randint(0, 2)):
+            if rng.random() < 0.6:
+                term = term * _difference(rng, table)
+            else:
+                term = term * Polynomial.variable(table, rng.choice((3, 4)))
+        out = out + term
+    return out
+
+
+def _invariant_system(rng):
+    """(table, polys, factors): three invariant generators, so that the
+    elimination ideal is seldom zero, and up to two factors, each a point
+    difference, possibly plus a slack."""
+    table = make_table("a", "b", "c", "s", "t")
+    polys = [p for p in (_invariant_polynomial(rng, table) for _ in range(3)) if not p.is_zero]
+    factors = []
+    for _ in range(rng.randint(0, 2)):
+        d = _difference(rng, table)
+        if rng.random() < 0.3:
+            d = d + Polynomial.variable(table, rng.choice((3, 4)))
+        factors.append(d)
+    return table, polys, factors
+
+
+def _explicit_elimination(table, polys, factors, elim):
+    """The block-free part of groebner_basis with one explicit generator
+    d_k*u_k - 1 per factor, under the order eliminate runs: Block(GrevLex(us
+    + elim), GrevLex(kept)). groebner_basis translates nothing."""
+    n = len(table)
+    ext = make_table(*table.names(), *(f"u{k}" for k in range(len(factors))))
+    us = tuple(range(n, len(ext)))
+    kept = tuple(v for v in range(n) if v not in elim)
+
+    def lift(p):
+        return Polynomial(ext, {m + (0,) * len(us): c for m, c in p.terms.items()})
+
+    gens = [lift(p) for p in polys] + [
+        lift(d) * Polynomial.variable(ext, u) - Polynomial.constant(ext, 1)
+        for d, u in zip(factors, us)
+    ]
+    order = Block(GrevLex(us + tuple(elim)), GrevLex(kept))
+    basis = groebner_basis(gens, order, GroebnerConfig(timeout=None))
+    return ext, gens, order, tuple(
+        Polynomial(table, {m[:n]: c for m, c in g.terms.items()})
+        for g in basis.generators
+        if not any(g.contains_var(v) for v in us + tuple(elim))
+    )
+
+
+def _block_basis(res, ext):
+    """The run's minimal block basis as Polynomials over ext, the table
+    with the Rabinowitsch variables appended."""
+    read = res.packing.reader(len(ext))
+    return [Polynomial(ext, {read(m): c for m, c in g.terms.items()}) for g in res.block_basis]
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_a_translation_invariant_elimination_drops_the_last_point(rng):
+    # the elimination ideal of an invariant system does not change when the
+    # last point that occurs is set to 0: the generators are those of the
+    # explicit saturation, which no translation touches
+    table, polys, factors = _invariant_system(rng)
+    res = eliminate(polys, _POINTS, GroebnerConfig(timeout=None), saturate=factors)
+    _, _, _, expected = _explicit_elimination(table, polys, factors, _POINTS)
+    assert res.generators == expected
+    occurring = [v for v in _POINTS if any(p.contains_var(v) for p in polys + factors)]
+    assert res.origin == (occurring[-1] if occurring else None)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_one_generator_that_is_not_invariant_turns_the_translation_off(rng):
+    # one point alone, in a generator or in a factor, breaks the invariance:
+    # nothing is dropped, and the block basis is a basis of the ideal as
+    # given, so every generator and every d_k*u_k - 1 reduces to zero by it
+    table, polys, factors = _invariant_system(rng)
+    odd = Polynomial.variable(table, rng.choice(_POINTS))
+    if factors and rng.random() < 0.5:
+        factors[-1] = factors[-1] + odd
+    else:
+        polys.append(_invariant_polynomial(rng, table) + odd)
+    res = eliminate(polys, _POINTS, GroebnerConfig(timeout=None), saturate=factors)
+    ext, gens, order, expected = _explicit_elimination(table, polys, factors, _POINTS)
+    assert res.origin is None
+    assert res.generators == expected
+    basis = _block_basis(res, ext)
+    for g in gens:
+        assert normal_form(g, basis, order).is_zero
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_a_continued_translated_elimination_is_the_one_shot_elimination(rng):
+    # a generator in the eliminated variables enters a translated run
+    # translated as that run's ideal was, whether or not it is invariant
+    table, polys, factors = _invariant_system(rng)
+    a = Polynomial.variable(table, 0)
+    if not any(p.contains_var(0) for p in polys + factors):
+        polys.append(a - Polynomial.variable(table, 1))
+    cfg = GroebnerConfig(timeout=None)
+    first = eliminate(polys, _POINTS, cfg, saturate=factors)
+    assert first.origin is not None and first.origin != 0
+    extra = random_polynomial(rng, table, range(5), max_degree=2, max_terms=3) + a * a
+    second = eliminate([extra], _POINTS, cfg, after=first)
+    assert second.origin == first.origin
+    assert second.generators == eliminate(polys + [extra], _POINTS, cfg, saturate=factors).generators
+
+
+# The pinned corpus statements whose runs are translated: each relation
+# that holds a pinned point holds both, as parallel(A, B, C, D), so the
+# pinned system is still invariant under moving the other points together.
+_PINNED_AND_INVARIANT = {"parallel_transitivity", "trapezoid_midline"}
+
+
+@pytest.mark.parametrize("fix", ["zero_one", "minus_one_one", "off"])
+def test_the_corpus_runs_that_are_translated(fix, monkeypatch):
+    # pinning puts constants where two points stood, which a translation
+    # moves, so a pinned run is translated only when no relation pairs a
+    # pinned point with another; an unpinned run always is, to the last
+    # point that occurs, and a second elimination keeps the first's origin
+    runs = []
+
+    def recording(F, elim, config=None, after=None, saturate=()):
+        runs.append((list(F) + list(saturate), elim, after, eliminate(F, elim, config, after, saturate)))
+        return runs[-1][-1]
+
+    monkeypatch.setattr(prover, "eliminate", recording)
+    translated = set()
+    for path in sorted(CORPUS.glob("*.cni")):
+        if path.stem.startswith("bad_") or path.stem == "pappus":
+            continue
+        c = substitute_declaratives(parse(SourceProgram(path.read_text(), path.stem)))
+        del runs[:]
+        prove(fix_coordinates(build_system(c), c, fix), ProverConfig(timeout=60.0))
+        (inputs, elim, _, first), *rest = runs
+        if first.origin is not None:
+            translated.add(path.stem)
+            assert first.origin == max(v for v in elim if any(p.contains_var(v) for p in inputs))
+        for _, _, after, res in rest:
+            assert after is first and res.origin == first.origin
+    if fix == "off":
+        assert len(translated) == 19
+    else:
+        assert translated == _PINNED_AND_INVARIANT
 
 
 def test_eliminate_everything_is_rejected():
