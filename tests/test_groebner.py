@@ -814,7 +814,7 @@ def test_the_corpus_runs_that_are_translated(fix, monkeypatch):
         if path.stem.startswith("bad_") or path.stem == "pappus":
             continue
         c = substitute_declaratives(parse(SourceProgram(path.read_text(), path.stem)))
-        del runs[:]
+        runs.clear()
         prove(fix_coordinates(build_system(c), c, fix), ProverConfig(timeout=60.0))
         (inputs, elim, _, first), *rest = runs
         if first.origin is not None:
