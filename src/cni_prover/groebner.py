@@ -33,16 +33,23 @@ d_k*u_k - 1, then the given ones. By the elimination theorem the elements
 free of the block are a basis of the elimination ideal, whatever the order
 inside the block, and the run interreduces only those. The u_k come first
 because that order reduces less than the points first on the slowest
-corpus statements. When every generator and factor is invariant under
-moving all eliminated variables by the same t, as an unpinned system of
-point differences is, the run sets the last eliminated variable that
-occurs to 0 first: x_v -> x_v + x_v0 is an automorphism that fixes the
-kept variables and maps each invariant generator to itself with x_v0 = 0,
-so the elimination ideal, and its reduced basis, stay the same with fewer
-terms. A second elimination of the same ideal with more generators
-continues from the first run's minimal basis and packing, translating its
-generators the same way: it enters only the pairs with the new generators
-and their successors.
+corpus statements. An unpinned system of point differences is unchanged
+by every similarity z -> lambda*z + t of the points, and the run uses
+both halves. When every generator and factor is invariant under moving all
+eliminated variables by the same t, the run sets the last eliminated
+variable that occurs to 0 first: x_v -> x_v + x_v0 is an automorphism that
+fixes the kept variables and maps each invariant generator to itself with
+x_v0 = 0, so the elimination ideal, and its reduced basis, stay the same
+with fewer terms. When every generator and factor is homogeneous in the
+eliminated variables, the run also sets the first factor of degree 1 in
+them to 1, entering l - 1 for l*u - 1: l is invertible modulo the
+saturated ideal, which is homogeneous, so the elimination ideal stays the
+same with one Rabinowitsch variable fewer (dehomogenization, Cox, Little
+and O'Shea, Ideals, Varieties, and Algorithms, ch. 8). A second
+elimination of the same ideal with more generators continues from the
+first run's minimal basis and packing, translating its generators the same
+way: it enters only the pairs with the new generators and their
+successors.
 """
 from __future__ import annotations
 
@@ -117,13 +124,16 @@ class EliminationResult(Record):
     `eliminated`, which is the print order on them. Each has coprime
     integer coefficients and a positive leading coefficient under it.
     `origin` is the eliminated variable that the run translated to 0, or
-    None when the run was not translated (see eliminate).
-    `block_basis` is the run's minimal basis under the block order of the
-    whole ideal, translated when `origin` is set, as engine records packed
-    by `packing`, the Rabinowitsch variables included; eliminate(...,
-    after=this) continues from them. `reductions` counts the S-pairs the
-    run reduced, and `zero_reductions` those that reduced to zero. Equality
-    and hashing compare the generators and `eliminated` alone.
+    None when the run was not translated; `scale` is the factor, as given,
+    that the run set to 1, or None when the run was not scaled (see
+    eliminate). `block_basis` is the run's minimal basis under the block
+    order of the whole ideal, translated when `origin` is set and with
+    `scale` - 1 in place of its saturation when `scale` is set, as engine
+    records packed by `packing`, the Rabinowitsch variables included;
+    eliminate(..., after=this) continues from them. `reductions` counts the
+    S-pairs the run reduced, and `zero_reductions` those that reduced to
+    zero. Equality and hashing compare the generators and `eliminated`
+    alone.
     """
 
     __slots__ = (
@@ -134,8 +144,9 @@ class EliminationResult(Record):
         "reductions",
         "zero_reductions",
         "origin",
+        "scale",
     )
-    _hidden = ("block_basis", "packing", "origin")
+    _hidden = ("block_basis", "packing", "origin", "scale")
 
     def __init__(
         self,
@@ -146,6 +157,7 @@ class EliminationResult(Record):
         reductions: int = 0,
         zero_reductions: int = 0,
         origin: int | None = None,
+        scale: Polynomial | None = None,
     ) -> None:
         _set(self, "generators", generators)
         _set(self, "eliminated", eliminated)
@@ -154,6 +166,7 @@ class EliminationResult(Record):
         _set(self, "reductions", reductions)
         _set(self, "zero_reductions", zero_reductions)
         _set(self, "origin", origin)
+        _set(self, "scale", scale)
 
     def _key(self) -> tuple:
         return (self.generators, self.eliminated)
@@ -428,31 +441,61 @@ def _enter(polys: list[Polynomial], pk: _Packing) -> list[_IntPoly]:
     return [_normalize({pack(m): c for m, c in _integer_terms(p).items()}, pk) for p in polys]
 
 
-def _saturator(d: Polynomial, u: int, pk: _Packing) -> _IntPoly:
+def _saturator(d: Polynomial, u: int | None, pk: _Packing) -> _IntPoly:
     """d*u - 1, which saturates the ideal by d; u is a packed variable past
-    d's table. A zero d gives the constant -1."""
-    times_u = (0,) * (u - len(d.table)) + (1,)
+    d's table. A zero d gives the constant -1. With u None, d - 1, for a d
+    with no constant term."""
+    times_u = () if u is None else (0,) * (u - len(d.table)) + (1,)
     terms = {pk.pack(m + times_u): c for m, c in _integer_terms(d).items()}
     terms[0] = -1
     return _normalize(terms, pk)
 
 
-def _translation_origin(polys: list[Polynomial], elim: tuple[int, ...]) -> int | None:
-    """The last variable of elim that occurs in polys, when every p in
-    polys is invariant under the translations x_v -> x_v + t of all v in
-    elim together, else None. The test is D p = 0 for D the sum of the
-    partial derivatives by the variables of elim, computed on the exponent
-    tuples; it stops at the first p that fails."""
-    for p in polys:
+def _invariance(
+    factors: list[Polynomial], polys: list[Polynomial], elim: tuple[int, ...]
+) -> tuple[bool, bool, int | None]:
+    """(shift, homogeneous, line) for the factors and polys together, in
+    one pass over their exponent tuples. shift: D p = 0 for every p, D the
+    sum of the partial derivatives by the variables of elim, so each p is
+    invariant under the translations x_v -> x_v + t of all v in elim
+    together. homogeneous: each p has all its terms of one total degree in
+    elim. line: when homogeneous, the index of the first factor of degree 1
+    in elim, else None; a zero factor has no terms and no degree. The pass
+    visits the factors first, which are short and fail both tests at once
+    when they hold a pinned point, and stops once both tests have
+    failed."""
+    shift = homogeneous = True
+    line = None
+    nf = len(factors)
+    for i, p in enumerate(factors + polys):
         dp: dict[tuple[int, ...], int] = {}
+        deg = None
         for m, c in p.terms.items():
+            d = 0
             for v in elim:
                 k = m[v]
                 if k:
-                    q = m[:v] + (k - 1,) + m[v + 1:]
-                    dp[q] = dp.get(q, 0) + k * c
-        if any(dp.values()):
-            return None
+                    d += k
+                    if shift:
+                        q = m[:v] + (k - 1,) + m[v + 1:]
+                        dp[q] = dp.get(q, 0) + k * c
+            if deg is None:
+                deg = d
+            elif d != deg and homogeneous:
+                homogeneous = False
+                if not shift:
+                    break
+        if shift and any(dp.values()):
+            shift = False
+        if not (shift or homogeneous):
+            return False, False, None
+        if deg == 1 and line is None and i < nf:
+            line = i
+    return shift, homogeneous, line if homogeneous else None
+
+
+def _origin(polys: list[Polynomial], elim: tuple[int, ...]) -> int | None:
+    """The last variable of elim that occurs in polys, or None."""
     for v in reversed(elim):
         if any(p.contains_var(v) for p in polys):
             return v
@@ -538,20 +581,46 @@ def eliminate(
     ideal, and the run reduces only those. The order inside the block
     does not change them, only the work it takes.
 
-    A first run tests each polynomial of F and each factor with D, the sum
-    of the partial derivatives by the eliminated variables, and stops at
-    the first that D does not kill. When D kills all of them, they are
-    invariant under moving every eliminated variable by the same t, and
-    the run drops each term that holds v0, the last eliminated variable
-    that occurs in them (the smallest of the block under its grevlex
-    order). That sets x_v0 = 0, which is what the automorphism x_v -> x_v +
-    x_v0 (v eliminated, v != v0) does to an invariant polynomial; it fixes
-    the kept and the Rabinowitsch variables, so the elimination ideal does
-    not change. The result records v0 as `origin`, and its block basis is
-    a basis of the translated ideal. With `after`, the run starts from
-    after's minimal block basis and its packing, maps F by after's
-    automorphism (the identity on a polynomial in the kept variables), and
-    enters only the pairs with F's elements and their successors.
+    A first run makes two exact tests on the exponent tuples of each
+    factor and each polynomial of F, in one pass, factors first, that
+    stops once both have failed.
+
+    Translation: D p = 0, for D the sum of the partial derivatives by the
+    eliminated variables. When D kills all of them, they are invariant
+    under moving every eliminated variable by the same t, and the run
+    drops each term that holds v0, the last eliminated variable that
+    occurs in them (the smallest of the block under its grevlex order).
+    That sets x_v0 = 0, which is what the automorphism x_v -> x_v + x_v0
+    (v eliminated, v != v0) does to an invariant polynomial; it fixes the
+    kept and the Rabinowitsch variables, so the elimination ideal does not
+    change. The result records v0 as `origin`, and its block basis is a
+    basis of the translated ideal.
+
+    Scale: every term of p has one total degree in the eliminated
+    variables. When that holds for all of them, the run takes l, the
+    first factor of degree 1 (a zero factor has no degree, and one in the
+    kept variables alone has degree 0), gives it no Rabinowitsch variable,
+    and enters l - 1 where l*u - 1 would stand. This is sound: give each
+    eliminated variable weight 1, each u_k weight -deg d_k and each kept
+    variable weight 0. Then every generator of the saturated ideal J is
+    weighted-homogeneous, and so is J. Let p in the kept variables lie in
+    J + <l - 1>, p = j + (l - 1)h, and let h have no component of weight
+    above N - 1. Summing l^(N - w) times the weight-w component of p - j =
+    (l - 1)h over w telescopes to 0, so l^N p is a sum of multiples of
+    the components of j, each in J. Since l*u - 1 is in J, l is invertible
+    modulo J, and p is in J. J + <l - 1> holds u - 1 for l's u, so
+    dropping u and l*u - 1 changes no kept element, and the translation,
+    applied first, maps the ideal left onto the one the run computes,
+    fixing the kept variables.
+    The result records l, as given, as `scale`.
+
+    With `after`, the run starts from after's minimal block basis and its
+    packing, maps F by after's automorphism (the identity on a polynomial
+    in the kept variables), and enters only the pairs with F's elements
+    and their successors. When after was scaled, F must be homogeneous in
+    the eliminated variables, as a polynomial in the kept variables alone
+    is, so that J + <F> stays homogeneous; any other F raises
+    AlgebraError.
 
     The result is the unique reduced basis under GrevLex on the kept
     variables, the print order on them, each generator scaled to coprime
@@ -577,15 +646,27 @@ def eliminate(
     if not kept:
         raise AlgebraError("elimination must keep at least one variable")
     if after is None:
-        origin = _translation_origin(polys + factors, elim)
+        shift, _, line = _invariance(factors, polys, elim)
+        origin = _origin(polys + factors, elim) if shift else None
+        scale = None if line is None else factors[line]
         if origin is not None:
             polys = [_at_origin(p, origin) for p in polys]
             factors = [_at_origin(d, origin) for d in factors]
-        us = tuple(range(n, n + len(factors)))
+        us = tuple(range(n, n + len(factors) - (line is not None)))
         pk, seed = _Packing(Block(GrevLex(us + elim), GrevLex(kept)), n + len(us)), ()
-        gens = _enter(polys, pk) + [_saturator(d, u, pk) for d, u in zip(factors, us)]
+        # the factor set to 1 gets no Rabinowitsch variable: d - 1 stands
+        # where d*u - 1 would
+        free = iter(us)
+        gens = _enter(polys, pk) + [
+            _saturator(d, None if k == line else next(free), pk) for k, d in enumerate(factors)
+        ]
     else:
-        origin = after.origin
+        origin, scale = after.origin, after.scale
+        if scale is not None and not _invariance([], polys, elim)[1]:
+            raise AlgebraError(
+                "a continued scaled elimination takes only generators "
+                "homogeneous in the eliminated variables"
+            )
         if origin is not None:
             polys = [_translate(p, elim, origin) for p in polys]
         pk, seed = after.packing, after.block_basis
@@ -595,7 +676,7 @@ def eliminate(
     if any(m & drop for d in reduced for m in d.terms):
         raise AlgebraError("internal: eliminated variable survived")
     return EliminationResult(
-        _exit(reduced, table, pk), elim, tuple(basis), pk, reductions, zeros, origin
+        _exit(reduced, table, pk), elim, tuple(basis), pk, reductions, zeros, origin, scale
     )
 
 

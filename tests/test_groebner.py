@@ -756,7 +756,9 @@ def test_a_translation_invariant_elimination_drops_the_last_point(rng):
 def test_one_generator_that_is_not_invariant_turns_the_translation_off(rng):
     # one point alone, in a generator or in a factor, breaks the invariance:
     # nothing is dropped, and the block basis is a basis of the ideal as
-    # given, so every generator and every d_k*u_k - 1 reduces to zero by it
+    # given, so every generator and every d_k*u_k - 1 reduces to zero by it.
+    # The system may still be homogeneous in the points; then the ideal as
+    # given has scale - 1 in place of the scale's d_k*u_k - 1.
     table, polys, factors = _invariant_system(rng)
     odd = Polynomial.variable(table, rng.choice(_POINTS))
     if factors and rng.random() < 0.5:
@@ -767,6 +769,11 @@ def test_one_generator_that_is_not_invariant_turns_the_translation_off(rng):
     ext, gens, order, expected = _explicit_elimination(table, polys, factors, _POINTS)
     assert res.origin is None
     assert res.generators == expected
+    if res.scale is not None:
+        rest = list(factors)
+        rest.remove(res.scale)
+        one = Polynomial.constant(table, 1)
+        ext, gens, order, _ = _explicit_elimination(table, polys + [res.scale - one], rest, _POINTS)
     basis = _block_basis(res, ext)
     for g in gens:
         assert normal_form(g, basis, order).is_zero
@@ -776,7 +783,9 @@ def test_one_generator_that_is_not_invariant_turns_the_translation_off(rng):
 @settings(max_examples=40, deadline=None)
 def test_a_continued_translated_elimination_is_the_one_shot_elimination(rng):
     # a generator in the eliminated variables enters a translated run
-    # translated as that run's ideal was, whether or not it is invariant
+    # translated as that run's ideal was, whether or not it is invariant.
+    # A run that is also scaled takes only generators homogeneous in the
+    # points, so there the generator keeps its terms of degree 2 in them.
     table, polys, factors = _invariant_system(rng)
     a = Polynomial.variable(table, 0)
     if not any(p.contains_var(0) for p in polys + factors):
@@ -785,6 +794,10 @@ def test_a_continued_translated_elimination_is_the_one_shot_elimination(rng):
     first = eliminate(polys, _POINTS, cfg, saturate=factors)
     assert first.origin is not None and first.origin != 0
     extra = random_polynomial(rng, table, range(5), max_degree=2, max_terms=3) + a * a
+    if first.scale is not None:
+        extra = Polynomial(
+            table, {m: c for m, c in extra.terms.items() if sum(m[v] for v in _POINTS) == 2}
+        )
     second = eliminate([extra], _POINTS, cfg, after=first)
     assert second.origin == first.origin
     assert second.generators == eliminate(polys + [extra], _POINTS, cfg, saturate=factors).generators
@@ -826,6 +839,187 @@ def test_the_corpus_runs_that_are_translated(fix, monkeypatch):
         assert len(translated) == 19
     else:
         assert translated == _PINNED_AND_INVARIANT
+
+
+# Scale-invariant systems: the same three points and two slacks. A
+# generator or factor whose terms all have one total degree in the points
+# is homogeneous in them, and when all are, eliminate may set the first
+# factor of degree 1 to 1.
+
+
+def _point_degrees(p):
+    """The total degrees in the points of p's terms."""
+    return {sum(m[v] for v in _POINTS) for m in p.terms}
+
+
+def _form(rng, table, degree, slack=0.4):
+    """A sum of up to three terms, each an integer times `degree` points or
+    point differences and, with probability `slack`, one slack, and a slack
+    when `degree` is 0: homogeneous of that degree in the points, and
+    invariant under a translation only by chance."""
+    out = Polynomial.zero(table)
+    for _ in range(rng.randint(1, 3)):
+        term = Polynomial.constant(table, rng.choice([-3, -2, -1, 1, 2, 5]))
+        for _ in range(degree):
+            if rng.random() < 0.5:
+                term = term * _difference(rng, table)
+            else:
+                term = term * Polynomial.variable(table, rng.choice(_POINTS))
+        if not degree or rng.random() < slack:
+            term = term * Polynomial.variable(table, rng.choice((3, 4)))
+        out = out + term
+    return out
+
+
+def _homogeneous_system(rng, size=3):
+    """(table, polys, factors): up to `size` generators of degree 0 to 2 in
+    the points, and one nonzero factor of degree 1 among up to `size` - 1
+    others of degree 0 to 2. As in a geometric system, a factor holds a
+    slack only when it is of degree 0: a factor of degree 1 with a slack
+    can make the scaled run far slower (one such system took 5.5 s against
+    0.1 s unscaled)."""
+    table = make_table("a", "b", "c", "s", "t")
+    polys = [_form(rng, table, rng.randint(0, 2)) for _ in range(size)]
+    factors = [_form(rng, table, rng.choice((0, 1, 2)), 0) for _ in range(rng.randint(0, size - 1))]
+    polys = [p for p in polys if not p.is_zero]
+    factors = [d for d in factors if not d.is_zero]
+    line = Polynomial.zero(table)
+    while line.is_zero:
+        line = _form(rng, table, 1, 0)
+    factors.insert(rng.randint(0, len(factors)), line)
+    return table, polys, factors
+
+
+def _first_linear(factors):
+    return next(d for d in factors if _point_degrees(d) == {1})
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_a_homogeneous_elimination_sets_the_first_linear_factor_to_1(rng):
+    # the elimination ideal of a system homogeneous in the points does not
+    # change when the first factor of degree 1 is set to 1: the generators
+    # are those of the explicit saturation by every factor
+    table, polys, factors = _homogeneous_system(rng)
+    res = eliminate(polys, _POINTS, GroebnerConfig(timeout=None), saturate=factors)
+    _, _, _, expected = _explicit_elimination(table, polys, factors, _POINTS)
+    assert res.generators == expected
+    assert res.scale == _first_linear(factors)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_one_generator_that_is_not_homogeneous_turns_the_scale_off(rng):
+    # one term of another degree in the points, in a generator or in a
+    # factor, breaks the homogeneity, and the translation with it: nothing
+    # is set to 1, and every generator and every d_k*u_k - 1 reduces to
+    # zero by the block basis. An inhomogeneous system runs unscaled, where
+    # three generators and three factors can take seconds, so it is smaller.
+    table, polys, factors = _homogeneous_system(rng, 2)
+    k = rng.randrange(len(polys) + len(factors))
+    target = (polys + factors)[k]
+    # a point, or two for a target of degree 1
+    odd = Polynomial.variable(table, rng.choice(_POINTS))
+    if _point_degrees(target) == {1}:
+        odd = odd * Polynomial.variable(table, rng.choice(_POINTS))
+    if k < len(polys):
+        polys[k] = target + odd
+    else:
+        factors[k - len(polys)] = target + odd
+    res = eliminate(polys, _POINTS, GroebnerConfig(timeout=None), saturate=factors)
+    ext, gens, order, expected = _explicit_elimination(table, polys, factors, _POINTS)
+    assert res.scale is None and res.origin is None
+    assert res.generators == expected
+    basis = _block_basis(res, ext)
+    for g in gens:
+        assert normal_form(g, basis, order).is_zero
+
+
+def test_a_zero_factor_or_one_in_the_kept_variables_is_never_the_scale():
+    table = make_table("a", "b", "c", "s", "t")
+    a, b, c, s, t = _vars(table)
+    polys = [a * s - b * t, (a - c) * t - b]
+    cfg = GroebnerConfig(timeout=None)
+    for factors in ([Polynomial.zero(table), s - t, a * s + b, c], [s + t, b * b, c * s - a, a]):
+        res = eliminate(polys, _POINTS, cfg, saturate=factors)
+        assert res.scale == factors[2]
+        assert res.generators == _explicit_elimination(table, polys, factors, _POINTS)[3]
+    res = eliminate(polys, _POINTS, cfg, saturate=[s + t, Polynomial.zero(table), a * a - b * c])
+    assert res.scale is None
+    assert ideal_is_trivial(res)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_a_continued_scaled_elimination_is_the_one_shot_elimination(rng):
+    # a generator in the kept variables alone, as the prover's divisor, or
+    # one homogeneous in the points enters a scaled run as it is
+    table, polys, factors = _homogeneous_system(rng)
+    cfg = GroebnerConfig(timeout=None)
+    first = eliminate(polys, _POINTS, cfg, saturate=factors)
+    assert first.scale is not None
+    if rng.random() < 0.7:
+        extra = random_polynomial(rng, table, (3, 4), max_degree=2, max_terms=3)
+    else:
+        extra = _form(rng, table, rng.randint(0, 2))
+    second = eliminate([extra], _POINTS, cfg, after=first)
+    assert second.scale is first.scale and second.origin == first.origin
+    assert second.generators == eliminate(polys + [extra], _POINTS, cfg, saturate=factors).generators
+
+
+def test_a_continued_scaled_elimination_refuses_a_generator_that_is_not_homogeneous():
+    # no automorphism maps it, and the ideal with it is not homogeneous, so
+    # setting the factor to 1 could change its elimination ideal
+    table = make_table("a", "b", "c", "s", "t")
+    a, b, c, s, t = _vars(table)
+    first = eliminate([a * s - b, b * t - c], _POINTS, saturate=[a - c])
+    assert first.scale == a - c
+    for extra in (a - s, a * b - c, b + Polynomial.constant(table, 1)):
+        with pytest.raises(AlgebraError, match="homogeneous"):
+            eliminate([extra], _POINTS, after=first)
+    assert eliminate([s * t - t], _POINTS, after=first).generators == eliminate(
+        [a * s - b, b * t - c, s * t - t], _POINTS, saturate=[a - c]
+    ).generators
+
+
+# The pinned corpus statements whose runs are scaled: pinning puts the
+# pinned values where two points stood, and a nonzero value has degree 0,
+# so a pinned run is scaled only when no relation keeps a point pinned to a
+# nonzero value, as varignon's under zero_one, which pins A = 0 and has no
+# relation with B.
+_PINNED_AND_SCALED = {"zero_one": {"varignon"}, "minus_one_one": set()}
+
+
+@pytest.mark.parametrize("fix", ["zero_one", "minus_one_one", "off"])
+def test_the_corpus_runs_that_are_scaled(fix, monkeypatch):
+    # an unpinned run always is, by its first factor of degree 1, and a
+    # second elimination keeps the first's scale
+    runs = []
+
+    def recording(F, elim, config=None, after=None, saturate=()):
+        runs.append((tuple(saturate), after, eliminate(F, elim, config, after, saturate)))
+        return runs[-1][-1]
+
+    monkeypatch.setattr(prover, "eliminate", recording)
+    scaled = set()
+    for path in sorted(CORPUS.glob("*.cni")):
+        if path.stem.startswith("bad_") or path.stem == "pappus":
+            continue
+        c = substitute_declaratives(parse(SourceProgram(path.read_text(), path.stem)))
+        sys = fix_coordinates(build_system(c), c, fix)
+        runs.clear()
+        prove(sys, ProverConfig(timeout=60.0))
+        (factors, _, first), *rest = runs
+        if first.scale is not None:
+            scaled.add(path.stem)
+            degrees = [{sum(m[v] for v in sys.eliminate_vars) for m in d.terms} for d in factors]
+            assert first.scale == factors[degrees.index({1})]
+        for _, after, res in rest:
+            assert after is first and res.scale is first.scale
+    if fix == "off":
+        assert len(scaled) == 19
+    else:
+        assert scaled == _PINNED_AND_SCALED[fix]
 
 
 def test_eliminate_everything_is_rejected():

@@ -442,13 +442,16 @@ def test_second_elimination_continues_from_the_first(name, fix, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "fix,reductions,zeros", [("zero_one", 960, 660), ("off", 1953, 1408)], ids=["zero_one", "off"]
+    "fix,reductions,zeros", [("zero_one", 959, 659), ("off", 713, 440)], ids=["zero_one", "off"]
 )
 def test_corpus_reduction_counts(fix, reductions, zeros, monkeypatch):
     """The S-pairs reduced, and those that reduced to zero, summed over the
     first and second eliminations of every corpus statement but `pappus`.
     The engine's pair sequence fixes these sums, so an engine change that
-    keeps them keeps the pairs it forms."""
+    keeps them keeps the pairs it forms. Setting a factor of degree 1 to 1
+    in a scaled run (groebner.eliminate) changes which pairs are formed:
+    every unpinned run is scaled, and of the pinned ones varignon's under
+    zero_one, which took the sums from 960/660 and 1953/1408."""
     manifest = json.loads((PERFBENCH / "manifest.json").read_text())
     names = [
         e["name"] for e in manifest["statements"]
