@@ -890,10 +890,6 @@ def _homogeneous_system(rng, size=3):
     return table, polys, factors
 
 
-def _first_linear(factors):
-    return next(d for d in factors if _point_degrees(d) == {1})
-
-
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_a_homogeneous_elimination_sets_the_first_linear_factor_to_1(rng):
@@ -904,7 +900,7 @@ def test_a_homogeneous_elimination_sets_the_first_linear_factor_to_1(rng):
     res = eliminate(polys, _POINTS, GroebnerConfig(timeout=None), saturate=factors)
     _, _, _, expected = _explicit_elimination(table, polys, factors, _POINTS)
     assert res.generators == expected
-    assert res.scale == _first_linear(factors)
+    assert res.scale == next(d for d in factors if _point_degrees(d) == {1})
 
 
 @given(st.randoms(use_true_random=False))
