@@ -874,10 +874,10 @@ def _form(rng, table, degree, slack=0.4):
 def _homogeneous_system(rng, size=3):
     """(table, polys, factors): up to `size` generators of degree 0 to 2 in
     the points, and one nonzero factor of degree 1 among up to `size` - 1
-    others of degree 0 to 2. As in a geometric system, a factor holds a
-    slack only when it is of degree 0: a factor of degree 1 with a slack
-    can make the scaled run far slower (one such system took 5.5 s against
-    0.1 s unscaled)."""
+    others of degree 0 to 2. A factor holds a slack only when it is of
+    degree 0 (a geometric system's factors hold points only): a factor of
+    degree 1 with a slack can make the scaled run far slower (one such
+    system took 5.5 s against 0.1 s unscaled)."""
     table = make_table("a", "b", "c", "s", "t")
     polys = [_form(rng, table, rng.randint(0, 2)) for _ in range(size)]
     factors = [_form(rng, table, rng.choice((0, 1, 2)), 0) for _ in range(rng.randint(0, size - 1))]
