@@ -41,15 +41,16 @@ variable that occurs to 0 first: x_v -> x_v + x_v0 is an automorphism that
 fixes the kept variables and maps each invariant generator to itself with
 x_v0 = 0, so the elimination ideal, and its reduced basis, stay the same
 with fewer terms. When every generator and factor is homogeneous in the
-eliminated variables, the run also sets the first factor of degree 1 in
-them to 1, entering l - 1 for l*u - 1: l is invertible modulo the
-saturated ideal, which is homogeneous, so the elimination ideal stays the
-same with one Rabinowitsch variable fewer (dehomogenization, Cox, Little
-and O'Shea, Ideals, Varieties, and Algorithms, ch. 8). A second
-elimination of the same ideal with more generators continues from the
-first run's minimal basis and packing, translating its generators the same
-way: it enters only the pairs with the new generators and their
-successors.
+eliminated variables, the run also sets the first factor l that is a
+linear form in them to 1: l is invertible modulo the saturated ideal,
+which is homogeneous, so adding l - 1 keeps the elimination ideal, and
+solving l = 1 for one eliminated variable x_w and substituting it
+everywhere takes x_w, l's Rabinowitsch variable and l out of the run
+(dehomogenization, Cox, Little and O'Shea, Ideals, Varieties, and
+Algorithms, ch. 8). A second elimination of the same ideal with more
+generators continues from the first run's minimal basis and packing,
+mapping its generators the same way: it enters only the pairs with the
+new generators and their successors.
 """
 from __future__ import annotations
 
@@ -127,8 +128,10 @@ class EliminationResult(Record):
     None when the run was not translated; `scale` is the factor, as given,
     that the run set to 1, or None when the run was not scaled (see
     eliminate). `block_basis` is the run's minimal basis under the block
-    order of the whole ideal, translated when `origin` is set and with
-    `scale` - 1 in place of its saturation when `scale` is set, as engine
+    order of the ideal the run computed: translated when `origin` is set,
+    and, when `scale` is set, with scale = 1 solved for x_w and substituted,
+    so that no element holds x_w, and a Rabinowitsch variable only for each
+    distinct factor that did not turn constant. Its elements are engine
     records packed by `packing`, the Rabinowitsch variables included;
     eliminate(..., after=this) continues from them. `reductions` counts the
     S-pairs the run reduced, and `zero_reductions` those that reduced to
@@ -441,11 +444,10 @@ def _enter(polys: list[Polynomial], pk: _Packing) -> list[_IntPoly]:
     return [_normalize({pack(m): c for m, c in _integer_terms(p).items()}, pk) for p in polys]
 
 
-def _saturator(d: Polynomial, u: int | None, pk: _Packing) -> _IntPoly:
+def _saturator(d: Polynomial, u: int, pk: _Packing) -> _IntPoly:
     """d*u - 1, which saturates the ideal by d; u is a packed variable past
-    d's table. A zero d gives the constant -1. With u None, d - 1, for a d
-    with no constant term."""
-    times_u = () if u is None else (0,) * (u - len(d.table)) + (1,)
+    d's table. A zero d gives the constant -1."""
+    times_u = (0,) * (u - len(d.table)) + (1,)
     terms = {pk.pack(m + times_u): c for m, c in _integer_terms(d).items()}
     terms[0] = -1
     return _normalize(terms, pk)
@@ -459,8 +461,9 @@ def _invariance(
     sum of the partial derivatives by the variables of elim, so each p is
     invariant under the translations x_v -> x_v + t of all v in elim
     together. homogeneous: each p has all its terms of one total degree in
-    elim. line: when homogeneous, the index of the first factor of degree 1
-    in elim, else None; a zero factor has no terms and no degree. The pass
+    elim. line: when homogeneous, the index of the first factor whose
+    terms are each one variable of elim, a linear form in them, else None;
+    a zero factor has no terms and no degree. The pass
     visits the factors first, which are short and fail both tests at once
     when they hold a pinned point, and stops once both tests have
     failed."""
@@ -489,7 +492,7 @@ def _invariance(
             shift = False
         if not (shift or homogeneous):
             return False, False, None
-        if deg == 1 and line is None and i < nf:
+        if deg == 1 and line is None and i < nf and all(sum(m) == 1 for m in p.terms):
             line = i
     return shift, homogeneous, line if homogeneous else None
 
@@ -500,6 +503,32 @@ def _origin(polys: list[Polynomial], elim: tuple[int, ...]) -> int | None:
         if any(p.contains_var(v) for p in polys):
             return v
     return None
+
+
+def _pivot(l: Polynomial) -> tuple[int, int, Polynomial]:
+    """(w, c, r) for a nonzero linear form l with integer coefficients: x_w
+    is the first variable of l in table order, c its coefficient, and r =
+    1 - (l - c*x_w), so that l = 1 is x_w = r/c."""
+    w, m = min((m.index(1), m) for m in l.terms)
+    rest = Polynomial._trusted(l.table, {k: -a for k, a in l.terms.items() if k != m})
+    return w, l.terms[m], rest + Polynomial.constant(l.table, 1)
+
+
+def _set_to_1(p: Polynomial, w: int, c: int, r: Polynomial) -> Polynomial:
+    """c^k times p with x_w = r/c, for k p's degree in x_w: by Horner's
+    rule on p's coefficients p_j in x_w, the sum of c^(k - j) p_j r^j, which
+    has integer coefficients."""
+    k = p.degree_in(w)
+    if not k:
+        return p
+    parts = [{} for _ in range(k + 1)]
+    for m, a in p.terms.items():
+        j = m[w]
+        parts[j][m[:w] + (0,) + m[w + 1:]] = a * c ** (k - j)
+    out = Polynomial._trusted(p.table, parts[k])
+    for j in range(k - 1, -1, -1):
+        out = (out * r)._plus(parts[j].items())
+    return out
 
 
 def _at_origin(p: Polynomial, v0: int) -> Polynomial:
@@ -598,29 +627,42 @@ def eliminate(
 
     Scale: every term of p has one total degree in the eliminated
     variables. When that holds for all of them, the run takes l, the
-    first factor of degree 1 (a zero factor has no degree, and one in the
-    kept variables alone has degree 0), gives it no Rabinowitsch variable,
-    and enters l - 1 where l*u - 1 would stand. This is sound: give each
-    eliminated variable weight 1, each u_k weight -deg d_k and each kept
-    variable weight 0. Then every generator of the saturated ideal J is
-    weighted-homogeneous, and so is J. Let p in the kept variables lie in
-    J + <l - 1>, p = j + (l - 1)h, and let h have no component of weight
-    above N - 1. Summing l^(N - w) times the weight-w component of p - j =
-    (l - 1)h over w telescopes to 0, so l^N p is a sum of multiples of
-    the components of j, each in J. Since l*u - 1 is in J, l is invertible
-    modulo J, and p is in J. J + <l - 1> holds u - 1 for l's u, so
-    dropping u and l*u - 1 changes no kept element, and the translation,
-    applied first, maps the ideal left onto the one the run computes,
-    fixing the kept variables.
+    first factor that is a linear form in the eliminated variables, each
+    term an integer times one of them (a zero factor has no degree, and
+    solving a factor with a kept variable in a term would divide by a
+    polynomial). After the translation, x_w is l's first variable in table
+    order and c its coefficient; the run substitutes x_w = (1 - (l -
+    c*x_w))/c into every generator and every factor, times c^k for k its
+    degree in x_w, so that the coefficients stay integers. It drops each
+    factor that turns into a nonzero constant, l among them, and enters a
+    factor equal to an earlier one up to a constant once, so x_w occurs in
+    no generator and l has no Rabinowitsch variable. This is sound. Give
+    each eliminated variable weight 1, each u_k weight -deg d_k and each
+    kept variable weight 0. Then every generator of the saturated ideal J
+    is weighted-homogeneous, and so is J. Let p in the kept variables lie
+    in J + <l - 1>, p = j + (l - 1)h, and let h have no component of
+    weight above N - 1. Summing l^(N - w) times the weight-w component of
+    p - j = (l - 1)h over w telescopes to 0, so l^N p is a sum of
+    multiples of the components of j, each in J. Since l*u - 1 is in J, l
+    is invertible modulo J, and p is in J: J and J + <l - 1> have the same
+    kept elements. The translation maps J + <l - 1> to an ideal with the
+    same kept elements that holds l' - 1, l' the translated l, and the
+    substitution is the isomorphism k[X, K, U]/<l' - 1> -> k[X minus x_w,
+    K, U] that fixes the kept variables K and every u_k. So the kept
+    elements are those of the ideal the substituted generators generate.
+    There l*u - 1 is u - 1, a factor that turns into the constant a gives
+    a*u_k - 1, and a factor equal to an earlier one's times a gives u_j -
+    a*u_k, each of which only fixes a u_k that occurs nowhere else, so
+    leaving them out changes no kept element.
     The result records l, as given, as `scale`.
 
     With `after`, the run starts from after's minimal block basis and its
-    packing, maps F by after's automorphism (the identity on a polynomial
-    in the kept variables), and enters only the pairs with F's elements
-    and their successors. When after was scaled, F must be homogeneous in
-    the eliminated variables, as a polynomial in the kept variables alone
-    is, so that J + <F> stays homogeneous; any other F raises
-    AlgebraError.
+    packing, maps F by after's translation and then its substitution (both
+    the identity on a polynomial in the kept variables), and enters only
+    the pairs with F's elements and their successors. When after was
+    scaled, F must be homogeneous in the eliminated variables, as a
+    polynomial in the kept variables alone is, so that J + <F> stays
+    homogeneous; any other F raises AlgebraError.
 
     The result is the unique reduced basis under GrevLex on the kept
     variables, the print order on them, each generator scaled to coprime
@@ -652,14 +694,23 @@ def eliminate(
         if origin is not None:
             polys = [_at_origin(p, origin) for p in polys]
             factors = [_at_origin(d, origin) for d in factors]
-        us = tuple(range(n, n + len(factors) - (line is not None)))
+        if scale is not None:
+            sub = _pivot(factors[line])
+            polys = [_set_to_1(p, *sub) for p in polys]
+            # l, and each factor that turns constant with it, can no longer
+            # vanish, and a factor equal to another up to a constant
+            # saturates by the same
+            distinct = {}
+            for d in factors:
+                d = _set_to_1(d, *sub)
+                if d.is_zero:
+                    distinct.setdefault(frozenset(), d)
+                elif not d.is_constant:
+                    distinct.setdefault(frozenset(_primitive(d.terms)[1].items()), d)
+            factors = list(distinct.values())
+        us = tuple(range(n, n + len(factors)))
         pk, seed = _Packing(Block(GrevLex(us + elim), GrevLex(kept)), n + len(us)), ()
-        # the factor set to 1 gets no Rabinowitsch variable: d - 1 stands
-        # where d*u - 1 would
-        free = iter(us)
-        gens = _enter(polys, pk) + [
-            _saturator(d, None if k == line else next(free), pk) for k, d in enumerate(factors)
-        ]
+        gens = _enter(polys, pk) + [_saturator(d, u, pk) for d, u in zip(factors, us)]
     else:
         origin, scale = after.origin, after.scale
         if scale is not None and not _invariance([], polys, elim)[1]:
@@ -669,6 +720,9 @@ def eliminate(
             )
         if origin is not None:
             polys = [_translate(p, elim, origin) for p in polys]
+        if scale is not None:
+            sub = _pivot(scale if origin is None else _at_origin(scale, origin))
+            polys = [_set_to_1(p, *sub) for p in polys]
         pk, seed = after.packing, after.block_basis
         gens = _enter(polys, pk)
     drop = sum(_FIELD << s for v, s in enumerate(pk.shifts) if v not in kept)

@@ -12,6 +12,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from cni_prover.algebra_core import (
+    _FIELD,
     _HALF,
     AlgebraError,
     Block,
@@ -757,8 +758,8 @@ def test_one_generator_that_is_not_invariant_turns_the_translation_off(rng):
     # one point alone, in a generator or in a factor, breaks the invariance:
     # nothing is dropped, and the block basis is a basis of the ideal as
     # given, so every generator and every d_k*u_k - 1 reduces to zero by it.
-    # The system may still be homogeneous in the points; then the ideal as
-    # given has scale - 1 in place of the scale's d_k*u_k - 1.
+    # The system may still be homogeneous in the points; then the block
+    # basis is a basis of the system with scale = 1 solved for a point.
     table, polys, factors = _invariant_system(rng)
     odd = Polynomial.variable(table, rng.choice(_POINTS))
     if factors and rng.random() < 0.5:
@@ -770,10 +771,7 @@ def test_one_generator_that_is_not_invariant_turns_the_translation_off(rng):
     assert res.origin is None
     assert res.generators == expected
     if res.scale is not None:
-        rest = list(factors)
-        rest.remove(res.scale)
-        one = Polynomial.constant(table, 1)
-        ext, gens, order, _ = _explicit_elimination(table, polys + [res.scale - one], rest, _POINTS)
+        ext, gens, order, _ = _explicit_elimination(table, *_solved_system(table, polys, factors, res)[:2], _POINTS)
     basis = _block_basis(res, ext)
     for g in gens:
         assert normal_form(g, basis, order).is_zero
@@ -852,6 +850,50 @@ def _point_degrees(p):
     return {sum(m[v] for v in _POINTS) for m in p.terms}
 
 
+def _is_linear_form(p):
+    """Each of p's terms is an integer times one point."""
+    return bool(p.terms) and all(sum(m) == 1 and any(m[v] for v in _POINTS) for m in p.terms)
+
+
+def _solved_system(table, polys, factors, res):
+    """(polys, factors, w): the system a scaled run res enters, built here
+    over the rationals. Each polynomial loses its terms in res.origin, when
+    the run was translated, and then takes x_w = r, with x_w the first
+    point of the scale l so translated, c its coefficient and r = (1 - (l -
+    c*x_w))/c, times c^k for k its degree in x_w, which leaves integer
+    coefficients; the factors that turn into nonzero constants are left
+    out, and the others are listed once up to a constant, in their order.
+    The constant matters for a factor d, as d*u - 1 fixes u."""
+    n = len(table)
+
+    def moved(p):
+        if res.origin is None:
+            return p
+        return Polynomial(table, {m: c for m, c in p.terms.items() if not m[res.origin]})
+
+    line = moved(res.scale)
+    w = min(v for v in _POINTS if line.contains_var(v))
+    c = line.terms[tuple(int(v == w) for v in range(n))]
+    x_w = Polynomial.variable(table, w)
+    r = (Polynomial.constant(table, 1) - line + x_w.scale(c)).scale(Fraction(1, c))
+
+    def solved(p):
+        p = moved(p)
+        out = Polynomial.zero(table)
+        for m, a in p.terms.items():
+            out = out + Polynomial(table, {m[:w] + (0,) + m[w + 1:]: a}) * r ** m[w]
+        out = out.scale(c ** p.degree_in(w))
+        assert all(Fraction(a).denominator == 1 for a in out.terms.values())
+        return Polynomial(table, {m: int(a) for m, a in out.terms.items()})
+
+    order = print_order(table)
+    kept = []
+    for d in map(solved, factors):
+        if (d.is_zero or not d.is_constant) and all(monic(d, order) != monic(e, order) for e in kept):
+            kept.append(d)
+    return [solved(p) for p in polys], kept, w
+
+
 def _form(rng, table, degree, slack=0.4):
     """A sum of up to three terms, each an integer times `degree` points or
     point differences and, with probability `slack`, one slack, and a slack
@@ -875,9 +917,9 @@ def _homogeneous_system(rng, size=3):
     """(table, polys, factors): up to `size` generators of degree 0 to 2 in
     the points, and one nonzero factor of degree 1 among up to `size` - 1
     others of degree 0 to 2. A factor holds a slack only when it is of
-    degree 0 (a geometric system's factors hold points only): a factor of
-    degree 1 with a slack can make the scaled run far slower (one such
-    system took 5.5 s against 0.1 s unscaled)."""
+    degree 0, as a geometric system's factors hold points only; a factor
+    of degree 1 with a slack is never the scale
+    (test_a_linear_factor_with_a_slack_is_never_the_scale)."""
     table = make_table("a", "b", "c", "s", "t")
     polys = [_form(rng, table, rng.randint(0, 2)) for _ in range(size)]
     factors = [_form(rng, table, rng.choice((0, 1, 2)), 0) for _ in range(rng.randint(0, size - 1))]
@@ -901,6 +943,65 @@ def test_a_homogeneous_elimination_sets_the_first_linear_factor_to_1(rng):
     _, _, _, expected = _explicit_elimination(table, polys, factors, _POINTS)
     assert res.generators == expected
     assert res.scale == next(d for d in factors if _point_degrees(d) == {1})
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_a_scaled_elimination_solves_the_linear_factor_for_its_first_point(rng):
+    # the scale is a linear form whose first point may have a coefficient
+    # other than +-1, after a factor of degree 1 with a slack, which is
+    # never the scale; a multiple of it turns constant, and a factor times
+    # it turns equal to that factor up to a constant. The generators are
+    # those of the explicit saturation by every factor, no element of the
+    # block basis holds the solved point, and the block basis generates
+    # the solved system under the run's block order.
+    table, polys, factors = _homogeneous_system(rng, 2)
+    x = _vars(table)
+    first = rng.choice((0, 1))
+    line = x[first].scale(rng.choice((2, -2, 3, -3)))
+    for v in _POINTS[first + 1:]:
+        line = line + x[v].scale(rng.choice((-2, -1, 0, 1, 2)))
+    factors = [line if _point_degrees(d) == {1} else d for d in factors]
+    if rng.random() < 0.5:
+        factors.insert(rng.randint(0, factors.index(line)), x[rng.choice(_POINTS)] * x[3] + line)
+    if rng.random() < 0.5:
+        factors.append(line.scale(rng.choice((-1, 3))))
+    if rng.random() < 0.5:
+        factors.append(rng.choice(factors) * line)
+    res = eliminate(polys, _POINTS, GroebnerConfig(timeout=None), saturate=factors)
+    ext, _, order, expected = _explicit_elimination(table, polys, factors, _POINTS)
+    assert res.generators == expected
+    assert res.scale == line == next(d for d in factors if _is_linear_form(d))
+    solved_polys, solved_factors, w = _solved_system(table, polys, factors, res)
+    assert w == first
+    assert not any(m & (_FIELD << res.packing.shifts[w]) for g in res.block_basis for m in g.terms)
+    ext, gens, order, _ = _explicit_elimination(table, solved_polys, solved_factors, _POINTS)
+    assert groebner_basis(_block_basis(res, ext), order) == groebner_basis(gens, order)
+
+
+def test_a_linear_factor_with_a_slack_is_never_the_scale():
+    # solving it for a point would divide by a polynomial in the slacks. Set
+    # to 1 as a whole, the second factor made this run take seconds, with
+    # coefficients of thousands of bits; unscaled it takes a tenth of that.
+    table = make_table("a", "b", "c", "s", "t")
+    a, b, c, s, t = _vars(table)
+    k = lambda n: Polynomial.constant(table, n)  # noqa: E731
+    polys = [
+        k(5) * b * c - k(5) * a * c - k(5) * a * b + k(5) * a * a,
+        k(2) * (b * c * t + a * c * t - c * c * t - a * b - a * b * t - a * a * s),
+        k(8) * b * c - k(3) * c * c - k(5) * a * c + a * c * s - k(5) * a * b + k(5) * a * a,
+    ]
+    factors = [
+        b * c * t - k(3) * a * c - a * c * t + k(3) * a * b - k(3) * a * a,
+        k(2) * c * s - k(3) * b - k(3) * b * t - k(2) * a * s,
+        k(5) * b - k(2) * b * s + k(2) * a * s,
+    ]
+    start = time.process_time()
+    res = eliminate(polys, _POINTS, GroebnerConfig(timeout=None), saturate=factors)
+    elapsed = time.process_time() - start
+    assert res.scale is None and res.origin is None
+    assert res.generators == _explicit_elimination(table, polys, factors, _POINTS)[3]
+    assert elapsed < 1.0
 
 
 @given(st.randoms(use_true_random=False))
@@ -932,13 +1033,14 @@ def test_one_generator_that_is_not_homogeneous_turns_the_scale_off(rng):
 
 
 def test_a_zero_factor_or_one_in_the_kept_variables_is_never_the_scale():
+    # nor one with a kept variable in a term, as a*s + b
     table = make_table("a", "b", "c", "s", "t")
     a, b, c, s, t = _vars(table)
     polys = [a * s - b * t, (a - c) * t - b]
     cfg = GroebnerConfig(timeout=None)
     for factors in ([Polynomial.zero(table), s - t, a * s + b, c], [s + t, b * b, c * s - a, a]):
         res = eliminate(polys, _POINTS, cfg, saturate=factors)
-        assert res.scale == factors[2]
+        assert res.scale == factors[3]
         assert res.generators == _explicit_elimination(table, polys, factors, _POINTS)[3]
     res = eliminate(polys, _POINTS, cfg, saturate=[s + t, Polynomial.zero(table), a * a - b * c])
     assert res.scale is None
@@ -949,15 +1051,21 @@ def test_a_zero_factor_or_one_in_the_kept_variables_is_never_the_scale():
 @settings(max_examples=40, deadline=None)
 def test_a_continued_scaled_elimination_is_the_one_shot_elimination(rng):
     # a generator in the kept variables alone, as the prover's divisor, or
-    # one homogeneous in the points enters a scaled run as it is
+    # one homogeneous in the points, which may hold the solved point, enters
+    # a scaled run mapped as that run's ideal was
     table, polys, factors = _homogeneous_system(rng)
     cfg = GroebnerConfig(timeout=None)
     first = eliminate(polys, _POINTS, cfg, saturate=factors)
     assert first.scale is not None
-    if rng.random() < 0.7:
+    u = rng.random()
+    if u < 0.5:
         extra = random_polynomial(rng, table, (3, 4), max_degree=2, max_terms=3)
-    else:
+    elif u < 0.7:
         extra = _form(rng, table, rng.randint(0, 2))
+    else:
+        w = _solved_system(table, polys, factors, first)[2]
+        degree = rng.randint(1, 2)
+        extra = _form(rng, table, degree) + Polynomial.variable(table, w) ** degree
     second = eliminate([extra], _POINTS, cfg, after=first)
     assert second.scale is first.scale and second.origin == first.origin
     assert second.generators == eliminate(polys + [extra], _POINTS, cfg, saturate=factors).generators
