@@ -461,12 +461,11 @@ def _invariance(
     sum of the partial derivatives by the variables of elim, so each p is
     invariant under the translations x_v -> x_v + t of all v in elim
     together. homogeneous: each p has all its terms of one total degree in
-    elim. line: when homogeneous, the index of the first factor whose
-    terms are each one variable of elim, a linear form in them, else None;
-    a zero factor has no terms and no degree. The pass
-    visits the factors first, which are short and fail both tests at once
-    when they hold a pinned point, and stops once both tests have
-    failed."""
+    elim. line: when homogeneous, the index of the first factor that is a
+    linear form in elim, each term an integer times one of its variables,
+    else None; a zero factor has no terms and no degree. The pass visits
+    the factors first, which are short and fail both tests at once when
+    they hold a pinned point, and stops once both tests have failed."""
     shift = homogeneous = True
     line = None
     nf = len(factors)
@@ -505,7 +504,7 @@ def _origin(polys: list[Polynomial], elim: tuple[int, ...]) -> int | None:
     return None
 
 
-def _pivot(l: Polynomial) -> tuple[int, int, Polynomial]:
+def _solution(l: Polynomial) -> tuple[int, int, Polynomial]:
     """(w, c, r) for a nonzero linear form l with integer coefficients: x_w
     is the first variable of l in table order, c its coefficient, and r =
     1 - (l - c*x_w), so that l = 1 is x_w = r/c."""
@@ -695,7 +694,7 @@ def eliminate(
             polys = [_at_origin(p, origin) for p in polys]
             factors = [_at_origin(d, origin) for d in factors]
         if scale is not None:
-            sub = _pivot(factors[line])
+            sub = _solution(factors[line])
             polys = [_set_to_1(p, *sub) for p in polys]
             # l, and each factor that turns constant with it, can no longer
             # vanish, and a factor equal to another up to a constant
@@ -721,7 +720,7 @@ def eliminate(
         if origin is not None:
             polys = [_translate(p, elim, origin) for p in polys]
         if scale is not None:
-            sub = _pivot(scale if origin is None else _at_origin(scale, origin))
+            sub = _solution(scale if origin is None else _at_origin(scale, origin))
             polys = [_set_to_1(p, *sub) for p in polys]
         pk, seed = after.packing, after.block_basis
         gens = _enter(polys, pk)
