@@ -8,12 +8,12 @@ proving path, since ideal membership decisions must be error-free.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import add, itemgetter, mul
 from struct import Struct
-from typing import Mapping
 
 
 class AlgebraError(ValueError):

@@ -22,7 +22,6 @@ import os
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .algebra_core import AlgebraError, Const, PointRef, RationalExpr, Record, VarTable
 from .geometry_model import (
@@ -466,7 +465,8 @@ def run_cli(cfg: CliConfig, out=None, err=None) -> int:
             buffer = getattr(sys.stdin, "buffer", None)
             text = sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
         else:
-            text = Path(cfg.input).read_text(encoding="utf-8")
+            with open(cfg.input, encoding="utf-8") as f:
+                text = f.read()
     except OSError as exc:
         print(f"error: {exc}", file=err)
         return 1
@@ -499,7 +499,8 @@ def main(argv=None) -> int:
     p.add_argument("--fix", choices=FIX_MODES, default="zero_one",
                    help="coordinate fixing mode (default zero_one)")
     p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
-                   help=f"elimination budget in seconds (default {DEFAULT_TIMEOUT:g})")
+                   help="budget in seconds for each elimination and each r-first "
+                   f"pivot basis, up to four per statement (default {DEFAULT_TIMEOUT:g})")
     p.add_argument("--format", choices=FORMATS, default="text",
                    help="proof document format (default text)")
     p.add_argument("--show-ideal", action="store_true",

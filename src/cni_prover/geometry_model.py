@@ -5,8 +5,8 @@ the polynomial system whose elimination ideal decides the statement.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, ClassVar, Union
 
 from .algebra_core import (
     Const,
@@ -58,9 +58,9 @@ class Predicate(Record):
     symbolically distinct points, or a denominator is identically zero."""
 
     __slots__ = ("expr",)
-    name: ClassVar[str]
-    caveat: ClassVar[str | None] = None
-    arity: ClassVar[int]
+    name: str
+    caveat: str | None = None
+    arity: int
 
     def __init_subclass__(cls) -> None:
         cls.arity = len(cls.__slots__)
@@ -206,7 +206,7 @@ def predicate_step(p: Predicate) -> RealRelational:
     return RealRelational(p.expr, p)
 
 
-ConstructionStep = Union[Declarative, RealRelational]
+ConstructionStep = Declarative | RealRelational
 
 
 class Construction(Record):

@@ -48,16 +48,16 @@ solving l = 1 for one eliminated variable x_w and substituting it
 everywhere takes x_w, l's Rabinowitsch variable and l out of the run
 (dehomogenization, Cox, Little and O'Shea, Ideals, Varieties, and
 Algorithms, ch. 8). A second elimination of the same ideal with more
-generators continues from the first run's minimal basis and packing,
-mapping its generators the same way: it enters only the pairs with the
-new generators and their successors.
+generators, in the kept variables alone, continues from the first run's
+minimal basis and packing: it enters only the pairs with the new
+generators and their successors.
 """
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Iterable, Union
 
 from .algebra_core import (
     _FIELD,
@@ -128,12 +128,9 @@ class EliminationResult(Record):
     None when the run was not translated; `scale` is the factor, as given,
     that the run set to 1, or None when the run was not scaled (see
     eliminate). `block_basis` is the run's minimal basis under the block
-    order of the ideal the run computed: translated when `origin` is set,
-    and, when `scale` is set, with scale = 1 solved for x_w and substituted,
-    so that no element holds x_w, and a Rabinowitsch variable only for each
-    distinct factor that did not turn constant. Its elements are engine
-    records packed by `packing`, the Rabinowitsch variables included;
-    eliminate(..., after=this) continues from them. `reductions` counts the
+    order of the ideal the run computed, as engine records packed by
+    `packing`, the Rabinowitsch variables included; eliminate(...,
+    after=this) continues from them. `reductions` counts the
     S-pairs the run reduced, and `zero_reductions` those that reduced to
     zero. Equality and hashing compare the generators and `eliminated`
     alone.
@@ -535,22 +532,6 @@ def _at_origin(p: Polynomial, v0: int) -> Polynomial:
     return Polynomial._trusted(p.table, {m: c for m, c in p.terms.items() if not m[v0]})
 
 
-def _translate(p: Polynomial, elim: tuple[int, ...], v0: int) -> Polynomial:
-    """p with x_v replaced by x_v + x_v0 for each v of elim but v0."""
-    table = p.table
-    moved = [v for v in elim if v != v0 and p.contains_var(v)]
-    if not moved:
-        return p
-    shifted = {v: Polynomial.variable(table, v) + Polynomial.variable(table, v0) for v in moved}
-    out = Polynomial.zero(table)
-    for m, c in p.terms.items():
-        t = Polynomial._trusted(table, {tuple(0 if v in shifted else k for v, k in enumerate(m)): c})
-        for v, s in shifted.items():
-            t = t * s ** m[v]
-        out = out + t
-    return out
-
-
 def _exit(recs, table: VarTable, pk: _Packing) -> tuple[Polynomial, ...]:
     """The records as Polynomials over the table's variables, coefficients
     unchanged, sorted by leading monomial ascending. Fields packed past
@@ -655,13 +636,12 @@ def eliminate(
     leaving them out changes no kept element.
     The result records l, as given, as `scale`.
 
-    With `after`, the run starts from after's minimal block basis and its
-    packing, maps F by after's translation and then its substitution (both
-    the identity on a polynomial in the kept variables), and enters only
-    the pairs with F's elements and their successors. When after was
-    scaled, F must be homogeneous in the eliminated variables, as a
-    polynomial in the kept variables alone is, so that J + <F> stays
-    homogeneous; any other F raises AlgebraError.
+    With `after`, F must lie in the kept variables, as the prover's
+    divisor does; a polynomial that holds an eliminated variable raises
+    AlgebraError. The translation and the substitution fix the kept
+    variables, so F enters as given: the run starts from after's minimal
+    block basis and its packing and enters only the pairs with F's
+    elements and their successors.
 
     The result is the unique reduced basis under GrevLex on the kept
     variables, the print order on them, each generator scaled to coprime
@@ -676,6 +656,8 @@ def eliminate(
             raise AlgebraError("a continued elimination must eliminate the same variables")
         if factors:
             raise AlgebraError("a continued elimination inherits the saturation it continues")
+        if any(p.contains_var(v) for p in polys for v in elim):
+            raise AlgebraError("a continued elimination takes only kept-variable generators")
     if not polys and not factors:
         return after or EliminationResult((), elim)
     table = (polys or factors)[0].table
@@ -712,16 +694,6 @@ def eliminate(
         gens = _enter(polys, pk) + [_saturator(d, u, pk) for d, u in zip(factors, us)]
     else:
         origin, scale = after.origin, after.scale
-        if scale is not None and not _invariance([], polys, elim)[1]:
-            raise AlgebraError(
-                "a continued scaled elimination takes only generators "
-                "homogeneous in the eliminated variables"
-            )
-        if origin is not None:
-            polys = [_translate(p, elim, origin) for p in polys]
-        if scale is not None:
-            sub = _solution(scale if origin is None else _at_origin(scale, origin))
-            polys = [_set_to_1(p, *sub) for p in polys]
         pk, seed = after.packing, after.block_basis
         gens = _enter(polys, pk)
     drop = sum(_FIELD << s for v, s in enumerate(pk.shifts) if v not in kept)
@@ -733,7 +705,7 @@ def eliminate(
     )
 
 
-def ideal_is_trivial(G: Union[GroebnerBasis, EliminationResult]) -> bool:
+def ideal_is_trivial(G: GroebnerBasis | EliminationResult) -> bool:
     """True iff the ideal is the whole ring, i.e. some generator is a
     nonzero constant."""
     return any(g.is_constant and not g.is_zero for g in G.generators)

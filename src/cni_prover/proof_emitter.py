@@ -10,8 +10,8 @@ machine consumption.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .algebra_core import (
     Add,

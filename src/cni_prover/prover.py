@@ -52,7 +52,10 @@ _set = object.__setattr__
 
 
 class ProverConfig(Record):
-    """timeout: wall-clock seconds per elimination, positive."""
+    """timeout: wall-clock seconds per basis computation, positive. Each
+    elimination gets one, and so does each r-first basis find_pivot
+    computes, after the first and after the second elimination: a
+    statement can use up to four."""
 
     __slots__ = ("timeout",)
 

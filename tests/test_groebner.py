@@ -777,30 +777,6 @@ def test_one_generator_that_is_not_invariant_turns_the_translation_off(rng):
         assert normal_form(g, basis, order).is_zero
 
 
-@given(st.randoms(use_true_random=False))
-@settings(max_examples=40, deadline=None)
-def test_a_continued_translated_elimination_is_the_one_shot_elimination(rng):
-    # a generator in the eliminated variables enters a translated run
-    # translated as that run's ideal was, whether or not it is invariant.
-    # A run that is also scaled takes only generators homogeneous in the
-    # points, so there the generator keeps its terms of degree 2 in them.
-    table, polys, factors = _invariant_system(rng)
-    a = Polynomial.variable(table, 0)
-    if not any(p.contains_var(0) for p in polys + factors):
-        polys.append(a - Polynomial.variable(table, 1))
-    cfg = GroebnerConfig(timeout=None)
-    first = eliminate(polys, _POINTS, cfg, saturate=factors)
-    assert first.origin is not None and first.origin != 0
-    extra = random_polynomial(rng, table, range(5), max_degree=2, max_terms=3) + a * a
-    if first.scale is not None:
-        extra = Polynomial(
-            table, {m: c for m, c in extra.terms.items() if sum(m[v] for v in _POINTS) == 2}
-        )
-    second = eliminate([extra], _POINTS, cfg, after=first)
-    assert second.origin == first.origin
-    assert second.generators == eliminate(polys + [extra], _POINTS, cfg, saturate=factors).generators
-
-
 # The pinned corpus statements whose runs are translated: each relation
 # that holds a pinned point holds both, as parallel(A, B, C, D), so the
 # pinned system is still invariant under moving the other points together.
@@ -1047,43 +1023,43 @@ def test_a_zero_factor_or_one_in_the_kept_variables_is_never_the_scale():
     assert ideal_is_trivial(res)
 
 
-@given(st.randoms(use_true_random=False))
-@settings(max_examples=40, deadline=None)
-def test_a_continued_scaled_elimination_is_the_one_shot_elimination(rng):
-    # a generator in the kept variables alone, as the prover's divisor, or
-    # one homogeneous in the points, which may hold the solved point, enters
-    # a scaled run mapped as that run's ideal was
-    table, polys, factors = _homogeneous_system(rng)
-    cfg = GroebnerConfig(timeout=None)
-    first = eliminate(polys, _POINTS, cfg, saturate=factors)
-    assert first.scale is not None
-    u = rng.random()
-    if u < 0.5:
-        extra = random_polynomial(rng, table, (3, 4), max_degree=2, max_terms=3)
-    elif u < 0.7:
-        extra = _form(rng, table, rng.randint(0, 2))
-    else:
-        w = _solved_system(table, polys, factors, first)[2]
-        degree = rng.randint(1, 2)
-        extra = _form(rng, table, degree) + Polynomial.variable(table, w) ** degree
-    second = eliminate([extra], _POINTS, cfg, after=first)
-    assert second.scale is first.scale and second.origin == first.origin
-    assert second.generators == eliminate(polys + [extra], _POINTS, cfg, saturate=factors).generators
-
-
-def test_a_continued_scaled_elimination_refuses_a_generator_that_is_not_homogeneous():
-    # no automorphism maps it, and the ideal with it is not homogeneous, so
-    # setting the factor to 1 could change its elimination ideal
+def test_a_continued_elimination_refuses_a_generator_in_an_eliminated_variable():
+    # whether the first run was plain, translated, scaled or both, the
+    # prover's divisor holds kept variables only, and nothing else enters
     table = make_table("a", "b", "c", "s", "t")
     a, b, c, s, t = _vars(table)
-    first = eliminate([a * s - b, b * t - c], _POINTS, saturate=[a - c])
-    assert first.scale == a - c
-    for extra in (a - s, a * b - c, b + Polynomial.constant(table, 1)):
-        with pytest.raises(AlgebraError, match="homogeneous"):
-            eliminate([extra], _POINTS, after=first)
-    assert eliminate([s * t - t], _POINTS, after=first).generators == eliminate(
-        [a * s - b, b * t - c, s * t - t], _POINTS, saturate=[a - c]
-    ).generators
+    one = Polynomial.constant(table, 1)
+    invariant = [(a - b) * s - (b - c), (a - c) * t - (b - c)]
+    firsts = [
+        eliminate([a * s - b - one, b * t - c], _POINTS),
+        eliminate(invariant, _POINTS),
+        eliminate([a * s - b, b * t - c], _POINTS, saturate=[a - c]),
+        eliminate(invariant, _POINTS, saturate=[a - b]),
+    ]
+    assert [(f.origin, f.scale) for f in firsts] == [
+        (None, None), (2, None), (None, a - c), (2, a - b),
+    ]
+    for first in firsts:
+        for x in (a, b, c):
+            for extra in (x, x * s - t, (x + c) * t + s, x * x - b * c):
+                with pytest.raises(AlgebraError, match="kept-variable"):
+                    eliminate([s - t, extra], _POINTS, after=first)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_a_continued_elimination_in_the_kept_variables_is_the_one_shot_elimination(rng):
+    # a generator in the slacks alone, as the prover's divisor, enters a
+    # translated or scaled run as given, and the continued result keeps the
+    # first run's origin and scale
+    draw = _invariant_system if rng.random() < 0.5 else _homogeneous_system
+    table, polys, factors = draw(rng)
+    cfg = GroebnerConfig(timeout=None)
+    first = eliminate(polys, _POINTS, cfg, saturate=factors)
+    extra = random_polynomial(rng, table, (3, 4), max_degree=2, max_terms=3)
+    second = eliminate([extra], _POINTS, cfg, after=first)
+    assert second.origin == first.origin and second.scale is first.scale
+    assert second.generators == eliminate(polys + [extra], _POINTS, cfg, saturate=factors).generators
 
 
 # The pinned corpus statements whose runs are scaled: pinning puts the

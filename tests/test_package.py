@@ -52,15 +52,16 @@ def test_readme_library_example_runs_from_the_repo_root():
     assert run.stdout.startswith(head)
 
 
-def test_import_loads_no_code_generation_modules():
+def test_import_loads_no_code_generation_typing_or_pathlib_modules():
     # dataclasses, and the inspect, ast and dis it imports, cost a fresh
-    # interpreter more than the package itself; -S keeps site's own imports
-    # out of the count
+    # interpreter more than the package itself, and typing and pathlib
+    # about a third of it; -S keeps site's own imports out of the count
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     code = (
         "import sys, cni_prover\n"
-        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'typing', 'pathlib'}"
+        " & set(sys.modules)))"
     )
     run = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
