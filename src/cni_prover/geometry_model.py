@@ -9,7 +9,6 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from .algebra_core import (
-    Const,
     PointRef,
     Polynomial,
     RationalExpr,
@@ -437,18 +436,27 @@ def _unpinnable_point(c: Construction, table: VarTable, pinned: int) -> str | No
 
 
 def fix_coordinates(sys: PolynomialSystem, c: Construction, mode: str) -> PolynomialSystem:
-    """Pin the first two free points to constants (0 and 1, or -1 and 1).
-    Predicates are invariant under every map z -> az + b with a nonzero, so
-    when the definitions commute with those maps too, pinning only shrinks
-    the elimination problem. When one does not, nothing is pinned and a
-    note says why. With fewer than two free points, fixes as many as
-    available. The pinned points are replaced by their values in the
-    relations of c, which are then cleared as build_system clears them: the
-    polynomials and the denominator factors, primitive, with a positive
-    leading coefficient and distinct, come out of that one clearing. A
-    divisor in the pinned points alone is a nonzero multiple of A - B, so
-    pinning makes it a nonzero constant, which folds into the coefficients
-    and is not listed as a factor."""
+    """Pin the first two free points A and B to constants (0 and 1, or -1
+    and 1). Predicates are invariant under every map z -> az + b with a
+    nonzero, so when the definitions commute with those maps too, pinning
+    only shrinks the elimination problem. When one does not, nothing is
+    pinned and a note says why. With fewer than two free points, fixes as
+    many as available.
+
+    The pinning is the engine's own normalization: the polynomials and the
+    variables to eliminate stay build_system's, the values are recorded
+    in `fixed`, and with two pinned points A - B joins the denominator
+    factors, last, unless it is listed already up to sign. This is sound.
+    The definitions commute with the maps, so the ideal J of the system,
+    saturated by the factors and by A - B, is invariant under moving every
+    point by the same t and homogeneous in the points, and the elimination
+    (groebner.eliminate) sets one point to 0 and one linear factor to 1.
+    Under that translation J keeps its kept elements, and so it does with
+    A = 0 added; A - B is then invertible modulo J, so adding B = 1 keeps
+    them too, and J with A = 0 and B = 1 is the pinned system. Reduced
+    bases are unique, so the elimination ideal is the pinned one, and the
+    modes differ only in the values they record. One pinned point needs
+    only the translation."""
     if mode not in FIX_MODES:
         raise GeometryError(f"unknown coordinate fixing mode {mode!r}")
     if mode == "off" or not c.free_points:
@@ -468,13 +476,15 @@ def fix_coordinates(sys: PolynomialSystem, c: Construction, mode: str) -> Polyno
         return sys._replace(notes=sys.notes + (note,))
     values = (Fraction(0), Fraction(1)) if mode == "zero_one" else (Fraction(-1), Fraction(1))
     targets = list(zip(c.free_points[:2], values))
-    pins = {p: Const(v) for p, v in targets}
-    polys, factors = clear_relations(
-        [expr_substitute(e, pins) for e in _slack_relations(c)], sys.table
-    )
+    factors = sys.denominator_factors
+    if pinned == 2:
+        # A - B as the clearing lists a factor: a positive leading
+        # coefficient under the print order, on the point first in the table
+        first, second = sorted(c.free_points[:2])
+        a_b = Polynomial.variable(sys.table, first) - Polynomial.variable(sys.table, second)
+        if a_b not in factors and -a_b not in factors:
+            factors += (a_b,)
     return sys._replace(
-        hypothesis_polys=tuple(polys),
-        eliminate_vars=tuple(v for v in sys.eliminate_vars if v not in pins),
-        denominator_factors=tuple(factors),
+        denominator_factors=factors,
         fixed=sys.fixed + tuple((sys.table.name(p), v) for p, v in targets),
     )

@@ -33,11 +33,12 @@ d_k*u_k - 1, then the given ones. By the elimination theorem the elements
 free of the block are a basis of the elimination ideal, whatever the order
 inside the block, and the run interreduces only those. The u_k come first
 because that order reduces less than the points first on the slowest
-corpus statements. An unpinned system of point differences is unchanged
-by every similarity z -> lambda*z + t of the points, and the run uses
-both halves. When every generator and factor is invariant under moving all
-eliminated variables by the same t, the run sets the last eliminated
-variable that occurs to 0 first: x_v -> x_v + x_v0 is an automorphism that
+corpus statements. A system of point differences, as the prover builds
+pinned and unpinned alike, is unchanged by every similarity z ->
+lambda*z + t of the points, and the run uses both halves. When every
+generator and factor is invariant under moving all eliminated variables
+by the same t, the run sets the last eliminated variable that occurs to
+0 first: x_v -> x_v + x_v0 is an automorphism that
 fixes the kept variables and maps each invariant generator to itself with
 x_v0 = 0, so the elimination ideal, and its reduced basis, stay the same
 with fewer terms. When every generator and factor is homogeneous in the
@@ -462,7 +463,8 @@ def _invariance(
     linear form in elim, each term an integer times one of its variables,
     else None; a zero factor has no terms and no degree. The pass visits
     the factors first, which are short and fail both tests at once when
-    they hold a pinned point, and stops once both tests have failed."""
+    a constant stands for a point, and stops once both tests have
+    failed."""
     shift = homogeneous = True
     line = None
     nf = len(factors)

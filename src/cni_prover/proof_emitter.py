@@ -9,9 +9,9 @@ machine consumption.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra_core import (
     Add,
@@ -338,6 +338,48 @@ def _json_payload(verdict: ProverVerdict, show_ideal: bool, texts: dict[int, str
     return obj
 
 
+def _scalar(v: str | None) -> str:
+    return "null" if v is None else _quote(v)
+
+
+def _members(d: dict, pad: str) -> list[str]:
+    """The member lines of a nonempty flat dict at indent `pad`, commas
+    between them."""
+    lines = [f"{pad}{_quote(k)}: {_scalar(v)}," for k, v in d.items()]
+    lines[-1] = lines[-1][:-1]
+    return lines
+
+
+def _json_lines(payload: dict) -> list[str]:
+    """json.dumps(payload, indent=2).splitlines() for the payload's shape, a
+    flat dict of strings, None, lists of strings, lists of flat dicts and
+    flat dicts, without the pure-Python encoder that an indent selects.
+    Keys and strings print as json does by default, ASCII with escapes."""
+    out = ["{"]
+    for key, value in payload.items():
+        head = f"  {_quote(key)}: "
+        if type(value) is dict:
+            out.append(head + "{")
+            out.extend(_members(value, "    "))
+            out.append("  },")
+        elif type(value) is list and value:
+            out.append(head + "[")
+            for item in value:
+                if type(item) is dict:
+                    out.append("    {")
+                    out.extend(_members(item, "      "))
+                    out.append("    },")
+                else:
+                    out.append(f"    {_quote(item)},")
+            out[-1] = out[-1][:-1]
+            out.append("  ],")
+        else:
+            out.append(head + ("[]" if type(value) is list else _scalar(value)) + ",")
+    out[-1] = out[-1][:-1]
+    out.append("}")
+    return out
+
+
 def emit_trace(
     verdict: ProverVerdict, format: str = "text", show_ideal: bool = False
 ) -> ProofDocument:
@@ -349,7 +391,7 @@ def emit_trace(
 
     if format == "json":
         payload = _json_payload(verdict, show_ideal, texts)
-        lines = tuple(json.dumps(payload, indent=2).splitlines())
+        lines = tuple(_json_lines(payload))
         return ProofDocument("json", lines, banner)
 
     items = _narration(verdict, show_ideal, texts)

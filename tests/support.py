@@ -3,8 +3,9 @@ polynomials and point expressions over them, polynomial builders and random
 generators, sympy conversion, the sort keys of the monomial orders and the
 leading terms under them, and the reference division and S-polynomial
 that engine results are checked against, a reference first elimination
-through one product Rabinowitsch generator, and the reference clearing of
-denominators on Polynomial arithmetic."""
+through one product Rabinowitsch generator, the reference clearing of
+denominators on Polynomial arithmetic, and the reference pinned system
+that clears the relations again with two points replaced by constants."""
 
 from __future__ import annotations
 
@@ -29,6 +30,8 @@ from cni_prover.algebra_core import (
     Sub,
     VarTable,
     ZeroDenominatorError,
+    clear_relations,
+    expr_substitute,
 )
 from cni_prover.groebner import groebner_basis
 
@@ -438,3 +441,23 @@ def reference_normalize(e: Expr, table: VarTable):
 
     num, den = walk(e)
     return num, den, list(factors)
+
+
+def pinned_clearing(sys, c, mode: str):
+    """(polynomials, variables to eliminate, denominator factors) of c's
+    system with its first two free points replaced by their values, 0 and
+    1 or -1 and 1, in the relations of c, cleared again as build_system
+    clears them, and left out of the variables to eliminate. `sys` is
+    build_system(c). A divisor in the pinned points alone turns into a
+    nonzero constant and is not listed. This is how coordinates were pinned
+    before fix_coordinates left the normalization to the elimination, and
+    what that elimination must agree with."""
+    values = (0, 1) if mode == "zero_one" else (-1, 1)
+    pins = {p: Const(Fraction(v)) for p, v in zip(c.free_points[:2], values)}
+    n = len(c.table)
+    relations = [
+        Sub(expr_substitute(step.expr, pins), PointRef(n + k))
+        for k, step in enumerate(c.steps + (c.thesis,))
+    ]
+    polys, factors = clear_relations(relations, sys.table)
+    return tuple(polys), tuple(v for v in sys.eliminate_vars if v not in pins), tuple(factors)

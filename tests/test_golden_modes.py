@@ -9,6 +9,9 @@ standard input. A
 document's exit status is 0 when its JSON verdict is Proved and 2
 otherwise; an input the prover refuses has a `.err` file with its one
 standard error line, and exit status 1.
+
+The JSON documents committed for both pinned modes, under `tests/golden`
+and `perfbench/expected`, must agree but for the `fixed` values.
 """
 
 import json
@@ -52,3 +55,27 @@ def test_documents_match_golden_bytes(fix, path, stem):
         status, out, err = prove_stdin(text, fix, fmt)
         assert (status, err) == (0 if verdict == "Proved" else 2, "")
         assert out.encode("utf-8") == stem.with_suffix(suffix).read_bytes()
+
+
+# (zero_one directory, minus_one_one directory) of the committed documents
+_PINNED_PAIRS = (
+    (GOLDEN.parent.parent / "perfbench" / "expected" / "zero_one", GOLDEN / "corpus" / "minus_one_one"),
+    (GOLDEN / "problems" / "zero_one", GOLDEN / "problems" / "minus_one_one"),
+)
+
+
+def test_the_pinned_modes_commit_the_same_documents_but_for_the_fixed_values():
+    # both pinned modes eliminate the same system, build_system's with A - B
+    # among the factors, so their JSON documents differ in `fixed` alone
+    compared = 0
+    for zero_one, minus_one_one in _PINNED_PAIRS:
+        for path in sorted(zero_one.glob("*.json")):
+            other = minus_one_one / path.name
+            if not other.is_file():
+                continue
+            a, b = (json.loads(p.read_text(encoding="utf-8")) for p in (path, other))
+            fixed = a.pop("fixed"), b.pop("fixed")
+            assert a == b, path
+            assert [f["point"] for f in fixed[0]] == [f["point"] for f in fixed[1]], path
+            compared += 1
+    assert compared == 27

@@ -777,18 +777,11 @@ def test_one_generator_that_is_not_invariant_turns_the_translation_off(rng):
         assert normal_form(g, basis, order).is_zero
 
 
-# The pinned corpus statements whose runs are translated: each relation
-# that holds a pinned point holds both, as parallel(A, B, C, D), so the
-# pinned system is still invariant under moving the other points together.
-_PINNED_AND_INVARIANT = {"parallel_transitivity", "trapezoid_midline"}
-
-
 @pytest.mark.parametrize("fix", ["zero_one", "minus_one_one", "off"])
 def test_the_corpus_runs_that_are_translated(fix, monkeypatch):
-    # pinning puts constants where two points stood, which a translation
-    # moves, so a pinned run is translated only when no relation pairs a
-    # pinned point with another; an unpinned run always is, to the last
-    # point that occurs, and a second elimination keeps the first's origin
+    # pinning leaves the system of point differences as it is, so every
+    # run, pinned or not, is translated, to the last point that occurs, and
+    # a second elimination keeps the first's origin
     runs = []
 
     def recording(F, elim, config=None, after=None, saturate=()):
@@ -809,10 +802,7 @@ def test_the_corpus_runs_that_are_translated(fix, monkeypatch):
             assert first.origin == max(v for v in elim if any(p.contains_var(v) for p in inputs))
         for _, _, after, res in rest:
             assert after is first and res.origin == first.origin
-    if fix == "off":
-        assert len(translated) == 19
-    else:
-        assert translated == _PINNED_AND_INVARIANT
+    assert len(translated) == 19
 
 
 # Scale-invariant systems: the same three points and two slacks. A
@@ -1062,17 +1052,10 @@ def test_a_continued_elimination_in_the_kept_variables_is_the_one_shot_eliminati
     assert second.generators == eliminate(polys + [extra], _POINTS, cfg, saturate=factors).generators
 
 
-# The pinned corpus statements whose runs are scaled: pinning puts the
-# pinned values where two points stood, and a nonzero value has degree 0,
-# so a pinned run is scaled only when no relation keeps a point pinned to a
-# nonzero value, as varignon's under zero_one, which pins A = 0 and has no
-# relation with B.
-_PINNED_AND_SCALED = {"zero_one": {"varignon"}, "minus_one_one": set()}
-
-
 @pytest.mark.parametrize("fix", ["zero_one", "minus_one_one", "off"])
 def test_the_corpus_runs_that_are_scaled(fix, monkeypatch):
-    # an unpinned run always is, by its first factor of degree 1, and a
+    # every run, pinned or not, is scaled, by its first factor of degree 1:
+    # a pinned system lists A - B among its factors, so it has one; and a
     # second elimination keeps the first's scale
     runs = []
 
@@ -1096,10 +1079,7 @@ def test_the_corpus_runs_that_are_scaled(fix, monkeypatch):
             assert first.scale == factors[degrees.index({1})]
         for _, after, res in rest:
             assert after is first and res.scale is first.scale
-    if fix == "off":
-        assert len(scaled) == 19
-    else:
-        assert scaled == _PINNED_AND_SCALED[fix]
+    assert len(scaled) == 19
 
 
 def test_eliminate_everything_is_rejected():

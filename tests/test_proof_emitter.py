@@ -34,6 +34,7 @@ from cni_prover.prover import (
 from cni_prover.proof_emitter import (
     BANNER_INCONCLUSIVE,
     BANNER_PROVED,
+    _json_lines,
     emit_identity,
     emit_trace,
     format_expr,
@@ -261,6 +262,28 @@ def test_json_emission_is_deterministic():
     b = emit_trace(_verdict("varignon"), "json").text()
     assert a == b
     assert a.encode() == b.encode()
+
+
+@pytest.mark.parametrize(
+    "thesis,values",
+    [
+        (None, []),
+        ({"relation": "(A-B)/(B-C)", "slack": "r"}, ["x", 'q"uote\\', "Pr\u00fcfung \u2260 0\n"]),
+    ],
+    ids=["empty", "full"],
+)
+def test_json_lines_are_the_indented_json_encoding(thesis, values):
+    # the line writer prints the payload's shape as json.dumps(..., indent=2)
+    # does, escapes and non-ASCII text included
+    payload = {
+        "verdict": "Proved",
+        "reason": None,
+        "hypotheses": [{"relation": v, "slack": None} for v in values],
+        "thesis": thesis,
+        "notes": values,
+        "second_ideal": None,
+    }
+    assert _json_lines(payload) == json.dumps(payload, indent=2).splitlines()
 
 
 def test_json_show_ideal_adds_generator_lists():
