@@ -368,13 +368,6 @@ def _collect_notes(c: Construction) -> tuple[str, ...]:
     return tuple(notes)
 
 
-def _slack_relations(c: Construction) -> list[RationalExpr]:
-    """e_k - r_k for the k-th relation of c, the thesis last: r_k is the
-    variable after the points and the earlier slacks."""
-    n = len(c.table)
-    return [Sub(step.expr, PointRef(n + k)) for k, step in enumerate(c.steps + (c.thesis,))]
-
-
 def build_system(c: Construction) -> PolynomialSystem:
     """Translate a construction (declaratives already substituted) into the
     cleared polynomial system: one polynomial e_i - r_i per relation, the
@@ -396,7 +389,11 @@ def build_system(c: Construction) -> PolynomialSystem:
         SlackOrigin(table.add(name), name, step.source.expr)
         for name, step in zip(slack_names, relations)
     )
-    polys, factors = clear_relations(_slack_relations(c), table)
+    # e_k - r_k for the k-th relation, r_k the variable after the points
+    # and the earlier slacks
+    polys, factors = clear_relations(
+        [Sub(step.expr, PointRef(n_points + k)) for k, step in enumerate(relations)], table
+    )
 
     return PolynomialSystem(
         table=table,
