@@ -20,7 +20,7 @@ from .geometry_model import (
     fix_coordinates,
     substitute_declaratives,
 )
-from .prover import INCONCLUSIVE, PROVED, REASON_MEANINGS, ProverConfig, ProverVerdict, prove
+from .prover import INCONCLUSIVE, PROVED, REASON_MEANINGS, ProverVerdict, prove
 from .proof_emitter import emit_trace
 from .cli_dsl import (
     CliConfig,
@@ -39,7 +39,6 @@ __all__ = [
     "build_system",
     "fix_coordinates",
     "prove",
-    "ProverConfig",
     "emit_trace",
     "run_cli",
     "CliConfig",

@@ -40,7 +40,7 @@ from .geometry_model import (
 )
 from .groebner import DEFAULT_TIMEOUT, check_timeout
 from .proof_emitter import FORMATS, emit_trace, format_expr
-from .prover import INCONCLUSIVE, PROVED, ProofTrace, ProverConfig, ProverVerdict, prove
+from .prover import PROVED, ProverVerdict, prove
 
 
 class DslSyntaxError(ValueError):
@@ -421,16 +421,7 @@ class CliConfig(Record):
 
 
 def _unsupported_verdict(code: str, note: str) -> ProverVerdict:
-    trace = ProofTrace(
-        point_names=(),
-        free_point_names=(),
-        declaratives=(),
-        hypotheses=(),
-        fixed=(),
-        notes=(),
-        reason_note=note,
-    )
-    return ProverVerdict(INCONCLUSIVE, code, trace)
+    return ProverVerdict(code, (), (), (), (), (), (), note=note)
 
 
 def _prove_text(text: str, source_name: str, cfg: CliConfig) -> tuple[str, int]:
@@ -444,7 +435,7 @@ def _prove_text(text: str, source_name: str, cfg: CliConfig) -> tuple[str, int]:
     substituted = substitute_declaratives(construction)
     system = build_system(substituted)
     system = fix_coordinates(system, substituted, cfg.fix_mode)
-    verdict = prove(system, ProverConfig(timeout=cfg.timeout))
+    verdict = prove(system, timeout=cfg.timeout)
     doc = emit_trace(verdict, cfg.format, cfg.show_ideal)
     return doc.text(), 0 if verdict.outcome == PROVED else 2
 

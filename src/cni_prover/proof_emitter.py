@@ -1,6 +1,6 @@
 """Rendering of prover verdicts as proof documents.
 
-A verdict's trace is turned into an ordered list of narration lines in the
+A verdict is turned into an ordered list of narration lines in the
 style of a hand-written complex-number proof: the construction, the slack
 relations, the pivot equation, and the reality argument. Three formats share
 one line sequence: plain text, a LaTeX enumerated list, and a JSON object for
@@ -27,12 +27,7 @@ from .algebra_core import (
     Sub,
     expr_postorder,
 )
-from .prover import (
-    PROVED,
-    REASON_MEANINGS,
-    ProofTrace,
-    ProverVerdict,
-)
+from .prover import PROVED, REASON_MEANINGS, ProverVerdict
 
 FORMATS = ("text", "latex", "json")
 
@@ -117,25 +112,25 @@ def format_polynomial(p: Polynomial) -> str:
 # The summarizing identity.
 
 
-def _relation_texts(trace: ProofTrace) -> dict[int, str]:
+def _relation_texts(verdict: ProverVerdict) -> dict[int, str]:
     """Each relation as printed, by its slack: the hypotheses, then the
     thesis when the statement has one. A document formats each once."""
-    origins = trace.hypotheses + (() if trace.thesis is None else (trace.thesis,))
-    return {h.slack: format_expr(h.stated, trace.point_names) for h in origins}
+    origins = verdict.hypotheses + (() if verdict.thesis is None else (verdict.thesis,))
+    return {h.slack: format_expr(h.stated, verdict.point_names) for h in origins}
 
 
-def emit_identity(trace: ProofTrace, texts: dict[int, str] | None = None) -> str | None:
+def emit_identity(verdict: ProverVerdict, texts: dict[int, str] | None = None) -> str | None:
     """When the pivot has exactly two terms c*M*r + k with k constant, the
     proof amounts to one identity: the product of the slack expressions in M
     and the thesis expression equals -k/c. Returns None otherwise. `texts`
     holds the relations as `_relation_texts` prints them, when the caller
     has them already."""
-    if trace.linear is None:
+    if verdict.linear is None:
         return None
-    pivot = trace.linear.pivot
+    pivot = verdict.linear.pivot
     if len(pivot.terms) != 2:
         return None
-    r = trace.thesis.slack
+    r = verdict.thesis.slack
     mono = coeff = const = None
     for m, c in pivot.terms.items():
         if m[r] == 1:
@@ -145,7 +140,7 @@ def emit_identity(trace: ProofTrace, texts: dict[int, str] | None = None) -> str
     if mono is None or const is None:
         return None
     if texts is None:
-        texts = _relation_texts(trace)
+        texts = _relation_texts(verdict)
     factors = []
     for v, e in enumerate(mono):
         if v == r or not e:
@@ -162,12 +157,12 @@ def emit_identity(trace: ProofTrace, texts: dict[int, str] | None = None) -> str
     return "*".join(factors) + f"={value}"
 
 
-def _rational_form(trace: ProofTrace) -> str | None:
+def _rational_form(verdict: ProverVerdict) -> str | None:
     """r = -w/v as a display string, collapsed to a polynomial when v is
     constant."""
-    if trace.linear is None:
+    if verdict.linear is None:
         return None
-    v, w = trace.linear.v, trace.linear.w
+    v, w = verdict.linear.v, verdict.linear.w
     if v.is_constant:
         return format_polynomial(w.scale(Fraction(-1) / v.constant_value()))
     num = -w
@@ -193,11 +188,10 @@ def _note_line(note: str) -> str:
 def _narration(
     verdict: ProverVerdict, show_ideal: bool, texts: dict[int, str]
 ) -> list[tuple[str, str]]:
-    t = verdict.trace
-    names = t.point_names
+    names = verdict.point_names
     items: list[tuple[str, str]] = []
 
-    free = t.free_point_names
+    free = verdict.free_point_names
     if len(free) == 1:
         items.append(("s", f"Let {free[0]} be an arbitrary point."))
     elif free:
@@ -205,33 +199,33 @@ def _narration(
 
     items.append(("s", _banner(verdict)))
 
-    if t.declaratives or t.hypotheses:
+    if verdict.declaratives or verdict.hypotheses:
         items.append(("s", "The hypotheses:"))
-    for name, defn in t.declaratives:
+    for name, defn in verdict.declaratives:
         items.append(("f", f"{name}:={format_expr(defn, names)}"))
-    for h in t.hypotheses:
+    for h in verdict.hypotheses:
         items.append(("fr", f"{texts[h.slack]}={h.name}"))
 
-    if t.fixed:
+    if verdict.fixed:
         items.append(("s", "Without loss of generality, some coordinates can be fixed:"))
-        for point, value in t.fixed:
+        for point, value in verdict.fixed:
             items.append(("f", f"{point}:={value}"))
 
-    if t.thesis is not None:
+    if verdict.thesis is not None:
         items.append(("s", "The thesis:"))
-        items.append(("f", f"{texts[t.thesis.slack]}={t.thesis.name}"))
+        items.append(("f", f"{texts[verdict.thesis.slack]}={verdict.thesis.name}"))
         items.append(("s", "We eliminate all variables that correspond to complex points."))
 
-    if show_ideal and t.thesis is not None and (t.generators or verdict.reason != "t/o"):
-        if t.generators:
+    if show_ideal and verdict.generators is not None:
+        if verdict.generators:
             items.append(("s", "The elimination ideal is generated by:"))
-            for g in t.generators:
+            for g in verdict.generators:
                 items.append(("f", format_polynomial(g)))
         else:
             items.append(("s", "The elimination ideal is <0>."))
 
-    if t.linear is not None:
-        rname = t.thesis.name
+    if verdict.linear is not None:
+        rname = verdict.thesis.name
         items.append(
             (
                 "s",
@@ -240,25 +234,25 @@ def _narration(
                 "polynomial equation:",
             )
         )
-        items.append(("f", f"{format_polynomial(t.linear.pivot)}=0"))
+        items.append(("f", f"{format_polynomial(verdict.linear.pivot)}=0"))
 
-        if t.denominator is None:
+        if verdict.denominator is None:
             items.append(
                 ("s", "The thesis can be expressed as a polynomial expression of the hypotheses.")
             )
         else:
             items.append(
-                ("s", f"Expressing the thesis requires a division by {format_polynomial(t.denominator)}.")
+                ("s", f"Expressing the thesis requires a division by {format_polynomial(verdict.denominator)}.")
             )
             items.append(("s", "Let us assume that that divisor is 0 and restart the elimination."))
-            second = t.second
-            if show_ideal and second.generators:
+            if show_ideal and verdict.second_generators:
                 items.append(("s", "The second elimination ideal is generated by:"))
-                for g in second.generators:
+                for g in verdict.second_generators:
                     items.append(("f", format_polynomial(g)))
-            if second.status == "trivial":
+            status = verdict.second_elimination
+            if status == "trivial":
                 items.append(("s", "The elimination verifies that that divisor cannot be zero."))
-            elif second.status == "polynomial":
+            elif status == "polynomial":
                 items.append(
                     (
                         "s",
@@ -267,24 +261,24 @@ def _narration(
                         "of counterexamples):",
                     )
                 )
-                items.append(("f", f"{format_polynomial(second.linear.pivot)}=0"))
+                items.append(("f", f"{format_polynomial(verdict.second_linear.pivot)}=0"))
 
     if verdict.outcome == PROVED:
         items.append(("s", "Since all hypotheses are real expressions, the thesis must also be real."))
-        identity = emit_identity(t, texts)
+        identity = emit_identity(verdict, texts)
         if identity is not None:
             items.append(("s", "The proof can be summarized as the complex number identity:"))
             items.append(("f", identity))
-        if t.reason_note:
-            items.append(("s", _note_line(t.reason_note)))
+        if verdict.note:
+            items.append(("s", _note_line(verdict.note)))
     else:
         code = verdict.reason
         items.append(("s", f"Reason code: {code}."))
         items.append(("s", f"This code means: {REASON_MEANINGS[code]}."))
-        if t.reason_note:
-            items.append(("s", _note_line(t.reason_note)))
+        if verdict.note:
+            items.append(("s", _note_line(verdict.note)))
 
-    for note in t.notes:
+    for note in verdict.notes:
         items.append(("s", _note_line(note)))
     return items
 
@@ -294,47 +288,40 @@ def _banner(verdict: ProverVerdict) -> str:
 
 
 def _json_payload(verdict: ProverVerdict, show_ideal: bool, texts: dict[int, str]) -> dict:
-    t = verdict.trace
-    names = t.point_names
-    second = t.second
+    names = verdict.point_names
+    linear, divisor = verdict.linear, verdict.denominator
 
-    def fmt(p: Polynomial | None) -> str | None:
-        if p is None:
-            return None
-        return format_polynomial(p)
+    def fmt(ps: tuple[Polynomial, ...] | None) -> list[str] | None:
+        return None if ps is None else [format_polynomial(p) for p in ps]
 
     obj = {
         "verdict": verdict.outcome,
         "reason": verdict.reason,
         "hypotheses": [
             {"relation": texts[h.slack], "slack": h.name}
-            for h in t.hypotheses
+            for h in verdict.hypotheses
         ],
-        "fixed": [{"point": p, "value": str(v)} for p, v in t.fixed],
+        "fixed": [{"point": p, "value": str(v)} for p, v in verdict.fixed],
         "thesis": (
-            {"relation": texts[t.thesis.slack], "slack": t.thesis.name}
-            if t.thesis is not None
+            {"relation": texts[verdict.thesis.slack], "slack": verdict.thesis.name}
+            if verdict.thesis is not None
             else None
         ),
-        "pivot": fmt(t.linear.pivot) if t.linear is not None else None,
-        "rational_form": _rational_form(t),
-        "denominator": fmt(t.denominator),
-        "second_elimination": second.status if second is not None else None,
-        "identity": emit_identity(t, texts),
+        "pivot": None if linear is None else format_polynomial(linear.pivot),
+        "rational_form": _rational_form(verdict),
+        "denominator": None if divisor is None else format_polynomial(divisor),
+        "second_elimination": verdict.second_elimination,
+        "identity": emit_identity(verdict, texts),
         "declaratives": [
             {"point": nm, "definition": format_expr(d, names)}
-            for nm, d in t.declaratives
+            for nm, d in verdict.declaratives
         ],
-        "notes": list(t.notes),
-        "note": t.reason_note,
+        "notes": list(verdict.notes),
+        "note": verdict.note,
     }
-    if show_ideal and t.thesis is not None:
-        obj["ideal"] = [format_polynomial(g) for g in t.generators]
-        obj["second_ideal"] = (
-            [format_polynomial(g) for g in second.generators]
-            if second is not None and second.generators is not None
-            else None
-        )
+    if show_ideal and verdict.thesis is not None:
+        obj["ideal"] = fmt(verdict.generators)
+        obj["second_ideal"] = fmt(verdict.second_generators)
     return obj
 
 
@@ -380,6 +367,13 @@ def _json_lines(payload: dict) -> list[str]:
     return out
 
 
+# TeX's special characters, escaped for text mode: a sentence may quote a
+# slack name (r_0) or a divisor with a power.
+_TEX_TEXT = str.maketrans(
+    {c: "\\" + c for c in "{}$&#%_"} | {"\\": r"\textbackslash{}", "^": r"\^{}", "~": r"\~{}"}
+)
+
+
 def emit_trace(
     verdict: ProverVerdict, format: str = "text", show_ideal: bool = False
 ) -> ProofDocument:
@@ -387,7 +381,7 @@ def emit_trace(
     if format not in FORMATS:
         raise AlgebraError(f"unknown proof format {format!r}")
     banner = _banner(verdict)
-    texts = _relation_texts(verdict.trace)
+    texts = _relation_texts(verdict)
 
     if format == "json":
         payload = _json_payload(verdict, show_ideal, texts)
@@ -401,7 +395,7 @@ def emit_trace(
     lines = ["\\begin{enumerate}"]
     for kind, text in items:
         if kind == "s":
-            lines.append(f"\\item {text}")
+            lines.append(f"\\item {text.translate(_TEX_TEXT)}")
         elif kind == "fr":
             lines.append(f"\\item ${text} \\in \\mathbb{{R}}$")
         else:

@@ -3,7 +3,7 @@ generator, express the thesis slack r linearly, and analyse the divisor
 through a second elimination when the expression requires a division.
 
 The generators arrive integer-primitive from groebner, with a positive
-leading coefficient under the print order, and the traces keep them so.
+leading coefficient under the print order, and the verdict keeps them so.
 The pivot only gets its sign chosen for display.
 
 A statement is never declared false here. Every non-proved outcome is
@@ -28,7 +28,6 @@ from .groebner import (
     GroebnerBasis,
     GroebnerConfig,
     GroebnerTimeout,
-    check_timeout,
     eliminate,
     groebner_basis,
     ideal_is_trivial,
@@ -51,19 +50,6 @@ REASON_MEANINGS = {
 _set = object.__setattr__
 
 
-class ProverConfig(Record):
-    """timeout: wall-clock seconds per basis computation, positive. Each
-    elimination gets one, and so does each r-first basis find_pivot
-    computes, after the first and after the second elimination: a
-    statement can use up to four."""
-
-    __slots__ = ("timeout",)
-
-    def __init__(self, timeout: float = DEFAULT_TIMEOUT) -> None:
-        check_timeout(timeout)
-        _set(self, "timeout", timeout)
-
-
 class LinearForm(Record):
     """pivot = v*r + w with v and w free of r; the rational form of the
     thesis slack is r = -w/v."""
@@ -76,40 +62,19 @@ class LinearForm(Record):
         _set(self, "pivot", pivot)
 
 
-class SecondElimination(Record):
-    """What the second elimination, run with the divisor appended, says.
-
-    `status` is the JSON `second_elimination` value: "trivial" (the divisor
-    cannot vanish), "polynomial" (even where it vanishes, r is a polynomial
-    in the hypotheses: `linear` holds that pivot), "no_r", "inconclusive"
-    or "timeout". `reason` is the verdict's reason code, None when the
-    route proves the statement; `generators` is None when the elimination
-    did not finish."""
-
-    __slots__ = ("status", "generators", "reason", "note", "linear")
-
-    def __init__(
-        self,
-        status: str,
-        generators: tuple[Polynomial, ...] | None,
-        reason: str | None = None,
-        note: str | None = None,
-        linear: LinearForm | None = None,
-    ) -> None:
-        _set(self, "status", status)
-        _set(self, "generators", generators)
-        _set(self, "reason", reason)
-        _set(self, "note", note)
-        _set(self, "linear", linear)
-
-
-class ProofTrace(Record):
-    """Everything a renderer needs, in the order the proof narrates it.
-    `thesis` is set exactly when the statement reached elimination, so a
-    set `linear` implies a set `thesis`; `second` is set exactly when
-    `linear` needs a division."""
+class ProverVerdict(Record):
+    """The outcome of `prove` and everything a renderer needs, in the order
+    the proof narrates it. `reason` is None for a proved statement, else a
+    REASON_MEANINGS code, and `note` is the sentence attached to the
+    verdict. `thesis` is set exactly when the statement reached
+    elimination. `generators` is the elimination ideal, None when that
+    stage did not finish; `linear` splits the pivot when it is linear in r.
+    When r = -w/v needs a division, `second_generators` is the ideal with
+    the divisor appended, None when that stage did not finish, and
+    `second_linear` splits its pivot when it gives r as a polynomial."""
 
     __slots__ = (
+        "reason",
         "point_names",
         "free_point_names",
         "declaratives",
@@ -119,12 +84,14 @@ class ProofTrace(Record):
         "thesis",
         "generators",
         "linear",
-        "second",
-        "reason_note",
+        "second_generators",
+        "second_linear",
+        "note",
     )
 
     def __init__(
         self,
+        reason: str | None,
         point_names: tuple[str, ...],
         free_point_names: tuple[str, ...],
         declaratives: tuple[tuple[str, RationalExpr], ...],
@@ -132,11 +99,15 @@ class ProofTrace(Record):
         fixed: tuple[tuple[str, Fraction], ...],
         notes: tuple[str, ...],
         thesis: SlackOrigin | None = None,
-        generators: tuple[Polynomial, ...] = (),
+        generators: tuple[Polynomial, ...] | None = None,
         linear: LinearForm | None = None,
-        second: SecondElimination | None = None,
-        reason_note: str | None = None,
+        second_generators: tuple[Polynomial, ...] | None = None,
+        second_linear: LinearForm | None = None,
+        note: str | None = None,
     ) -> None:
+        if reason is not None and reason not in REASON_MEANINGS:
+            raise AlgebraError(f"unknown reason code {reason!r}")
+        _set(self, "reason", reason)
         _set(self, "point_names", point_names)
         _set(self, "free_point_names", free_point_names)
         _set(self, "declaratives", declaratives)
@@ -146,8 +117,13 @@ class ProofTrace(Record):
         _set(self, "thesis", thesis)
         _set(self, "generators", generators)
         _set(self, "linear", linear)
-        _set(self, "second", second)
-        _set(self, "reason_note", reason_note)
+        _set(self, "second_generators", second_generators)
+        _set(self, "second_linear", second_linear)
+        _set(self, "note", note)
+
+    @property
+    def outcome(self) -> str:
+        return PROVED if self.reason is None else INCONCLUSIVE
 
     @property
     def denominator(self) -> Polynomial | None:
@@ -156,18 +132,17 @@ class ProofTrace(Record):
             return None
         return self.linear.v
 
-
-class ProverVerdict(Record):
-    __slots__ = ("outcome", "reason", "trace")
-
-    def __init__(self, outcome: str, reason: str | None, trace: ProofTrace) -> None:
-        if outcome == INCONCLUSIVE and reason not in REASON_MEANINGS:
-            raise AlgebraError(f"unknown reason code {reason!r}")
-        if outcome == PROVED and reason is not None:
-            raise AlgebraError("a proved verdict carries no reason code")
-        _set(self, "outcome", outcome)
-        _set(self, "reason", reason)
-        _set(self, "trace", trace)
+    @property
+    def second_elimination(self) -> str | None:
+        """The JSON `second_elimination` value: None when no divisor was
+        asked for; "trivial" (the divisor cannot vanish) or "polynomial"
+        (where it vanishes, r is still a polynomial) for a proof; "timeout",
+        "no_r" or "inconclusive" for the reasons t/o, e2nru and the rest."""
+        if self.denominator is None:
+            return None
+        if self.reason is None:
+            return "trivial" if self.second_linear is None else "polynomial"
+        return {"t/o": "timeout", "e2nru": "no_r"}.get(self.reason, "inconclusive")
 
 
 def select_pivot(I: EliminationResult | GroebnerBasis, r: int) -> Polynomial:
@@ -244,53 +219,18 @@ def check_denominator(
     first: EliminationResult,
     D: Polynomial,
     config: GroebnerConfig,
-) -> SecondElimination:
-    """Append the divisor D to the system and eliminate again, continuing
-    from the first elimination's basis. A trivial ideal proves D cannot
-    vanish under the hypotheses; otherwise classify what the second ideal
-    says about r."""
-    second = eliminate((D,), sys.eliminate_vars, config, after=first)
-    gens = second.generators
-    if ideal_is_trivial(second):
-        return SecondElimination("trivial", gens)
-    r = sys.thesis_slack
-    pivot2 = find_pivot(second, r, config)
-    if pivot2 is None:
-        return SecondElimination("no_r", gens, "e2nru")
-    if pivot2.degree_in(r) > 1:
-        return SecondElimination(
-            "inconclusive",
-            gens,
-            "nlu",
-            f"r has minimal degree {pivot2.degree_in(r)} in the second "
-            "elimination ideal; a third elimination is not attempted",
-        )
-    lf = _presentation_pivot(pivot2, r)
-    if not lf.v.is_constant:
-        return SecondElimination(
-            "inconclusive",
-            gens,
-            "d3u",
-            "in the second elimination ideal the coefficient of r is again "
-            "non-constant; a third elimination is not attempted",
-        )
-    return SecondElimination(
-        "polynomial",
-        gens,
-        note=(
-            "if the divisor is 0, the second elimination still gives "
-            "a polynomial expression for r, so the rational form holds "
-            "in general, except for a couple of counterexamples"
-        ),
-        linear=lf,
-    )
+) -> EliminationResult:
+    """The second elimination: the system with the divisor D appended,
+    continuing from the first elimination's basis. A trivial ideal proves D
+    cannot vanish under the hypotheses."""
+    return eliminate((D,), sys.eliminate_vars, config, after=first)
 
 
 def _decide(
     sys: PolynomialSystem, config: GroebnerConfig
 ) -> tuple[str | None, str | None, dict]:
     """Run the eliminations. Returns the reason code (None when proved),
-    the note on the verdict, and the trace fields of the stages reached."""
+    the note on the verdict, and the verdict fields of the stages reached."""
     r = sys.thesis_slack
     try:
         first = eliminate(
@@ -320,19 +260,49 @@ def _decide(
 
     try:
         second = check_denominator(sys, first, lf.v, config)
+        pivot = find_pivot(second, r, config)
     except GroebnerTimeout:
-        second = SecondElimination(
-            "timeout", None, "t/o", "the second elimination timed out"
+        return "t/o", "the second elimination timed out", stage
+    stage["second_generators"] = second.generators
+
+    if pivot is None:
+        return (None if ideal_is_trivial(second) else "e2nru"), None, stage
+
+    if pivot.degree_in(r) > 1:
+        return (
+            "nlu",
+            f"r has minimal degree {pivot.degree_in(r)} in the second "
+            "elimination ideal; a third elimination is not attempted",
+            stage,
         )
-    stage["second"] = second
-    return second.reason, second.note, stage
+
+    lf = _presentation_pivot(pivot, r)
+    if not lf.v.is_constant:
+        return (
+            "d3u",
+            "in the second elimination ideal the coefficient of r is again "
+            "non-constant; a third elimination is not attempted",
+            stage,
+        )
+    stage["second_linear"] = lf
+    return (
+        None,
+        "if the divisor is 0, the second elimination still gives a "
+        "polynomial expression for r, so the rational form holds in "
+        "general, except for a couple of counterexamples",
+        stage,
+    )
 
 
-def prove(sys: PolynomialSystem, config: ProverConfig | None = None) -> ProverVerdict:
-    """Run the full decision procedure on a built polynomial system."""
-    cfg = config or ProverConfig()
-    reason, note, stage = _decide(sys, GroebnerConfig(timeout=cfg.timeout))
-    trace = ProofTrace(
+def prove(sys: PolynomialSystem, timeout: float = DEFAULT_TIMEOUT) -> ProverVerdict:
+    """Run the full decision procedure on a built polynomial system.
+    timeout: wall-clock seconds per basis computation, positive. Each
+    elimination gets one, and so does each r-first basis find_pivot
+    computes, after the first and after the second elimination: a
+    statement can use up to four."""
+    reason, note, stage = _decide(sys, GroebnerConfig(timeout=timeout))
+    return ProverVerdict(
+        reason,
         point_names=sys.point_names,
         free_point_names=tuple(sys.table.name(i) for i in sys.free_points),
         declaratives=sys.declaratives,
@@ -340,7 +310,6 @@ def prove(sys: PolynomialSystem, config: ProverConfig | None = None) -> ProverVe
         thesis=sys.slack_map[-1],
         fixed=sys.fixed,
         notes=sys.notes,
-        reason_note=note,
+        note=note,
         **stage,
     )
-    return ProverVerdict(PROVED if reason is None else INCONCLUSIVE, reason, trace)

@@ -23,7 +23,7 @@ from cni_prover.groebner import (
     ideal_is_trivial,
 )
 from cni_prover.proof_emitter import emit_trace, format_polynomial
-from cni_prover.prover import PROVED, ProverConfig, express_linear, prove
+from cni_prover.prover import PROVED, express_linear, prove
 
 import test_geometry_model
 import test_groebner
@@ -80,7 +80,7 @@ def test_criterion_1_thales_converse_raw_operations():
 def test_criterion_2_midpoint_circle_rational_form():
     t0 = time.perf_counter()
     sys = _load("midpoint_circle")
-    verdict = prove(sys, ProverConfig())
+    verdict = prove(sys)
     assert verdict.outcome == PROVED
 
     r1, r = _slack(sys, "r1"), _slack(sys, "r")
@@ -139,7 +139,7 @@ def test_criterion_3_raw_ideal_input():
                             ({r2: 1}, -4)])
     assert in_ideal(member, I, order)
 
-    verdict = prove(sys, ProverConfig())
+    verdict = prove(sys)
     assert verdict.outcome == PROVED
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"{elapsed:.2f}s"
@@ -148,10 +148,10 @@ def test_criterion_3_raw_ideal_input():
 
 def test_criterion_4_varignon_full_pipeline():
     t0 = time.perf_counter()
-    verdict = prove(_load("varignon"), ProverConfig())
+    verdict = prove(_load("varignon"))
     assert verdict.outcome == PROVED
-    assert verdict.trace.linear.v.is_constant
-    assert format_polynomial(verdict.trace.linear.pivot) == "-r-1"
+    assert verdict.linear.v.is_constant
+    assert format_polynomial(verdict.linear.pivot) == "-r-1"
     elapsed = time.perf_counter() - t0
     assert elapsed <= 2.0, f"{elapsed:.2f}s"
     print(f"criterion 4: PASS ({elapsed:.2f}s)")
@@ -159,11 +159,11 @@ def test_criterion_4_varignon_full_pipeline():
 
 def test_criterion_5_angle_bisectors_divisor_analysis():
     t0 = time.perf_counter()
-    verdict = prove(_load("angle_bisectors"), ProverConfig())
+    verdict = prove(_load("angle_bisectors"))
     assert verdict.outcome == PROVED
-    assert format_polynomial(verdict.trace.linear.pivot) == "r1*r2*r-r1*r2-r1*r-r2*r"
-    assert format_polynomial(verdict.trace.denominator) == "r1*r2-r1-r2"
-    assert verdict.trace.second.status == "trivial"
+    assert format_polynomial(verdict.linear.pivot) == "r1*r2*r-r1*r2-r1*r-r2*r"
+    assert format_polynomial(verdict.denominator) == "r1*r2-r1-r2"
+    assert verdict.second_elimination == "trivial"
     elapsed = time.perf_counter() - t0
     assert elapsed <= 5.0, f"{elapsed:.2f}s"
     print(f"criterion 5: PASS ({elapsed:.2f}s)")
@@ -189,7 +189,7 @@ def test_criterion_9_json_output_is_reproducible():
                  "angle_bisectors", "thales_converse"):
         runs = []
         for _ in range(2):
-            verdict = prove(_load(name), ProverConfig())
+            verdict = prove(_load(name))
             runs.append(emit_trace(verdict, "json").text().encode())
         assert runs[0] == runs[1], name
     print("criterion 9: PASS")

@@ -23,7 +23,7 @@ from cni_prover.algebra_core import (
 from cni_prover import prover
 from cni_prover.cli_dsl import SourceProgram, parse
 from cni_prover.geometry_model import build_system, fix_coordinates, substitute_declaratives
-from cni_prover.prover import ProverConfig, prove
+from cni_prover.prover import prove
 from cni_prover.groebner import (
     GroebnerConfig,
     GroebnerTimeout,
@@ -795,7 +795,7 @@ def test_the_corpus_runs_that_are_translated(fix, monkeypatch):
             continue
         c = substitute_declaratives(parse(SourceProgram(path.read_text(), path.stem)))
         runs.clear()
-        prove(fix_coordinates(build_system(c), c, fix), ProverConfig(timeout=60.0))
+        prove(fix_coordinates(build_system(c), c, fix), timeout=60.0)
         (inputs, elim, _, first), *rest = runs
         if first.origin is not None:
             translated.add(path.stem)
@@ -1071,7 +1071,7 @@ def test_the_corpus_runs_that_are_scaled(fix, monkeypatch):
         c = substitute_declaratives(parse(SourceProgram(path.read_text(), path.stem)))
         sys = fix_coordinates(build_system(c), c, fix)
         runs.clear()
-        prove(sys, ProverConfig(timeout=60.0))
+        prove(sys, timeout=60.0)
         (factors, _, first), *rest = runs
         if first.scale is not None:
             scaled.add(path.stem)

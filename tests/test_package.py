@@ -12,7 +12,7 @@ import cni_prover
 LIBRARY = {
     # the README "Library" example
     "SourceProgram", "parse", "substitute_declaratives", "build_system",
-    "fix_coordinates", "prove", "ProverConfig", "emit_trace",
+    "fix_coordinates", "prove", "emit_trace",
     # the command line as a call
     "run_cli", "CliConfig",
     # verdicts

@@ -23,14 +23,7 @@ from cni_prover.geometry_model import (
     fix_coordinates,
     substitute_declaratives,
 )
-from cni_prover.prover import (
-    INCONCLUSIVE,
-    REASON_MEANINGS,
-    ProofTrace,
-    ProverConfig,
-    ProverVerdict,
-    prove,
-)
+from cni_prover.prover import REASON_MEANINGS, ProverVerdict, prove
 from cni_prover.proof_emitter import (
     BANNER_INCONCLUSIVE,
     BANNER_PROVED,
@@ -54,7 +47,7 @@ def _verdict(name):
         src = (PROBLEMS / f"{name}.cni").read_text()
         c = substitute_declaratives(parse(SourceProgram(src, name)))
         sys = fix_coordinates(build_system(c), c, "zero_one")
-        _CACHE[name] = prove(sys, ProverConfig())
+        _CACHE[name] = prove(sys)
     return _CACHE[name]
 
 
@@ -217,6 +210,24 @@ def test_latex_marks_hypothesis_relations_real():
     assert "\\item $(B-A)/(B-D)/((B-D)/(B-C))=r1 \\in \\mathbb{R}$" in reals
 
 
+def test_latex_escapes_special_characters_in_sentences():
+    # a point named r makes the thesis slack r_0, which a sentence quotes;
+    # formula lines are math mode and keep their _ and ^
+    src = "point A, B, r\nM := midpoint(A, B)\nassume collinear(A, B, r)\nprove collinear(A, M, r)\n"
+    c = substitute_declaratives(parse(SourceProgram(src, "r")))
+    doc = emit_trace(prove(fix_coordinates(build_system(c), c, "zero_one")), "latex")
+    assert (
+        "\\item The thesis (r\\_0) can be expressed as a rational expression of the "
+        "hypotheses, because r\\_0 is linear in an obtained polynomial equation:"
+    ) in doc.lines
+    assert "\\item $r1*r_0-r1+2*r_0=0$" in doc.lines
+    v = _skeleton_verdict("nlu", note="a division by r1^2 is 100% & {x_1} #$~\\")
+    assert (
+        "\\item Note: a division by r1\\^{}2 is 100\\% \\& \\{x\\_1\\} "
+        "\\#\\$\\~{}\\textbackslash{}."
+    ) in emit_trace(v, "latex").lines
+
+
 # ---------------------------------------------------------------------------
 # JSON payload.
 
@@ -309,12 +320,11 @@ def test_ideal_prints_the_generators_as_the_engine_leaves_them(name, fix):
     # print-order lead, so the document prints it with no rescaling
     src = (PERFBENCH / "corpus" / f"{name}.cni").read_text()
     c = substitute_declaratives(parse(SourceProgram(src, name)))
-    verdict = prove(fix_coordinates(build_system(c), c, fix), ProverConfig(timeout=60.0))
+    verdict = prove(fix_coordinates(build_system(c), c, fix), timeout=60.0)
     payload = json.loads(emit_trace(verdict, "json", show_ideal=True).text())
-    assert payload["ideal"] == [format_polynomial(g) for g in verdict.trace.generators]
-    second = verdict.trace.second
-    if second is not None:
-        assert payload["second_ideal"] == [format_polynomial(g) for g in second.generators]
+    assert payload["ideal"] == [format_polynomial(g) for g in verdict.generators]
+    if verdict.denominator is not None:
+        assert payload["second_ideal"] == [format_polynomial(g) for g in verdict.second_generators]
 
 
 # ---------------------------------------------------------------------------
@@ -322,18 +332,18 @@ def test_ideal_prints_the_generators_as_the_engine_leaves_them(name, fix):
 
 
 def test_identity_varignon():
-    assert emit_identity(_verdict("varignon").trace) == "(E-F)/(G-H)=-1"
+    assert emit_identity(_verdict("varignon")) == "(E-F)/(G-H)=-1"
 
 
 def test_identity_thales_product_of_hypotheses():
-    assert emit_identity(_verdict("thales_converse").trace) == (
+    assert emit_identity(_verdict("thales_converse")) == (
         "((A-O)/(O-B))*((A-C)/(A-O)/((C-O)/(C-A)))"
         "*((B-O)/(B-C)/((C-B)/(C-O)))*(((C-B)/(C-A))^2)=-1"
     )
 
 
 def test_identity_absent_for_three_term_pivot():
-    assert emit_identity(_verdict("midpoint_circle").trace) is None
+    assert emit_identity(_verdict("midpoint_circle")) is None
     doc = emit_trace(_verdict("midpoint_circle"), "text")
     assert all("complex number identity" not in s for s in doc.lines)
 
@@ -342,7 +352,7 @@ def test_identity_absent_for_three_term_pivot():
 # Inconclusive rendering.
 
 
-def _skeleton_trace(**kw):
+def _skeleton_verdict(reason, **kw):
     base = dict(
         point_names=("A", "B"),
         free_point_names=("A", "B"),
@@ -352,12 +362,12 @@ def _skeleton_trace(**kw):
         notes=(),
     )
     base.update(kw)
-    return ProofTrace(**base)
+    return ProverVerdict(reason, **base)
 
 
 @pytest.mark.parametrize("code", sorted(REASON_MEANINGS))
 def test_every_reason_code_renders(code):
-    v = ProverVerdict(INCONCLUSIVE, code, _skeleton_trace())
+    v = _skeleton_verdict(code)
     doc = emit_trace(v, "text")
     assert doc.banner == BANNER_INCONCLUSIVE
     assert BANNER_INCONCLUSIVE in doc.lines
@@ -369,9 +379,7 @@ def test_every_reason_code_renders(code):
 
 
 def test_reason_note_rendered_for_inconclusive():
-    v = ProverVerdict(
-        INCONCLUSIVE, "nlu", _skeleton_trace(reason_note="the minimal degree of r in the ideal is 2")
-    )
+    v = _skeleton_verdict("nlu", note="the minimal degree of r in the ideal is 2")
     doc = emit_trace(v, "text")
     assert "Note: the minimal degree of r in the ideal is 2." in doc.lines
 

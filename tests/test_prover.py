@@ -19,7 +19,6 @@ from cni_prover.prover import (
     INCONCLUSIVE,
     PROVED,
     REASON_MEANINGS,
-    ProverConfig,
     ProverVerdict,
     _presentation_pivot,
     check_denominator,
@@ -42,7 +41,7 @@ def _prove_file(name: str, mode: str = "zero_one", timeout: float = 20.0):
     src = (PROBLEMS / f"{name}.cni").read_text()
     c = substitute_declaratives(parse(SourceProgram(src, name)))
     sys = fix_coordinates(build_system(c), c, mode)
-    return prove(sys, ProverConfig(timeout=timeout))
+    return prove(sys, timeout=timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -52,48 +51,48 @@ def _prove_file(name: str, mode: str = "zero_one", timeout: float = 20.0):
 def test_varignon_proved_polynomial_form():
     v = _prove_file("varignon")
     assert v.outcome == PROVED and v.reason is None
-    assert v.trace.linear.v.is_constant
-    assert format_polynomial(v.trace.linear.pivot) == "-r-1"
-    assert v.trace.denominator is None
+    assert v.linear.v.is_constant
+    assert format_polynomial(v.linear.pivot) == "-r-1"
+    assert v.denominator is None
 
 
 def test_midpoint_circle_proved_by_contradiction():
     v = _prove_file("midpoint_circle")
     assert v.outcome == PROVED
-    assert format_polynomial(v.trace.linear.pivot) == "r1*r-r1-4*r"
-    assert format_polynomial(v.trace.denominator) == "r1-4"
-    assert v.trace.second.status == "trivial"
+    assert format_polynomial(v.linear.pivot) == "r1*r-r1-4*r"
+    assert format_polynomial(v.denominator) == "r1-4"
+    assert v.second_elimination == "trivial"
 
 
 def test_medians_proved_by_second_polynomial_form():
     v = _prove_file("medians")
     assert v.outcome == PROVED
-    assert format_polynomial(v.trace.denominator) == "r1*r2-r1-r2"
-    assert v.trace.second.status == "polynomial"
-    assert format_polynomial(v.trace.second.linear.pivot) == "-r+2"
-    assert "except for a couple of counterexamples" in v.trace.reason_note
+    assert format_polynomial(v.denominator) == "r1*r2-r1-r2"
+    assert v.second_elimination == "polynomial"
+    assert format_polynomial(v.second_linear.pivot) == "-r+2"
+    assert "except for a couple of counterexamples" in v.note
 
 
 def test_angle_bisectors_proved():
     v = _prove_file("angle_bisectors")
     assert v.outcome == PROVED
-    assert format_polynomial(v.trace.linear.pivot) == "r1*r2*r-r1*r2-r1*r-r2*r"
-    assert format_polynomial(v.trace.denominator) == "r1*r2-r1-r2"
-    assert v.trace.second.status == "trivial"
+    assert format_polynomial(v.linear.pivot) == "r1*r2*r-r1*r2-r1*r-r2*r"
+    assert format_polynomial(v.denominator) == "r1*r2-r1-r2"
+    assert v.second_elimination == "trivial"
 
 
 def test_thales_converse_proved():
     v = _prove_file("thales_converse")
     assert v.outcome == PROVED
-    assert format_polynomial(v.trace.linear.pivot) == "r1*r2*r3*r+1"
-    assert format_polynomial(v.trace.denominator) == "r1*r2*r3"
-    assert v.trace.second.status == "trivial"
+    assert format_polynomial(v.linear.pivot) == "r1*r2*r3*r+1"
+    assert format_polynomial(v.denominator) == "r1*r2*r3"
+    assert v.second_elimination == "trivial"
 
 
 def test_thales_converse_proved_without_fixing():
     v = _prove_file("thales_converse", mode="off")
     assert v.outcome == PROVED
-    assert v.trace.fixed == ()
+    assert v.fixed == ()
 
 
 def test_angle_bisectors_unfixed_is_inconclusive():
@@ -216,7 +215,7 @@ def _synthetic(table, polys, eliminate_vars, slacks, points=()):
 def test_prove_nlu_when_r_only_appears_squared():
     v = prove(_squared_thesis_system())
     assert v.outcome == INCONCLUSIVE and v.reason == "nlu"
-    assert "minimal degree" in v.trace.reason_note
+    assert "minimal degree" in v.note
 
 
 def test_prove_e0u_when_ideal_misses_r():
@@ -236,7 +235,7 @@ def test_prove_contradictory_hypotheses_note():
     ]
     v = prove(_synthetic(table, polys, [x], [r], points=(x,)))
     assert v.outcome == INCONCLUSIVE and v.reason == "e0u"
-    assert "contradictory" in v.trace.reason_note
+    assert "contradictory" in v.note
 
 
 def test_prove_zero_thesis_is_still_polynomial_form():
@@ -244,21 +243,21 @@ def test_prove_zero_thesis_is_still_polynomial_form():
     # verdict is a plain polynomial form r = 0
     v = prove(_zero_thesis_system())
     assert v.outcome == PROVED
-    assert v.trace.linear.v.is_constant
-    assert v.trace.linear.w.is_zero
+    assert v.linear.v.is_constant
+    assert v.linear.w.is_zero
 
 
 def test_prove_timeout_reports_to():
     v = _prove_file("angle_bisectors", timeout=0.001)
     assert v.outcome == INCONCLUSIVE and v.reason == "t/o"
-    assert "timed out" in v.trace.reason_note
+    assert "timed out" in v.note
 
 
 @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
 def test_a_budget_that_is_not_positive_is_rejected(timeout):
     # a NaN deadline would never fire: monotonic() > nan is always False
     with pytest.raises(ValueError, match="timeout must be positive"):
-        ProverConfig(timeout=timeout)
+        prove(_zero_thesis_system(), timeout=timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -292,67 +291,9 @@ def _cylinder_system():
     return table, x, r1, r, _synthetic(table, polys, [x], [r1, r], points=(x,))
 
 
-def _check(sys, D):
-    """check_denominator after the first elimination it continues from."""
-    cfg = GroebnerConfig()
-    first = eliminate(
-        sys.hypothesis_polys, sys.eliminate_vars, cfg, saturate=sys.denominator_factors
-    )
-    return check_denominator(sys, first, D, cfg)
-
-
-def test_check_denominator_contradiction():
-    # on the slice r1 = 4 the relation reads 0*r = 4, impossible
-    table, x, r1, r, sys = _division_system()
-    D = _poly(table, [({r1: 1}, 1), ({}, -4)])
-    out = _check(sys, D)
-    assert out.status == "trivial" and out.reason is None
-
-
-def test_check_denominator_no_r():
-    table, x, r1, r, sys = _cylinder_system()
-    D = _poly(table, [({r1: 1}, 1), ({}, -4)])
-    out = _check(sys, D)
-    assert out.status == "no_r" and out.reason == "e2nru"
-
-
-def test_check_denominator_second_polynomial_form():
-    table = VarTable()
-    x = table.add("x")
-    r1 = table.add("r1")
-    r = table.add("r")
-    polys = [
-        _poly(table, [({x: 1}, 1), ({r1: 1}, -1)]),
-        # r1*r - 2*r1 - 4r + 8 = (r1-4)(r-2): dividing needs r1-4, but even
-        # on r1 = 4 the ideal pins r = 2
-        _poly(table, [({x: 1, r: 1}, 1), ({x: 1}, -2), ({r: 1}, -4), ({}, 8)]),
-        _poly(table, [({r: 1}, 1), ({}, -2)]),
-    ]
-    sys = _synthetic(table, polys, [x], [r1, r], points=(x,))
-    D = _poly(table, [({r1: 1}, 1), ({}, -4)])
-    out = _check(sys, D)
-    assert out.status == "polynomial" and out.reason is None
-    assert out.linear.v.is_constant
-
-
-def test_check_denominator_second_nonlinear():
-    table = VarTable()
-    x = table.add("x")
-    r1 = table.add("r1")
-    r = table.add("r")
-    polys = [
-        _poly(table, [({x: 1}, 1), ({r1: 1}, -1)]),
-        _poly(table, [({r: 2}, 1), ({r1: 1}, -1)]),
-    ]
-    sys = _synthetic(table, polys, [x], [r1, r], points=(x,))
-    D = _poly(table, [({r1: 1}, 1), ({}, -4)])
-    out = _check(sys, D)
-    assert out.status == "inconclusive"
-    assert out.reason == "nlu"
-    assert "minimal degree 2" in out.note
-
-
-def test_check_denominator_second_nonconstant_coefficient():
+def _second_polynomial_system():
+    """The pivot is r1*r - r2, so dividing needs r1; but r1*r^2 + r - 2 is
+    in the ideal too, and on r1 = 0 it pins r = 2."""
     table = VarTable()
     x = table.add("x")
     r1 = table.add("r1")
@@ -360,49 +301,103 @@ def test_check_denominator_second_nonconstant_coefficient():
     r = table.add("r")
     polys = [
         _poly(table, [({x: 1}, 1), ({r1: 1}, -1)]),
-        _poly(table, [({r2: 1, r: 1}, 1), ({}, -1)]),
+        _poly(table, [({r1: 1, r: 1}, 1), ({r2: 1}, -1)]),
+        _poly(table, [({r1: 1, r: 2}, 1), ({r: 1}, 1), ({}, -2)]),
     ]
-    sys = _synthetic(table, polys, [x], [r1, r2, r], points=(x,))
-    D = _poly(table, [({r1: 1}, 1), ({}, -4)])
-    out = _check(sys, D)
-    assert out.status == "inconclusive"
-    assert out.reason == "d3u"
-    assert "again non-constant" in out.note
+    return _synthetic(table, polys, [x], [r1, r2, r], points=(x,))
 
 
-def _hidden_linear_system(with_second_generator):
+def _second_nonlinear_system():
+    """The pivot is r1*r - r2, so dividing needs r1; on r1 = 0 the relation
+    r^2 - r2 - 1 leaves r^2 = 1."""
+    table = VarTable()
+    x = table.add("x")
+    r1 = table.add("r1")
+    r2 = table.add("r2")
+    r = table.add("r")
+    polys = [
+        _poly(table, [({x: 1}, 1), ({r1: 1}, -1)]),
+        _poly(table, [({r1: 1, r: 1}, 1), ({r2: 1}, -1)]),
+        _poly(table, [({r: 2}, 1), ({r2: 1}, -1), ({}, -1)]),
+    ]
+    return _synthetic(table, polys, [x], [r1, r2, r], points=(x,))
+
+
+def test_check_denominator_contradiction():
+    # on the slice r1 = 4 the relation reads 0*r = 4, impossible
+    v = prove(_division_system()[-1])
+    assert v.second_elimination == "trivial" and v.reason is None
+    assert v.second_generators == (_poly(v.linear.v.table, [({}, 1)]),)
+
+
+def test_check_denominator_no_r():
+    v = prove(_cylinder_system()[-1])
+    assert v.second_elimination == "no_r" and v.reason == "e2nru"
+
+
+def test_check_denominator_second_polynomial_form():
+    v = prove(_second_polynomial_system())
+    assert format_polynomial(v.denominator) == "r1"
+    assert v.second_elimination == "polynomial" and v.reason is None
+    assert v.second_linear.v.is_constant
+    assert format_polynomial(v.second_linear.pivot) == "-r+2"
+
+
+def test_check_denominator_second_nonlinear():
+    v = prove(_second_nonlinear_system())
+    assert v.second_elimination == "inconclusive"
+    assert v.reason == "nlu"
+    assert "minimal degree 2" in v.note
+
+
+def test_check_denominator_second_nonconstant_coefficient():
+    v = prove(_third_elimination_system())
+    assert v.second_elimination == "inconclusive"
+    assert v.reason == "d3u"
+    assert "again non-constant" in v.note
+
+
+
+def _hidden_linear_system(divided):
     """The ideal <r^2 + s*q^2, s^3 - 2*s^3*q^2 - s^2*q^2*r> over the slacks
     (s, q, r), with x = s eliminated. Its second generator is linear in r,
     but its grevlex reduced basis has r-degrees 2, 3, 5 and 6; the reduced
     basis under an order comparing the degree in r first has a linear
-    element. Without the second generator that generator is returned, to
-    serve as a divisor."""
+    element. When `divided`, a slack t comes first: the system holds
+    t*r - t*s and the second generator plus t*r^2, so the pivot t*s - t*r
+    divides by t, and on t = 0 that ideal is the second one."""
     table = VarTable()
+    t = table.add("t") if divided else None
     x, s, q, r = (table.add(n) for n in ("x", "s", "q", "r"))
     polys = [
         _poly(table, [({x: 1}, 1), ({s: 1}, -1)]),
         _poly(table, [({r: 2}, 1), ({s: 1, q: 2}, 1)]),
     ]
-    hidden = _poly(table, [({s: 3}, 1), ({s: 3, q: 2}, -2), ({s: 2, q: 2, r: 1}, -1)])
-    if with_second_generator:
-        polys.append(hidden)
-    return _synthetic(table, polys, [x], [s, q, r], points=(x,)), hidden, r
+    hidden = [({s: 3}, 1), ({s: 3, q: 2}, -2), ({s: 2, q: 2, r: 1}, -1)]
+    if divided:
+        polys.append(_poly(table, hidden + [({t: 1, r: 2}, 1)]))
+        polys.append(_poly(table, [({t: 1, r: 1}, 1), ({t: 1, s: 1}, -1)]))
+        return _synthetic(table, polys, [x], [t, s, q, r], points=(x,)), r
+    polys.append(_poly(table, hidden))
+    return _synthetic(table, polys, [x], [s, q, r], points=(x,)), r
 
 
 def test_linear_pivot_hidden_from_the_grevlex_basis_is_found():
-    sys, _, r = _hidden_linear_system(True)
+    sys, r = _hidden_linear_system(False)
     v = prove(sys)
-    assert sorted(g.degree_in(r) for g in v.trace.generators) == [2, 3, 5, 6]
-    assert v.trace.linear is not None
-    assert v.trace.linear.pivot.degree_in(r) == 1
+    assert sorted(g.degree_in(r) for g in v.generators) == [2, 3, 5, 6]
+    assert v.linear is not None
+    assert v.linear.pivot.degree_in(r) == 1
 
 
 def test_second_elimination_finds_a_hidden_linear_pivot():
-    # the second ideal is the hidden-linear one: its linear element has the
-    # coefficient -s^2*q^2, so the route ends d3u, not nlu
-    sys, hidden, _ = _hidden_linear_system(False)
-    out = _check(sys, hidden)
-    assert out.reason == "d3u"
+    # the second ideal is the hidden-linear one plus t: its linear element
+    # has the coefficient -s^2*q^2, so the route ends d3u, not nlu
+    sys, r = _hidden_linear_system(True)
+    v = prove(sys)
+    assert format_polynomial(v.denominator) == "-t"
+    assert sorted(g.degree_in(r) for g in v.second_generators) == [0, 2, 3, 5, 6]
+    assert v.reason == "d3u"
 
 
 def _divided_corpus_runs():
@@ -424,11 +419,11 @@ def test_second_elimination_continues_from_the_first(name, fix, monkeypatch):
     c = substitute_declaratives(parse(SourceProgram(src, name)))
     sys = fix_coordinates(build_system(c), c, fix)
     cfg = GroebnerConfig(timeout=60.0)
-    verdict = prove(sys, ProverConfig(timeout=60.0))
-    v = verdict.trace.denominator
+    verdict = prove(sys, timeout=60.0)
+    v = verdict.denominator
     factors = sys.denominator_factors
     fresh = eliminate(sys.hypothesis_polys + (v,), sys.eliminate_vars, cfg, saturate=factors)
-    assert verdict.trace.second.generators == fresh.generators
+    assert verdict.second_generators == fresh.generators
 
     first = eliminate(sys.hypothesis_polys, sys.eliminate_vars, cfg, saturate=factors)
     pairs = []
@@ -473,7 +468,7 @@ def test_corpus_reduction_counts(fix, reductions, zeros, monkeypatch):
     for name in names:
         src = (PERFBENCH / "corpus" / f"{name}.cni").read_text()
         c = substitute_declaratives(parse(SourceProgram(src, name)))
-        prove(fix_coordinates(build_system(c), c, fix), ProverConfig(timeout=60.0))
+        prove(fix_coordinates(build_system(c), c, fix), timeout=60.0)
     assert sum(r.reductions for r in runs) == reductions
     assert sum(r.zero_reductions for r in runs) == zeros
 
@@ -499,14 +494,13 @@ def test_the_proving_path_holds_integer_coefficients(path, fix):
     # leaves integers, so no Fraction reaches a polynomial of the proof
     c = substitute_declaratives(parse(SourceProgram(path.read_text(), path.stem)))
     sys = fix_coordinates(build_system(c), c, fix)
-    t = prove(sys, ProverConfig(timeout=60.0)).trace
-    polys = [*sys.hypothesis_polys, *sys.denominator_factors, *t.generators]
-    for lf in (t.linear, t.second and t.second.linear):
+    v = prove(sys, timeout=60.0)
+    polys = [*sys.hypothesis_polys, *sys.denominator_factors, *v.generators]
+    for lf in (v.linear, v.second_linear):
         if lf:
             polys += [lf.pivot, lf.v, lf.w]
-    if t.second is not None:
-        polys += t.second.generators or ()
-    assert t.generators
+    polys += v.second_generators or ()
+    assert v.generators
     bad = [c for p in polys for c in p.terms.values() if type(c) is not int]
     assert not bad, bad[:3]
 
@@ -515,16 +509,16 @@ def test_prove_e2nru_end_to_end():
     table, x, r1, r, sys = _cylinder_system()
     v = prove(sys)
     assert v.outcome == INCONCLUSIVE and v.reason == "e2nru"
-    assert v.trace.second.generators is not None
-    assert v.trace.denominator is not None
+    assert v.second_generators is not None
+    assert v.denominator is not None
 
 
 def test_prove_division_contradiction_end_to_end():
     table, x, r1, r, sys = _division_system()
     v = prove(sys)
     assert v.outcome == PROVED
-    assert v.trace.second.status == "trivial"
-    assert format_polynomial(v.trace.denominator) == "r1-4"
+    assert v.second_elimination == "trivial"
+    assert format_polynomial(v.denominator) == "r1-4"
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +612,21 @@ _ROUTES = {
         lambda: _division_system()[-1], "check_denominator", INCONCLUSIVE, "t/o",
         "timeout", "the second elimination timed out",
     ),
+    "second_nonlinear": (
+        _second_nonlinear_system, None, INCONCLUSIVE, "nlu", "inconclusive",
+        "r has minimal degree 2 in the second elimination ideal; a third "
+        "elimination is not attempted",
+    ),
+    "second_pivot_timeout": (
+        _second_nonlinear_system, "groebner_basis", INCONCLUSIVE, "t/o", "timeout",
+        "the second elimination timed out",
+    ),
     "first_timeout": (
         _zero_thesis_system, "eliminate", INCONCLUSIVE, "t/o", None,
+        "the first elimination timed out",
+    ),
+    "first_pivot_timeout": (
+        _squared_thesis_system, "groebner_basis", INCONCLUSIVE, "t/o", None,
         "the first elimination timed out",
     ),
     "first_no_r": (
@@ -644,9 +651,9 @@ def test_route_table(route, monkeypatch):
     assert doc["verdict"] == outcome and doc["reason"] == reason
     assert doc["second_elimination"] == second
     assert doc["note"] == note
-    # with --show-ideal the key is always there; null unless a second
-    # elimination finished
-    assert "ideal" in doc
+    # with --show-ideal both keys are always there, each null unless its
+    # elimination, and the pivot search after it, finished
+    assert (doc["ideal"] is None) == (note == "the first elimination timed out")
     assert (doc["second_ideal"] is None) == (second in (None, "timeout"))
 
 
@@ -661,22 +668,12 @@ def test_reason_meanings_cover_all_codes():
     assert all(isinstance(v, str) and v for v in REASON_MEANINGS.values())
 
 
-def _dummy_trace():
-    return __import__("cni_prover.prover", fromlist=["ProofTrace"]).ProofTrace(
-        point_names=(),
-        free_point_names=(),
-        declaratives=(),
-        hypotheses=(),
-        fixed=(),
-        notes=(),
-    )
-
-
 def test_verdict_rejects_unknown_reason():
     with pytest.raises(AlgebraError):
-        ProverVerdict(INCONCLUSIVE, "xyz", _dummy_trace())
+        ProverVerdict("xyz", (), (), (), (), (), ())
 
 
-def test_verdict_rejects_proved_with_reason():
-    with pytest.raises(AlgebraError):
-        ProverVerdict(PROVED, "nlu", _dummy_trace())
+def test_the_outcome_is_proved_exactly_when_there_is_no_reason():
+    assert ProverVerdict(None, (), (), (), (), (), ()).outcome == PROVED
+    for code in REASON_MEANINGS:
+        assert ProverVerdict(code, (), (), (), (), (), ()).outcome == INCONCLUSIVE

@@ -39,15 +39,7 @@ from cni_prover.geometry_model import (
 )
 from cni_prover.groebner import EliminationResult, GroebnerBasis, GroebnerConfig
 from cni_prover.proof_emitter import ProofDocument
-from cni_prover.prover import (
-    INCONCLUSIVE,
-    PROVED,
-    LinearForm,
-    ProofTrace,
-    ProverConfig,
-    ProverVerdict,
-    SecondElimination,
-)
+from cni_prover.prover import LinearForm, ProverVerdict
 
 from support import make_table
 
@@ -55,7 +47,6 @@ TABLE = make_table("A", "B", "r")
 A, B, R = (Polynomial.variable(TABLE, i) for i in range(3))
 P, Q = PointRef(0), PointRef(1)
 SLACK = SlackOrigin(2, "r", P - Q)
-TRACE = ProofTrace(("A", "B"), ("A",), (), (), (), ())
 LINEAR = LinearForm(A, B, A * R + B)
 
 # (record class, positional arguments, field names in argument order): the
@@ -102,22 +93,16 @@ CASES = [
         ((R,), (0, 1), (), None, 7, 3),
         ("generators", "eliminated", None, None, "reductions", "zero_reductions"),
     ),
-    (ProverConfig, (5.0,), ("timeout",)),
     (LinearForm, (A, B, A * R + B), ("v", "w", "pivot")),
     (
-        SecondElimination,
-        ("polynomial", (R,), None, "a note", LINEAR),
-        ("status", "generators", "reason", "note", "linear"),
-    ),
-    (
-        ProofTrace,
-        (("A", "B"), ("A",), (), (), (), ("n",), SLACK, (R,), LINEAR, None, "why"),
+        ProverVerdict,
+        ("nlu", ("A", "B"), ("A",), (), (), (), ("n",), SLACK, (R,), LINEAR, (B,), LINEAR, "why"),
         (
-            "point_names", "free_point_names", "declaratives", "hypotheses", "fixed", "notes",
-            "thesis", "generators", "linear", "second", "reason_note",
+            "reason", "point_names", "free_point_names", "declaratives", "hypotheses", "fixed",
+            "notes", "thesis", "generators", "linear", "second_generators", "second_linear",
+            "note",
         ),
     ),
-    (ProverVerdict, (INCONCLUSIVE, "nlu", TRACE), ("outcome", "reason", "trace")),
     (ProofDocument, ("text", ("a", "b"), "banner"), ("format", "lines", "banner")),
     (SourceProgram, ("point A", "x.cni"), ("text", "name")),
     (
@@ -162,7 +147,7 @@ def test_records_of_different_classes_are_never_equal():
     assert Const(Fraction(1)).__eq__(PointRef(1)) is NotImplemented
     assert Sub(P, Q) != Add(P, Q)
     assert Sub(P, Q).__eq__(Add(P, Q)) is NotImplemented
-    assert GroebnerConfig(5.0) != ProverConfig(5.0)
+    assert GroebnerConfig(5.0) != CliConfig("x.cni", timeout=5.0)
     assert Collinear(0, 1, 2) != Equidistant(0, 1, 2)
     assert Sub(P, Q) != Sub(Q, P)
 
@@ -182,10 +167,12 @@ def test_an_elimination_result_compares_its_generators_and_eliminated_only():
 def test_defaults_and_conversions():
     assert Const(1).value == Fraction(1) and type(Const(1).value) is Fraction
     assert Construction(TABLE, (0,), (), RealRelational(P - Q, Collinear(0, 1, 2))).inlined == ()
-    assert GroebnerConfig().timeout == ProverConfig().timeout == 20.0
+    assert GroebnerConfig().timeout == CliConfig("x.cni").timeout == 20.0
     assert SourceProgram("x").name == "<input>"
     assert CliConfig("x.cni") == CliConfig("x.cni", "zero_one", 20.0, "text", False)
-    assert SecondElimination("trivial", ()) == SecondElimination("trivial", (), None, None, None)
+    assert ProverVerdict("e0u", (), (), (), (), (), ()) == ProverVerdict(
+        "e0u", (), (), (), (), (), (), None, None, None, None, None, None
+    )
     assert Collinear(0, 1, 2).points() == (0, 1, 2)
     assert Collinear(0, 1, 2).expr == (P - Q) / (Q - PointRef(2))
 
@@ -211,9 +198,7 @@ def test_each_record_still_checks_its_fields():
     with pytest.raises(GeometryError, match="point index 7"):
         Construction(TABLE, (0,), (), RealRelational(PointRef(7), thesis.source))
     with pytest.raises(AlgebraError, match="unknown reason code"):
-        ProverVerdict(INCONCLUSIVE, "zzz", TRACE)
-    with pytest.raises(AlgebraError, match="no reason code"):
-        ProverVerdict(PROVED, "nlu", TRACE)
+        ProverVerdict("zzz", ("A", "B"), ("A",), (), (), (), ())
     with pytest.raises(ValueError, match="timeout must be positive"):
         CliConfig("x.cni", timeout=0)
     with pytest.raises(ValueError, match="unknown fix mode"):
