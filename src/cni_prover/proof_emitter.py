@@ -269,14 +269,12 @@ def _narration(
         if identity is not None:
             items.append(("s", "The proof can be summarized as the complex number identity:"))
             items.append(("f", identity))
-        if verdict.note:
-            items.append(("s", _note_line(verdict.note)))
     else:
         code = verdict.reason
         items.append(("s", f"Reason code: {code}."))
         items.append(("s", f"This code means: {REASON_MEANINGS[code]}."))
-        if verdict.note:
-            items.append(("s", _note_line(verdict.note)))
+    if verdict.note:
+        items.append(("s", _note_line(verdict.note)))
 
     for note in verdict.notes:
         items.append(("s", _note_line(note)))
