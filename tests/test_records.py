@@ -49,6 +49,11 @@ P, Q = PointRef(0), PointRef(1)
 SLACK = SlackOrigin(2, "r", P - Q)
 LINEAR = LinearForm(A, B, A * R + B)
 
+VERDICT_FIELDS = (
+    "reason", "point_names", "free_point_names", "declaratives", "hypotheses", "fixed",
+    "notes", "thesis", "generators", "linear", "second_generators", "second_linear", "note",
+)
+
 # (record class, positional arguments, field names in argument order): the
 # repr shows each named field; None marks an argument whose field it hides
 CASES = [
@@ -97,11 +102,7 @@ CASES = [
     (
         ProverVerdict,
         ("nlu", ("A", "B"), ("A",), (), (), (), ("n",), SLACK, (R,), LINEAR, (B,), LINEAR, "why"),
-        (
-            "reason", "point_names", "free_point_names", "declaratives", "hypotheses", "fixed",
-            "notes", "thesis", "generators", "linear", "second_generators", "second_linear",
-            "note",
-        ),
+        VERDICT_FIELDS,
     ),
     (ProofDocument, ("text", ("a", "b"), "banner"), ("format", "lines", "banner")),
     (SourceProgram, ("point A", "x.cni"), ("text", "name")),
@@ -113,6 +114,17 @@ CASES = [
 ]
 
 IDS = [cls.__name__ for cls, _, _ in CASES]
+
+# a proved verdict is the bare proof trace: names, hypotheses, thesis and
+# first ideal, with no reason, second ideal or note
+CASES.append(
+    (
+        ProverVerdict,
+        (None, ("A", "B"), ("A",), (), (SLACK,), (), ("n",), SLACK, (R,), LINEAR, None, None, None),
+        VERDICT_FIELDS,
+    )
+)
+IDS.append("ProofTrace")
 
 
 @pytest.mark.parametrize("cls,args,shown", CASES, ids=IDS)
