@@ -87,19 +87,18 @@ _set = object.__setattr__
 
 def check_timeout(timeout: float) -> None:
     """Reject a budget that is not a positive number of seconds."""
-    if not timeout > 0:  # also rejects NaN, whose deadline never fires
+    # also rejects NaN, whose deadline never fires, and None
+    if timeout is None or not timeout > 0:
         raise ValueError("timeout must be positive")
 
 
 class GroebnerConfig(Record):
-    """timeout: wall-clock seconds for the whole call, positive, or None
-    for no limit."""
+    """timeout: wall-clock seconds for the whole call, positive."""
 
     __slots__ = ("timeout",)
 
-    def __init__(self, timeout: float | None = DEFAULT_TIMEOUT) -> None:
-        if timeout is not None:
-            check_timeout(timeout)
+    def __init__(self, timeout: float = DEFAULT_TIMEOUT) -> None:
+        check_timeout(timeout)
         _set(self, "timeout", timeout)
 
 
@@ -177,12 +176,10 @@ class _Budget:
     __slots__ = ("deadline",)
 
     def __init__(self, config: GroebnerConfig) -> None:
-        self.deadline = (
-            None if config.timeout is None else time.monotonic() + config.timeout
-        )
+        self.deadline = time.monotonic() + config.timeout
 
     def check(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        if time.monotonic() > self.deadline:
             raise GroebnerTimeout("wall-clock budget exhausted")
 
 

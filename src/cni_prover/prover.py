@@ -71,7 +71,8 @@ class ProverVerdict(Record):
     stage did not finish; `linear` splits the pivot when it is linear in r.
     When r = -w/v needs a division, `second_generators` is the ideal with
     the divisor appended, None when that stage did not finish, and
-    `second_linear` splits its pivot when it gives r as a polynomial."""
+    `second_linear` splits its pivot when it is linear in r: for a proof,
+    when it gives r as a polynomial; for d3u, when it divides again."""
 
     __slots__ = (
         "reason",
@@ -145,12 +146,12 @@ class ProverVerdict(Record):
         return {"t/o": "timeout", "e2nru": "no_r"}.get(self.reason, "inconclusive")
 
 
-def select_pivot(I: EliminationResult | GroebnerBasis, r: int) -> Polynomial:
-    """The generator of minimal positive degree in r. Ties go first to one
-    whose terms with r hold no other variable: for a linear pivot, that is
-    a constant coefficient v of r, so r needs no division when some
-    generator allows that. Then lower total degree, then fewer terms, then
-    position in the generator list."""
+def select_pivot(I: EliminationResult | GroebnerBasis, r: int) -> Polynomial | None:
+    """The generator of minimal positive degree in r, None when no
+    generator holds r. Ties go first to one whose terms with r hold no
+    other variable: for a linear pivot, that is a constant coefficient v of
+    r, so r needs no division when some generator allows that. Then lower
+    total degree, then fewer terms, then position in the generator list."""
     best = None
     for i, g in enumerate(I.generators):
         d = g.degree_in(r)
@@ -160,9 +161,7 @@ def select_pivot(I: EliminationResult | GroebnerBasis, r: int) -> Polynomial:
         key = (d, varies, g.total_degree, len(g.terms), i)
         if best is None or key < best[0]:
             best = (key, g)
-    if best is None:
-        raise AlgebraError("no generator contains r")
-    return best[1]
+    return None if best is None else best[1]
 
 
 def find_pivot(I: EliminationResult, r: int, config: GroebnerConfig) -> Polynomial | None:
@@ -174,10 +173,8 @@ def find_pivot(I: EliminationResult, r: int, config: GroebnerConfig) -> Polynomi
     basis element with r reduces by the elements free of r alone: it lies
     in the ideal they generate, and says nothing about r. None when no
     generator contains r."""
-    if not any(g.contains_var(r) for g in I.generators):
-        return None
     pivot = select_pivot(I, r)
-    if pivot.degree_in(r) > 1:
+    if pivot is not None and pivot.degree_in(r) > 1:
         rest = tuple(v for v in range(len(pivot.table)) if v != r and v not in I.eliminated)
         r_first = Block(GrevLex((r,)), GrevLex(rest))
         pivot = select_pivot(groebner_basis(I.generators, r_first, config), r)
@@ -226,71 +223,62 @@ def check_denominator(
     return eliminate((D,), sys.eliminate_vars, config, after=first)
 
 
+_STAGES = ("first", "second")
+
+
 def _decide(
-    sys: PolynomialSystem, config: GroebnerConfig
-) -> tuple[str | None, str | None, dict]:
-    """Run the eliminations. Returns the reason code (None when proved),
-    the note on the verdict, and the verdict fields of the stages reached."""
+    sys: PolynomialSystem, config: GroebnerConfig, fields: dict
+) -> tuple[str | None, str | None]:
+    """The divisor analysis, one pass per stage: eliminate (after the first
+    stage, with the previous pivot's divisor v appended), find the pivot,
+    and stop unless r = -w/v divides by a non-constant v. Returns the
+    reason code (None when proved) and the note on the verdict, and fills
+    `fields` with the verdict fields of the stages reached: each finished
+    elimination's ideal, and each linear pivot's split."""
     r = sys.thesis_slack
-    try:
-        first = eliminate(
-            sys.hypothesis_polys, sys.eliminate_vars, config, saturate=sys.denominator_factors
-        )
-        pivot = find_pivot(first, r, config)
-    except GroebnerTimeout:
-        return "t/o", "the first elimination timed out", {}
-    stage: dict = {"generators": first.generators}
+    for k, name in enumerate(_STAGES):
+        prefix = f"{name}_" if k else ""
+        try:
+            if k:
+                result = check_denominator(sys, result, lf.v, config)
+            else:
+                result = eliminate(
+                    sys.hypothesis_polys, sys.eliminate_vars, config, saturate=sys.denominator_factors
+                )
+        except GroebnerTimeout:
+            return "t/o", f"the {name} elimination timed out"
+        fields[prefix + "generators"] = result.generators
+        try:
+            pivot = find_pivot(result, r, config)
+        except GroebnerTimeout:
+            return "t/o", f"the r-first basis after the {name} elimination timed out"
 
-    if pivot is None:
-        note = None
-        if ideal_is_trivial(first):
-            note = (
-                "the elimination ideal is the whole ring: the hypotheses "
-                "are contradictory"
+        if pivot is None:
+            trivial = ideal_is_trivial(result)
+            if not k:
+                note = "the elimination ideal is the whole ring: the hypotheses are contradictory"
+                return "e0u", (note if trivial else None)
+            return (None if trivial else "e2nru"), None
+        degree = pivot.degree_in(r)
+        if degree > 1:
+            if not k:
+                return "nlu", f"the minimal degree of r in the ideal is {degree}"
+            return "nlu", (
+                f"r has minimal degree {degree} in the {name} elimination ideal; "
+                "a third elimination is not attempted"
             )
-        return "e0u", note, stage
-
-    if pivot.degree_in(r) > 1:
-        return "nlu", f"the minimal degree of r in the ideal is {pivot.degree_in(r)}", stage
-
-    lf = _presentation_pivot(pivot, r)
-    stage["linear"] = lf
-    if lf.v.is_constant:
-        return None, None, stage
-
-    try:
-        second = check_denominator(sys, first, lf.v, config)
-        pivot = find_pivot(second, r, config)
-    except GroebnerTimeout:
-        return "t/o", "the second elimination timed out", stage
-    stage["second_generators"] = second.generators
-
-    if pivot is None:
-        return (None if ideal_is_trivial(second) else "e2nru"), None, stage
-
-    if pivot.degree_in(r) > 1:
-        return (
-            "nlu",
-            f"r has minimal degree {pivot.degree_in(r)} in the second "
-            "elimination ideal; a third elimination is not attempted",
-            stage,
-        )
-
-    lf = _presentation_pivot(pivot, r)
-    if not lf.v.is_constant:
-        return (
-            "d3u",
-            "in the second elimination ideal the coefficient of r is again "
-            "non-constant; a third elimination is not attempted",
-            stage,
-        )
-    stage["second_linear"] = lf
-    return (
-        None,
-        "if the divisor is 0, the second elimination still gives a "
-        "polynomial expression for r, so the rational form holds in "
-        "general, except for a couple of counterexamples",
-        stage,
+        lf = fields[prefix + "linear"] = _presentation_pivot(pivot, r)
+        if lf.v.is_constant:
+            if not k:
+                return None, None
+            return None, (
+                "if the divisor is 0, the second elimination still gives a polynomial "
+                "expression for r, so the rational form holds in general, except for a "
+                "couple of counterexamples"
+            )
+    return "d3u", (
+        "in the second elimination ideal the coefficient of r is again "
+        "non-constant; a third elimination is not attempted"
     )
 
 
@@ -300,7 +288,8 @@ def prove(sys: PolynomialSystem, timeout: float = DEFAULT_TIMEOUT) -> ProverVerd
     elimination gets one, and so does each r-first basis find_pivot
     computes, after the first and after the second elimination: a
     statement can use up to four."""
-    reason, note, stage = _decide(sys, GroebnerConfig(timeout=timeout))
+    fields: dict = {}
+    reason, note = _decide(sys, GroebnerConfig(timeout=timeout), fields)
     return ProverVerdict(
         reason,
         point_names=sys.point_names,
@@ -311,5 +300,5 @@ def prove(sys: PolynomialSystem, timeout: float = DEFAULT_TIMEOUT) -> ProverVerd
         fixed=sys.fixed,
         notes=sys.notes,
         note=note,
-        **stage,
+        **fields,
     )

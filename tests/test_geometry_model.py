@@ -374,7 +374,7 @@ def test_a_generator_per_factor_saturates_as_the_product_does():
     systems saturate by A - B too. In most systems saturation changes the
     ideal, so a lost generator would show."""
     rng = random.Random(1729)
-    cfg = GroebnerConfig(timeout=None)
+    cfg = GroebnerConfig(timeout=600.0)
     checked = saturation_matters = 0
     for _ in range(30):
         written = _random_construction(rng)
@@ -431,7 +431,7 @@ def test_fix_coordinates_zero_one():
     assert fixed.denominator_factors == sys.denominator_factors
     a_b = Polynomial.variable(sys.table, 0) - Polynomial.variable(sys.table, 1)
     assert a_b in fixed.denominator_factors
-    cfg = GroebnerConfig(timeout=None)
+    cfg = GroebnerConfig(timeout=600.0)
     res = eliminate(
         fixed.hypothesis_polys, fixed.eliminate_vars, cfg, saturate=fixed.denominator_factors
     )
@@ -475,7 +475,7 @@ def test_pinned_systems_eliminate_as_the_pinned_clearing():
     with the two pinned points replaced by their values and cleared again
     gives. The elimination translates and scales every such system."""
     rng = random.Random(2025)
-    cfg = GroebnerConfig(timeout=None)
+    cfg = GroebnerConfig(timeout=600.0)
     checked = 0
     for _ in range(20):
         written = _random_construction(rng)

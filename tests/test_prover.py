@@ -157,8 +157,7 @@ def test_select_pivot_prefers_a_constant_coefficient_of_r():
 def test_select_pivot_requires_r():
     table, (x, r) = _ring("x", "r")
     I = _result([_poly(table, [({x: 1}, 1)])])
-    with pytest.raises(AlgebraError):
-        select_pivot(I, r)
+    assert select_pivot(I, r) is None
 
 
 def test_express_linear_splits_pivot():
@@ -224,7 +223,8 @@ def test_prove_e0u_when_ideal_misses_r():
     assert v.outcome == INCONCLUSIVE and v.reason == "e0u"
 
 
-def test_prove_contradictory_hypotheses_note():
+def _contradictory_system():
+    """x = 0 and x = 1: the elimination ideal is the whole ring."""
     table = VarTable()
     x = table.add("x")
     r = table.add("r")
@@ -233,7 +233,11 @@ def test_prove_contradictory_hypotheses_note():
         _poly(table, [({x: 1}, 1), ({}, -1)]),
         _poly(table, [({x: 1}, 1), ({r: 1}, -1)]),
     ]
-    v = prove(_synthetic(table, polys, [x], [r], points=(x,)))
+    return _synthetic(table, polys, [x], [r], points=(x,))
+
+
+def test_prove_contradictory_hypotheses_note():
+    v = prove(_contradictory_system())
     assert v.outcome == INCONCLUSIVE and v.reason == "e0u"
     assert "contradictory" in v.note
 
@@ -253,7 +257,7 @@ def test_prove_timeout_reports_to():
     assert "timed out" in v.note
 
 
-@pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+@pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), None])
 def test_a_budget_that_is_not_positive_is_rejected(timeout):
     # a NaN deadline would never fire: monotonic() > nan is always False
     with pytest.raises(ValueError, match="timeout must be positive"):
@@ -355,6 +359,10 @@ def test_check_denominator_second_nonconstant_coefficient():
     assert v.second_elimination == "inconclusive"
     assert v.reason == "d3u"
     assert "again non-constant" in v.note
+    # second_linear splits the second pivot whenever it is linear in r, so a
+    # d3u verdict holds the split whose divisor a third elimination would need
+    assert format_polynomial(v.second_linear.pivot) == "3*r2*r-r2+3*r"
+    assert format_polynomial(v.second_linear.v) == "3*r2+3"
 
 
 
@@ -619,7 +627,7 @@ _ROUTES = {
     ),
     "second_pivot_timeout": (
         _second_nonlinear_system, "groebner_basis", INCONCLUSIVE, "t/o", "timeout",
-        "the second elimination timed out",
+        "the r-first basis after the second elimination timed out",
     ),
     "first_timeout": (
         _zero_thesis_system, "eliminate", INCONCLUSIVE, "t/o", None,
@@ -627,10 +635,14 @@ _ROUTES = {
     ),
     "first_pivot_timeout": (
         _squared_thesis_system, "groebner_basis", INCONCLUSIVE, "t/o", None,
-        "the first elimination timed out",
+        "the r-first basis after the first elimination timed out",
     ),
     "first_no_r": (
         _unrelated_thesis_system, None, INCONCLUSIVE, "e0u", None, None,
+    ),
+    "first_contradictory": (
+        _contradictory_system, None, INCONCLUSIVE, "e0u", None,
+        "the elimination ideal is the whole ring: the hypotheses are contradictory",
     ),
     "first_nonlinear": (
         _squared_thesis_system, None, INCONCLUSIVE, "nlu", None,
@@ -652,9 +664,11 @@ def test_route_table(route, monkeypatch):
     assert doc["second_elimination"] == second
     assert doc["note"] == note
     # with --show-ideal both keys are always there, each null unless its
-    # elimination, and the pivot search after it, finished
+    # elimination finished; a timeout in the pivot search after it keeps it
     assert (doc["ideal"] is None) == (note == "the first elimination timed out")
-    assert (doc["second_ideal"] is None) == (second in (None, "timeout"))
+    assert (doc["second_ideal"] is None) == (
+        second is None or note == "the second elimination timed out"
+    )
 
 
 # ---------------------------------------------------------------------------
