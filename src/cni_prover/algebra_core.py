@@ -77,16 +77,38 @@ _set = object.__setattr__
 
 class Record:
     """Base of the package's immutable value records. A concrete subclass
-    lists its fields in its own `__slots__`, and its `__init__` sets them
-    through object.__setattr__, after any checks. Records of the same
-    class are equal, and hash alike, when their fields are; a record of
-    another class compares as NotImplemented. The repr is
+    lists its fields in its own `__slots__`. Unless it or a base writes an
+    `__init__`, one is generated when the class is created: it takes the
+    fields in slot order, those named in `_defaults` optional, sets them
+    through object.__setattr__, then calls `_check()` if the class has one.
+    Records of the same class are equal, and hash alike, when their fields
+    are; a record of another class compares as NotImplemented. The repr is
     Name(field=value, ...). Fields cannot be assigned or deleted."""
 
     __slots__ = ()
 
     # fields left out of the repr
     _hidden: tuple[str, ...] = ()
+    # the default of each optional field; those fields come last
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = cls.__dict__.get("__slots__", ())
+        # a class that writes an __init__, or inherits one (the predicates
+        # inherit Predicate's), keeps it
+        if not fields or cls.__init__ is not object.__init__:
+            return
+        body = [f"    _set(self, {f!r}, {f})" for f in fields]
+        if hasattr(cls, "_check"):
+            body.append("    self._check()")
+        namespace = {"_set": _set}
+        exec(f"def __init__(self, {', '.join(fields)}):\n" + "\n".join(body), namespace)
+        init = namespace["__init__"]
+        required = len(fields) - len(cls._defaults)
+        init.__defaults__ = tuple(cls._defaults[f] for f in fields[required:])
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -111,8 +133,8 @@ class Record:
         return f"{type(self).__qualname__}({', '.join(shown)})"
 
     def _replace(self, **changes):
-        """A copy with the named fields changed. The class's __init__ must
-        take each field by its name; it checks the new values."""
+        """A copy with the named fields changed, checked as a new record
+        is."""
         return type(self)(**{f: getattr(self, f) for f in self.__slots__} | changes)
 
 
@@ -140,9 +162,6 @@ class GrevLex(MonomialOrder):
 
     __slots__ = ("perm",)
 
-    def __init__(self, perm: tuple[int, ...]) -> None:
-        _set(self, "perm", perm)
-
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         return (self.perm,)
 
@@ -153,10 +172,6 @@ class Block(MonomialOrder):
     monomial free of them, which is what elimination needs."""
 
     __slots__ = ("first", "second")
-
-    def __init__(self, first: MonomialOrder, second: MonomialOrder) -> None:
-        _set(self, "first", first)
-        _set(self, "second", second)
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         return self.first.blocks() + self.second.blocks()
@@ -496,50 +511,33 @@ class Const(Expr):
 class PointRef(Expr):
     __slots__ = ("index",)
 
-    def __init__(self, index: int) -> None:
-        _set(self, "index", index)
 
-
-class _Binary(Expr):
-    """A node with the fields left and right, each listed by the subclass."""
-
-    __slots__ = ()
-
-    def __init__(self, left: Expr, right: Expr) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
-
-
-class Add(_Binary):
+class Add(Expr):
     __slots__ = ("left", "right")
 
 
-class Sub(_Binary):
+class Sub(Expr):
     __slots__ = ("left", "right")
 
 
-class Mul(_Binary):
+class Mul(Expr):
     __slots__ = ("left", "right")
 
 
-class Div(_Binary):
+class Div(Expr):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Expr, right: Expr) -> None:
-        if isinstance(right, Const) and right.value == 0:
+    def _check(self) -> None:
+        if isinstance(self.right, Const) and self.right.value == 0:
             raise ZeroDenominatorError("division by the constant zero")
-        _set(self, "left", left)
-        _set(self, "right", right)
 
 
 class Pow(Expr):
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: int) -> None:
-        if exponent < 0:
+    def _check(self) -> None:
+        if self.exponent < 0:
             raise AlgebraError("Pow exponent must be nonnegative")
-        _set(self, "base", base)
-        _set(self, "exponent", exponent)
 
 
 _BINARY = frozenset((Add, Sub, Mul, Div))

@@ -23,7 +23,9 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra_core import AlgebraError, Const, PointRef, RationalExpr, Record, VarTable
+from .algebra_core import (
+    AlgebraError, Const, PointRef, RationalExpr, Record, VarTable, ZeroDenominatorError,
+)
 from .geometry_model import (
     DEFINITIONS,
     FIX_MODES,
@@ -79,17 +81,11 @@ KEYWORDS = ("point", "assume", "prove")
 _LINE_END = re.compile(r"\r\n?|\n")
 
 
-_set = object.__setattr__
-
-
 class SourceProgram(Record):
     """Raw program text plus a name used in diagnostics."""
 
     __slots__ = ("text", "name")
-
-    def __init__(self, text: str, name: str = "<input>") -> None:
-        _set(self, "text", text)
-        _set(self, "name", name)
+    _defaults = dict(name="<input>")
 
     def statements(self) -> list[tuple[int, str]]:
         """Non-empty statements with their 1-based line numbers, comments
@@ -205,7 +201,10 @@ class _ExprParser:
                 return e
             self.ts.next()
             rhs = self._factor()
-            e = e * rhs if tok[1] == "*" else e / rhs
+            try:
+                e = e * rhs if tok[1] == "*" else e / rhs
+            except ZeroDenominatorError as exc:  # Div refuses the constant 0 as a divisor
+                raise DslSyntaxError(str(exc), self.ts.line, tok[2]) from None
 
     def _factor(self) -> RationalExpr:
         """A run of unary minuses, read in a loop, then a primary. Each minus
@@ -399,29 +398,14 @@ def format_construction(c: Construction) -> str:
 
 class CliConfig(Record):
     __slots__ = ("input", "fix_mode", "timeout", "format", "show_ideal")
+    _defaults = dict(fix_mode="zero_one", timeout=DEFAULT_TIMEOUT, format="text", show_ideal=False)
 
-    def __init__(
-        self,
-        input: str,
-        fix_mode: str = "zero_one",
-        timeout: float = DEFAULT_TIMEOUT,
-        format: str = "text",
-        show_ideal: bool = False,
-    ) -> None:
-        check_timeout(timeout)
-        if fix_mode not in FIX_MODES:
-            raise ValueError(f"unknown fix mode {fix_mode!r}")
-        if format not in FORMATS:
-            raise ValueError(f"unknown format {format!r}")
-        _set(self, "input", input)
-        _set(self, "fix_mode", fix_mode)
-        _set(self, "timeout", timeout)
-        _set(self, "format", format)
-        _set(self, "show_ideal", show_ideal)
-
-
-def _unsupported_verdict(code: str, note: str) -> ProverVerdict:
-    return ProverVerdict(code, (), (), (), (), (), (), note=note)
+    def _check(self) -> None:
+        check_timeout(self.timeout)
+        if self.fix_mode not in FIX_MODES:
+            raise ValueError(f"unknown fix mode {self.fix_mode!r}")
+        if self.format not in FORMATS:
+            raise ValueError(f"unknown format {self.format!r}")
 
 
 def _prove_text(text: str, source_name: str, cfg: CliConfig) -> tuple[str, int]:
@@ -429,9 +413,9 @@ def _prove_text(text: str, source_name: str, cfg: CliConfig) -> tuple[str, int]:
     try:
         construction = parse(SourceProgram(text, source_name))
     except UnknownPredicateError as exc:
-        return emit_trace(_unsupported_verdict("niu", str(exc)), cfg.format).text(), 2
+        return emit_trace(ProverVerdict("niu", note=str(exc)), cfg.format).text(), 2
     except PredicateArityError as exc:
-        return emit_trace(_unsupported_verdict("nfiu", str(exc)), cfg.format).text(), 2
+        return emit_trace(ProverVerdict("nfiu", note=str(exc)), cfg.format).text(), 2
     substituted = substitute_declaratives(construction)
     system = build_system(substituted)
     system = fix_coordinates(system, substituted, cfg.fix_mode)

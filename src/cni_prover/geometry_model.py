@@ -9,12 +9,15 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from .algebra_core import (
+    Const,
+    Div,
     PointRef,
     Polynomial,
     RationalExpr,
     Record,
     Sub,
     VarTable,
+    ZeroDenominatorError,
     clear_relations,
     expr_points,
     expr_postorder,
@@ -62,6 +65,7 @@ class Predicate(Record):
     arity: int
 
     def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
         cls.arity = len(cls.__slots__)
 
     def __init__(self, *points: int) -> None:
@@ -183,10 +187,6 @@ DEFINITIONS: dict[str, Callable[..., RationalExpr]] = {
 class Declarative(Record):
     __slots__ = ("point", "definition")
 
-    def __init__(self, point: int, definition: RationalExpr) -> None:
-        _set(self, "point", point)
-        _set(self, "definition", definition)
-
 
 class RealRelational(Record):
     """The rational expression of a predicate, required to be real. `expr`
@@ -194,10 +194,6 @@ class RealRelational(Record):
     as written is `source.expr`."""
 
     __slots__ = ("expr", "source")
-
-    def __init__(self, expr: RationalExpr, source: Predicate) -> None:
-        _set(self, "expr", expr)
-        _set(self, "source", source)
 
 
 def predicate_step(p: Predicate) -> RealRelational:
@@ -213,38 +209,27 @@ class Construction(Record):
     relation that comes last."""
 
     __slots__ = ("table", "free_points", "steps", "thesis", "inlined")
+    _defaults = dict(thesis=None, inlined=())
 
-    def __init__(
-        self,
-        table: VarTable,
-        free_points: tuple[int, ...],
-        steps: tuple[ConstructionStep, ...],
-        thesis: RealRelational | None = None,
-        inlined: tuple[Declarative, ...] = (),
-    ) -> None:
-        if thesis is None:
+    def _check(self) -> None:
+        if self.thesis is None:
             raise GeometryError("a construction needs a thesis")
-        n = len(table)
-        for i in free_points:
+        n = len(self.table)
+        for i in self.free_points:
             if not 0 <= i < n:
                 raise GeometryError(f"free point index {i} out of range")
-        for step in steps + (thesis,):
+        for step in self.steps + (self.thesis,):
             if isinstance(step, Declarative):
                 for ref in expr_points(step.definition):
                     if ref >= step.point:
                         raise GeometryError(
-                            f"declarative point {table.name(step.point)} may "
+                            f"declarative point {self.point_name(step.point)} may "
                             f"only reference earlier points"
                         )
             else:
                 for ref in expr_points(step.expr):
                     if not 0 <= ref < n:
                         raise GeometryError(f"point index {ref} out of range")
-        _set(self, "table", table)
-        _set(self, "free_points", free_points)
-        _set(self, "steps", steps)
-        _set(self, "thesis", thesis)
-        _set(self, "inlined", inlined)
 
     def point_name(self, i: int) -> str:
         return self.table.name(i)
@@ -253,13 +238,24 @@ class Construction(Record):
 def substitute_declaratives(c: Construction) -> Construction:
     """Inline every declarative definition into later relations and the
     thesis. The result carries only real-relational steps; the inlined
-    definitions are archived for trace narration."""
+    definitions are archived for trace narration. A definition that, with
+    the earlier ones inlined, divides by an identically zero expression is
+    an error, whether or not a relation uses it."""
     env: dict[int, RationalExpr] = {}
     inlined: list[Declarative] = []
     relations: list[RealRelational] = []
     for step in c.steps + (c.thesis,):
         if isinstance(step, Declarative):
             env[step.point] = expr_substitute(step.definition, env)
+            # Div refuses a constant 0, and the earlier definitions are checked
+            nodes = expr_postorder(step.definition)
+            if any(type(x) is Div and type(x.right) is not Const for x in nodes):
+                try:
+                    clear_relations([env[step.point]], c.table)
+                except ZeroDenominatorError:
+                    raise GeometryError(
+                        f"the definition of {c.point_name(step.point)} divides by zero"
+                    ) from None
             inlined.append(step)
         else:
             relations.append(RealRelational(expr_substitute(step.expr, env), step.source))
@@ -281,11 +277,6 @@ class SlackOrigin(Record):
 
     __slots__ = ("slack", "name", "stated")
 
-    def __init__(self, slack: int, name: str, stated: RationalExpr) -> None:
-        _set(self, "slack", slack)
-        _set(self, "name", name)
-        _set(self, "stated", stated)
-
 
 class PolynomialSystem(Record):
     """Cleared polynomials p1..ps (thesis last), the distinct denominator
@@ -304,30 +295,7 @@ class PolynomialSystem(Record):
         "fixed",
         "notes",
     )
-
-    def __init__(
-        self,
-        table: VarTable,
-        hypothesis_polys: tuple[Polynomial, ...],
-        eliminate_vars: tuple[int, ...],
-        slack_map: tuple[SlackOrigin, ...],
-        denominator_factors: tuple[Polynomial, ...],
-        free_points: tuple[int, ...],
-        point_names: tuple[str, ...],
-        declaratives: tuple[tuple[str, RationalExpr], ...],
-        fixed: tuple[tuple[str, Fraction], ...] = (),
-        notes: tuple[str, ...] = (),
-    ) -> None:
-        _set(self, "table", table)
-        _set(self, "hypothesis_polys", hypothesis_polys)
-        _set(self, "eliminate_vars", eliminate_vars)
-        _set(self, "slack_map", slack_map)
-        _set(self, "denominator_factors", denominator_factors)
-        _set(self, "free_points", free_points)
-        _set(self, "point_names", point_names)
-        _set(self, "declaratives", declaratives)
-        _set(self, "fixed", fixed)
-        _set(self, "notes", notes)
+    _defaults = dict(fixed=(), notes=())
 
     @property
     def thesis_slack(self) -> int:

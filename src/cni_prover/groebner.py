@@ -82,8 +82,6 @@ class GroebnerTimeout(Exception):
 
 DEFAULT_TIMEOUT = 20.0  # seconds; also the prover's and the command line's
 
-_set = object.__setattr__
-
 
 def check_timeout(timeout: float) -> None:
     """Reject a budget that is not a positive number of seconds."""
@@ -96,10 +94,10 @@ class GroebnerConfig(Record):
     """timeout: wall-clock seconds for the whole call, positive."""
 
     __slots__ = ("timeout",)
+    _defaults = dict(timeout=DEFAULT_TIMEOUT)
 
-    def __init__(self, timeout: float = DEFAULT_TIMEOUT) -> None:
-        check_timeout(timeout)
-        _set(self, "timeout", timeout)
+    def _check(self) -> None:
+        check_timeout(self.timeout)
 
 
 DEFAULT_CONFIG = GroebnerConfig()
@@ -111,10 +109,6 @@ class GroebnerBasis(Record):
     positive leading coefficient under `order`."""
 
     __slots__ = ("generators", "order")
-
-    def __init__(self, generators: tuple[Polynomial, ...], order: MonomialOrder) -> None:
-        _set(self, "generators", generators)
-        _set(self, "order", order)
 
 
 class EliminationResult(Record):
@@ -147,26 +141,9 @@ class EliminationResult(Record):
         "scale",
     )
     _hidden = ("block_basis", "packing", "origin", "scale")
-
-    def __init__(
-        self,
-        generators: tuple[Polynomial, ...],
-        eliminated: tuple[int, ...],
-        block_basis: tuple[_IntPoly, ...] = (),
-        packing: _Packing | None = None,
-        reductions: int = 0,
-        zero_reductions: int = 0,
-        origin: int | None = None,
-        scale: Polynomial | None = None,
-    ) -> None:
-        _set(self, "generators", generators)
-        _set(self, "eliminated", eliminated)
-        _set(self, "block_basis", block_basis)
-        _set(self, "packing", packing)
-        _set(self, "reductions", reductions)
-        _set(self, "zero_reductions", zero_reductions)
-        _set(self, "origin", origin)
-        _set(self, "scale", scale)
+    _defaults = dict(
+        block_basis=(), packing=None, reductions=0, zero_reductions=0, origin=None, scale=None
+    )
 
     def _key(self) -> tuple:
         return (self.generators, self.eliminated)

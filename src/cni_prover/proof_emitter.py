@@ -31,18 +31,11 @@ from .prover import PROVED, REASON_MEANINGS, ProverVerdict
 
 FORMATS = ("text", "latex", "json")
 
-_set = object.__setattr__
-
 
 class ProofDocument(Record):
     """Rendered proof: ordered lines plus the one-line verdict banner."""
 
     __slots__ = ("format", "lines", "banner")
-
-    def __init__(self, format: str, lines: tuple[str, ...], banner: str) -> None:
-        _set(self, "format", format)
-        _set(self, "lines", lines)
-        _set(self, "banner", banner)
 
     def text(self) -> str:
         return "\n".join(self.lines)

@@ -11,17 +11,14 @@ Inconclusive with a reason code.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra_core import (
     AlgebraError,
     Block,
     GrevLex,
     Polynomial,
-    RationalExpr,
     Record,
 )
-from .geometry_model import PolynomialSystem, SlackOrigin
+from .geometry_model import PolynomialSystem
 from .groebner import (
     DEFAULT_TIMEOUT,
     EliminationResult,
@@ -47,19 +44,11 @@ REASON_MEANINGS = {
 }
 
 
-_set = object.__setattr__
-
-
 class LinearForm(Record):
     """pivot = v*r + w with v and w free of r; the rational form of the
     thesis slack is r = -w/v."""
 
     __slots__ = ("v", "w", "pivot")
-
-    def __init__(self, v: Polynomial, w: Polynomial, pivot: Polynomial) -> None:
-        _set(self, "v", v)
-        _set(self, "w", w)
-        _set(self, "pivot", pivot)
 
 
 class ProverVerdict(Record):
@@ -89,38 +78,12 @@ class ProverVerdict(Record):
         "second_linear",
         "note",
     )
+    # the six display fields default to (), the rest to None
+    _defaults = dict.fromkeys(__slots__[1:7], ()) | dict.fromkeys(__slots__[7:])
 
-    def __init__(
-        self,
-        reason: str | None,
-        point_names: tuple[str, ...],
-        free_point_names: tuple[str, ...],
-        declaratives: tuple[tuple[str, RationalExpr], ...],
-        hypotheses: tuple[SlackOrigin, ...],
-        fixed: tuple[tuple[str, Fraction], ...],
-        notes: tuple[str, ...],
-        thesis: SlackOrigin | None = None,
-        generators: tuple[Polynomial, ...] | None = None,
-        linear: LinearForm | None = None,
-        second_generators: tuple[Polynomial, ...] | None = None,
-        second_linear: LinearForm | None = None,
-        note: str | None = None,
-    ) -> None:
-        if reason is not None and reason not in REASON_MEANINGS:
-            raise AlgebraError(f"unknown reason code {reason!r}")
-        _set(self, "reason", reason)
-        _set(self, "point_names", point_names)
-        _set(self, "free_point_names", free_point_names)
-        _set(self, "declaratives", declaratives)
-        _set(self, "hypotheses", hypotheses)
-        _set(self, "fixed", fixed)
-        _set(self, "notes", notes)
-        _set(self, "thesis", thesis)
-        _set(self, "generators", generators)
-        _set(self, "linear", linear)
-        _set(self, "second_generators", second_generators)
-        _set(self, "second_linear", second_linear)
-        _set(self, "note", note)
+    def _check(self) -> None:
+        if self.reason is not None and self.reason not in REASON_MEANINGS:
+            raise AlgebraError(f"unknown reason code {self.reason!r}")
 
     @property
     def outcome(self) -> str:

@@ -282,7 +282,27 @@ def test_run_cli_zero_denominator_is_an_error(tmp_path):
     code, out, err = _run(str(f))
     assert code == 1
     assert out == ""
-    assert err == f"error: {f}: denominator normalizes to the zero polynomial\n"
+    assert err == f"error: {f}: the definition of D divides by zero\n"
+
+
+@pytest.mark.parametrize("fix", ["zero_one", "minus_one_one", "off"])
+@pytest.mark.parametrize(
+    "program",
+    [
+        # D is in no relation
+        "point A, B, C\nD := A/(B-B)\nprove collinear(A, B, C)\n",
+        "point A, B, C\nD := A/(B-B)\nassume collinear(A, B, C)\nprove collinear(A, C, B)\n",
+        "point A, B, C\nD := A/(1-1)\nprove collinear(A, B, C)\n",
+        # the divisor is zero once E is inlined
+        "point A, B, C\nE := B-B\nD := A/E\nprove collinear(A, B, C)\n",
+        # a relation uses D
+        "point A, B, C\nD := A/(B-B)\nprove collinear(A, B, D)\n",
+    ],
+)
+def test_a_definition_that_divides_by_zero_is_refused_in_every_fix_mode(tmp_path, program, fix):
+    f = tmp_path / "zero.cni"
+    f.write_text(program)
+    assert _run(str(f), fix_mode=fix) == (1, "", f"error: {f}: the definition of D divides by zero\n")
 
 
 def test_run_cli_division_by_literal_zero_is_an_error(tmp_path):
@@ -291,7 +311,14 @@ def test_run_cli_division_by_literal_zero_is_an_error(tmp_path):
     code, out, err = _run(str(f))
     assert code == 1
     assert out == ""
-    assert err == f"error: {f}: division by the constant zero\n"
+    assert err == f"error: {f}: line 2, column 7: division by the constant zero\n"
+
+
+@pytest.mark.parametrize("definition,column", [("A/0", 7), ("A*B/(0)", 9), ("A / -0 + B", 8)])
+def test_division_by_literal_zero_is_a_syntax_error_at_the_slash(definition, column):
+    with pytest.raises(DslSyntaxError, match="division by the constant zero") as info:
+        parse(SourceProgram(f"point A, B\nX := {definition}\nprove collinear(A, B, X)\n"))
+    assert (info.value.line, info.value.column) == (2, column)
 
 
 def test_run_cli_engine_error_is_an_error(tmp_path):

@@ -1,8 +1,11 @@
 """Value semantics of the immutable records: every field is read-only,
 records with equal fields are equal and hash alike, records of different
 classes are never equal, the repr lists the fields by name, and each
-record still checks what it checked when it was built."""
+record still checks what it checked when it was built. Every record but
+Const and the predicates takes the `__init__` that Record generates from
+its `__slots__` and `_defaults`, and `_replace` runs its `_check` again."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +21,7 @@ from cni_prover.algebra_core import (
     PointRef,
     Polynomial,
     Pow,
+    Record,
     Sub,
     ZeroDenominatorError,
 )
@@ -33,7 +37,9 @@ from cni_prover.geometry_model import (
     Parallel,
     Perpendicular,
     PolynomialSystem,
+    Predicate,
     PredicateArgumentError,
+    PREDICATES,
     RealRelational,
     SlackOrigin,
 )
@@ -217,3 +223,132 @@ def test_each_record_still_checks_its_fields():
         CliConfig("x.cni", fix_mode="pin_three")
     with pytest.raises(ValueError, match="unknown format"):
         CliConfig("x.cni", format="xml")
+
+
+@pytest.mark.parametrize("cls,args,shown", CASES, ids=IDS)
+def test_every_field_can_be_given_by_keyword(cls, args, shown):
+    if issubclass(cls, Predicate):
+        return  # a predicate takes its points by position alone
+    record = cls(**dict(zip(cls.__slots__, args)))
+    assert record == cls(*args)
+    assert all(getattr(record, f) is a for f, a in zip(cls.__slots__, args) if cls is not Const)
+
+
+VERDICT = ProverVerdict("nlu", ("A", "B"), ("A",), (), (), (), ())
+CONSTRUCTION = Construction(TABLE, (0,), (), RealRelational(P - Q, Collinear(0, 1, 2)))
+
+# (record class, its required fields, the defaults of the others)
+DEFAULTS = [
+    (SourceProgram, ("x",), {"name": "<input>"}),
+    (
+        CliConfig,
+        ("x.cni",),
+        {"fix_mode": "zero_one", "timeout": 20.0, "format": "text", "show_ideal": False},
+    ),
+    (Construction, (TABLE, (0,), ()), {"thesis": None, "inlined": ()}),
+    (
+        PolynomialSystem,
+        (TABLE, (A - R,), (0, 1), (SLACK,), (B,), (0,), ("A", "B"), ()),
+        {"fixed": (), "notes": ()},
+    ),
+    (GroebnerConfig, (), {"timeout": 20.0}),
+    (
+        EliminationResult,
+        ((R,), (0, 1)),
+        {
+            "block_basis": (), "packing": None, "reductions": 0, "zero_reductions": 0,
+            "origin": None, "scale": None,
+        },
+    ),
+    (
+        ProverVerdict,
+        ("nlu",),
+        dict.fromkeys(VERDICT_FIELDS[1:7], ()) | dict.fromkeys(VERDICT_FIELDS[7:]),
+    ),
+]
+
+
+@pytest.mark.parametrize("cls,required,defaults", DEFAULTS, ids=[c.__name__ for c, _, _ in DEFAULTS])
+def test_the_defaults_hold(cls, required, defaults):
+    assert cls._defaults == defaults
+    if cls is Construction:
+        return  # it refuses its default thesis (test_each_record_still_checks_its_fields)
+    record = cls(*required)
+    assert {f: getattr(record, f) for f in defaults} == defaults
+    assert record == cls(*required, *defaults.values())
+
+
+@pytest.mark.parametrize("cls,args,shown", CASES, ids=IDS)
+def test_a_field_without_a_default_is_required(cls, args, shown):
+    given = next((required for c, required, _ in DEFAULTS if c is cls), args)
+    if given:
+        with pytest.raises(TypeError):
+            cls(*given[:-1])
+
+
+# (record, changes, the error its check raises, its message)
+REPLACED = [
+    (VERDICT, {"reason": "zzz"}, AlgebraError, "unknown reason code"),
+    (CliConfig("x.cni"), {"timeout": 0}, ValueError, "timeout must be positive"),
+    (CliConfig("x.cni"), {"fix_mode": "pin_three"}, ValueError, "unknown fix mode"),
+    (CliConfig("x.cni"), {"format": "xml"}, ValueError, "unknown format"),
+    (GroebnerConfig(), {"timeout": 0}, ValueError, "timeout must be positive"),
+    (CONSTRUCTION, {"thesis": None}, GeometryError, "needs a thesis"),
+    (CONSTRUCTION, {"free_points": (5,)}, GeometryError, "free point index 5"),
+    (Div(P, Q), {"right": Const(0)}, ZeroDenominatorError, "division by the constant zero"),
+    (Pow(P, 2), {"exponent": -1}, AlgebraError, "exponent must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("record,changes,error,message", REPLACED)
+def test_replace_runs_the_checks_again(record, changes, error, message):
+    with pytest.raises(error, match=message):
+        record._replace(**changes)
+    assert record._replace() == record
+
+
+def test_a_predicate_subclass_keeps_the_predicate_init():
+    class Coincident(Predicate):
+        __slots__ = ("a", "b")
+        name = "coincident"
+
+        @staticmethod
+        def _expr(a, b):
+            return a - b
+
+    assert Coincident.arity == 2
+    assert Coincident(0, 1).expr == PointRef(0) - PointRef(1)
+    for cls in PREDICATES + (Coincident,):
+        assert "__init__" not in cls.__dict__ and cls.__init__ is Predicate.__init__
+    with pytest.raises(TypeError, match="Coincident takes 2 points, got 3"):
+        Coincident(0, 1, 2)
+
+
+def _package_records():
+    todo, out = [Record], []
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if cls.__module__.startswith("cni_prover."):
+            out.append(cls)
+    return out
+
+
+def test_only_const_and_predicate_write_an_init():
+    records = _package_records()
+    written = {
+        cls for cls in records
+        if "__init__" in cls.__dict__
+        and cls.__init__.__code__.co_filename == sys.modules[cls.__module__].__file__
+    }
+    assert written == {Const, Predicate}
+    generated = [
+        cls for cls in records
+        if cls.__dict__.get("__slots__") and not issubclass(cls, (Const, Predicate))
+    ]
+    assert {GrevLex, Sub, PolynomialSystem, ProverVerdict} <= set(generated)
+    for cls in generated:
+        # the generated __init__ takes the fields in slot order
+        code = cls.__init__.__code__
+        assert code.co_varnames[1 : code.co_argcount] == cls.__slots__, cls
+        assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
