@@ -23,6 +23,7 @@ from .algebra_core import (
     expr_postorder,
     expr_substitute,
 )
+from .groebner import invariance
 
 
 _set = object.__setattr__
@@ -380,75 +381,44 @@ def build_system(c: Construction) -> PolynomialSystem:
 FIX_MODES = ("zero_one", "minus_one_one", "off")
 
 
-def _unpinnable_point(c: Construction, table: VarTable, pinned: int) -> str | None:
-    """The first defined point whose definition does not commute with the
-    maps that pinning relies on, or None. Pinning two points needs every
-    map z -> az + b (a nonzero), so each definition D := e must be an
-    affine combination of points: e - D clears with no denominator factor
-    to degree-1 point terms only, whose coefficients sum to 0, whatever
-    positive scale the clearing leaves. Pinning one point needs only the
-    translations z -> z + b, which also allow a constant term."""
-    degrees = (1,) if pinned == 2 else (0, 1)
-    for d in c.inlined:
-        (num,), factors = clear_relations([Sub(d.definition, PointRef(d.point))], table)
-        if (
-            factors
-            or any(sum(m) not in degrees for m in num.terms)
-            or sum(a for m, a in num.terms.items() if any(m))
-        ):
-            return c.point_name(d.point)
-    return None
-
-
 def fix_coordinates(sys: PolynomialSystem, c: Construction, mode: str) -> PolynomialSystem:
     """Pin the first two free points A and B to constants (0 and 1, or -1
-    and 1). Predicates are invariant under every map z -> az + b with a
-    nonzero, so when the definitions commute with those maps too, pinning
-    only shrinks the elimination problem. When one does not, nothing is
-    pinned and a note says why. With fewer than two free points, fixes as
-    many as available.
-
-    The pinning is the engine's own normalization: the polynomials and the
-    variables to eliminate stay build_system's, the values are recorded
-    in `fixed`, and with two pinned points A - B joins the denominator
-    factors, last, unless it is listed already up to sign. This is sound.
-    The definitions commute with the maps, so the ideal J of the system,
-    saturated by the factors and by A - B, is invariant under moving every
-    point by the same t and homogeneous in the points, and the elimination
-    (groebner.eliminate) sets one point to 0 and one linear factor to 1.
-    Under that translation J keeps its kept elements, and so it does with
-    A = 0 added; A - B is then invertible modulo J, so adding B = 1 keeps
-    them too, and J with A = 0 and B = 1 is the pinned system. Reduced
-    bases are unique, so the elimination ideal is the pinned one, and the
-    modes differ only in the values they record. One pinned point needs
-    only the translation."""
+    and 1), or as many as there are, exactly when the elimination
+    normalizes the run (groebner.invariance): the system, with A - B among
+    its factors, is invariant under moving every point by the same t and,
+    with two pinned points, homogeneous in the points. Pinning then only
+    records the values in `fixed` and adds A - B to the factors, last,
+    unless it is listed already; groebner.eliminate sets one point to 0
+    and one linear factor to 1, which keeps the elimination ideal, so it
+    is the one with A = 0 and B = 1, and the modes differ only in the
+    values. Otherwise nothing is pinned and a note says why."""
     if mode not in FIX_MODES:
         raise GeometryError(f"unknown coordinate fixing mode {mode!r}")
     if mode == "off" or not c.free_points:
         return sys
     pinned = min(2, len(c.free_points))
-    culprit = _unpinnable_point(c, sys.table, pinned)
-    if culprit is not None:
-        maps = (
-            "the similarities of the plane (rotations, scalings and translations)"
-            if pinned == 2
-            else "translations"
-        )
-        note = (
-            f"No coordinates were pinned: the definition of {culprit} does not "
-            f"commute with {maps}, so pinning could change the statement."
-        )
-        return sys._replace(notes=sys.notes + (note,))
-    values = (Fraction(0), Fraction(1)) if mode == "zero_one" else (Fraction(-1), Fraction(1))
-    targets = list(zip(c.free_points[:2], values))
     factors = sys.denominator_factors
     if pinned == 2:
         # A - B as the clearing lists a factor: a positive leading
         # coefficient under the print order, on the point first in the table
         first, second = sorted(c.free_points[:2])
         a_b = Polynomial.variable(sys.table, first) - Polynomial.variable(sys.table, second)
-        if a_b not in factors and -a_b not in factors:
+        if a_b not in factors:
             factors += (a_b,)
+    shift, homogeneous, _, _ = invariance(factors, sys.hypothesis_polys, sys.eliminate_vars)
+    if not shift or (pinned == 2 and not homogeneous):
+        maps = (
+            "the similarities of the plane (rotations, scalings and translations)"
+            if pinned == 2
+            else "translations"
+        )
+        note = (
+            "No coordinates were pinned: the hypotheses and the thesis do not "
+            f"commute with {maps}, so pinning could change the statement."
+        )
+        return sys._replace(notes=sys.notes + (note,))
+    values = (Fraction(0), Fraction(1)) if mode == "zero_one" else (Fraction(-1), Fraction(1))
+    targets = list(zip(c.free_points[:2], values))
     return sys._replace(
         denominator_factors=factors,
         fixed=sys.fixed + tuple((sys.table.name(p), v) for p, v in targets),

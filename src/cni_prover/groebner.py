@@ -56,7 +56,7 @@ generators and their successors.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -425,24 +425,28 @@ def _saturator(d: Polynomial, u: int, pk: _Packing) -> _IntPoly:
     return _normalize(terms, pk)
 
 
-def _invariance(
-    factors: list[Polynomial], polys: list[Polynomial], elim: tuple[int, ...]
-) -> tuple[bool, bool, int | None]:
-    """(shift, homogeneous, line) for the factors and polys together, in
-    one pass over their exponent tuples. shift: D p = 0 for every p, D the
-    sum of the partial derivatives by the variables of elim, so each p is
-    invariant under the translations x_v -> x_v + t of all v in elim
-    together. homogeneous: each p has all its terms of one total degree in
-    elim. line: when homogeneous, the index of the first factor that is a
-    linear form in elim, each term an integer times one of its variables,
-    else None; a zero factor has no terms and no degree. The pass visits
-    the factors first, which are short and fail both tests at once when
-    a constant stands for a point, and stops once both tests have
-    failed."""
+def invariance(
+    factors: Sequence[Polynomial], polys: Sequence[Polynomial], elim: tuple[int, ...]
+) -> tuple[bool, bool, int | None, int | None]:
+    """(shift, homogeneous, origin, line) for the factors and polys
+    together, in one pass over their exponent tuples; elim is ascending.
+    shift: D p = 0 for every p, D the sum of the partial derivatives by the
+    variables of elim, so each p is invariant under the translations x_v ->
+    x_v + t of all v in elim together. origin: when shift, the last
+    variable of elim that occurs in them, else None. homogeneous: each p
+    has all its terms of one total degree in elim. line: when homogeneous,
+    the index of the first factor that is a linear form in elim, each term
+    an integer times one of its variables, else None; a zero factor has no
+    terms and no degree. The pass visits the factors first, which are
+    short and fail both tests at once when a constant stands for a point,
+    and stops once both tests have failed. This is the test eliminate
+    normalizes a run by, and the one that decides pinning
+    (geometry_model.fix_coordinates)."""
     shift = homogeneous = True
     line = None
+    top = -1
     nf = len(factors)
-    for i, p in enumerate(factors + polys):
+    for i, p in enumerate((*factors, *polys)):
         dp: dict[tuple[int, ...], int] = {}
         deg = None
         for m, c in p.terms.items():
@@ -454,6 +458,8 @@ def _invariance(
                     if shift:
                         q = m[:v] + (k - 1,) + m[v + 1:]
                         dp[q] = dp.get(q, 0) + k * c
+                        if v > top:
+                            top = v
             if deg is None:
                 deg = d
             elif d != deg and homogeneous:
@@ -463,18 +469,11 @@ def _invariance(
         if shift and any(dp.values()):
             shift = False
         if not (shift or homogeneous):
-            return False, False, None
+            return False, False, None, None
         if deg == 1 and line is None and i < nf and all(sum(m) == 1 for m in p.terms):
             line = i
-    return shift, homogeneous, line if homogeneous else None
-
-
-def _origin(polys: list[Polynomial], elim: tuple[int, ...]) -> int | None:
-    """The last variable of elim that occurs in polys, or None."""
-    for v in reversed(elim):
-        if any(p.contains_var(v) for p in polys):
-            return v
-    return None
+    origin = top if shift and top >= 0 else None
+    return shift, homogeneous, origin, line if homogeneous else None
 
 
 def _solution(l: Polynomial) -> tuple[int, int, Polynomial]:
@@ -496,16 +495,13 @@ def _set_to_1(p: Polynomial, w: int, c: int, r: Polynomial) -> Polynomial:
     parts = [{} for _ in range(k + 1)]
     for m, a in p.terms.items():
         j = m[w]
-        parts[j][m[:w] + (0,) + m[w + 1:]] = a * c ** (k - j)
+        if j:
+            m = m[:w] + (0,) + m[w + 1:]
+        parts[j][m] = a * c ** (k - j)
     out = Polynomial._trusted(p.table, parts[k])
     for j in range(k - 1, -1, -1):
         out = (out * r)._plus(parts[j].items())
     return out
-
-
-def _at_origin(p: Polynomial, v0: int) -> Polynomial:
-    """p with x_v0 = 0: its terms free of x_v0."""
-    return Polynomial._trusted(p.table, {m: c for m, c in p.terms.items() if not m[v0]})
 
 
 def _exit(recs, table: VarTable, pk: _Packing) -> tuple[Polynomial, ...]:
@@ -568,18 +564,18 @@ def eliminate(
 
     A first run makes two exact tests on the exponent tuples of each
     factor and each polynomial of F, in one pass, factors first, that
-    stops once both have failed.
+    stops once both have failed (invariance).
 
     Translation: D p = 0, for D the sum of the partial derivatives by the
     eliminated variables. When D kills all of them, they are invariant
-    under moving every eliminated variable by the same t, and the run
-    drops each term that holds v0, the last eliminated variable that
-    occurs in them (the smallest of the block under its grevlex order).
-    That sets x_v0 = 0, which is what the automorphism x_v -> x_v + x_v0
-    (v eliminated, v != v0) does to an invariant polynomial; it fixes the
-    kept and the Rabinowitsch variables, so the elimination ideal does not
-    change. The result records v0 as `origin`, and its block basis is a
-    basis of the translated ideal.
+    under moving every eliminated variable by the same t, and the run sets
+    x_v0 = 0 in each, v0 the last eliminated variable that occurs in them
+    (the smallest of the block under its grevlex order). That is what the
+    automorphism x_v -> x_v + x_v0 (v eliminated, v != v0) does to an
+    invariant polynomial; it fixes the kept and the Rabinowitsch
+    variables, so the elimination ideal does not change. The result
+    records v0 as `origin`, and its block basis is a basis of the
+    translated ideal.
 
     Scale: every term of p has one total degree in the eliminated
     variables. When that holds for all of them, the run takes l, the
@@ -645,12 +641,13 @@ def eliminate(
     if not kept:
         raise AlgebraError("elimination must keep at least one variable")
     if after is None:
-        shift, _, line = _invariance(factors, polys, elim)
-        origin = _origin(polys + factors, elim) if shift else None
+        _, _, origin, line = invariance(factors, polys, elim)
         scale = None if line is None else factors[line]
         if origin is not None:
-            polys = [_at_origin(p, origin) for p in polys]
-            factors = [_at_origin(d, origin) for d in factors]
+            # x_v0 = 0 is x_v0 = r/c with r = 0 and c = 1
+            sub = (origin, 1, Polynomial.zero(table))
+            polys = [_set_to_1(p, *sub) for p in polys]
+            factors = [_set_to_1(d, *sub) for d in factors]
         if scale is not None:
             sub = _solution(factors[line])
             polys = [_set_to_1(p, *sub) for p in polys]

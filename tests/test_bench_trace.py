@@ -7,12 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_benchmark_pass_is_correct():
+@pytest.mark.parametrize("workload", ["classic-light", "classic-heavy", "fix-off"])
+def test_traced_benchmark_pass_is_correct(workload):
+    # fix_coordinates is a span of its own, and fix-off reaches its off branch
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "classic-light",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

@@ -481,8 +481,9 @@ def test_run_cli_json_format():
     assert payload["rational_form"] == "r1/(r1-4)"
 
 
-# Pinning assumes every definition commutes with z -> az + b. Each of these
-# does not, and pinning once turned its e0u under --fix off into Proved.
+# Pinning needs the hypotheses and the thesis to commute with z -> az + b.
+# Each of these definitions breaks that, and pinning once turned its e0u
+# under --fix off into Proved.
 NOT_PINNABLE = [
     ("point A, B, C\nD := A*B\nprove collinear(A, D, C)\n", "zero_one"),
     ("point A, B\nD := A + 1\nprove parallel(A, D, A, B)\n", "zero_one"),
@@ -511,17 +512,25 @@ def test_pinning_is_refused_for_a_definition_that_is_not_affine(text, fix, monke
     assert pinned["verdict"] != "Proved"
     assert pinned["fixed"] == []
     assert pinned["notes"] == off["notes"] + [
-        "No coordinates were pinned: the definition of D does not commute with "
-        "the similarities of the plane (rotations, scalings and translations), "
+        "No coordinates were pinned: the hypotheses and the thesis do not commute "
+        "with the similarities of the plane (rotations, scalings and translations), "
         "so pinning could change the statement."
     ]
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # (3*A - B)/2 weighs A and B by 3/2 and -1/2, which sum to 1
+        "point A, B\nD := (3*A - B)/2\nprove collinear(A, D, B)\n",
+        # A*B is not affine, but no relation uses D, so the system the
+        # elimination decides is invariant and homogeneous all the same
+        "point A, B, C\nD := A*B\nassume collinear(A, B, C)\nprove collinear(A, C, B)\n",
+    ],
+    ids=["affine", "unused"],
+)
 @pytest.mark.parametrize("fix", ["zero_one", "minus_one_one"])
-def test_pinning_is_kept_for_an_affine_definition_whatever_its_denominator(fix, monkeypatch):
-    # (3*A - B)/2 weighs A and B by 3/2 and -1/2, which sum to 1; it clears
-    # to 3*A - B - 2*D, whose weights sum to 0 at every scale
-    text = "point A, B\nD := (3*A - B)/2\nprove collinear(A, D, B)\n"
+def test_pinning_is_kept_for_an_affine_definition_whatever_its_denominator(text, fix, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, out, err = _run("-", fix_mode=fix, format="json")
     doc = json.loads(out)

@@ -615,8 +615,8 @@ def test_fix_coordinates_single_free_point_refuses_a_definition_that_is_not_a_tr
     fixed = fix_coordinates(sys, c, "zero_one")
     assert fixed.fixed == () and fixed.hypothesis_polys == sys.hypothesis_polys
     assert fixed.notes == sys.notes + (
-        "No coordinates were pinned: the definition of C does not commute with "
-        "translations, so pinning could change the statement.",
+        "No coordinates were pinned: the hypotheses and the thesis do not commute "
+        "with translations, so pinning could change the statement.",
     )
 
 

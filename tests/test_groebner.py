@@ -33,6 +33,7 @@ from cni_prover.groebner import (
     eliminate,
     groebner_basis,
     ideal_is_trivial,
+    invariance,
 )
 
 from support import (
@@ -1075,6 +1076,94 @@ def test_the_corpus_runs_that_are_scaled(fix, monkeypatch):
         for _, after, res in rest:
             assert after is first and res.scale is first.scale
     assert len(scaled) == 19
+
+
+# The engine's invariance test, which decides both the normalization of a
+# run and pinning, against its definitions on random polynomials over a
+# table with one variable more, w, that the translation moves by.
+
+
+def _moved(p, elim, w):
+    """p with x_v replaced by x_v + x_w for every v in elim."""
+    x = _vars(p.table)
+    out = Polynomial.zero(p.table)
+    for m, c in p.terms.items():
+        term = Polynomial.constant(p.table, c)
+        for v, k in enumerate(m):
+            term = term * (x[v] + x[w] if v in elim else x[v]) ** k
+        out = out + term
+    return out
+
+
+def _mixed_polynomial(rng, table):
+    """Invariant, homogeneous of a random degree in the points, or neither,
+    in the variables a, b, c, s, t alone."""
+    draw = rng.random()
+    if draw < 0.4:
+        return _invariant_polynomial(rng, table)
+    if draw < 0.8:
+        return _form(rng, table, rng.randint(0, 2), rng.choice((0, 0.4)))
+    return random_polynomial(rng, table, range(5), max_degree=2, max_terms=3)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_invariance_is_its_definitions(rng):
+    table = make_table("a", "b", "c", "s", "t", "w")
+    factors = [_mixed_polynomial(rng, table) for _ in range(rng.randint(0, 3))]
+    polys = [_mixed_polynomial(rng, table) for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.3:
+        factors.insert(rng.randint(0, len(factors)), _difference(rng, table))
+    elim = _POINTS if rng.random() < 0.7 else tuple(sorted(rng.sample(range(5), rng.randint(1, 4))))
+    shift, homogeneous, origin, line = invariance(factors, polys, elim)
+    everything = factors + polys
+    assert shift == all(_moved(p, elim, 5) == p for p in everything)
+    degrees = [{sum(m[v] for v in elim) for m in p.terms} for p in everything]
+    assert homogeneous == all(len(d) <= 1 for d in degrees)
+    occurring = [v for v in elim if any(p.contains_var(v) for p in everything)]
+    assert origin == (occurring[-1] if shift and occurring else None)
+    linear = [
+        i for i, d in enumerate(factors)
+        if d.terms and all(sum(m) == 1 and any(m[v] for v in elim) for m in d.terms)
+    ]
+    assert line == (linear[0] if homogeneous and linear else None)
+
+
+_AFFINE = ["(A + B)/2", "(3*A - B)/2", "A + C - B", "(A + B + C)/3"]
+_NOT_AFFINE = ["A*B", "A + 1", "A + B", "A/(A - B)", "(A + B)/3", "A*A - C"]
+_RELATIONS = ["collinear(X, Y, Z)", "parallel(X, Y, Z, W)", "perpendicular(X, Y, Z, W)"]
+
+
+def _random_program(rng):
+    """Free points A, B, C, a definition D, affine or not, and a hypothesis
+    and a thesis that use D or not, each segment joining two points."""
+    definition = rng.choice(_AFFINE if rng.random() < 0.5 else _NOT_AFFINE)
+    points = ["A", "B", "C", "D"] if rng.random() < 0.6 else ["A", "B", "C"]
+    lines = ["point A, B, C", f"D := {definition}"]
+    for verb in ("assume", "prove"):
+        relation = rng.choice(_RELATIONS)
+        named = rng.sample(points, 3)
+        named.append(rng.choice([p for p in points if p != named[2]]))
+        for slot, name in zip("XYZW", named):
+            relation = relation.replace(slot, name)
+        lines.append(f"{verb} {relation}")
+    return "\n".join(lines) + "\n"
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_fix_coordinates_pins_exactly_when_the_elimination_normalizes(rng):
+    # two points are pinned iff the elimination of the system so pinned
+    # sets one point to 0 and one linear factor to 1: the printed A:=0,
+    # B:=1 describes the run
+    text = _random_program(rng)
+    c = substitute_declaratives(parse(SourceProgram(text, "random")))
+    sys = fix_coordinates(build_system(c), c, rng.choice(("zero_one", "minus_one_one")))
+    res = eliminate(
+        sys.hypothesis_polys, sys.eliminate_vars, GroebnerConfig(timeout=600.0),
+        saturate=sys.denominator_factors,
+    )
+    assert (len(sys.fixed) == 2) == (res.origin is not None and res.scale is not None), text
 
 
 def test_eliminate_everything_is_rejected():
